@@ -4,9 +4,9 @@
 // polynomial in the *path length* (i.e. independent of N = 2^(2^m + m)),
 // while the generic max-flow alternative must touch the whole network.
 // google-benchmark measures both on the same random pair streams; the
-// closing tables print the per-pair speedup, including the arena-backed
+// closing tables print the per-pair cost of the arena-backed
 // zero-allocation hot path (node_disjoint_paths with a ConstructionScratch)
-// against the legacy copying entry point.
+// and the speedup over max flow.
 //
 // `--smoke` runs a seconds-long subset (no google-benchmark registry, no
 // m=4 max flow) — enough for CI to catch a structural perf regression.
@@ -80,11 +80,10 @@ BENCHMARK(BM_MaxflowDisjointPaths)->Arg(4)->Iterations(3)->Unit(benchmark::kMill
 
 struct ConstructionRow {
   unsigned m = 0;
-  double legacy_us = 0.0;  // copying entry point, per pair
-  double arena_us = 0.0;   // scratch-backed entry point, per pair
+  double arena_us = 0.0;  // scratch-backed entry point, per pair
 };
 
-// Per-pair cost of both construction entry points on the same pair stream.
+// Per-pair cost of the scratch-backed construction on a fixed pair stream.
 ConstructionRow measure_construction(unsigned m, std::size_t pair_count,
                                      std::size_t reps) {
   const core::HhcTopology net{m};
@@ -92,28 +91,19 @@ ConstructionRow measure_construction(unsigned m, std::size_t pair_count,
   auto& scratch = core::tls_construction_scratch();
 
   // Warm up: fills arena chunks, fan workspaces, and the cluster-graph
-  // cache so the timed loops see the steady state.
+  // cache so the timed loop sees the steady state.
   for (const auto& [s, t] : pairs) {
-    benchmark::DoNotOptimize(core::node_disjoint_paths(net, s, t));
     const auto set = core::node_disjoint_paths(net, s, t, {}, scratch);
     benchmark::DoNotOptimize(set.paths.data());
   }
 
   // Best-of-reps: each rep times one full pass over the pair stream and the
-  // minimum wins, so scheduler noise on a busy box inflates neither column.
+  // minimum wins, so scheduler noise on a busy box does not inflate it.
   ConstructionRow row;
   row.m = m;
   const double per_pass = static_cast<double>(pair_count);
-  row.legacy_us = std::numeric_limits<double>::infinity();
   row.arena_us = std::numeric_limits<double>::infinity();
   util::Stopwatch sw;
-  for (std::size_t r = 0; r < reps; ++r) {
-    sw.reset();
-    for (const auto& [s, t] : pairs) {
-      benchmark::DoNotOptimize(core::node_disjoint_paths(net, s, t));
-    }
-    row.legacy_us = std::min(row.legacy_us, sw.micros() / per_pass);
-  }
   for (std::size_t r = 0; r < reps; ++r) {
     sw.reset();
     for (const auto& [s, t] : pairs) {
@@ -134,10 +124,8 @@ void emit_json(const std::vector<ConstructionRow>& rows, bool smoke) {
   for (const ConstructionRow& row : rows) {
     json.begin_object()
         .key("m").value(static_cast<std::uint64_t>(row.m))
-        .key("legacy_us_per_pair").value(row.legacy_us)
         .key("arena_us_per_pair").value(row.arena_us)
         .key("arena_pairs_per_s").value(1e6 / row.arena_us)
-        .key("arena_speedup").value(row.legacy_us / row.arena_us)
         .end_object();
   }
   json.end_array().end_object();
@@ -149,8 +137,7 @@ void emit_json(const std::vector<ConstructionRow>& rows, bool smoke) {
 void print_arena_table(bool smoke) {
   const unsigned max_m = smoke ? 4 : 5;
   std::vector<ConstructionRow> rows;
-  util::Table table{{"m", "legacy us/pair", "arena us/pair", "arena speedup",
-                     "arena pairs/s"}};
+  util::Table table{{"m", "arena us/pair", "arena pairs/s"}};
   for (unsigned m = 1; m <= max_m; ++m) {
     const std::size_t pair_count = smoke ? 128 : 512;
     const std::size_t reps = smoke ? (m >= 4 ? 2 : 6) : (m >= 4 ? 8 : 30);
@@ -158,16 +145,13 @@ void print_arena_table(bool smoke) {
     rows.push_back(row);
     table.row()
         .add(static_cast<int>(m))
-        .add(row.legacy_us, 2)
         .add(row.arena_us, 2)
-        .add(row.legacy_us / row.arena_us, 2)
         .add(1e6 / row.arena_us, 0);
   }
-  table.print(std::cout,
-              "\nT3a: per-pair construction cost, copying vs arena-backed");
-  std::cout << "Expected shape: the arena path wins at every m (no heap "
-               "traffic in the steady\nstate); the gap widens with m as the "
-               "containers grow.\n";
+  table.print(std::cout, "\nT3a: per-pair construction cost, arena-backed");
+  std::cout << "Expected shape: the cost grows with m as the containers "
+               "grow, never with N\n(no heap traffic in the steady "
+               "state).\n";
   emit_json(rows, smoke);
 }
 

@@ -1,20 +1,22 @@
 // Experiment F7 — local-knowledge routing vs the global container router.
 //
-// The container router (route_avoiding) sees the whole fault set; the
-// local router only probes neighbor liveness and backtracks. Both inherit
-// the f <= m guarantee from connectivity; this table prices the missing
-// knowledge in path length and wasted expansions.
+// The container router (AdaptiveRouter without its BFS fallback) sees the
+// whole fault set; the local router only probes neighbor liveness and
+// backtracks. Both inherit the f <= m guarantee from connectivity; this
+// table prices the missing knowledge in path length and wasted expansions.
 #include <iostream>
 
-#include "core/fault_routing.hpp"
+#include "core/fault_model.hpp"
 #include "core/local_routing.hpp"
 #include "core/metrics.hpp"
+#include "fault/adaptive_router.hpp"
 #include "sim/stats.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace hhc;
   const core::HhcTopology net{3};
+  const fault::AdaptiveRouter router{net};
   constexpr std::size_t kTrials = 500;
 
   util::Table table{{"faults f", "local ok %", "global ok %", "local p50 len",
@@ -30,17 +32,20 @@ int main() {
     std::vector<std::uint64_t> global_len;
     util::Xoshiro256 rng{650 + f};
     for (const auto& [s, t] : core::sample_pairs(net, kTrials, 60 + f)) {
-      const auto faults = core::FaultSet::random(net, f, s, t, rng);
+      const auto faults =
+          core::FaultModel::random(net, {.node_faults = f}, s, t, rng);
       const auto local = core::local_fault_route(net, s, t, faults);
       if (local.ok()) {
         ++local_ok;
         local_len.push_back(local.path.size() - 1);
       }
       backtracks += static_cast<double>(local.backtracks);
-      const auto global = core::route_avoiding(net, s, t, faults);
+      const auto global =
+          router.route(query::PairQuery{.s = s, .t = t, .faults = &faults},
+                       {.skip_fallback = true});
       if (global.ok()) {
         ++global_ok;
-        global_len.push_back(global.path.size() - 1);
+        global_len.push_back(global.primary().size() - 1);
       }
     }
     const auto local_sum = sim::summarize(std::move(local_len));

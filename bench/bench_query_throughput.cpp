@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/fault_model.hpp"
-#include "core/fault_routing.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
 #include "obs/metrics.hpp"
@@ -181,8 +180,8 @@ void stage_breakdown(const core::HhcTopology& net,
   util::Xoshiro256 rng{0xF11D};
   for (std::size_t i = 0; i < fault_queries; ++i) {
     const auto& p = pairs[i % pairs.size()];
-    const core::FaultModel faults{
-        core::FaultSet::random(net, /*count=*/3, p.s, p.t, rng)};
+    const auto faults =
+        core::FaultModel::random(net, {.node_faults = 3}, p.s, p.t, rng);
     (void)service.answer(
         query::PairQuery{.s = p.s, .t = p.t, .faults = &faults});
   }

@@ -23,7 +23,7 @@ int main() {
     struct Acc {
       const char* name;
       sim::TransferOutcome (*run)(const core::HhcTopology&, core::Node,
-                                  core::Node, const core::FaultSet&);
+                                  core::Node, const core::FaultModel&);
       std::size_t ok = 0;
       double wasted = 0;
       std::vector<std::uint64_t> cycles;
@@ -35,7 +35,8 @@ int main() {
     util::Xoshiro256 rng{811 + f};
     const auto pairs = core::sample_pairs(net, kMessages, 4000 + f);
     for (const auto& [s, t] : pairs) {
-      const auto faults = core::FaultSet::random(net, f, s, t, rng);
+      const auto faults =
+          core::FaultModel::random(net, {.node_faults = f}, s, t, rng);
       for (auto& acc : accs) {
         const auto outcome = acc.run(net, s, t, faults);
         if (outcome.delivered) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/dispersal.hpp"
-#include "core/fault_routing.hpp"
+#include "core/fault_model.hpp"
 #include "core/metrics.hpp"
 #include "core/routing.hpp"
 #include "sim/network.hpp"
@@ -37,12 +37,13 @@ int main() {
 
     const auto pairs = core::sample_pairs(net, kMessages, 7000 + f);
     for (const auto& [s, t] : pairs) {
-      const auto faults = core::FaultSet::random(net, f, s, t, rng);
+      const auto faults =
+          core::FaultModel::random(net, {.node_faults = f}, s, t, rng);
 
       // Single-packet transfer over the deterministic route.
       {
         sim::NetworkSimulator simulator{net};
-        simulator.set_faults(faults);
+        simulator.set_fault_model(faults);
         simulator.inject(core::route(net, s, t), 0);
         const auto report = simulator.run();
         if (report.delivered == 1) {
@@ -56,7 +57,7 @@ int main() {
         const std::vector<std::uint8_t> message(64, 0xAB);
         const auto plan = core::disperse(net, s, t, message);
         sim::NetworkSimulator simulator{net};
-        simulator.set_faults(faults);
+        simulator.set_fault_model(faults);
         for (const auto& frag : plan.fragments) simulator.inject(frag.path, 0);
         const auto report = simulator.run();
         if (report.delivered >= net.m()) {

@@ -17,7 +17,7 @@
 #include <exception>
 #include <iostream>
 
-#include "core/fault_routing.hpp"
+#include "core/fault_model.hpp"
 #include "core/metrics.hpp"
 #include "query/path_service.hpp"
 #include "util/options.hpp"
@@ -58,8 +58,8 @@ int main(int argc, char** argv) try {
   std::size_t delivered = 0;
   std::size_t fallbacks = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
-    const core::FaultModel faults{
-        core::FaultSet::random(net, faults_per_round, s, t, rng)};
+    const auto faults = core::FaultModel::random(
+        net, {.node_faults = faults_per_round}, s, t, rng);
     const auto result = service.answer(
         query::PairQuery{.s = s, .t = t, .faults = &faults});
     if (result.ok()) {

@@ -18,10 +18,10 @@
 #include "core/broadcast.hpp"
 #include "core/disjoint.hpp"
 #include "core/fault_model.hpp"
-#include "core/fault_routing.hpp"
 #include "core/io.hpp"
 #include "core/local_routing.hpp"
 #include "core/metrics.hpp"
+#include "fault/adaptive_router.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/path_service.hpp"
@@ -98,12 +98,16 @@ int cmd_faults(const util::Options& opts) {
       opts.get_int("t", static_cast<std::int64_t>(net.node_count() - 1)));
   const auto count = static_cast<std::size_t>(opts.get_int("count", m));
   util::Xoshiro256 rng{static_cast<std::uint64_t>(opts.get_int("seed", 1))};
-  const auto faults = core::FaultSet::random(net, count, s, t, rng);
+  const auto faults =
+      core::FaultModel::random(net, {.node_faults = count}, s, t, rng);
 
-  const auto global = core::route_avoiding(net, s, t, faults);
+  const auto global = fault::AdaptiveRouter{net}.route(
+      query::PairQuery{.s = s, .t = t, .faults = &faults},
+      {.skip_fallback = true});
   std::printf("global container router: %s", global.ok() ? "ok" : "FAILED");
-  if (global.ok()) std::printf(" (%zu hops)", global.path.size() - 1);
-  std::printf(", %zu/%u paths blocked\n", global.paths_blocked, net.degree());
+  if (global.ok()) std::printf(" (%zu hops)", global.primary().size() - 1);
+  std::printf(", %zu/%u paths blocked\n", global.container_paths_blocked,
+              net.degree());
 
   const auto local = core::local_fault_route(net, s, t, faults);
   std::printf("local DFS router:        %s", local.ok() ? "ok" : "FAILED");
@@ -166,8 +170,8 @@ int cmd_trace(const util::Options& opts) {
     const core::Node s = rng.below(net.node_count());
     core::Node t = rng.below(net.node_count());
     while (t == s) t = rng.below(net.node_count());
-    const core::FaultModel faults{
-        core::FaultSet::random(net, fault_count, s, t, rng)};
+    const auto faults =
+        core::FaultModel::random(net, {.node_faults = fault_count}, s, t, rng);
     (void)service.answer(query::PairQuery{.s = s, .t = t, .faults = &faults});
   }
   obs::Tracer::disable();

@@ -46,9 +46,8 @@ int main(int argc, char** argv) try {
 
   sim::NetworkSimulator simulator{net};
   if (cut >= 0 && static_cast<std::size_t>(cut) < plan.fragments.size()) {
-    core::FaultSet faults;
-    faults.mark_faulty(plan.fragments[static_cast<std::size_t>(cut)].path[1]);
-    simulator.set_faults(faults);
+    simulator.schedule_fault(
+        plan.fragments[static_cast<std::size_t>(cut)].path[1], /*time=*/0);
     std::printf("cutting path %lld at its second node\n",
                 static_cast<long long>(cut));
   }

@@ -8,21 +8,21 @@
 namespace hhc::baseline {
 
 core::Path fixed_single_route(const core::HhcTopology& net, core::Node s,
-                              core::Node t, const core::FaultSet& faults) {
+                              core::Node t, const core::FaultModel& faults) {
+  if (faults.node_faulty_at(s)) return {};
   core::Path path = core::route(net, s, t);
-  const bool blocked = std::any_of(path.begin(), path.end(), [&](core::Node v) {
-    return faults.is_faulty(v);
-  });
-  if (blocked) return {};
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (!faults.edge_usable_at(path[i], path[i + 1])) return {};
+  }
   return path;
 }
 
 core::Path adaptive_bfs_route(const graph::AdjacencyList& g, core::Node s,
-                              core::Node t, const core::FaultSet& faults) {
+                              core::Node t, const core::FaultModel& faults) {
   const auto S = static_cast<graph::Vertex>(s);
   const auto T = static_cast<graph::Vertex>(t);
   if (S >= g.vertex_count() || T >= g.vertex_count()) return {};
-  if (faults.is_faulty(s) || faults.is_faulty(t)) return {};
+  if (faults.node_faulty_at(s) || faults.node_faulty_at(t)) return {};
   if (S == T) return {s};
 
   std::vector<graph::Vertex> parent(g.vertex_count(), graph::kNoVertex);
@@ -34,7 +34,7 @@ core::Path adaptive_bfs_route(const graph::AdjacencyList& g, core::Node s,
     const graph::Vertex v = frontier.front();
     frontier.pop();
     for (const graph::Vertex u : g.neighbors(v)) {
-      if (seen[u] || faults.is_faulty(u)) continue;
+      if (seen[u] || !faults.edge_usable_at(v, u)) continue;
       seen[u] = true;
       parent[u] = v;
       if (u == T) {

@@ -20,10 +20,6 @@ std::size_t FaultModel::LinkKeyHash::operator()(
   return static_cast<std::size_t>(mix64(k.a * 0x9e3779b97f4a7c15ULL ^ k.b));
 }
 
-FaultModel::FaultModel(const FaultSet& nodes) {
-  for (const Node v : nodes.nodes()) fail_node(v);
-}
-
 void FaultModel::fail_node(Node v, std::uint64_t fail_time,
                            std::uint64_t repair_time) {
   if (fail_time >= repair_time) {
@@ -77,14 +73,6 @@ std::size_t FaultModel::link_fault_count(std::uint64_t time) const {
     if (any_active(windows, time)) ++n;
   }
   return n;
-}
-
-FaultSet FaultModel::node_view(std::uint64_t time) const {
-  FaultSet view;
-  for (const auto& [v, windows] : node_faults_) {
-    if (any_active(windows, time)) view.mark_faulty(v);
-  }
-  return view;
 }
 
 FaultModel FaultModel::random(const HhcTopology& net, const RandomSpec& spec,

@@ -1,17 +1,16 @@
-// Rich fault model for the fault-injection subsystem.
+// The fault model every fault-aware module reads.
 //
-// The original `FaultSet` models permanent node faults only — exactly what
-// the paper's m+1 disjoint-path guarantee covers. Real campaigns need more:
-// *link* faults (an edge dies while both endpoints stay up, which the
-// node-disjoint argument does not cover) and *transient* faults that fail
-// at one time and are repaired at another. `FaultModel` carries all three;
-// `FaultSet` remains the thin node-only compatibility view and converts in
-// both directions, so every existing caller keeps compiling.
+// The paper's m+1 disjoint-path guarantee speaks about permanent node
+// faults. Real campaigns need more: *link* faults (an edge dies while both
+// endpoints stay up, which the node-disjoint argument does not cover) and
+// *transient* faults that fail at one time and are repaired at another.
+// `FaultModel` carries all three, and every router, baseline and
+// simulator takes it.
 //
 // Times are simulator cycles. A fault is active during the half-open window
 // [fail_time, repair_time); `kNeverRepaired` makes it permanent. Queries
-// default to time 0, which for permanent faults reproduces FaultSet
-// semantics exactly.
+// default to time 0; callers without a clock of their own read the model
+// there, where every permanent fault is already active.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fault_routing.hpp"
 #include "core/topology.hpp"
 #include "util/rng.hpp"
 
@@ -41,9 +39,6 @@ struct FaultWindow {
 class FaultModel {
  public:
   FaultModel() = default;
-
-  /// Imports a node-only fault set as permanent faults (compatibility).
-  explicit FaultModel(const FaultSet& nodes);
 
   /// Fails node `v` during [fail_time, repair_time).
   void fail_node(Node v, std::uint64_t fail_time = 0,
@@ -80,9 +75,6 @@ class FaultModel {
 
   /// True when some registered fault has a finite repair time.
   [[nodiscard]] bool has_transient() const noexcept { return has_transient_; }
-
-  /// Node-only snapshot at `time` — the FaultSet view existing code takes.
-  [[nodiscard]] FaultSet node_view(std::uint64_t time = 0) const;
 
   /// What FaultModel::random injects. Counts are distinct elements; all
   /// sampled faults share the same [fail_time, repair_time) window.

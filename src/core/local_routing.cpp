@@ -89,12 +89,13 @@ void LocalRouteScratch::visited_grow() {
 // ---------------------------------------------------------------------------
 
 LocalRouteView local_fault_route(const HhcTopology& net, Node s, Node t,
-                                 const FaultSet& faults, std::size_t max_steps,
+                                 const FaultModel& faults,
+                                 std::size_t max_steps,
                                  LocalRouteScratch& scratch) {
   if (!net.contains(s) || !net.contains(t)) {
     throw std::invalid_argument("local_fault_route: node out of range");
   }
-  if (faults.is_faulty(s) || faults.is_faulty(t)) {
+  if (faults.node_faulty_at(s) || faults.node_faulty_at(t)) {
     throw std::invalid_argument("local_fault_route: endpoint is faulty");
   }
 
@@ -152,7 +153,10 @@ LocalRouteView local_fault_route(const HhcTopology& net, Node s, Node t,
       continue;
     }
     const Node next = untried[--top.end];
-    if (scratch.visited_contains(next) || faults.is_faulty(next)) continue;
+    if (scratch.visited_contains(next) ||
+        !faults.edge_usable_at(top.node, next)) {
+      continue;
+    }
     ++result.steps;
     scratch.visited_insert(next);
     if (next == t) {
@@ -169,7 +173,7 @@ LocalRouteView local_fault_route(const HhcTopology& net, Node s, Node t,
 }
 
 LocalRouteResult local_fault_route(const HhcTopology& net, Node s, Node t,
-                                   const FaultSet& faults,
+                                   const FaultModel& faults,
                                    std::size_t max_steps) {
   thread_local LocalRouteScratch scratch;
   const LocalRouteView view =

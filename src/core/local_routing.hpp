@@ -1,9 +1,10 @@
 // Distributed fault-tolerant routing with local knowledge only.
 //
-// The container router (fault_routing.hpp) assumes the source knows the
-// whole fault set. This module models what a deployed switch can actually
-// do: at each node the packet sees which of the m+1 neighbors are faulty
-// and nothing else, and carries a visited set to avoid cycles. Routing is
+// The container router (fault/adaptive_router.hpp) assumes the source knows
+// the whole fault set. This module models what a deployed switch can
+// actually do: at each node the packet sees which of its m+1 links lead to
+// a live neighbor and nothing else, and carries a visited set to avoid
+// cycles. Routing is
 // greedy by a distance heuristic with depth-first backtracking.
 //
 // Guarantee inherited from the paper's connectivity result: with at most
@@ -18,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "core/fault_routing.hpp"
+#include "core/fault_model.hpp"
 #include "core/topology.hpp"
 
 namespace hhc::core {
@@ -52,7 +53,7 @@ class LocalRouteScratch {
 
  private:
   friend LocalRouteView local_fault_route(const HhcTopology&, Node, Node,
-                                          const FaultSet&, std::size_t,
+                                          const FaultModel&, std::size_t,
                                           LocalRouteScratch&);
 
   struct Frame {
@@ -81,21 +82,23 @@ class LocalRouteScratch {
 [[nodiscard]] std::size_t distance_heuristic(const HhcTopology& net, Node v,
                                              Node t);
 
-/// Greedy DFS routing from s to t avoiding `faults`, expanding at most
-/// `max_steps` nodes (0 = unlimited). Neighbors are tried in increasing
-/// heuristic order; visited nodes are never re-entered, so the walk
-/// terminates and, when the fault-free graph is connected and the budget
-/// suffices, succeeds.
+/// Greedy DFS routing from s to t avoiding `faults` (read at time 0: a hop
+/// is taken only when edge_usable_at holds), expanding at most `max_steps`
+/// nodes (0 = unlimited). Neighbors are tried in increasing heuristic
+/// order; visited nodes are never re-entered, so the walk terminates and,
+/// when the fault-free graph is connected and the budget suffices,
+/// succeeds.
 [[nodiscard]] LocalRouteResult local_fault_route(const HhcTopology& net,
                                                  Node s, Node t,
-                                                 const FaultSet& faults,
+                                                 const FaultModel& faults,
                                                  std::size_t max_steps = 0);
 
 /// Allocation-free variant: identical walk (same expansion order, same
 /// step/backtrack counts, same path) built in `scratch`. The copying
 /// overload above is exactly this on a thread-local scratch plus one copy.
 [[nodiscard]] LocalRouteView local_fault_route(const HhcTopology& net, Node s,
-                                               Node t, const FaultSet& faults,
+                                               Node t,
+                                               const FaultModel& faults,
                                                std::size_t max_steps,
                                                LocalRouteScratch& scratch);
 

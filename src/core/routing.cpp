@@ -97,11 +97,6 @@ std::vector<unsigned> differing_x_dimensions(const HhcTopology& net, Node s,
   return result;
 }
 
-std::vector<unsigned> differing_x_dimensions_gray_ordered(
-    const HhcTopology& net, Node s, Node t) {
-  return differing_x_dimensions(net, s, t, DimensionOrdering::kGrayCycle);
-}
-
 namespace {
 
 // Gray-ordered differing dimensions on the stack (cluster_dimensions() is

@@ -67,10 +67,6 @@ void differing_x_dimensions_into(const HhcTopology& net, Node s, Node t,
                                  DimensionOrdering ordering,
                                  std::vector<unsigned>& out);
 
-/// Backwards-compatible alias for the Gray ordering.
-[[nodiscard]] std::vector<unsigned> differing_x_dimensions_gray_ordered(
-    const HhcTopology& net, Node s, Node t);
-
 /// Checks that `path` is a simple path from s to t along HHC edges.
 [[nodiscard]] bool is_valid_path(const HhcTopology& net, const Path& path,
                                  Node s, Node t);

@@ -3,16 +3,17 @@
 // The m+1 node-disjoint container guarantees delivery under any <= m node
 // faults — but says nothing once |F| > m, or when *links* fail (a link
 // fault can block a container path without consuming a node fault, so even
-// few link faults may block all m+1 paths). The seed's `route_avoiding`
-// simply returns an empty path in those regimes; this router degrades
-// gracefully instead:
+// few link faults may block all m+1 paths). This router degrades
+// gracefully in those regimes instead of returning an empty path:
 //
 //   1. try the disjoint container (the paper's guarantee)    -> kGuaranteed
 //   2. fall back to BFS on the survivor subgraph             -> kBestEffort
 //   3. only when s and t are genuinely disconnected          -> kDisconnected
 //
 // so a caller always learns *why* there is no path, never just an empty
-// vector. The BFS walks the implicit topology (no explicit graph build) and
+// vector. A caller that wants the container's verdict alone (did any of
+// the m+1 paths survive, and how many were blocked?) passes
+// RouteLimits{.skip_fallback = true}: step 2 never runs. The BFS walks the implicit topology (no explicit graph build) and
 // is intended for campaign-scale instances (m <= 4).
 //
 // Results are reported in the unified query vocabulary

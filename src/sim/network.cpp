@@ -11,10 +11,6 @@
 
 namespace hhc::sim {
 
-void NetworkSimulator::set_faults(const core::FaultSet& faults) {
-  faults_ = core::FaultModel{faults};
-}
-
 void NetworkSimulator::set_fault_model(core::FaultModel model) {
   faults_ = std::move(model);
 }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/fault_model.hpp"
-#include "core/fault_routing.hpp"
 #include "core/topology.hpp"
 #include "sim/stats.hpp"
 
@@ -44,10 +43,8 @@ class NetworkSimulator {
  public:
   explicit NetworkSimulator(const core::HhcTopology& net) : net_{net} {}
 
-  /// Marks nodes faulty from cycle 0; packets routed into them are lost.
-  void set_faults(const core::FaultSet& faults);
-
-  /// Replaces the fault state with a full model (node + link + transient).
+  /// Replaces the fault state with `model` (node, link and transient
+  /// faults alike).
   void set_fault_model(core::FaultModel model);
 
   /// Schedules `node` to fail at the start of `time` and come back at

@@ -1,7 +1,7 @@
 #include "sim/resilient.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/disjoint.hpp"
@@ -11,44 +11,36 @@ namespace hhc::sim {
 
 namespace {
 
-// Runs one packet over `path` under `faults`; returns (delivered, cycles
-// in flight or hops covered before loss).
-std::pair<bool, std::uint64_t> run_single(const core::HhcTopology& net,
-                                          const core::Path& path,
-                                          const core::FaultSet& faults) {
+// Sends one packet per path at cycle 0 and runs them to completion.
+NetworkSimulator send_at_zero(const core::HhcTopology& net,
+                              std::span<const core::Path> paths,
+                              const core::FaultModel& faults) {
   NetworkSimulator simulator{net};
-  simulator.set_faults(faults);
-  simulator.inject(path, 0);
-  const auto report = simulator.run();
-  if (report.delivered == 1) return {true, report.latency.max};
-  // Lost: hops covered before the faulty node.
-  return {false, simulator.packets()[0].hop};
+  simulator.set_fault_model(faults);
+  for (const auto& path : paths) simulator.inject(path, 0);
+  simulator.run();
+  return simulator;
 }
 
-// The service answers in the unified RouteResult shape; the transfer
-// machinery below wants the plain container.
-core::DisjointPathSet container_via(query::PathService& service, core::Node s,
-                                    core::Node t) {
-  auto result = service.answer(query::PairQuery{.s = s, .t = t});
-  core::DisjointPathSet container;
-  container.paths = std::move(result.paths);
-  return container;
-}
+}  // namespace
 
-TransferOutcome serial_retry_impl(const core::HhcTopology& net,
-                                  const core::DisjointPathSet& container,
-                                  const core::FaultSet& faults) {
+TransferOutcome serial_retry_transfer(const core::HhcTopology& net,
+                                      core::Node s, core::Node t,
+                                      const core::FaultModel& faults) {
+  const auto container = core::node_disjoint_paths(net, s, t);
   TransferOutcome outcome;
   std::uint64_t clock = 0;
   for (const core::Path& path : container.paths) {
     ++outcome.attempts;
-    const auto [ok, cycles_or_hops] = run_single(net, path, faults);
-    if (ok) {
+    const NetworkSimulator simulator = send_at_zero(net, {&path, 1}, faults);
+    const Packet& packet = simulator.packets()[0];
+    if (packet.delivered) {
       outcome.delivered = true;
-      outcome.completion_cycles = clock + cycles_or_hops;
+      outcome.completion_cycles = clock + packet.completion_time;
       return outcome;
     }
-    outcome.wasted_transmissions += cycles_or_hops;
+    // Lost: the hops covered before the faulty node or link are wasted.
+    outcome.wasted_transmissions += packet.hop;
     // The sender only learns of the loss by silence: charge a round-trip
     // worth of timeout before the next attempt.
     clock += 2 * (path.size() - 1);
@@ -57,11 +49,17 @@ TransferOutcome serial_retry_impl(const core::HhcTopology& net,
   return outcome;
 }
 
-TransferOutcome backoff_retry_impl(const core::HhcTopology& net,
-                                   const core::DisjointPathSet& container,
-                                   const core::FaultModel& faults,
-                                   std::size_t max_attempts,
-                                   std::uint64_t jitter_seed) {
+std::uint64_t jittered_wait(std::uint64_t wait, util::Xoshiro256& rng) {
+  if (wait == 0) return 0;
+  return wait - rng.below(wait / 2 + 1);
+}
+
+TransferOutcome backoff_retry_transfer(const core::HhcTopology& net,
+                                       core::Node s, core::Node t,
+                                       const core::FaultModel& faults,
+                                       std::size_t max_attempts,
+                                       std::uint64_t jitter_seed) {
+  const auto container = core::node_disjoint_paths(net, s, t);
   TransferOutcome outcome;
   util::Xoshiro256 jitter_rng{jitter_seed};
   std::uint64_t clock = 0;
@@ -92,13 +90,11 @@ TransferOutcome backoff_retry_impl(const core::HhcTopology& net,
   return outcome;
 }
 
-TransferOutcome dispersal_impl(const core::HhcTopology& net,
-                               const core::DisjointPathSet& container,
-                               const core::FaultSet& faults) {
-  NetworkSimulator simulator{net};
-  simulator.set_faults(faults);
-  for (const auto& path : container.paths) simulator.inject(path, 0);
-  simulator.run();
+TransferOutcome dispersal_transfer(const core::HhcTopology& net, core::Node s,
+                                   core::Node t,
+                                   const core::FaultModel& faults) {
+  const auto container = core::node_disjoint_paths(net, s, t);
+  const NetworkSimulator simulator = send_at_zero(net, container.paths, faults);
 
   TransferOutcome outcome;
   outcome.attempts = container.paths.size();
@@ -119,13 +115,11 @@ TransferOutcome dispersal_impl(const core::HhcTopology& net,
   return outcome;
 }
 
-TransferOutcome flooding_impl(const core::HhcTopology& net,
-                              const core::DisjointPathSet& container,
-                              const core::FaultSet& faults) {
-  NetworkSimulator simulator{net};
-  simulator.set_faults(faults);
-  for (const auto& path : container.paths) simulator.inject(path, 0);
-  simulator.run();
+TransferOutcome flooding_transfer(const core::HhcTopology& net, core::Node s,
+                                  core::Node t,
+                                  const core::FaultModel& faults) {
+  const auto container = core::node_disjoint_paths(net, s, t);
+  const NetworkSimulator simulator = send_at_zero(net, container.paths, faults);
 
   TransferOutcome outcome;
   outcome.attempts = container.paths.size();
@@ -149,65 +143,6 @@ TransferOutcome flooding_impl(const core::HhcTopology& net,
     outcome.wasted_transmissions -= best;
   }
   return outcome;
-}
-
-}  // namespace
-
-TransferOutcome serial_retry_transfer(const core::HhcTopology& net,
-                                      core::Node s, core::Node t,
-                                      const core::FaultSet& faults) {
-  return serial_retry_impl(net, core::node_disjoint_paths(net, s, t), faults);
-}
-
-TransferOutcome serial_retry_transfer(query::PathService& service, core::Node s,
-                                      core::Node t,
-                                      const core::FaultSet& faults) {
-  return serial_retry_impl(service.net(), container_via(service, s, t), faults);
-}
-
-std::uint64_t jittered_wait(std::uint64_t wait, util::Xoshiro256& rng) {
-  if (wait == 0) return 0;
-  return wait - rng.below(wait / 2 + 1);
-}
-
-TransferOutcome backoff_retry_transfer(const core::HhcTopology& net,
-                                       core::Node s, core::Node t,
-                                       const core::FaultModel& faults,
-                                       std::size_t max_attempts,
-                                       std::uint64_t jitter_seed) {
-  return backoff_retry_impl(net, core::node_disjoint_paths(net, s, t), faults,
-                            max_attempts, jitter_seed);
-}
-
-TransferOutcome backoff_retry_transfer(query::PathService& service,
-                                       core::Node s, core::Node t,
-                                       const core::FaultModel& faults,
-                                       std::size_t max_attempts,
-                                       std::uint64_t jitter_seed) {
-  return backoff_retry_impl(service.net(), container_via(service, s, t), faults,
-                            max_attempts, jitter_seed);
-}
-
-TransferOutcome dispersal_transfer(const core::HhcTopology& net, core::Node s,
-                                   core::Node t,
-                                   const core::FaultSet& faults) {
-  return dispersal_impl(net, core::node_disjoint_paths(net, s, t), faults);
-}
-
-TransferOutcome dispersal_transfer(query::PathService& service, core::Node s,
-                                   core::Node t,
-                                   const core::FaultSet& faults) {
-  return dispersal_impl(service.net(), container_via(service, s, t), faults);
-}
-
-TransferOutcome flooding_transfer(const core::HhcTopology& net, core::Node s,
-                                  core::Node t, const core::FaultSet& faults) {
-  return flooding_impl(net, core::node_disjoint_paths(net, s, t), faults);
-}
-
-TransferOutcome flooding_transfer(query::PathService& service, core::Node s,
-                                  core::Node t, const core::FaultSet& faults) {
-  return flooding_impl(service.net(), container_via(service, s, t), faults);
 }
 
 }  // namespace hhc::sim

@@ -1,8 +1,8 @@
 // Resilient transfer protocols simulated on top of the packet network.
 //
-// Three end-to-end strategies for moving one message from s to t under
-// node faults, all driven through the same simulator so their costs are
-// directly comparable (Experiment F5):
+// End-to-end strategies for moving one message from s to t under faults,
+// all driven through the same simulator so their costs are directly
+// comparable (Experiment F5):
 //
 //   serial-retry : send over the container paths one at a time; a lost
 //                  attempt is detected after a timeout of 2 * path length
@@ -19,20 +19,18 @@
 //                  attempts, backoff keeps waiting — a later pass over an
 //                  already-tried path succeeds once the outage is repaired.
 //
-// Each strategy comes in two flavors: the original free function that builds
-// its container directly, and an overload taking a query::PathService — the
-// unified routing entry point — so repeated transfers between translated
-// pairs hit the service's sharded cache instead of re-running the
-// construction per message. Both produce identical outcomes (asserted by
-// tests); the service flavor is what a long-running deployment should use.
+// Every strategy builds the container with node_disjoint_paths and hands
+// `faults` to the simulator. Packets enter at cycle 0, so the model is read
+// from time 0 on, one hop per cycle, and a node fault or a link fault on
+// the next hop drops the packet alike. Serial retry, dispersal and flooding
+// send every packet at cycle 0; only backoff spreads its attempts in time.
 #pragma once
 
 #include <cstdint>
 
 #include "core/fault_model.hpp"
-#include "core/fault_routing.hpp"
 #include "core/topology.hpp"
-#include "query/path_service.hpp"
+#include "util/rng.hpp"
 
 namespace hhc::sim {
 
@@ -47,17 +45,17 @@ struct TransferOutcome {
 /// 2 * (path length) cycles charged for every failed attempt.
 [[nodiscard]] TransferOutcome serial_retry_transfer(
     const core::HhcTopology& net, core::Node s, core::Node t,
-    const core::FaultSet& faults);
+    const core::FaultModel& faults);
 
 /// One-shot dispersal: m+1 fragments in parallel; done when m arrive.
-[[nodiscard]] TransferOutcome dispersal_transfer(const core::HhcTopology& net,
-                                                 core::Node s, core::Node t,
-                                                 const core::FaultSet& faults);
+[[nodiscard]] TransferOutcome dispersal_transfer(
+    const core::HhcTopology& net, core::Node s, core::Node t,
+    const core::FaultModel& faults);
 
 /// Full duplication over all m+1 paths; done when the first copy arrives.
-[[nodiscard]] TransferOutcome flooding_transfer(const core::HhcTopology& net,
-                                                core::Node s, core::Node t,
-                                                const core::FaultSet& faults);
+[[nodiscard]] TransferOutcome flooding_transfer(
+    const core::HhcTopology& net, core::Node s, core::Node t,
+    const core::FaultModel& faults);
 
 /// Deterministic jitter for one backoff wait: maps `wait` into
 /// [wait - wait/2, wait] by subtracting a uniform draw from `rng` (a
@@ -78,23 +76,6 @@ struct TransferOutcome {
 /// schedule the un-jittered protocol always had.
 [[nodiscard]] TransferOutcome backoff_retry_transfer(
     const core::HhcTopology& net, core::Node s, core::Node t,
-    const core::FaultModel& faults, std::size_t max_attempts = 8,
-    std::uint64_t jitter_seed = 0);
-
-/// Service-routed flavors: the container comes from a pristine
-/// service.answer() (cached, bit-identical), the packet simulation is
-/// unchanged.
-[[nodiscard]] TransferOutcome serial_retry_transfer(
-    query::PathService& service, core::Node s, core::Node t,
-    const core::FaultSet& faults);
-[[nodiscard]] TransferOutcome dispersal_transfer(query::PathService& service,
-                                                 core::Node s, core::Node t,
-                                                 const core::FaultSet& faults);
-[[nodiscard]] TransferOutcome flooding_transfer(query::PathService& service,
-                                                core::Node s, core::Node t,
-                                                const core::FaultSet& faults);
-[[nodiscard]] TransferOutcome backoff_retry_transfer(
-    query::PathService& service, core::Node s, core::Node t,
     const core::FaultModel& faults, std::size_t max_attempts = 8,
     std::uint64_t jitter_seed = 0);
 

@@ -53,7 +53,9 @@ TEST(AdaptiveRouter, FaultFreeIsGuaranteed) {
 }
 
 TEST(AdaptiveRouter, UnderMNodeFaultsStaysGuaranteed) {
-  for (unsigned m = 1; m <= 3; ++m) {
+  // The paper's guarantee: any <= m node faults off the endpoints leave at
+  // least one of the m+1 disjoint paths intact.
+  for (unsigned m = 1; m <= 4; ++m) {
     const HhcTopology net{m};
     const AdaptiveRouter router{net};
     util::Xoshiro256 rng{101 + m};
@@ -70,9 +72,74 @@ TEST(AdaptiveRouter, UnderMNodeFaultsStaysGuaranteed) {
   }
 }
 
+// The container's verdict alone: no survivor-subgraph BFS runs.
+query::RouteResult container_only(const AdaptiveRouter& router, Node s, Node t,
+                                  const FaultModel& faults) {
+  return router.route(query::PairQuery{.s = s, .t = t, .faults = &faults},
+                      {.skip_fallback = true});
+}
+
+TEST(AdaptiveRouter, AdversarialFaultsOnNeighbors) {
+  // Worst case: m of the m+1 source neighbors fail; the one container path
+  // through the remaining neighbor must still get through.
+  const HhcTopology net{3};
+  const AdaptiveRouter router{net};
+  const Node s = net.encode(5, 0b010);
+  const Node t = net.encode(200, 0b101);
+  const auto nbrs = net.neighbors(s);
+  FaultModel faults;
+  for (unsigned i = 0; i < net.m(); ++i) faults.fail_node(nbrs[i]);
+  const auto r = container_only(router, s, t, faults);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.level, DegradationLevel::kGuaranteed);
+  EXPECT_EQ(r.container_paths_blocked, net.m());
+  // The surviving path must leave via the external edge.
+  EXPECT_EQ(r.primary()[1], net.external_neighbor(s));
+}
+
+TEST(AdaptiveRouter, ReportsBlockedCount) {
+  const HhcTopology net{2};
+  const AdaptiveRouter router{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(15, 3);
+  const auto container = core::node_disjoint_paths(net, s, t);
+  FaultModel faults;
+  faults.fail_node(container.paths[0][1]);  // break exactly one path
+  const auto r = container_only(router, s, t, faults);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.container_paths_blocked, 1u);
+}
+
+TEST(AdaptiveRouter, PicksShortestSurvivingPath) {
+  // Fault-free, every container path survives and the shortest one wins.
+  const HhcTopology net{2};
+  const AdaptiveRouter router{net};
+  const Node s = net.encode(3, 1);
+  const Node t = net.encode(12, 2);
+  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto r = container_only(router, s, t, FaultModel{});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.primary().size() - 1, container.min_length());
+}
+
+TEST(AdaptiveRouter, CanFailBeyondGuarantee) {
+  // Every neighbor of s faulty cuts every container path (and s itself
+  // from the network): the router reports disconnection, not a bad path.
+  const HhcTopology net{1};
+  const AdaptiveRouter router{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(3, 1);
+  FaultModel faults;
+  for (const Node v : net.neighbors(s)) faults.fail_node(v);
+  const auto r = router.route(s, t, faults);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.level, DegradationLevel::kDisconnected);
+  EXPECT_EQ(r.container_paths_blocked, net.degree());
+}
+
 TEST(AdaptiveRouter, FallsBackWhenAllContainerPathsBlocked) {
-  // Block one interior node on every container path: route_avoiding would
-  // return empty here, but the survivor subgraph is still well connected.
+  // Block one interior node on every container path: the container alone
+  // has no answer here, but the survivor subgraph is still well connected.
   const HhcTopology net{2};
   const AdaptiveRouter router{net};
   const Node s = net.encode(0, 0);

@@ -16,7 +16,7 @@ TEST(FaultModel, EmptyModelReportsNothing) {
   EXPECT_EQ(model.fault_count(), 0u);
 }
 
-TEST(FaultModel, PermanentNodeFaultMatchesFaultSetSemantics) {
+TEST(FaultModel, PermanentNodeFaultIsActiveForever) {
   FaultModel model;
   model.fail_node(7);
   EXPECT_TRUE(model.node_faulty_at(7));
@@ -77,26 +77,16 @@ TEST(FaultModel, RejectsDegenerateInput) {
   EXPECT_THROW(model.fail_link(0, 1, 10, 5), std::invalid_argument);
 }
 
-TEST(FaultModel, ConvertsFromAndToFaultSet) {
-  FaultSet set;
-  set.mark_faulty(2);
-  set.mark_faulty(9);
-  const FaultModel model{set};
-  EXPECT_TRUE(model.node_faulty_at(2));
-  EXPECT_TRUE(model.node_faulty_at(9));
-  const FaultSet view = model.node_view();
-  EXPECT_EQ(view.size(), 2u);
-  EXPECT_TRUE(view.is_faulty(2));
-  EXPECT_TRUE(view.is_faulty(9));
-}
-
-TEST(FaultModel, NodeViewRespectsTime) {
+TEST(FaultModel, NodeFaultsRespectTime) {
   FaultModel model;
   model.fail_node(1);          // permanent
   model.fail_node(2, 10, 20);  // transient
-  EXPECT_EQ(model.node_view(0).size(), 1u);
-  EXPECT_EQ(model.node_view(15).size(), 2u);
-  EXPECT_EQ(model.node_view(25).size(), 1u);
+  EXPECT_TRUE(model.node_faulty_at(1, 0));
+  EXPECT_FALSE(model.node_faulty_at(2, 0));
+  EXPECT_TRUE(model.node_faulty_at(1, 15));
+  EXPECT_TRUE(model.node_faulty_at(2, 15));
+  EXPECT_TRUE(model.node_faulty_at(1, 25));
+  EXPECT_FALSE(model.node_faulty_at(2, 25));
 }
 
 TEST(FaultModel, RandomHonorsSpecCounts) {
@@ -158,6 +148,16 @@ TEST(FaultModel, RandomCanExhaustEveryPopulation) {
   EXPECT_EQ(model.node_fault_count(), net.node_count() - 2);
   EXPECT_EQ(model.link_fault_count(),
             net.node_count() * net.m() / 2 + net.node_count() / 2);
+  // Every node fault lies in range and off the endpoints.
+  for (Node v = 0; v < net.node_count(); ++v) {
+    EXPECT_EQ(model.node_faulty_at(v), v != 0 && v != 1) << v;
+  }
+  // s == t spares only that one node, so node faults may reach N - 1.
+  FaultModel::RandomSpec all_but_one;
+  all_but_one.node_faults = net.node_count() - 1;
+  const auto loop = FaultModel::random(net, all_but_one, 3, 3, rng);
+  EXPECT_EQ(loop.node_fault_count(), net.node_count() - 1);
+  EXPECT_FALSE(loop.node_faulty_at(3));
 }
 
 TEST(FaultModel, RandomRejectsOverRequests) {
@@ -166,6 +166,9 @@ TEST(FaultModel, RandomRejectsOverRequests) {
   FaultModel::RandomSpec nodes;
   nodes.node_faults = net.node_count() - 1;  // population is N - 2
   EXPECT_THROW((void)FaultModel::random(net, nodes, 0, 1, rng),
+               std::invalid_argument);
+  nodes.node_faults = net.node_count();  // s == t: population is N - 1
+  EXPECT_THROW((void)FaultModel::random(net, nodes, 3, 3, rng),
                std::invalid_argument);
   FaultModel::RandomSpec internal;
   internal.internal_link_faults = net.node_count() * net.m() / 2 + 1;

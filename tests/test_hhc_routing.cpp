@@ -75,7 +75,8 @@ TEST(HhcRouting, GrayOrderedDimensionsCoverXorMask) {
   const HhcTopology net{3};
   const Node s = net.encode(0b00111100, 1);
   const Node t = net.encode(0b11000011, 2);
-  const auto dims = differing_x_dimensions_gray_ordered(net, s, t);
+  const auto dims =
+      differing_x_dimensions(net, s, t, DimensionOrdering::kGrayCycle);
   std::uint64_t acc = 0;
   for (const unsigned d : dims) acc |= (1ull << d);
   EXPECT_EQ(acc, net.cluster_of(s) ^ net.cluster_of(t));

@@ -11,8 +11,11 @@
 #include "baseline/maxflow_paths.hpp"
 #include "baseline/single_path.hpp"
 #include "core/dispersal.hpp"
-#include "core/fault_routing.hpp"
+#include "core/fault_model.hpp"
+#include "core/local_routing.hpp"
 #include "core/metrics.hpp"
+#include "core/routing.hpp"
+#include "fault/adaptive_router.hpp"
 #include "sim/network.hpp"
 #include "sim/traffic.hpp"
 
@@ -32,11 +35,11 @@ TEST(Integration, DispersalThroughSimulatorWithOnePathCut) {
   const auto plan = core::disperse(net, s, t, message);
 
   // Cut one fragment's path at its second node.
-  core::FaultSet faults;
-  faults.mark_faulty(plan.fragments[1].path[1]);
+  core::FaultModel faults;
+  faults.fail_node(plan.fragments[1].path[1]);
 
   sim::NetworkSimulator simulator{net};
-  simulator.set_faults(faults);
+  simulator.set_fault_model(faults);
   for (const auto& f : plan.fragments) simulator.inject(f.path, 0);
   const auto report = simulator.run();
 
@@ -58,18 +61,61 @@ TEST(Integration, FaultRoutingBeatsFixedSinglePathUnderFaults) {
   // router succeeds always; the fixed single-path router must fail at
   // least sometimes across the sample.
   const HhcTopology net{2};
+  const fault::AdaptiveRouter router{net};
   util::Xoshiro256 rng{2024};
   std::size_t single_failures = 0;
   const auto pairs = core::sample_pairs(net, 300, 8);
   for (const auto& [s, t] : pairs) {
-    const auto faults = core::FaultSet::random(net, net.m(), s, t, rng);
-    const auto multi = core::route_avoiding(net, s, t, faults);
+    const auto faults =
+        core::FaultModel::random(net, {.node_faults = net.m()}, s, t, rng);
+    const auto multi = router.route(
+        query::PairQuery{.s = s, .t = t, .faults = &faults},
+        {.skip_fallback = true});
     ASSERT_TRUE(multi.ok());
     if (baseline::fixed_single_route(net, s, t, faults).empty()) {
       ++single_failures;
     }
   }
   EXPECT_GT(single_failures, 0u);
+}
+
+TEST(Integration, LinkFaultOnRouteIsHonouredBySinglePathRouters) {
+  // A dead link leaves both of its endpoints up, so only a router that
+  // checks every hop's edge sees it. One link is cut on each router's
+  // fault-free path: the fixed route fails, the local DFS and the BFS
+  // oracle step around every cut.
+  const HhcTopology net{2};
+  const baseline::MaxflowBaseline base{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(15, 3);
+  const core::FaultModel none;
+  const core::Path fault_free[] = {
+      core::route(net, s, t),
+      core::local_fault_route(net, s, t, none).path,
+      baseline::adaptive_bfs_route(base.explicit_graph(), s, t, none)};
+  core::FaultModel faults;
+  for (const core::Path& path : fault_free) {
+    ASSERT_GE(path.size(), 3u);
+    faults.fail_link(path[1], path[2]);
+  }
+  ASSERT_EQ(faults.node_fault_count(), 0u);
+  const auto crosses_cut = [&](const core::Path& path) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      if (!faults.edge_usable_at(path[i], path[i + 1])) return true;
+    }
+    return false;
+  };
+
+  EXPECT_TRUE(baseline::fixed_single_route(net, s, t, faults).empty());
+  const auto local = core::local_fault_route(net, s, t, faults);
+  ASSERT_TRUE(local.ok());
+  EXPECT_TRUE(core::is_valid_path(net, local.path, s, t));
+  EXPECT_FALSE(crosses_cut(local.path));
+  const auto oracle =
+      baseline::adaptive_bfs_route(base.explicit_graph(), s, t, faults);
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_TRUE(core::is_valid_path(net, oracle, s, t));
+  EXPECT_FALSE(crosses_cut(oracle));
 }
 
 TEST(Integration, ConstructiveContainerCloseToOptimalLongest) {

@@ -28,12 +28,12 @@ TEST(LocalRouting, HeuristicNeverExceedsDistance) {
 
 TEST(LocalRouting, TrivialAndFaultFree) {
   const HhcTopology net{2};
-  const auto self = local_fault_route(net, 7, 7, FaultSet{});
+  const auto self = local_fault_route(net, 7, 7, FaultModel{});
   ASSERT_TRUE(self.ok());
   EXPECT_EQ(self.path, Path{7});
 
   for (const auto& [s, t] : sample_pairs(net, 100, 3)) {
-    const auto r = local_fault_route(net, s, t, FaultSet{});
+    const auto r = local_fault_route(net, s, t, FaultModel{});
     ASSERT_TRUE(r.ok()) << s << "->" << t;
     EXPECT_TRUE(is_valid_path(net, r.path, s, t));
   }
@@ -44,7 +44,7 @@ TEST(LocalRouting, GreedyIsShortWithoutFaults) {
   // time; require at most 2x the constructive route length.
   const HhcTopology net{3};
   for (const auto& [s, t] : sample_pairs(net, 200, 5)) {
-    const auto local = local_fault_route(net, s, t, FaultSet{});
+    const auto local = local_fault_route(net, s, t, FaultModel{});
     ASSERT_TRUE(local.ok());
     const auto constructive = route(net, s, t);
     EXPECT_LE(local.path.size(), 2 * constructive.size())
@@ -59,11 +59,12 @@ TEST(LocalRouting, GuaranteedUnderMFaults) {
     const HhcTopology net{m};
     util::Xoshiro256 rng{44 + m};
     for (const auto& [s, t] : sample_pairs(net, 100, 10 + m)) {
-      const auto faults = FaultSet::random(net, m, s, t, rng);
+      const auto faults =
+          FaultModel::random(net, {.node_faults = m}, s, t, rng);
       const auto r = local_fault_route(net, s, t, faults);
       ASSERT_TRUE(r.ok()) << "m=" << m << " s=" << s << " t=" << t;
       EXPECT_TRUE(is_valid_path(net, r.path, s, t));
-      for (const Node v : r.path) EXPECT_FALSE(faults.is_faulty(v));
+      for (const Node v : r.path) EXPECT_FALSE(faults.node_faulty_at(v));
     }
   }
 }
@@ -77,8 +78,8 @@ TEST(LocalRouting, BacktracksAroundBlockedNeighborhood) {
   std::sort(nbrs.begin(), nbrs.end(), [&](Node a, Node b) {
     return distance_heuristic(net, a, t) < distance_heuristic(net, b, t);
   });
-  FaultSet faults;
-  for (unsigned i = 0; i < net.m(); ++i) faults.mark_faulty(nbrs[i]);
+  FaultModel faults;
+  for (unsigned i = 0; i < net.m(); ++i) faults.fail_node(nbrs[i]);
   const auto r = local_fault_route(net, s, t, faults);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.path[1], nbrs.back());  // only the worst neighbor survives
@@ -88,8 +89,8 @@ TEST(LocalRouting, FailsWhenDisconnected) {
   const HhcTopology net{1};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(3, 1);
-  FaultSet faults;
-  for (const Node v : net.neighbors(s)) faults.mark_faulty(v);
+  FaultModel faults;
+  for (const Node v : net.neighbors(s)) faults.fail_node(v);
   const auto r = local_fault_route(net, s, t, faults);
   EXPECT_FALSE(r.ok());
 }
@@ -98,7 +99,7 @@ TEST(LocalRouting, StepBudgetRespected) {
   const HhcTopology net{4};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(net.cluster_count() - 1, net.cluster_size() - 1);
-  const auto r = local_fault_route(net, s, t, FaultSet{}, /*max_steps=*/3);
+  const auto r = local_fault_route(net, s, t, FaultModel{}, /*max_steps=*/3);
   EXPECT_FALSE(r.ok());
   EXPECT_LE(r.steps, 3u);
 }
@@ -112,7 +113,8 @@ TEST(LocalRouting, ScratchOverloadMatchesLegacy) {
     const HhcTopology net{m};
     util::Xoshiro256 rng{0x10CA1 + m};
     for (const auto& [s, t] : sample_pairs(net, 120, 55 + m)) {
-      const auto faults = FaultSet::random(net, m, s, t, rng);
+      const auto faults =
+          FaultModel::random(net, {.node_faults = m}, s, t, rng);
       const auto legacy = local_fault_route(net, s, t, faults);
       const auto view = local_fault_route(net, s, t, faults, 0, scratch);
       ASSERT_EQ(view.ok(), legacy.ok()) << "m=" << m << " " << s << "->" << t;
@@ -126,15 +128,15 @@ TEST(LocalRouting, ScratchOverloadMatchesLegacy) {
   const HhcTopology net{4};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(net.cluster_count() - 1, net.cluster_size() - 1);
-  const auto capped = local_fault_route(net, s, t, FaultSet{}, 3, scratch);
+  const auto capped = local_fault_route(net, s, t, FaultModel{}, 3, scratch);
   EXPECT_FALSE(capped.ok());
   EXPECT_LE(capped.steps, 3u);
 }
 
 TEST(LocalRouting, RejectsFaultyEndpoints) {
   const HhcTopology net{2};
-  FaultSet faults;
-  faults.mark_faulty(5);
+  FaultModel faults;
+  faults.fail_node(5);
   EXPECT_THROW((void)local_fault_route(net, 5, 9, faults),
                std::invalid_argument);
   EXPECT_THROW((void)local_fault_route(net, 9, 5, faults),
@@ -145,7 +147,8 @@ TEST(LocalRouting, WorksAtImplicitScaleM5) {
   const HhcTopology net{5};
   util::Xoshiro256 rng{77};
   for (const auto& [s, t] : sample_pairs(net, 30, 21)) {
-    const auto faults = FaultSet::random(net, net.m(), s, t, rng);
+    const auto faults =
+        FaultModel::random(net, {.node_faults = net.m()}, s, t, rng);
     const auto r = local_fault_route(net, s, t, faults);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(is_valid_path(net, r.path, s, t));

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <utility>
-
 #include "core/disjoint.hpp"
 #include "sim/resilient.hpp"
 #include "util/rng.hpp"
@@ -9,7 +7,7 @@
 namespace hhc::sim {
 namespace {
 
-using core::FaultSet;
+using core::FaultModel;
 using core::HhcTopology;
 using core::Node;
 
@@ -18,11 +16,11 @@ TEST(Resilient, AllStrategiesSucceedFaultFree) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
   using TransferFn = TransferOutcome (*)(const HhcTopology&, Node, Node,
-                                         const FaultSet&);
+                                         const FaultModel&);
   for (const TransferFn outcome : {TransferFn{&serial_retry_transfer},
                                    TransferFn{&dispersal_transfer},
                                    TransferFn{&flooding_transfer}}) {
-    const auto r = outcome(net, s, t, FaultSet{});
+    const auto r = outcome(net, s, t, FaultModel{});
     EXPECT_TRUE(r.delivered);
     EXPECT_GT(r.completion_cycles, 0u);
   }
@@ -32,7 +30,7 @@ TEST(Resilient, SerialRetrySucceedsFirstTryWithoutFaults) {
   const HhcTopology net{2};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto r = serial_retry_transfer(net, s, t, FaultSet{});
+  const auto r = serial_retry_transfer(net, s, t, FaultModel{});
   EXPECT_EQ(r.attempts, 1u);
   EXPECT_EQ(r.wasted_transmissions, 0u);
   const auto container = core::node_disjoint_paths(net, s, t);
@@ -44,22 +42,27 @@ TEST(Resilient, SerialRetryPaysTimeoutPerBlockedPath) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
   const auto container = core::node_disjoint_paths(net, s, t);
-  FaultSet faults;
-  faults.mark_faulty(container.paths[0][1]);  // block the first path
-  const auto r = serial_retry_transfer(net, s, t, faults);
-  ASSERT_TRUE(r.delivered);
-  EXPECT_EQ(r.attempts, 2u);
-  const std::uint64_t timeout = 2 * (container.paths[0].size() - 1);
-  EXPECT_EQ(r.completion_cycles,
-            timeout + container.paths[1].size() - 1);
+  // Block the first path at its first hop, by a node fault or a link fault.
+  FaultModel node_cut;
+  node_cut.fail_node(container.paths[0][1]);
+  FaultModel link_cut;
+  link_cut.fail_link(container.paths[0][0], container.paths[0][1]);
+  for (const FaultModel* faults : {&node_cut, &link_cut}) {
+    const auto r = serial_retry_transfer(net, s, t, *faults);
+    ASSERT_TRUE(r.delivered);
+    EXPECT_EQ(r.attempts, 2u);
+    const std::uint64_t timeout = 2 * (container.paths[0].size() - 1);
+    EXPECT_EQ(r.completion_cycles,
+              timeout + container.paths[1].size() - 1);
+  }
 }
 
 TEST(Resilient, SerialRetryFailsOnlyWhenAllBlocked) {
   const HhcTopology net{1};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(3, 1);
-  FaultSet faults;
-  for (const Node v : net.neighbors(s)) faults.mark_faulty(v);
+  FaultModel faults;
+  for (const Node v : net.neighbors(s)) faults.fail_node(v);
   const auto r = serial_retry_transfer(net, s, t, faults);
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.attempts, net.degree());
@@ -70,12 +73,12 @@ TEST(Resilient, DispersalToleratesOneLoss) {
   const Node s = net.encode(7, 1);
   const Node t = net.encode(200, 6);
   const auto container = core::node_disjoint_paths(net, s, t);
-  FaultSet faults;
+  FaultModel faults;
   // Cut one path in its middle: the fragment covers some hops (wasted
   // work) before being dropped, and the other m fragments reconstruct.
   const auto& victim = container.paths[2];
   ASSERT_GE(victim.size(), 4u);
-  faults.mark_faulty(victim[victim.size() / 2]);
+  faults.fail_node(victim[victim.size() / 2]);
   const auto r = dispersal_transfer(net, s, t, faults);
   EXPECT_TRUE(r.delivered);
   EXPECT_GT(r.wasted_transmissions, 0u);
@@ -86,9 +89,9 @@ TEST(Resilient, DispersalFailsWithTwoFragmentLosses) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
   const auto container = core::node_disjoint_paths(net, s, t);
-  FaultSet faults;
-  faults.mark_faulty(container.paths[0][1]);
-  faults.mark_faulty(container.paths[1][1]);
+  FaultModel faults;
+  faults.fail_node(container.paths[0][1]);
+  faults.fail_node(container.paths[1][1]);
   const auto r = dispersal_transfer(net, s, t, faults);
   EXPECT_FALSE(r.delivered);
 }
@@ -98,9 +101,9 @@ TEST(Resilient, FloodingSurvivesAllButOneCut) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
   const auto container = core::node_disjoint_paths(net, s, t);
-  FaultSet faults;
-  faults.mark_faulty(container.paths[0][1]);
-  faults.mark_faulty(container.paths[1][1]);
+  FaultModel faults;
+  faults.fail_node(container.paths[0][1]);
+  faults.fail_node(container.paths[1][1]);
   const auto r = flooding_transfer(net, s, t, faults);
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.completion_cycles, container.paths[2].size() - 1);
@@ -113,7 +116,8 @@ TEST(Resilient, FloodingIsNeverSlowerThanDispersal) {
     const Node s = rng.below(net.node_count());
     const Node t = rng.below(net.node_count());
     if (s == t) continue;
-    const auto faults = FaultSet::random(net, net.m(), s, t, rng);
+    const auto faults =
+        FaultModel::random(net, {.node_faults = net.m()}, s, t, rng);
     const auto flood = flooding_transfer(net, s, t, faults);
     const auto disp = dispersal_transfer(net, s, t, faults);
     ASSERT_TRUE(flood.delivered);
@@ -144,13 +148,15 @@ TEST(Resilient, BackoffRidesOutTransientOutageSerialCannot) {
   const Node t = net.encode(13, 2);
   const auto container = core::node_disjoint_paths(net, s, t);
   core::FaultModel faults;
+  core::FaultModel permanent;  // the same victims, never repaired
   for (const auto& path : container.paths) {
     // Mid-path victims: a lost packet covers some hops first, so the
     // retries also show up as wasted transmissions.
-    faults.fail_node(path[path.size() / 2], /*fail_time=*/0,
-                     /*repair_time=*/16);
+    const Node victim = path[path.size() / 2];
+    faults.fail_node(victim, /*fail_time=*/0, /*repair_time=*/16);
+    permanent.fail_node(victim);
   }
-  const auto serial = serial_retry_transfer(net, s, t, faults.node_view(0));
+  const auto serial = serial_retry_transfer(net, s, t, permanent);
   EXPECT_FALSE(serial.delivered);
   const auto backoff = backoff_retry_transfer(net, s, t, faults);
   ASSERT_TRUE(backoff.delivered);
@@ -259,48 +265,13 @@ TEST(Resilient, DispersalFasterThanSerialUnderFaults) {
   const Node s = net.encode(3, 0);
   const Node t = net.encode(99, 5);
   const auto container = core::node_disjoint_paths(net, s, t);
-  FaultSet faults;
-  faults.mark_faulty(container.paths[0][1]);
+  FaultModel faults;
+  faults.fail_node(container.paths[0][1]);
   const auto serial = serial_retry_transfer(net, s, t, faults);
   const auto disp = dispersal_transfer(net, s, t, faults);
   ASSERT_TRUE(serial.delivered);
   ASSERT_TRUE(disp.delivered);
   EXPECT_LT(disp.completion_cycles, serial.completion_cycles);
-}
-
-TEST(Resilient, ServiceRoutedFlavorsMatchDirectOnes) {
-  // The PathService overloads must produce the exact same outcomes as the
-  // direct-construction ones (the service answers bit-identically), while
-  // repeated transfers turn into cache hits.
-  const HhcTopology net{2};
-  query::PathService service{net};
-  const Node s = net.encode(0, 0);
-  const Node t = net.encode(13, 2);
-  const auto container = core::node_disjoint_paths(net, s, t);
-  FaultSet faults;
-  faults.mark_faulty(container.paths[0][1]);
-  core::FaultModel model;
-  model.fail_link(container.paths[1][0], container.paths[1][1],
-                  /*fail_time=*/0, /*repair_time=*/9);
-
-  const auto pairs = {
-      std::pair{serial_retry_transfer(net, s, t, faults),
-                serial_retry_transfer(service, s, t, faults)},
-      std::pair{dispersal_transfer(net, s, t, faults),
-                dispersal_transfer(service, s, t, faults)},
-      std::pair{flooding_transfer(net, s, t, faults),
-                flooding_transfer(service, s, t, faults)},
-      std::pair{backoff_retry_transfer(net, s, t, model),
-                backoff_retry_transfer(service, s, t, model)},
-  };
-  for (const auto& [direct, routed] : pairs) {
-    EXPECT_EQ(direct.delivered, routed.delivered);
-    EXPECT_EQ(direct.completion_cycles, routed.completion_cycles);
-    EXPECT_EQ(direct.attempts, routed.attempts);
-    EXPECT_EQ(direct.wasted_transmissions, routed.wasted_transmissions);
-  }
-  EXPECT_EQ(service.cache().misses(), 1u);  // one pair, four transfers
-  EXPECT_EQ(service.cache().hits(), 3u);
 }
 
 }  // namespace

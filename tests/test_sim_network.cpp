@@ -71,10 +71,10 @@ TEST(SimNetwork, SharedRouteSerializesOnLinks) {
 TEST(SimNetwork, FaultyNodeLosesPacket) {
   const HhcTopology net{2};
   const auto path = core::route(net, net.encode(0, 0), net.encode(15, 3));
-  core::FaultSet faults;
-  faults.mark_faulty(path[1]);
+  core::FaultModel faults;
+  faults.fail_node(path[1]);
   NetworkSimulator sim{net};
-  sim.set_faults(faults);
+  sim.set_fault_model(faults);
   sim.inject(path, 0);
   const auto report = sim.run();
   EXPECT_EQ(report.delivered, 0u);
@@ -84,10 +84,10 @@ TEST(SimNetwork, FaultyNodeLosesPacket) {
 TEST(SimNetwork, FaultySourceLosesImmediately) {
   const HhcTopology net{2};
   const auto path = core::route(net, net.encode(0, 0), net.encode(15, 3));
-  core::FaultSet faults;
-  faults.mark_faulty(path[0]);
+  core::FaultModel faults;
+  faults.fail_node(path[0]);
   NetworkSimulator sim{net};
-  sim.set_faults(faults);
+  sim.set_fault_model(faults);
   sim.inject(path, 0);
   const auto report = sim.run();
   EXPECT_EQ(report.lost, 1u);
@@ -256,15 +256,17 @@ TEST(SimNetwork, ConservationUnderRandomFaultsAndLoads) {
   const HhcTopology net{2};
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     util::Xoshiro256 rng{seed};
-    core::FaultSet faults;
-    for (int f = 0; f < 5; ++f) faults.mark_faulty(rng.below(net.node_count()));
+    core::FaultModel faults;
+    for (int f = 0; f < 5; ++f) faults.fail_node(rng.below(net.node_count()));
     NetworkSimulator sim{net};
-    sim.set_faults(faults);
+    sim.set_fault_model(faults);
     std::size_t injected = 0;
     for (int p = 0; p < 200; ++p) {
       const Node s = rng.below(net.node_count());
       const Node t = rng.below(net.node_count());
-      if (s == t || faults.is_faulty(s) || faults.is_faulty(t)) continue;
+      if (s == t || faults.node_faulty_at(s) || faults.node_faulty_at(t)) {
+        continue;
+      }
       sim.inject(core::route(net, s, t), rng.below(20));
       ++injected;
     }

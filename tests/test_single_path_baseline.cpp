@@ -10,14 +10,14 @@
 namespace hhc::baseline {
 namespace {
 
-using core::FaultSet;
+using core::FaultModel;
 using core::HhcTopology;
 using core::Node;
 
 TEST(FixedSingleRoute, SucceedsWithoutFaults) {
   const HhcTopology net{2};
   for (const auto& [s, t] : core::sample_pairs(net, 50, 1)) {
-    const auto p = fixed_single_route(net, s, t, FaultSet{});
+    const auto p = fixed_single_route(net, s, t, FaultModel{});
     ASSERT_FALSE(p.empty());
     EXPECT_TRUE(core::is_valid_path(net, p, s, t));
   }
@@ -29,8 +29,8 @@ TEST(FixedSingleRoute, FailsWhenRouteBlocked) {
   const Node t = net.encode(15, 3);
   const auto p = core::route(net, s, t);
   ASSERT_GE(p.size(), 3u);
-  FaultSet faults;
-  faults.mark_faulty(p[1]);
+  FaultModel faults;
+  faults.fail_node(p[1]);
   EXPECT_TRUE(fixed_single_route(net, s, t, faults).empty());
 }
 
@@ -39,11 +39,11 @@ TEST(FixedSingleRoute, UnrelatedFaultsDoNotBlock) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(15, 3);
   const auto p = core::route(net, s, t);
-  FaultSet faults;
+  FaultModel faults;
   // Pick a node not on the route.
   for (Node v = 0; v < net.node_count(); ++v) {
     if (std::find(p.begin(), p.end(), v) == p.end()) {
-      faults.mark_faulty(v);
+      faults.fail_node(v);
       break;
     }
   }
@@ -57,12 +57,12 @@ TEST(AdaptiveBfsRoute, FindsDetourAroundFaults) {
   const Node t = net.encode(15, 3);
   // Block the fixed route's second node; the oracle should still succeed.
   const auto fixed = core::route(net, s, t);
-  FaultSet faults;
-  faults.mark_faulty(fixed[1]);
+  FaultModel faults;
+  faults.fail_node(fixed[1]);
   const auto p = adaptive_bfs_route(base.explicit_graph(), s, t, faults);
   ASSERT_FALSE(p.empty());
   EXPECT_TRUE(core::is_valid_path(net, p, s, t));
-  for (const Node v : p) EXPECT_FALSE(faults.is_faulty(v));
+  for (const Node v : p) EXPECT_FALSE(faults.node_faulty_at(v));
 }
 
 TEST(AdaptiveBfsRoute, FailsOnlyWhenDisconnected) {
@@ -70,16 +70,16 @@ TEST(AdaptiveBfsRoute, FailsOnlyWhenDisconnected) {
   const MaxflowBaseline base{net};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(3, 1);
-  FaultSet faults;
-  for (const Node v : net.neighbors(s)) faults.mark_faulty(v);
+  FaultModel faults;
+  for (const Node v : net.neighbors(s)) faults.fail_node(v);
   EXPECT_TRUE(adaptive_bfs_route(base.explicit_graph(), s, t, faults).empty());
 }
 
 TEST(AdaptiveBfsRoute, HandlesFaultyEndpoints) {
   const HhcTopology net{1};
   const MaxflowBaseline base{net};
-  FaultSet faults;
-  faults.mark_faulty(0);
+  FaultModel faults;
+  faults.fail_node(0);
   EXPECT_TRUE(adaptive_bfs_route(base.explicit_graph(), 0, 3, faults).empty());
   EXPECT_TRUE(adaptive_bfs_route(base.explicit_graph(), 3, 0, faults).empty());
 }
