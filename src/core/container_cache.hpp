@@ -174,8 +174,9 @@ class ContainerCache {
     /// resident entry is displaced per insert (drawn from a per-shard
     /// seeded util::Xoshiro256, so runs are reproducible) and counted as an
     /// eviction. Random replacement is cheap and good enough for the
-    /// skewed workloads the cache exists for; the O(capacity) clone the
-    /// publication pays is dominated by the construction the miss just ran.
+    /// skewed workloads the cache exists for. The O(capacity) index clone
+    /// each publication pays is comparable to the construction the miss
+    /// just ran (see cache.lookup_miss_ns in perfbench's ladder).
     std::size_t max_entries_per_shard = 0;
     /// Seed for the per-shard eviction RNGs (each shard derives its own
     /// stream, so eviction choices are deterministic per configuration).

@@ -281,7 +281,6 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
 void different_cluster_paths(const HhcTopology& net, Node s, Node t,
                              ConstructionOptions options,
                              ConstructionScratch& scratch) {
-  const graph::AdjacencyList& cluster_graph = scratch.cluster_graph(net.m());
   const std::uint64_t Xs = net.cluster_of(s);
   const auto Ys = static_cast<graph::Vertex>(net.position_of(s));
   const auto Yt = static_cast<graph::Vertex>(net.position_of(t));
@@ -294,7 +293,9 @@ void different_cluster_paths(const HhcTopology& net, Node s, Node t,
   const std::size_t route_count = scratch.route_spans.size();
 
   // Exit fan inside cluster Xs: one disjoint walk per route that leaves s
-  // through an internal edge (first dimension != a).
+  // through an internal edge (first dimension != a); entry fan likewise
+  // into t. Both are read through the scratch's fan table, so a fan seen
+  // before on this thread costs a probe, not a max-flow solve.
   scratch.exit_targets.clear();
   scratch.entry_sources.clear();
   for (std::size_t i = 0; i < route_count; ++i) {
@@ -312,9 +313,8 @@ void different_cluster_paths(const HhcTopology& net, Node s, Node t,
     static obs::Histogram& fan_hist =
         obs::stage_histogram(obs::stages::kFanSolve);
     obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
-    exit_fans = scratch.exit_fan.fan(cluster_graph, Ys, scratch.exit_targets);
-    entry_fans =
-        scratch.entry_fan.reverse_fan(cluster_graph, scratch.entry_sources, Yt);
+    exit_fans = scratch.exit_fans(net.m(), Ys, scratch.exit_targets);
+    entry_fans = scratch.entry_fans(net.m(), scratch.entry_sources, Yt);
   }
 
   std::size_t exit_index = 0;

@@ -19,6 +19,10 @@
 //     endpoint-cluster segments as exact vertex-disjoint fans (max flow on
 //     the <= 32-node cluster), and intermediate clusters as private
 //     gateway-to-gateway walks.
+//   * A fan depends only on (m, apex, endpoint set), and for m <= 4 there
+//     are at most 21,840 such keys, so the scratch memoizes them: each
+//     thread solves a fan once and later constructions look it up
+//     (bit-identical; DESIGN.md §2, tests/test_fan_table.cpp).
 //
 //   When Xs = Xt the m+1 paths are the m disjoint Ys-Yt paths inside the
 //   cluster plus one external detour through three neighboring clusters.
@@ -86,7 +90,8 @@ struct ConstructionOptions {
 /// Constructs m+1 node-disjoint paths from s to t (s != t).
 /// Deterministic; O(m+1) paths of length <= 2^m + k + O(m) each, built in
 /// time linear in the total output size (the endpoint fans run max flow on
-/// a 2^m-node cluster, a constant for fixed m).
+/// a 2^m-node cluster, a constant for fixed m, and at m <= 4 only the first
+/// time a thread meets that fan).
 [[nodiscard]] DisjointPathSet node_disjoint_paths(
     const HhcTopology& net, Node s, Node t, ConstructionOptions options = {});
 

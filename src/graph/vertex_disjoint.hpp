@@ -8,7 +8,9 @@
 // These routines serve three roles in the repository:
 //   1. the exact baseline the constructive HHC algorithm is compared to,
 //   2. the in-cluster "fan" subproblems of the constructive algorithm
-//      (clusters have <= 32 vertices, so exact max flow is effectively free),
+//      (clusters have <= 32 vertices, so exact max flow is O(1) — but not
+//      free: the two fans are most of an m = 4 construction, which is why
+//      core::ConstructionScratch memoizes the fans it solves here),
 //   3. independent verification of connectivity in the test suite.
 #pragma once
 

@@ -6,7 +6,9 @@
 // allocation-free:
 //
 //   * node_disjoint_paths(net, s, t, options, scratch) once the scratch's
-//     arena/workspaces/buffers have grown to the working set;
+//     arena/workspaces/buffers have grown to the working set — including a
+//     construction that fills fan-table entries it has never seen (the
+//     table is sized once per m, on the first construction at that m);
 //   * ContainerCache::lookup on a hit (one shared_ptr copy, no allocation);
 //   * PathService::answer_view on a hit (handle + telemetry only).
 //
@@ -25,6 +27,7 @@
 #include "core/disjoint.hpp"
 #include "core/metrics.hpp"
 #include "core/scratch.hpp"
+#include "obs/metrics.hpp"
 #include "query/path_service.hpp"
 
 namespace {
@@ -122,6 +125,39 @@ TEST(AllocationFree, ScratchConstructionSteadyStateAllOptionSets) {
     }
   }
   EXPECT_EQ(allocation_count() - before, 0u);
+}
+
+TEST(AllocationFree, FanTableFillIsAllocationFree) {
+  const HhcTopology net{4};
+  ConstructionScratch scratch;
+  obs::Counter& fills =
+      obs::MetricRegistry::global().counter("construct.fan_memo_fills");
+
+  // Warm-up sizes the m = 4 fan table and grows the workspaces; it leaves
+  // most of the 21,840 fan keys unseen.
+  const auto warm = sample_pairs(net, 200, 0xA1111);
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [s, t] : warm) {
+      const auto set = node_disjoint_paths(net, s, t, {}, scratch);
+      ASSERT_EQ(set.paths.size(), net.m() + 1);
+    }
+  }
+
+  const auto fresh = sample_pairs(net, 50, 0xA1112);
+  const std::uint64_t fills_before = fills.get();
+  const std::size_t before = allocation_count();
+  for (const auto& [s, t] : fresh) {
+    const auto set = node_disjoint_paths(net, s, t, {}, scratch);
+    volatile std::size_t sink = set.paths.size();
+    (void)sink;
+  }
+  const std::size_t delta = allocation_count() - before;
+  const std::uint64_t filled = fills.get() - fills_before;
+
+  EXPECT_GT(filled, 0u) << "no construction met an unseen fan key";
+  EXPECT_EQ(delta, 0u) << "constructions filling " << filled
+                       << " fan-table entries performed " << delta
+                       << " heap allocations";
 }
 
 TEST(AllocationFree, ArenaHeapAllocationsStabilize) {
