@@ -1,14 +1,15 @@
 #include "fault/adaptive_router.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 #include <span>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/disjoint.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
+#include "util/bitops.hpp"
 
 namespace hhc::fault {
 
@@ -35,16 +36,20 @@ struct RefSetView {
   }
 };
 
-// Every hop of path i traversable at `time`: interior nodes healthy and
-// every edge (including its link) usable. Endpoint health is checked by
-// the caller once, not per path.
+// Every hop of path i traversable at `time`. route() has already found
+// both endpoints healthy, so a hop probes only its link and, unless it
+// enters t, the node it enters: two FaultModel probes per hop where
+// edge_usable_at would make three, with the same verdict.
 template <typename View>
 bool path_survives(const View& view, std::size_t i, const FaultModel& faults,
                    std::uint64_t time) {
-  for (std::size_t j = 0; j + 1 < view.path_size(i); ++j) {
-    if (!faults.edge_usable_at(view.node(i, j), view.node(i, j + 1), time)) {
-      return false;
-    }
+  const std::size_t last = view.path_size(i) - 1;
+  Node u = view.node(i, 0);
+  for (std::size_t j = 1; j <= last; ++j) {
+    const Node v = view.node(i, j);
+    if (j < last && faults.node_faulty_at(v, time)) return false;
+    if (faults.link_faulty_at(u, v, time)) return false;
+    u = v;
   }
   return true;
 }
@@ -74,39 +79,162 @@ void select_survivor(const View& view, const FaultModel& faults,
   result.level = query::DegradationLevel::kGuaranteed;
 }
 
+// Per-thread survivor-BFS state, reused across sweeps so that a sweep
+// whose working set fits what earlier sweeps grew allocates nothing.
+//
+// `slots_` is an open-addressing (linear probing, load <= 1/2) map from a
+// node to what this sweep knows about it. A slot belongs to the current
+// sweep only while its stamp equals `epoch_`, so starting a sweep is one
+// increment rather than a clear; when the stamp wraps, every slot is
+// cleared once. The stamp is 16 bits (a slot is 16 bytes either way) so
+// that a test can cross the wrap in a fraction of a second.
+class SweepScratch {
+ public:
+  // A live slot's mark: kDead and kHealthy record a probed node the sweep
+  // has not reached; any other value means reached, with 0..m naming the
+  // dimension of the edge from its BFS parent (m = the external edge).
+  static constexpr std::uint8_t kSource = 0xFD;
+  static constexpr std::uint8_t kDead = 0xFE;
+  static constexpr std::uint8_t kHealthy = 0xFF;
+
+  struct Slot {
+    Node node = 0;
+    std::uint16_t stamp = 0;
+    std::uint8_t mark = 0;
+  };
+
+  /// Forgets the previous sweep and returns the emptied FIFO.
+  std::vector<Node>& begin() {
+    if (++epoch_ == 0) {
+      for (Slot& slot : slots_) slot.stamp = 0;
+      epoch_ = 1;
+    }
+    size_ = 0;
+    fifo_.clear();
+    return fifo_;
+  }
+
+  /// Room for `extra` more nodes without a rehash, so Slot references
+  /// taken afterwards stay valid. The map never holds more than
+  /// `node_count` keys, which caps the table at twice the node count.
+  void reserve(std::size_t extra, std::uint64_t node_count) {
+    const std::size_t keys = static_cast<std::size_t>(
+        std::min<std::uint64_t>(size_ + extra, node_count));
+    if (2 * keys <= slots_.size()) return;
+    std::size_t capacity = std::max<std::size_t>(slots_.size(), 256);
+    while (2 * keys > capacity) capacity *= 2;
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const Slot& slot : old) {
+      if (slot.stamp == epoch_) find(slot.node) = slot;
+    }
+  }
+
+  /// The slot holding `v` this sweep, or the free slot where it would go.
+  Slot& find(Node v) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ULL) >>
+                                             shift_);
+    while (slots_[i].stamp == epoch_ && slots_[i].node != v) {
+      i = (i + 1) & mask;
+    }
+    return slots_[i];
+  }
+
+  [[nodiscard]] bool live(const Slot& slot) const noexcept {
+    return slot.stamp == epoch_;
+  }
+
+  /// Records `mark` for `v` in its slot (from find(v); reserve first).
+  void set(Slot& slot, Node v, std::uint8_t mark) noexcept {
+    if (!live(slot)) {
+      slot.node = v;
+      slot.stamp = epoch_;
+      ++size_;
+    }
+    slot.mark = mark;
+  }
+
+  /// The BFS path s -> t, read back through the parent marks. Allocates
+  /// exactly the returned path.
+  Path path_to(const core::HhcTopology& net, Node t) {
+    std::size_t hops = 0;
+    for (Node w = t; find(w).mark != kSource; w = parent(net, w)) ++hops;
+    Path path(hops + 1);
+    path[hops] = t;
+    for (std::size_t i = hops; i > 0; --i) path[i - 1] = parent(net, path[i]);
+    return path;
+  }
+
+ private:
+  Node parent(const core::HhcTopology& net, Node v) {
+    const unsigned dim = find(v).mark;
+    return dim < net.m() ? bits::flip(v, dim) : net.external_neighbor(v);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<Node> fifo_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;
+  std::uint16_t epoch_ = 0;
+};
+
+SweepScratch& tls_sweep_scratch() {
+  thread_local SweepScratch scratch;
+  return scratch;
+}
+
 // BFS over the implicit topology restricted to usable edges; empty when t
-// is unreachable. Parent map doubles as the visited set. Cooperatively
-// cancellable: every util::kStopCheckStride expansions the query's
-// deadline/token are polled, and an expired search sets `timed_out` and
-// returns empty — a hostile fault set can make this sweep visit the whole
-// survivor subgraph, which is exactly the stage a deadline must be able to
-// interrupt.
+// is unreachable. Neighbors are visited in HhcTopology::neighbors order
+// (internal dimensions ascending, then external) through a FIFO, so every
+// parent choice, and hence the detour, is the textbook BFS's.
+//
+// Each fact is probed at most once per sweep: u is never re-probed (it is
+// s, which route() found healthy, or was reached over a usable edge); a
+// neighbor's health is probed on first sight and kept in its mark; and a
+// link is probed only from the endpoint expanded first, since the other
+// endpoint is reached by then.
+//
+// Cooperatively cancellable: every util::kStopCheckStride expansions the
+// query's deadline/token are polled, and an expired search sets
+// `timed_out` and returns empty — a hostile fault set can make this sweep
+// visit the whole survivor subgraph, which is exactly the stage a deadline
+// must be able to interrupt.
 Path survivor_bfs(const core::HhcTopology& net, Node s, Node t,
                   const FaultModel& faults, std::uint64_t time,
                   const query::PairQuery& query, bool& timed_out) {
-  std::unordered_map<Node, Node> parent;
-  parent.emplace(s, s);
-  std::deque<Node> frontier{s};
+  SweepScratch& scratch = tls_sweep_scratch();
+  std::vector<Node>& fifo = scratch.begin();
+  const unsigned m = net.m();
+  const std::uint64_t node_count = net.node_count();
+  scratch.reserve(2, node_count);
+  scratch.set(scratch.find(s), s, SweepScratch::kSource);
+  scratch.set(scratch.find(t), t, SweepScratch::kHealthy);  // route() probed t
+  fifo.push_back(s);
   std::size_t expansions = 0;
-  while (!frontier.empty()) {
+  for (std::size_t head = 0; head < fifo.size(); ++head) {
     if (++expansions % util::kStopCheckStride == 0 &&
         util::should_stop(query.deadline, query.cancel)) {
       timed_out = true;
       return {};
     }
-    const Node u = frontier.front();
-    frontier.pop_front();
-    for (const Node v : net.neighbors(u)) {
-      if (parent.count(v) > 0) continue;
-      if (!faults.edge_usable_at(u, v, time)) continue;
-      parent.emplace(v, u);
-      if (v == t) {
-        Path path{t};
-        for (Node w = t; w != s; w = parent.at(w)) path.push_back(parent.at(w));
-        std::reverse(path.begin(), path.end());
-        return path;
+    const Node u = fifo[head];
+    scratch.reserve(m + 1, node_count);
+    for (unsigned dim = 0; dim <= m; ++dim) {
+      const Node v = dim < m ? bits::flip(u, dim) : net.external_neighbor(u);
+      SweepScratch::Slot& slot = scratch.find(v);
+      if (scratch.live(slot)) {
+        if (slot.mark != SweepScratch::kHealthy) continue;  // reached or dead
+      } else if (faults.node_faulty_at(v, time)) {
+        scratch.set(slot, v, SweepScratch::kDead);
+        continue;
+      } else {
+        scratch.set(slot, v, SweepScratch::kHealthy);
       }
-      frontier.push_back(v);
+      if (faults.link_faulty_at(u, v, time)) continue;
+      slot.mark = static_cast<std::uint8_t>(dim);
+      if (v == t) return scratch.path_to(net, t);
+      fifo.push_back(v);
     }
   }
   return {};
@@ -128,7 +256,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   }
   if (s == t) {
     result.paths = {Path{s}};
-    result.level = DegradationLevel::kGuaranteed;
+    result.level = query::DegradationLevel::kGuaranteed;
     return result;
   }
 
@@ -178,8 +306,8 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
     result.outcome = query::RouteOutcome::kTimedOut;
     return result;
   }
-  result.level = detour.empty() ? DegradationLevel::kDisconnected
-                                : DegradationLevel::kBestEffort;
+  result.level = detour.empty() ? query::DegradationLevel::kDisconnected
+                                : query::DegradationLevel::kBestEffort;
   if (!detour.empty()) result.paths.push_back(std::move(detour));
   return result;
 }

@@ -13,8 +13,25 @@
 // so a caller always learns *why* there is no path, never just an empty
 // vector. A caller that wants the container's verdict alone (did any of
 // the m+1 paths survive, and how many were blocked?) passes
-// RouteLimits{.skip_fallback = true}: step 2 never runs. The BFS walks the implicit topology (no explicit graph build) and
-// is intended for campaign-scale instances (m <= 4).
+// RouteLimits{.skip_fallback = true}: step 2 never runs.
+//
+// The BFS walks the implicit topology (no explicit graph build) and is
+// intended for campaign-scale instances (m <= 4). It keeps its state in a
+// per-thread scratch reused across calls: an epoch-stamped open-addressing
+// map from node to "source / dead / healthy / reached across dimension d"
+// and a flat FIFO. Once a thread's scratch has grown to its working set, a
+// sweep allocates nothing and a detour allocates only the returned path.
+// A full sweep leaves the thread holding 2N slots of 16 bytes plus the
+// FIFO's N nodes, with N the node count: 80 KiB at m = 3, 40 MiB at m = 4.
+//
+// Each stage probes a fault fact at most once. route() probes s and t
+// once; the container scan then probes a hop's link and the interior node
+// it enters (2 probes, not edge_usable_at's 3); the BFS never re-probes
+// the node it expands (healthy by construction), records a neighbor's
+// health on first sight, and probes each link only from the endpoint
+// expanded first. Neighbors are enumerated in HhcTopology::neighbors order through
+// a FIFO, so the BFS tree, and with it every detour, is the one a plain
+// hash-map BFS builds.
 //
 // Results are reported in the unified query vocabulary
 // (query::PairQuery -> query::RouteResult; see query/types.hpp), so
@@ -33,11 +50,6 @@
 #include "query/types.hpp"
 
 namespace hhc::fault {
-
-// The degradation ladder lives in query/types.hpp now; re-exported here so
-// fault-layer callers keep spelling it fault::DegradationLevel.
-using query::DegradationLevel;
-using query::to_string;
 
 class AdaptiveRouter {
  public:

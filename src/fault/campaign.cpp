@@ -34,7 +34,7 @@ std::uint64_t trial_seed(std::uint64_t seed, std::size_t faults,
 }
 
 struct TrialOutcome {
-  DegradationLevel level = DegradationLevel::kDisconnected;
+  query::DegradationLevel level = query::DegradationLevel::kDisconnected;
   double inflation = 0.0;  // valid when delivered
 };
 
@@ -135,9 +135,9 @@ CampaignReport CampaignRunner::run() const {
     double inflation_sum = 0.0;
     for (const TrialOutcome& o : outcomes) {
       switch (o.level) {
-        case DegradationLevel::kGuaranteed: ++row.guaranteed; break;
-        case DegradationLevel::kBestEffort: ++row.best_effort; break;
-        case DegradationLevel::kDisconnected: ++row.disconnected; break;
+        case query::DegradationLevel::kGuaranteed: ++row.guaranteed; break;
+        case query::DegradationLevel::kBestEffort: ++row.best_effort; break;
+        case query::DegradationLevel::kDisconnected: ++row.disconnected; break;
       }
       inflation_sum += o.inflation;
     }

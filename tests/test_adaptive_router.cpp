@@ -45,7 +45,7 @@ TEST(AdaptiveRouter, FaultFreeIsGuaranteed) {
   const AdaptiveRouter router{net};
   for (const auto& [s, t] : core::sample_pairs(net, 60, 3)) {
     const auto r = router.route(s, t, FaultModel{});
-    EXPECT_EQ(r.level, DegradationLevel::kGuaranteed);
+    EXPECT_EQ(r.level, query::DegradationLevel::kGuaranteed);
     EXPECT_FALSE(r.used_fallback);
     EXPECT_EQ(r.container_paths_blocked, 0u);
     EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));
@@ -64,7 +64,7 @@ TEST(AdaptiveRouter, UnderMNodeFaultsStaysGuaranteed) {
       spec.node_faults = m;
       const auto faults = FaultModel::random(net, spec, s, t, rng);
       const auto r = router.route(s, t, faults);
-      ASSERT_EQ(r.level, DegradationLevel::kGuaranteed)
+      ASSERT_EQ(r.level, query::DegradationLevel::kGuaranteed)
           << "m=" << m << " s=" << s << " t=" << t;
       EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));
       EXPECT_TRUE(path_avoids_faults(r.primary(), faults));
@@ -91,7 +91,7 @@ TEST(AdaptiveRouter, AdversarialFaultsOnNeighbors) {
   for (unsigned i = 0; i < net.m(); ++i) faults.fail_node(nbrs[i]);
   const auto r = container_only(router, s, t, faults);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.level, DegradationLevel::kGuaranteed);
+  EXPECT_EQ(r.level, query::DegradationLevel::kGuaranteed);
   EXPECT_EQ(r.container_paths_blocked, net.m());
   // The surviving path must leave via the external edge.
   EXPECT_EQ(r.primary()[1], net.external_neighbor(s));
@@ -133,7 +133,7 @@ TEST(AdaptiveRouter, CanFailBeyondGuarantee) {
   for (const Node v : net.neighbors(s)) faults.fail_node(v);
   const auto r = router.route(s, t, faults);
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.level, DegradationLevel::kDisconnected);
+  EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
   EXPECT_EQ(r.container_paths_blocked, net.degree());
 }
 
@@ -150,7 +150,7 @@ TEST(AdaptiveRouter, FallsBackWhenAllContainerPathsBlocked) {
     faults.fail_node(path[path.size() / 2]);
   }
   const auto r = router.route(s, t, faults);
-  ASSERT_EQ(r.level, DegradationLevel::kBestEffort);
+  ASSERT_EQ(r.level, query::DegradationLevel::kBestEffort);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_EQ(r.container_paths_blocked, container.paths.size());
   EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));
@@ -173,7 +173,7 @@ TEST(AdaptiveRouter, LinkFaultsAloneCanForceFallback) {
   }
   EXPECT_EQ(faults.node_fault_count(), 0u);
   const auto r = router.route(s, t, faults);
-  ASSERT_EQ(r.level, DegradationLevel::kBestEffort);
+  ASSERT_EQ(r.level, query::DegradationLevel::kBestEffort);
   EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));
   EXPECT_TRUE(path_avoids_faults(r.primary(), faults));
 }
@@ -186,7 +186,7 @@ TEST(AdaptiveRouter, ReportsDisconnectionInsteadOfSilentEmpty) {
   FaultModel faults;
   for (const Node v : net.neighbors(t)) faults.fail_node(v);
   const auto r = router.route(s, t, faults);
-  EXPECT_EQ(r.level, DegradationLevel::kDisconnected);
+  EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.used_fallback);
   EXPECT_FALSE(reachable_in_survivor(net, s, t, faults));
@@ -198,16 +198,16 @@ TEST(AdaptiveRouter, FaultyEndpointIsDisconnectedNotAnError) {
   FaultModel faults;
   faults.fail_node(0);
   EXPECT_EQ(router.route(0, 5, faults).level,
-            DegradationLevel::kDisconnected);
+            query::DegradationLevel::kDisconnected);
   EXPECT_EQ(router.route(5, 0, faults).level,
-            DegradationLevel::kDisconnected);
+            query::DegradationLevel::kDisconnected);
 }
 
 TEST(AdaptiveRouter, TrivialSelfRouteIsGuaranteed) {
   const HhcTopology net{2};
   const AdaptiveRouter router{net};
   const auto r = router.route(9, 9, FaultModel{});
-  EXPECT_EQ(r.level, DegradationLevel::kGuaranteed);
+  EXPECT_EQ(r.level, query::DegradationLevel::kGuaranteed);
   EXPECT_EQ(r.primary(), Path{9});
 }
 
@@ -253,7 +253,7 @@ TEST(AdaptiveRouter, MatchesBfsReachabilityUnderRandomMixedFaults) {
         EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));
         EXPECT_TRUE(path_avoids_faults(r.primary(), faults));
       } else {
-        EXPECT_EQ(r.level, DegradationLevel::kDisconnected);
+        EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
       }
       if (r.used_fallback && r.ok()) ++fallbacks;
       if (!r.ok()) ++disconnections;
@@ -265,9 +265,12 @@ TEST(AdaptiveRouter, MatchesBfsReachabilityUnderRandomMixedFaults) {
 }
 
 TEST(AdaptiveRouter, DegradationLevelNames) {
-  EXPECT_STREQ(to_string(DegradationLevel::kGuaranteed), "guaranteed");
-  EXPECT_STREQ(to_string(DegradationLevel::kBestEffort), "best-effort");
-  EXPECT_STREQ(to_string(DegradationLevel::kDisconnected), "disconnected");
+  EXPECT_STREQ(query::to_string(query::DegradationLevel::kGuaranteed),
+               "guaranteed");
+  EXPECT_STREQ(query::to_string(query::DegradationLevel::kBestEffort),
+               "best-effort");
+  EXPECT_STREQ(query::to_string(query::DegradationLevel::kDisconnected),
+               "disconnected");
 }
 
 TEST(AdaptiveRouter, SharedCacheChangesNothingButCounts) {

@@ -10,7 +10,10 @@
 //     construction that fills fan-table entries it has never seen (the
 //     table is sized once per m, on the first construction at that m);
 //   * ContainerCache::lookup on a hit (one shared_ptr copy, no allocation);
-//   * PathService::answer_view on a hit (handle + telemetry only).
+//   * PathService::answer_view on a hit (handle + telemetry only);
+//   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
+//     has grown: a disconnected full sweep allocates nothing, and a detour
+//     allocates only the returned path and the result's paths vector.
 //
 // The measured regions contain no gtest assertions (the assertion machinery
 // allocates); deltas are captured first and checked after. If one of these
@@ -26,7 +29,9 @@
 #include "core/container_cache.hpp"
 #include "core/disjoint.hpp"
 #include "core/metrics.hpp"
+#include "core/routing.hpp"
 #include "core/scratch.hpp"
+#include "fault/adaptive_router.hpp"
 #include "obs/metrics.hpp"
 #include "query/path_service.hpp"
 
@@ -220,6 +225,61 @@ TEST(AllocationFree, AnswerViewOnHit) {
   EXPECT_EQ(delta, 0u) << "answer_view hits performed " << delta
                        << " allocations";
   EXPECT_EQ(total_paths, pairs.size() * (net.m() + 1));
+}
+
+// A container at m = 3 whose m+1 paths are each cut at one interior node,
+// so every fault-aware route takes the survivor-BFS fallback.
+FaultModel block_container(const HhcTopology& net, Node s, Node t) {
+  FaultModel faults;
+  for (const Path& path : node_disjoint_paths(net, s, t).paths) {
+    faults.fail_node(path[path.size() / 2]);
+  }
+  return faults;
+}
+
+TEST(AllocationFree, DisconnectedSurvivorSweep) {
+  const HhcTopology net{3};
+  const fault::AdaptiveRouter router{net};
+  const Node s = net.encode(5, 2);
+  const Node t = net.encode(200, 5);
+  // t's neighbors all down: the scan finds every path blocked and the BFS
+  // sweeps the whole of s's component before reporting kDisconnected.
+  FaultModel faults;
+  for (const Node v : net.neighbors(t)) faults.fail_node(v);
+  const query::PairQuery q{.s = s, .t = t, .faults = &faults};
+
+  (void)router.route(q);  // warm-up sweep grows this thread's scratch
+  const std::size_t before = allocation_count();
+  const query::RouteResult r = router.route(q);
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(delta, 0u) << "a full disconnected sweep performed " << delta
+                       << " heap allocations";
+  EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
+  EXPECT_TRUE(r.used_fallback);
+  EXPECT_EQ(r.container_paths_blocked, net.degree());
+}
+
+TEST(AllocationFree, BestEffortDetourAllocatesOnlyItsResult) {
+  const HhcTopology net{3};
+  const fault::AdaptiveRouter router{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(177, 6);
+  const FaultModel faults = block_container(net, s, t);
+  const query::PairQuery q{.s = s, .t = t, .faults = &faults};
+
+  (void)router.route(q);
+  const std::size_t before = allocation_count();
+  const query::RouteResult r = router.route(q);
+  const std::size_t delta = allocation_count() - before;
+
+  // One for the detour itself, one for the result's paths vector.
+  EXPECT_EQ(delta, 2u) << "a best-effort route performed " << delta
+                       << " heap allocations";
+  EXPECT_EQ(r.level, query::DegradationLevel::kBestEffort);
+  EXPECT_TRUE(r.used_fallback);
+  ASSERT_EQ(r.paths.size(), 1u);
+  EXPECT_TRUE(is_valid_path(net, r.primary(), s, t));
 }
 
 }  // namespace

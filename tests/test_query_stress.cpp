@@ -112,6 +112,62 @@ TEST(QueryStress, ConcurrentMixedFaultAndPristineTraffic) {
   EXPECT_EQ(service.stats().queries, kThreads * 200);
 }
 
+TEST(QueryStress, ConcurrentSurvivorFallbackMatchesSerial) {
+  // Dense enough faults that a large share of fault-aware queries miss
+  // every container path and run the survivor BFS, so several threads
+  // sweep their own per-thread scratch at once over one shared FaultModel.
+  const HhcTopology net{3};
+  PathService service{net, {.cache_shards = 2}};
+  const fault::AdaptiveRouter reference{net};
+
+  util::Xoshiro256 fault_rng{31};
+  core::FaultModel faults;
+  for (int k = 0; k < 200; ++k) {
+    faults.fail_node(fault_rng.below(net.node_count()));
+    const Node u = fault_rng.below(net.node_count());
+    faults.fail_link(u, net.neighbors(u)[fault_rng.below(net.degree())]);
+  }
+
+  const auto pairs = core::sample_pairs(net, 48, 77);
+  std::vector<RouteResult> expected;
+  std::size_t expected_fallbacks = 0;
+  for (const auto& [s, t] : pairs) {
+    expected.push_back(reference.route(s, t, faults));
+    if (expected.back().used_fallback) ++expected_fallbacks;
+  }
+  ASSERT_GE(expected_fallbacks * 5, pairs.size())
+      << "fault set too sparse: " << expected_fallbacks << " of "
+      << pairs.size() << " pairs take the fallback";
+
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> fallbacks{0};
+  std::vector<std::thread> threads;
+  for (std::size_t id = 0; id < kThreads; ++id) {
+    threads.emplace_back([&, id] {
+      util::Xoshiro256 rng{900 + id};
+      for (std::size_t i = 0; i < 150; ++i) {
+        const std::size_t k = rng.below(pairs.size());
+        const auto answer = service.answer(
+            PairQuery{.s = pairs[k].s, .t = pairs[k].t, .faults = &faults});
+        if (answer.used_fallback) {
+          fallbacks.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (answer.paths != expected[k].paths ||
+            answer.level != expected[k].level ||
+            answer.container_paths_blocked !=
+                expected[k].container_paths_blocked ||
+            answer.used_fallback != expected[k].used_fallback) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(fallbacks.load(), 0u);
+  EXPECT_EQ(service.stats().queries, kThreads * 150);
+}
+
 TEST(QueryStress, ConcurrentCacheWithEvictionStaysCorrect) {
   // Tiny capacity forces constant eviction -> constant re-construction and
   // entry churn under every shard lock, the worst case for the relabel path.

@@ -1,0 +1,342 @@
+// Bit-identity of AdaptiveRouter against the router it replaced.
+//
+// The oracle below keeps the original implementation verbatim: the container
+// scan probes every hop with FaultModel::edge_usable_at (3 probes), and the
+// survivor BFS walks HhcTopology::neighbors through a std::deque with a
+// std::unordered_map parent map (its deadline poll is left out: these
+// queries carry no deadline). The production router answers from a
+// per-thread epoch-stamped scratch and probes each fault fact once; every
+// query here must get the same paths, level, blocked count and fallback
+// flag from both, with and without a shared ContainerCache.
+//
+// Cases are seeded: m = 2..4, node and link faults with permanent and
+// transient windows, random query times, containers blocked on purpose,
+// isolated endpoints (disconnected pairs) and faulty endpoints.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "core/container_cache.hpp"
+#include "core/disjoint.hpp"
+#include "core/fault_model.hpp"
+#include "fault/adaptive_router.hpp"
+#include "util/rng.hpp"
+
+namespace hhc::fault {
+namespace {
+
+using core::FaultModel;
+using core::HhcTopology;
+using core::Node;
+using core::Path;
+
+// ---- oracle: the router before the scratch rewrite ----------------------
+
+bool reference_path_survives(const Path& path, const FaultModel& faults,
+                             std::uint64_t time) {
+  for (std::size_t j = 0; j + 1 < path.size(); ++j) {
+    if (!faults.edge_usable_at(path[j], path[j + 1], time)) return false;
+  }
+  return true;
+}
+
+Path reference_bfs(const HhcTopology& net, Node s, Node t,
+                   const FaultModel& faults, std::uint64_t time) {
+  std::unordered_map<Node, Node> parent;
+  parent.emplace(s, s);
+  std::deque<Node> frontier{s};
+  while (!frontier.empty()) {
+    const Node u = frontier.front();
+    frontier.pop_front();
+    for (const Node v : net.neighbors(u)) {
+      if (parent.count(v) > 0) continue;
+      if (!faults.edge_usable_at(u, v, time)) continue;
+      parent.emplace(v, u);
+      if (v == t) {
+        Path path{t};
+        for (Node w = t; w != s; w = parent.at(w)) path.push_back(parent.at(w));
+        std::reverse(path.begin(), path.end());
+        return path;
+      }
+      frontier.push_back(v);
+    }
+  }
+  return {};
+}
+
+query::RouteResult reference_route(const HhcTopology& net, Node s, Node t,
+                                   const FaultModel& faults,
+                                   std::uint64_t time) {
+  query::RouteResult result;
+  if (faults.node_faulty_at(s, time) || faults.node_faulty_at(t, time)) {
+    return result;
+  }
+  if (s == t) {
+    result.paths = {Path{s}};
+    result.level = query::DegradationLevel::kGuaranteed;
+    return result;
+  }
+  const core::DisjointPathSet container = core::node_disjoint_paths(net, s, t);
+  const Path* best = nullptr;
+  for (const Path& path : container.paths) {
+    if (!reference_path_survives(path, faults, time)) {
+      ++result.container_paths_blocked;
+      continue;
+    }
+    if (best == nullptr || path.size() < best->size()) best = &path;
+  }
+  if (best != nullptr) {
+    result.paths.push_back(*best);
+    result.level = query::DegradationLevel::kGuaranteed;
+    return result;
+  }
+  result.used_fallback = true;
+  Path detour = reference_bfs(net, s, t, faults, time);
+  result.level = detour.empty() ? query::DegradationLevel::kDisconnected
+                                : query::DegradationLevel::kBestEffort;
+  if (!detour.empty()) result.paths.push_back(std::move(detour));
+  return result;
+}
+
+// ---- seeded cases -------------------------------------------------------
+
+struct Case {
+  FaultModel faults;
+  Node s = 0;
+  Node t = 0;
+  std::uint64_t time = 0;
+};
+
+enum class Shape { kRandom, kBlocked, kIsolateT, kIsolateS, kDeadEndpoint };
+
+// Permanent with probability `permanent`, else a finite window inside
+// [0, 200); queries land in [0, 200), so a transient fault is active for
+// some of them and not for others.
+core::FaultWindow random_window(util::Xoshiro256& rng, double permanent) {
+  if (rng.chance(permanent)) return {};
+  const std::uint64_t fail = rng.below(100);
+  return {fail, fail + 1 + rng.below(100)};
+}
+
+// Background faults are permanent half the time; the faults a shape aims
+// at the container or an endpoint mostly are, so the shape usually holds.
+void fail_node(FaultModel& faults, Node v, util::Xoshiro256& rng,
+               double permanent = 0.85) {
+  const core::FaultWindow w = random_window(rng, permanent);
+  faults.fail_node(v, w.fail_time, w.repair_time);
+}
+
+void fail_link(FaultModel& faults, Node u, Node v, util::Xoshiro256& rng,
+               double permanent = 0.85) {
+  const core::FaultWindow w = random_window(rng, permanent);
+  faults.fail_link(u, v, w.fail_time, w.repair_time);
+}
+
+Case make_case(const HhcTopology& net, Shape shape, util::Xoshiro256& rng) {
+  Case c;
+  const std::uint64_t n = net.node_count();
+  c.s = rng.below(n);
+  c.t = rng.chance(0.02) ? c.s : rng.below(n);
+  c.time = rng.below(200);
+
+  // Background faults anywhere, endpoints included.
+  const std::uint64_t background = rng.below(3 * net.m() + 2);
+  for (std::uint64_t k = 0; k < background; ++k) {
+    fail_node(c.faults, rng.below(n), rng, 0.5);
+    const Node u = rng.below(n);
+    const auto nbrs = net.neighbors(u);
+    fail_link(c.faults, u, nbrs[rng.below(nbrs.size())], rng, 0.5);
+  }
+
+  switch (shape) {
+    case Shape::kRandom:
+      break;
+    case Shape::kBlocked:
+      // One interior node or one link per container path, so the scan
+      // comes up empty whenever those faults are active at c.time.
+      if (c.s != c.t) {
+        const auto container = core::node_disjoint_paths(net, c.s, c.t);
+        for (const Path& path : container.paths) {
+          const std::size_t j = 1 + rng.below(path.size() - 1);
+          if (j + 1 < path.size() && rng.chance(0.5)) {
+            fail_node(c.faults, path[j], rng);
+          } else {
+            fail_link(c.faults, path[j - 1], path[j], rng);
+          }
+        }
+      }
+      break;
+    case Shape::kIsolateT:
+      for (const Node v : net.neighbors(c.t)) {
+        if (rng.chance(0.5)) {
+          fail_node(c.faults, v, rng);
+        } else {
+          fail_link(c.faults, c.t, v, rng);
+        }
+      }
+      break;
+    case Shape::kIsolateS:
+      for (const Node v : net.neighbors(c.s)) fail_link(c.faults, c.s, v, rng);
+      break;
+    case Shape::kDeadEndpoint:
+      fail_node(c.faults, rng.chance(0.5) ? c.s : c.t, rng);
+      break;
+  }
+  return c;
+}
+
+struct Tally {
+  std::size_t fallbacks = 0;
+  std::size_t best_effort = 0;
+  std::size_t disconnected_sweeps = 0;
+};
+
+// Routes `c` through `router`; any field that differs from the oracle's
+// answer `want` fails the test with the case's coordinates.
+void expect_identical(const HhcTopology& net, const AdaptiveRouter& router,
+                      const Case& c, const query::RouteResult& want,
+                      Tally& tally) {
+  const query::RouteResult got = router.route(c.s, c.t, c.faults, c.time);
+  ASSERT_EQ(got.paths, want.paths)
+      << "m=" << net.m() << " s=" << c.s << " t=" << c.t << " time=" << c.time;
+  ASSERT_EQ(got.level, want.level) << "s=" << c.s << " t=" << c.t;
+  ASSERT_EQ(got.outcome, want.outcome) << "s=" << c.s << " t=" << c.t;
+  ASSERT_EQ(got.container_paths_blocked, want.container_paths_blocked)
+      << "s=" << c.s << " t=" << c.t;
+  ASSERT_EQ(got.used_fallback, want.used_fallback)
+      << "s=" << c.s << " t=" << c.t;
+  if (want.used_fallback) {
+    ++tally.fallbacks;
+    if (want.level == query::DegradationLevel::kBestEffort) {
+      ++tally.best_effort;
+    } else {
+      ++tally.disconnected_sweeps;
+    }
+  }
+}
+
+void run_cases(unsigned m, std::size_t count, std::uint64_t seed,
+               const std::vector<Shape>& shapes) {
+  const HhcTopology net{m};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter direct{net};
+  const AdaptiveRouter cached{net, &cache};
+  util::Xoshiro256 rng{seed};
+  Tally tally;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Case c = make_case(net, shapes[i % shapes.size()], rng);
+    const query::RouteResult want =
+        reference_route(net, c.s, c.t, c.faults, c.time);
+    expect_identical(net, direct, c, want, tally);
+    if (::testing::Test::HasFatalFailure()) return;
+    // Twice through the cache: a miss that publishes, then a hit.
+    expect_identical(net, cached, c, want, tally);
+    expect_identical(net, cached, c, want, tally);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The seeds exercise every branch, not just the container scan.
+  EXPECT_GT(tally.best_effort, 0u) << "m=" << m;
+  EXPECT_GT(tally.disconnected_sweeps, 0u) << "m=" << m;
+}
+
+const std::vector<Shape> kAllShapes = {Shape::kRandom, Shape::kBlocked,
+                                       Shape::kBlocked, Shape::kIsolateT,
+                                       Shape::kIsolateS, Shape::kDeadEndpoint};
+
+TEST(RouterEquivalence, MatchesReferenceM2) {
+  run_cases(2, 600, 0xB17, kAllShapes);
+}
+
+TEST(RouterEquivalence, MatchesReferenceM3) {
+  run_cases(3, 300, 0xB18, kAllShapes);
+}
+
+TEST(RouterEquivalence, MatchesReferenceM4) {
+  // An isolated t makes both BFSs sweep all 2^20 nodes, so m = 4 takes
+  // few such cases; the rest are blocked containers and cut-off sources.
+  run_cases(4, 12, 0xB19,
+            {Shape::kBlocked, Shape::kIsolateS, Shape::kDeadEndpoint,
+             Shape::kBlocked, Shape::kRandom, Shape::kBlocked,
+             Shape::kIsolateS, Shape::kBlocked, Shape::kDeadEndpoint,
+             Shape::kBlocked, Shape::kRandom, Shape::kIsolateT});
+}
+
+TEST(RouterEquivalence, SweepsInterleavedAcrossTopologies) {
+  // One thread's scratch serves every topology: alternating m must not
+  // leak a previous sweep's marks into the next.
+  const HhcTopology nets[] = {HhcTopology{2}, HhcTopology{3}, HhcTopology{1}};
+  util::Xoshiro256 rng{0xB1A};
+  Tally tally;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const HhcTopology& net = nets[i % 3];
+    const AdaptiveRouter router{net};
+    const Shape shape = kAllShapes[rng.below(kAllShapes.size())];
+    const Case c = make_case(net, shape, rng);
+    expect_identical(net, router, c,
+                     reference_route(net, c.s, c.t, c.faults, c.time), tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.fallbacks, 100u);
+}
+
+// Fails the middle node of every container path, so the scan comes up
+// empty and the route takes the survivor-BFS fallback.
+FaultModel block_container(const HhcTopology& net, Node s, Node t) {
+  FaultModel faults;
+  for (const Path& path : core::node_disjoint_paths(net, s, t).paths) {
+    faults.fail_node(path[path.size() / 2]);
+  }
+  return faults;
+}
+
+TEST(RouterEquivalence, SurvivesSweepStampWrap) {
+  // The scratch's 16-bit sweep stamp wraps after 65,535 sweeps. On a fresh
+  // thread, sweep 1 and sweep 65,536 (the first after the wrap) carry the
+  // same stamp, and both run the same wide m = 3 detour: had the wrap not
+  // cleared the table, the second would find the first's marks live and
+  // stop early. The sweeps in between are cheap m = 1 fallbacks.
+  const HhcTopology wide{3};
+  const Node s = wide.encode(0, 0);
+  const Node t = wide.encode(177, 6);
+  const FaultModel wide_faults = block_container(wide, s, t);
+  const query::RouteResult want = reference_route(wide, s, t, wide_faults, 0);
+  ASSERT_EQ(want.level, query::DegradationLevel::kBestEffort);
+
+  const HhcTopology ring{1};
+  const Node rs = ring.encode(0, 0);
+  const Node rt = ring.encode(3, 1);
+  const FaultModel ring_faults = block_container(ring, rs, rt);
+  const query::RouteResult ring_want =
+      reference_route(ring, rs, rt, ring_faults, 0);
+  ASSERT_TRUE(ring_want.used_fallback);
+
+  std::vector<query::RouteResult> wide_got;
+  std::size_t ring_mismatches = 0;
+  std::thread sweeper([&] {
+    const AdaptiveRouter wide_router{wide};
+    const AdaptiveRouter ring_router{ring};
+    wide_got.push_back(wide_router.route(s, t, wide_faults));
+    for (std::size_t sweep = 2; sweep <= 65'535; ++sweep) {
+      const query::RouteResult r = ring_router.route(rs, rt, ring_faults);
+      if (r.paths != ring_want.paths || r.level != ring_want.level) {
+        ++ring_mismatches;
+      }
+    }
+    wide_got.push_back(wide_router.route(s, t, wide_faults));  // wrapped
+    wide_got.push_back(wide_router.route(s, t, wide_faults));
+  });
+  sweeper.join();
+
+  EXPECT_EQ(ring_mismatches, 0u);
+  for (const query::RouteResult& got : wide_got) {
+    EXPECT_EQ(got.paths, want.paths);
+    EXPECT_EQ(got.level, want.level);
+  }
+}
+
+}  // namespace
+}  // namespace hhc::fault
