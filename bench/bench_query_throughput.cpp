@@ -294,11 +294,12 @@ int main(int argc, char** argv) {
       << "Expected shape: the Zipf head stays resident in the capacity-bound\n"
          "cache, so the hot workload runs at a far higher hit rate and\n"
          "throughput than the uniform one (which thrashes the 1024-entry\n"
-         "capacity and keeps paying construction, outside any lock).\n"
+         "capacity and keeps paying index publication; a miss decodes its\n"
+         "orbit record and constructs only on an orbit's first sight).\n"
          "Aggregate queries/s scales with threads (target: >= 4x at 8\n"
          "threads on an >= 8-core machine; a single-core box reports\n"
          "speedup ~1x by construction). Handle answers materialize to the\n"
-         "same bits as serial node_disjoint_paths at every thread count.\n";
+         "same bits as a serial answer() at every thread count.\n";
   emit_json(rows, stages, tracing, smoke);
   return 0;
 }

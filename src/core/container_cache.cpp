@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/io.hpp"
+#include "core/orbit_table.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
 
@@ -13,7 +14,7 @@ namespace hhc::core {
 
 std::vector<StatRow> CacheStats::rows() const {
   std::vector<StatRow> rows;
-  rows.reserve(5 + 2 * shards.size());
+  rows.reserve(8 + 2 * shards.size());
   rows.push_back(stat_scalar("cache", "entries", std::uint64_t{entries}));
   rows.push_back(stat_scalar("cache", "hits", std::uint64_t{hits}));
   rows.push_back(stat_scalar("cache", "misses", std::uint64_t{misses}));
@@ -26,6 +27,11 @@ std::vector<StatRow> CacheStats::rows() const {
     rows.push_back(
         stat_scalar(section, "evictions", std::uint64_t{shards[i].evictions}));
   }
+  rows.push_back(
+      stat_scalar("cache.orbit", "variants", std::uint64_t{orbit_variants}));
+  rows.push_back(
+      stat_scalar("cache.orbit", "entries", std::uint64_t{orbit_entries}));
+  rows.push_back(stat_scalar("cache.orbit", "bytes", std::uint64_t{orbit_bytes}));
   return rows;
 }
 
@@ -71,6 +77,27 @@ ContainerCache::ContainerCache(const HhcTopology& net, Config config)
       shard->version.store(1, std::memory_order_release);
     }
   }
+}
+
+ContainerCache::~ContainerCache() {
+  for (auto& table : orbit_tables_) delete table.load(std::memory_order_relaxed);
+}
+
+OrbitTable* ContainerCache::orbit_table(const ConstructionOptions& options) {
+  if (!OrbitTable::covers(net_.m())) return nullptr;
+  std::atomic<OrbitTable*>& slot =
+      orbit_tables_[static_cast<std::size_t>(options.ordering) * 2 +
+                    static_cast<std::size_t>(options.selection)];
+  OrbitTable* table = slot.load(std::memory_order_acquire);
+  if (table != nullptr) return table;
+  // First use of this variant: racing threads may each allocate one; the
+  // first CAS publishes, the rest free theirs.
+  auto mine = std::make_unique<OrbitTable>(net_, options);
+  if (slot.compare_exchange_strong(table, mine.get(), std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return mine.release();
+  }
+  return table;
 }
 
 std::uint64_t ContainerCache::next_shard_id() noexcept {
@@ -192,33 +219,33 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
     }
   }
 
-  // Miss: run the (expensive, deterministic) construction without holding
-  // any lock, then build-and-swap a new index under the writer mutex. A
-  // racing thread may have published the key meanwhile; its result is
-  // byte-for-byte the same, so the first publication wins and the
-  // duplicate work is discarded.
+  // Miss: fill the entry without holding any lock (decode the orbit record
+  // at m <= 4, construct at m = 5), then build-and-swap a new index under
+  // the writer mutex. A racing thread may have published the key meanwhile;
+  // its entry is byte-for-byte the same, so the first publication wins and
+  // the duplicate work is discarded.
   misses_.add();
-  if (cache_hit != nullptr) *cache_hit = false;
-  std::shared_ptr<const FlatContainer> flat;
-  {
+  auto flat = std::make_shared<FlatContainer>();
+  const Node cs = net_.encode(0, key.ys);
+  const Node ct = net_.encode(key.xdiff, key.yt);
+  if (OrbitTable* orbit = orbit_table(options)) {
+    orbit->flatten(cs, ct, flat->nodes, flat->offsets, cache_hit);
+  } else {
+    if (cache_hit != nullptr) *cache_hit = false;
     static obs::Histogram& construct_hist =
         obs::stage_histogram(obs::stages::kConstruct);
     obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
-    const Node cs = net_.encode(0, key.ys);
-    const Node ct = net_.encode(key.xdiff, key.yt);
     const DisjointPathSetRef canonical =
         node_disjoint_paths(net_, cs, ct, options, tls_construction_scratch());
-    auto built = std::make_shared<FlatContainer>();
-    built->offsets.reserve(canonical.paths.size() + 1);
-    built->offsets.push_back(0);
+    flat->offsets.reserve(canonical.paths.size() + 1);
+    flat->offsets.push_back(0);
     std::size_t total = 0;
     for (const PathRef p : canonical.paths) total += p.size();
-    built->nodes.reserve(total);
+    flat->nodes.reserve(total);
     for (const PathRef p : canonical.paths) {
-      built->nodes.insert(built->nodes.end(), p.begin(), p.end());
-      built->offsets.push_back(static_cast<std::uint32_t>(built->nodes.size()));
+      flat->nodes.insert(flat->nodes.end(), p.begin(), p.end());
+      flat->offsets.push_back(static_cast<std::uint32_t>(flat->nodes.size()));
     }
-    flat = std::move(built);
   }
 
   static obs::Histogram& publish_hist =
@@ -238,12 +265,9 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
       current->size >= config_.max_entries_per_shard) {
     // Random replacement, for real: a uniformly random resident entry from
     // the shard's seeded stream (selected by occupied-slot ordinal, so the
-    // choice is deterministic per seed). The O(capacity) clone below is
-    // comparable to the construction this miss just performed: with the
-    // scratch's fan table a warm m = 4 construction takes ~2.5 us, while
-    // the whole miss (perfbench's cache.lookup_miss_ns, 16 x 64 cache)
-    // takes ~7.4 us on a 4-vCPU Xeon, so flattening and publication are
-    // now the larger share of a miss.
+    // choice is deterministic per seed). At m <= 4 the O(capacity) clone
+    // below is most of a miss: the fill before it decodes an orbit record
+    // and constructs only the first time its orbit is seen.
     victim = shard.eviction_rng.below(current->size);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -253,6 +277,22 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
   shard.index = std::move(next);
   shard.version.fetch_add(1, std::memory_order_release);
   return ContainerHandle{*inserted, mask};
+}
+
+DisjointPathSet ContainerCache::materialize(Node s, Node t,
+                                            const ConstructionOptions& options,
+                                            bool* cache_hit) {
+  if (!net_.contains(s) || !net_.contains(t)) {
+    throw std::invalid_argument("ContainerCache: node out of range");
+  }
+  if (s == t) throw std::invalid_argument("ContainerCache: s == t");
+  OrbitTable* orbit = orbit_table(options);
+  if (orbit == nullptr) return lookup(s, t, options, cache_hit).materialize();
+  bool hit = false;
+  DisjointPathSet set = orbit->materialize(s, t, &hit);
+  (hit ? hits_ : misses_).add();
+  if (cache_hit != nullptr) *cache_hit = hit;
+  return set;
 }
 
 std::size_t ContainerCache::evictions() const noexcept {
@@ -288,6 +328,13 @@ CacheStats ContainerCache::stats() const {
   }
   stats.hits = hits_.fold();
   stats.misses = misses_.fold();
+  for (const auto& slot : orbit_tables_) {
+    const OrbitTable* table = slot.load(std::memory_order_acquire);
+    if (table == nullptr) continue;
+    ++stats.orbit_variants;
+    stats.orbit_entries += table->entries();
+    stats.orbit_bytes += table->bytes();
+  }
   return stats;
 }
 

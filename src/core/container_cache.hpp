@@ -1,5 +1,6 @@
 // Sharded, translation-canonical memoization of disjoint-path containers
-// with a LOCK-FREE read path.
+// with a LOCK-FREE read path, backed at m <= 4 by one container per
+// automorphism orbit (core::OrbitTable).
 //
 // The construction commutes with cluster translation (tested metamorphically
 // in test_hhc_disjoint.cpp): the container for (Xs, Ys) -> (Xt, Yt) is the
@@ -9,6 +10,17 @@
 // containers — therefore serves ALL translated copies of a pair, turning
 // repeated-workload simulations (hotspot traffic, permutation re-runs,
 // retransmissions) into cache hits followed by an O(container size) relabel.
+//
+// Where an entry comes from. At m <= 4 the cache owns one OrbitTable per
+// ConstructionOptions variant (allocated on first use). A miss decodes its
+// triple's container from the orbit record instead of constructing, so the
+// served container is the automorphism image of the orbit
+// representative's construction: m+1 internally disjoint paths with the
+// representative's lengths, equal to node_disjoint_paths(net, s, t, options)
+// bit for bit only when (s, t) is the representative (orbit_table.hpp). The
+// orbit's σ depends only on the triple, so the XOR relabel stays exact and
+// lookup(), materialize() and PathService::answer() agree on every pair. At
+// m = 5 a miss runs the construction, and entries equal it bit for bit.
 //
 // Concurrency model (RCU-style published snapshots; DESIGN.md §9):
 //
@@ -27,16 +39,15 @@
 //     and unlocks reads with a relaxed RMW, which is a formal data race on
 //     its pointer field that ThreadSanitizer rightly reports. The version
 //     + TLS-pin scheme is wait-free on hits and TSan-clean.)
-//   * Writers (cache misses) run the construction OUTSIDE any lock, then
-//     take the shard mutex, clone the current index into a new table
-//     (applying eviction if the shard is at capacity), insert, swap the
-//     published pointer, and bump the version. A reader whose TLS stamp is
-//     stale refreshes by taking that mutex just long enough to copy the
-//     new shared_ptr — once per publication per thread, never on a
-//     steady-state hit. Two threads missing the same key may both
-//     construct, but the construction is deterministic, so the loser's
-//     duplicate is discarded — results stay bit-identical to
-//     node_disjoint_paths(net, s, t, options) either way.
+//   * Writers (cache misses) fill the entry OUTSIDE any lock (orbit decode,
+//     or the construction at m = 5), then take the shard mutex, clone the
+//     current index into a new table (applying eviction if the shard is at
+//     capacity), insert, swap the published pointer, and bump the version.
+//     A reader whose TLS stamp is stale refreshes by taking that mutex just
+//     long enough to copy the new shared_ptr — once per publication per
+//     thread, never on a steady-state hit. Two threads missing the same key
+//     may both fill it, but the fill is deterministic, so the loser's
+//     duplicate is discarded and results are identical either way.
 //   * Reclamation is the shared_ptr refcount: a swapped-out index stays
 //     alive until the last TLS pin moves on (next refresh or thread exit);
 //     the FlatContainers inside are themselves shared with every
@@ -47,16 +58,18 @@
 //     thread-private memory. Evictions are counted under the shard mutex.
 //
 // clear() takes every shard mutex, swaps every shard to an empty index,
-// and resets ALL counters, so a cleared cache is indistinguishable from a
-// fresh one. Outstanding handles and in-flight snapshot readers are
+// and resets ALL counters. The orbit tables survive it: their records are
+// immutable and never evicted, and a concurrent materialize() may be
+// reading one. Outstanding handles and in-flight snapshot readers are
 // unaffected (their shared_ptrs keep the old state alive).
 //
-// API contract (PR 7 redesign): lookup() is THE read path — it returns a
-// borrowed ContainerHandle off the published snapshot. The legacy
-// materializing paths() accessor is gone; call lookup(...).materialize()
-// where an owning DisjointPathSet is genuinely needed.
+// API contract: lookup() is THE borrowed read path — it returns a
+// ContainerHandle off the published snapshot. materialize() is the owning
+// path: at m <= 4 it decodes straight from the orbit table into owning
+// paths and touches no shard index, publication or eviction.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -70,6 +83,8 @@
 #include "util/striped.hpp"
 
 namespace hhc::core {
+
+class OrbitTable;  // core/orbit_table.hpp
 
 /// A disjoint-path container flattened into two arrays: `nodes` holds every
 /// path back to back, `offsets` (path_count + 1 entries) delimits them.
@@ -95,7 +110,8 @@ struct FlatContainer {
 /// times, after clear(), and after the ContainerCache itself is destroyed.
 /// Holding a handle is therefore always safe; what it pins is the one
 /// FlatContainer (nodes + offsets), not the cache. materialize() produces
-/// the same owning DisjointPathSet the construction returns, bit for bit.
+/// the same owning DisjointPathSet as ContainerCache::materialize() for the
+/// handle's pair.
 class ContainerHandle {
  public:
   ContainerHandle() = default;
@@ -150,6 +166,11 @@ struct CacheStats {
   std::size_t misses = 0;
   std::size_t evictions = 0;
   std::vector<CacheShardStats> shards;
+  /// The orbit tables (m <= 4): option variants allocated so far, records
+  /// filled across them, and the bytes those tables occupy.
+  std::size_t orbit_variants = 0;
+  std::size_t orbit_entries = 0;
+  std::size_t orbit_bytes = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
     const std::size_t total = hits + misses;
@@ -158,7 +179,8 @@ struct CacheStats {
   }
 
   /// The snapshot as unified core::StatRow rows (section "cache" for the
-  /// aggregate, "cache.shard<i>" per shard) so cache telemetry renders with
+  /// aggregate, "cache.shard<i>" per shard, then "cache.orbit" with the
+  /// variants, entries and bytes rows) so cache telemetry renders with
   /// the same core::io schema as service stats and the metrics registry.
   [[nodiscard]] std::vector<StatRow> rows() const;
 };
@@ -200,6 +222,7 @@ class ContainerCache {
   /// enclosing class is still open.)
   explicit ContainerCache(const HhcTopology& net);
   ContainerCache(const HhcTopology& net, Config config);
+  ~ContainerCache();
 
   ContainerCache(const ContainerCache&) = delete;
   ContainerCache& operator=(const ContainerCache&) = delete;
@@ -207,18 +230,30 @@ class ContainerCache {
   /// THE read path. A steady-state hit performs no construction, no node
   /// copying, no heap allocation, and takes NO lock: one acquire load of
   /// the shard version, a probe of the thread's pinned immutable snapshot,
-  /// one shared_ptr copy, and a per-thread counter bump. A miss runs the
-  /// construction outside any lock, then publishes a new index under the
-  /// shard mutex (which hits never touch).
-  /// If `cache_hit` is non-null it receives whether this call was served
-  /// without running the construction. Results materialize bit-identically
-  /// to node_disjoint_paths(net, s, t, options) (asserted by tests).
+  /// one shared_ptr copy, and a per-thread counter bump. A miss fills the
+  /// entry outside any lock (from the orbit table at m <= 4, by running
+  /// the construction at m = 5), then publishes a new index under the
+  /// shard mutex (which hits never touch). hits()/misses() count the index
+  /// probes. If `cache_hit` is non-null it receives whether this call was
+  /// served without running the construction: an index hit, or a miss
+  /// whose orbit record was already filled.
   /// Throws std::invalid_argument for out-of-range nodes or s == t.
   [[nodiscard]] ContainerHandle lookup(Node s, Node t,
                                        const ConstructionOptions& options,
                                        bool* cache_hit = nullptr);
   /// Same, under the cache's default options.
   [[nodiscard]] ContainerHandle lookup(Node s, Node t);
+
+  /// The owning answer for s -> t: the container lookup(s, t, options)
+  /// would hand out, materialized. At m <= 4 it is decoded straight from
+  /// the orbit table into owning paths, and hits()/misses() count whether
+  /// the orbit record was already filled; the shard indexes are untouched.
+  /// At m = 5 it is lookup(...).materialize(). `cache_hit` as for lookup().
+  /// A steady-state call allocates only its result.
+  /// Throws std::invalid_argument for out-of-range nodes or s == t.
+  [[nodiscard]] DisjointPathSet materialize(Node s, Node t,
+                                            const ConstructionOptions& options,
+                                            bool* cache_hit = nullptr);
 
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }
@@ -229,7 +264,8 @@ class ContainerCache {
   /// Per-shard + aggregate snapshot, folded at one point in time.
   [[nodiscard]] CacheStats stats() const;
 
-  /// Drops every entry AND resets all counters (see header comment).
+  /// Drops every index entry AND resets all counters; the orbit tables
+  /// stay (see header comment).
   void clear();
 
   [[nodiscard]] const ConstructionOptions& options() const noexcept {
@@ -304,6 +340,10 @@ class ContainerCache {
 
   [[nodiscard]] static std::uint64_t next_shard_id() noexcept;
 
+  /// The orbit table for `options`, allocated on first use; nullptr at
+  /// m > OrbitTable::kMaxM.
+  [[nodiscard]] OrbitTable* orbit_table(const ConstructionOptions& options);
+
   /// This thread's pinned snapshot of `shard`, refreshed (under the shard
   /// mutex) only when the version stamp says a publication happened. The
   /// returned pointer stays valid until this thread's next lookup on the
@@ -327,6 +367,8 @@ class ContainerCache {
   // telemetry writes, folded on stats().
   util::StripedCounter hits_;
   util::StripedCounter misses_;
+  // One orbit table per (ordering, selection) pair, published by CAS.
+  std::array<std::atomic<OrbitTable*>, 4> orbit_tables_{};
 };
 
 }  // namespace hhc::core

@@ -277,11 +277,10 @@ RouteResult PathService::answer_impl(const PairQuery& query, bool degraded) {
     result.paths = {core::Path{query.s}};
     return result;
   }
-  // lookup() hands back a borrowed view of the published entry; only the
-  // answer that leaves the service materializes owning paths.
+  // At m <= 4 the cache decodes the pair's orbit record straight into the
+  // owning paths: no shard index, publication or eviction on this path.
   result.paths =
-      cache_.lookup(query.s, query.t, query.options, &result.cache_hit)
-          .materialize()
+      cache_.materialize(query.s, query.t, query.options, &result.cache_hit)
           .paths;
   return result;
 }

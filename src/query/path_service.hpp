@@ -5,8 +5,13 @@
 //
 //   * a sharded translation-canonical ContainerCache (per-shard mutexes,
 //     lock-free counters) so concurrent queries scale with shards, not a
-//     global lock, while answers stay bit-identical to
-//     node_disjoint_paths(net, s, t, options);
+//     global lock. At m <= 4 the cache keeps one container per automorphism
+//     orbit, and answer() decodes the pair's orbit record straight into
+//     owning paths: the answer is the image of the orbit representative's
+//     node_disjoint_paths(net, 0, rep, options), m+1 internally disjoint
+//     paths with the representative's lengths. At m = 5 it is
+//     node_disjoint_paths(net, s, t, options) bit for bit. answer(),
+//     answer_view() and fault-aware container scans agree on every pair;
 //   * a batch API answer(span<PairQuery>) that fans out over the in-repo
 //     util::ThreadPool with deterministic result ordering: results[i] always
 //     answers queries[i], and the routed paths/levels are identical for any

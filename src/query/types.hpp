@@ -69,9 +69,11 @@ enum class RouteOutcome {
 }
 
 /// One path query. With `faults == nullptr` the query is pristine and the
-/// answer is the full m+1-path container, bit-identical to
-/// node_disjoint_paths(net, s, t, options). With a fault view attached the
-/// answer degrades gracefully through the AdaptiveRouter ladder.
+/// answer is the full m+1-path container: at m <= 4 the automorphism image
+/// of its orbit representative's node_disjoint_paths(net, 0, rep, options)
+/// (core/orbit_table.hpp), at m = 5 node_disjoint_paths(net, s, t, options)
+/// itself. With a fault view attached the answer degrades gracefully
+/// through the AdaptiveRouter ladder.
 struct PairQuery {
   core::Node s = 0;
   core::Node t = 0;
@@ -98,7 +100,9 @@ struct RouteResult {
   RouteOutcome outcome = RouteOutcome::kOk;  // see enum: WHETHER vs HOW
   std::size_t container_paths_blocked = 0;  // of the m+1 container paths
   bool used_fallback = false;               // BFS fallback engaged
-  bool cache_hit = false;     // served without running the construction
+  // Served without running the construction: a cached index entry or an
+  // orbit record that was already filled.
+  bool cache_hit = false;
   double micros = 0.0;        // service-side wall time (0 outside a service)
 
   [[nodiscard]] bool ok() const noexcept { return !paths.empty(); }

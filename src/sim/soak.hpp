@@ -106,6 +106,8 @@ struct SoakReport {
   double max_overrun_us = 0.0;   // worst completion past its own deadline
   std::uint64_t breaker_trips = 0;
   std::uint64_t breaker_short_circuits = 0;
+  /// Seconds spent in the epoch loop only; building the topology, the
+  /// fault schedule and the worker pool is not counted.
   double wall_seconds = 0.0;
 
   /// Mean ok-rate over epochs with / without an active fault — recovery

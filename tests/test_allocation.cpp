@@ -10,6 +10,8 @@
 //     construction that fills fan-table entries it has never seen (the
 //     table is sized once per m, on the first construction at that m);
 //   * ContainerCache::lookup on a hit (one shared_ptr copy, no allocation);
+//   * ContainerCache::materialize at m <= 4 once the orbit records are
+//     filled (allocates only the returned paths);
 //   * PathService::answer_view on a hit (handle + telemetry only);
 //   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
 //     has grown: a disconnected full sweep allocates nothing, and a detour
@@ -181,6 +183,30 @@ TEST(AllocationFree, ArenaHeapAllocationsStabilize) {
     }
   }
   EXPECT_EQ(scratch.arena.heap_allocations(), chunks);
+}
+
+TEST(AllocationFree, OrbitMaterializeAllocatesOnlyItsResult) {
+  // A steady-state ContainerCache::materialize at m <= 4 decodes the
+  // orbit record straight into the result: the paths vector and one
+  // vector per path, m + 2 allocations, nothing else.
+  const HhcTopology net{4};
+  ContainerCache cache{net};
+  const auto pairs = sample_pairs(net, 64, 0xA1120);
+  for (const auto& [s, t] : pairs) (void)cache.materialize(s, t, {});
+  // The first hit registers this thread's striped hit-counter cell.
+  (void)cache.materialize(pairs[0].s, pairs[0].t, {});
+
+  const std::size_t before = allocation_count();
+  std::size_t total_paths = 0;
+  for (const auto& [s, t] : pairs) {
+    const DisjointPathSet set = cache.materialize(s, t, {});
+    total_paths += set.paths.size();
+  }
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(total_paths, pairs.size() * (net.m() + 1));
+  EXPECT_EQ(delta, pairs.size() * (net.m() + 2))
+      << "materialize allocated beyond its result";
 }
 
 TEST(AllocationFree, CacheHitLookup) {

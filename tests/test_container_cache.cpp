@@ -3,21 +3,42 @@
 #include "core/container_cache.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
+#include "orbit_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hhc::core {
 namespace {
 
 TEST(ContainerCache, MatchesDirectConstructionExactly) {
-  const HhcTopology net{3};
+  // m = 5 has no orbit table: a miss runs the construction, so both entry
+  // points answer node_disjoint_paths(s, t) bit for bit.
+  const HhcTopology net{5};
   ContainerCache cache{net};
-  for (const auto& [s, t] : sample_pairs(net, 300, 77)) {
+  for (const auto& [s, t] : sample_pairs(net, 40, 77)) {
     const auto direct = node_disjoint_paths(net, s, t);
     const auto cached = cache.lookup(s, t).materialize();
     ASSERT_EQ(cached.paths.size(), direct.paths.size());
     for (std::size_t i = 0; i < direct.paths.size(); ++i) {
       EXPECT_EQ(cached.paths[i], direct.paths[i]) << "s=" << s << " t=" << t;
     }
+    EXPECT_EQ(cache.materialize(s, t, {}).paths, direct.paths);
+  }
+  EXPECT_EQ(cache.stats().orbit_variants, 0u);
+}
+
+TEST(ContainerCache, MatchesTheOrbitImageExactly) {
+  // At m <= 4 an entry is the automorphism image of its orbit
+  // representative's construction (core/orbit_table.hpp).
+  const HhcTopology net{3};
+  ContainerCache cache{net};
+  for (const auto& [s, t] : sample_pairs(net, 300, 77)) {
+    const auto expected = orbit_reference::expected_answer(net, s, t);
+    const auto cached = cache.lookup(s, t).materialize();
+    ASSERT_EQ(cached.paths.size(), expected.paths.size());
+    for (std::size_t i = 0; i < expected.paths.size(); ++i) {
+      EXPECT_EQ(cached.paths[i], expected.paths[i]) << "s=" << s << " t=" << t;
+    }
+    EXPECT_EQ(cache.materialize(s, t, {}).paths, expected.paths);
   }
 }
 
@@ -90,15 +111,16 @@ TEST(ContainerCache, TopologyHeldByReference) {
 
 TEST(ContainerCache, OptionsArePartOfTheKey) {
   // kCanonical and kBalanced build different containers for some pairs;
-  // serving one policy's container for the other would break bit-identity.
+  // serving one policy's container for the other would answer the wrong
+  // image.
   const HhcTopology net{3};
   ContainerCache cache{net};
   const ConstructionOptions balanced{.selection = RouteSelectionPolicy::kBalanced};
   for (const auto& [s, t] : sample_pairs(net, 120, 5)) {
     EXPECT_EQ(cache.lookup(s, t).materialize().paths,
-              node_disjoint_paths(net, s, t).paths);
+              orbit_reference::expected_answer(net, s, t).paths);
     EXPECT_EQ(cache.lookup(s, t, balanced).materialize().paths,
-              node_disjoint_paths(net, s, t, balanced).paths);
+              orbit_reference::expected_answer(net, s, t, balanced).paths);
   }
   EXPECT_EQ(cache.hits() + cache.misses(), 240u);
 }
@@ -157,8 +179,11 @@ std::uint64_t eviction_fingerprint(std::uint64_t eviction_seed) {
   std::uint64_t fingerprint = 0;
   for (int i = 0; i < 2000; ++i) {
     const auto& [s, t] = pairs[rng.below(pairs.size())];
-    bool hit = false;
-    (void)cache.lookup(s, t, {}, &hit);
+    // The index hit, not the per-call flag: once the orbit records are
+    // filled every call is served without the construction.
+    const std::size_t hits_before = cache.hits();
+    (void)cache.lookup(s, t);
+    const bool hit = cache.hits() > hits_before;
     fingerprint = fingerprint * 1099511628211ULL + (hit ? 1 : 0);
   }
   return fingerprint;
@@ -188,15 +213,26 @@ TEST(ContainerCache, StatsSnapshotAddsUp) {
   EXPECT_GT(stats.hit_rate(), 0.0);
 
   // The unified rows render carries the same numbers (aggregate section
-  // first, then one section per shard).
+  // first, then one section per shard, then the orbit tables).
   const auto rows = stats.rows();
-  ASSERT_EQ(rows.size(), 5 + 2 * stats.shards.size());
+  ASSERT_EQ(rows.size(), 5 + 2 * stats.shards.size() + 3);
   EXPECT_EQ(rows[0].section, "cache");
   EXPECT_EQ(rows[0].name, "entries");
   EXPECT_EQ(static_cast<std::size_t>(rows[0].value), stats.entries);
   EXPECT_EQ(rows[1].name, "hits");
   EXPECT_EQ(static_cast<std::size_t>(rows[1].value), stats.hits);
   EXPECT_EQ(rows[5].section, "cache.shard0");
+  const std::size_t orbit = 5 + 2 * stats.shards.size();
+  EXPECT_EQ(rows[orbit].section, "cache.orbit");
+  EXPECT_EQ(rows[orbit].name, "variants");
+  EXPECT_EQ(static_cast<std::size_t>(rows[orbit].value), 1u);
+  EXPECT_EQ(rows[orbit + 1].name, "entries");
+  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 1].value),
+            stats.orbit_entries);
+  EXPECT_GT(stats.orbit_entries, 0u);
+  EXPECT_LE(stats.orbit_entries, stats.misses);
+  EXPECT_EQ(rows[orbit + 2].name, "bytes");
+  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 2].value), stats.orbit_bytes);
 }
 
 TEST(ContainerCache, RejectsBadInput) {
@@ -216,7 +252,7 @@ TEST(ContainerCache, LookupMaterializesToPathsResult) {
     EXPECT_EQ(handle.source(), s);
     EXPECT_EQ(handle.target(), t);
     const auto set = handle.materialize();
-    EXPECT_EQ(set.paths, node_disjoint_paths(net, s, t).paths);
+    EXPECT_EQ(set.paths, orbit_reference::expected_answer(net, s, t).paths);
     EXPECT_EQ(handle.max_length(), set.max_length());
     for (std::size_t i = 0; i < set.paths.size(); ++i) {
       EXPECT_EQ(handle.materialize_path(i), set.paths[i]);
@@ -261,7 +297,8 @@ TEST(ContainerCache, TranslatedPairsShareOneFlatContainer) {
   EXPECT_TRUE(hit);  // same canonical key: no second construction
   EXPECT_EQ(other.source(), s2);
   EXPECT_EQ(other.target(), t2);
-  EXPECT_EQ(other.materialize().paths, node_disjoint_paths(net, s2, t2).paths);
+  EXPECT_EQ(other.materialize().paths,
+            orbit_reference::expected_answer(net, s2, t2).paths);
 }
 
 TEST(ContainerCache, PublicationKnobsClampAndStayCorrect) {

@@ -10,6 +10,7 @@
 #include "fault/adaptive_router.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stages.hpp"
+#include "orbit_reference.hpp"
 #include "query/path_service.hpp"
 #include "util/deadline.hpp"
 #include "util/rng.hpp"
@@ -21,10 +22,28 @@ using core::HhcTopology;
 using core::Node;
 
 TEST(PathService, PristineAnswersBitIdenticalToDirectConstruction) {
+  // m = 5 has no orbit table: the service answers the construction itself.
+  const HhcTopology net{5};
+  PathService service{net};
+  for (const auto& [s, t] : core::sample_pairs(net, 40, 77)) {
+    const auto direct = core::node_disjoint_paths(net, s, t);
+    const auto answer = service.answer(PairQuery{.s = s, .t = t});
+    EXPECT_EQ(answer.level, DegradationLevel::kGuaranteed);
+    EXPECT_FALSE(answer.used_fallback);
+    ASSERT_EQ(answer.paths.size(), direct.paths.size());
+    for (std::size_t i = 0; i < direct.paths.size(); ++i) {
+      EXPECT_EQ(answer.paths[i], direct.paths[i]) << "s=" << s << " t=" << t;
+    }
+  }
+}
+
+TEST(PathService, PristineAnswersAreOrbitImagesOfTheConstruction) {
+  // At m <= 4 the answer is the automorphism image of the orbit
+  // representative's construction (core/orbit_table.hpp).
   const HhcTopology net{3};
   PathService service{net};
   for (const auto& [s, t] : core::sample_pairs(net, 300, 77)) {
-    const auto direct = core::node_disjoint_paths(net, s, t);
+    const auto direct = orbit_reference::expected_answer(net, s, t);
     const auto answer = service.answer(PairQuery{.s = s, .t = t});
     EXPECT_EQ(answer.level, DegradationLevel::kGuaranteed);
     EXPECT_FALSE(answer.used_fallback);
@@ -41,10 +60,11 @@ TEST(PathService, OptionsThreadThroughToTheConstruction) {
   const core::ConstructionOptions balanced{
       .selection = core::RouteSelectionPolicy::kBalanced};
   for (const auto& [s, t] : core::sample_pairs(net, 100, 5)) {
-    const auto direct = core::node_disjoint_paths(net, s, t, balanced);
+    const auto expected =
+        orbit_reference::expected_answer(net, s, t, balanced);
     const auto answer =
         service.answer(PairQuery{.s = s, .t = t, .options = balanced});
-    EXPECT_EQ(answer.paths, direct.paths);
+    EXPECT_EQ(answer.paths, expected.paths);
   }
 }
 
@@ -69,7 +89,10 @@ TEST(PathService, OutOfRangeNodesThrow) {
 TEST(PathService, FaultAwareAnswersMatchTheAdaptiveRouter) {
   const HhcTopology net{2};
   PathService service{net};
-  const fault::AdaptiveRouter router{net};
+  // The service's router reads containers through the cache, so the
+  // single-query reference does too.
+  core::ContainerCache cache{net};
+  const fault::AdaptiveRouter router{net, &cache};
   util::Xoshiro256 rng{404};
   for (const auto& [s, t] : core::sample_pairs(net, 120, 21)) {
     core::FaultModel::RandomSpec spec;
@@ -96,9 +119,9 @@ TEST(PathService, BatchAnswersInInputOrder) {
   const auto results = service.answer(queries);
   ASSERT_EQ(results.size(), queries.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto direct =
-        core::node_disjoint_paths(net, queries[i].s, queries[i].t);
-    EXPECT_EQ(results[i].paths, direct.paths) << "batch slot " << i;
+    const auto expected =
+        orbit_reference::expected_answer(net, queries[i].s, queries[i].t);
+    EXPECT_EQ(results[i].paths, expected.paths) << "batch slot " << i;
   }
 }
 
@@ -146,11 +169,13 @@ TEST(PathService, MalformedBatchElementDoesNotPoisonSiblings) {
   ASSERT_EQ(results.size(), 3u);
 
   EXPECT_EQ(results[0].outcome, RouteOutcome::kOk);
-  EXPECT_EQ(results[0].paths, core::node_disjoint_paths(net, 0, 5).paths);
+  EXPECT_EQ(results[0].paths,
+            orbit_reference::expected_answer(net, 0, 5).paths);
   EXPECT_EQ(results[1].outcome, RouteOutcome::kInvalid);
   EXPECT_TRUE(results[1].paths.empty());
   EXPECT_EQ(results[2].outcome, RouteOutcome::kOk);
-  EXPECT_EQ(results[2].paths, core::node_disjoint_paths(net, 3, 60).paths);
+  EXPECT_EQ(results[2].paths,
+            orbit_reference::expected_answer(net, 3, 60).paths);
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.invalid, 1u);
@@ -284,7 +309,8 @@ TEST(PathService, StatsResetKeepsCacheContents) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.queries, 0u);
   EXPECT_EQ(stats.latency.count, 0u);
-  EXPECT_EQ(stats.cache.entries, 1u);  // cache untouched by reset_stats
+  // The answer filled one orbit record; reset_stats leaves it in place.
+  EXPECT_EQ(stats.cache.orbit_entries, 1u);
 }
 
 TEST(PathService, EmitsWellFormedCsvAndJson) {
@@ -319,9 +345,13 @@ TEST(PathService, EmitsWellFormedCsvAndJson) {
 
 TEST(PathService, FaultAwareQueriesShareThePristineCache) {
   // One service, same pair queried pristine then fault-aware: the router's
-  // container lookup must hit the entry the pristine query populated.
+  // container lookup must be served from the orbit record the pristine
+  // query filled, without a second construction.
   const HhcTopology net{2};
   PathService service{net};
+  obs::Counter& fills =
+      obs::MetricRegistry::global().counter("construct.orbit_fills");
+  const std::uint64_t fills_before = fills.get();
   (void)service.answer(PairQuery{.s = 0, .t = 60});
   EXPECT_EQ(service.cache().misses(), 1u);
   core::FaultModel faults;
@@ -329,8 +359,8 @@ TEST(PathService, FaultAwareQueriesShareThePristineCache) {
   const auto answer =
       service.answer(PairQuery{.s = 0, .t = 60, .faults = &faults});
   EXPECT_TRUE(answer.cache_hit);
-  EXPECT_EQ(service.cache().misses(), 1u);
-  EXPECT_EQ(service.cache().hits(), 1u);
+  EXPECT_EQ(fills.get() - fills_before, 1u);
+  EXPECT_EQ(service.cache().stats().orbit_entries, 1u);
 }
 
 TEST(PathService, AnswerViewMatchesAnswer) {
@@ -460,7 +490,7 @@ TEST(PathService, OverloadDegradesFaultAwareAnswersToShed) {
   // Block every container path via its SECOND edge (link faults, so every
   // node stays alive and s keeps its full neighborhood); without overload
   // this pair would get a BFS fallback around the three dead links.
-  const auto container = core::node_disjoint_paths(net, 0, 60);
+  const auto container = orbit_reference::expected_answer(net, 0, 60);
   core::FaultModel faults;
   for (const auto& path : container.paths) {
     ASSERT_GE(path.size(), 3u);

@@ -1,8 +1,10 @@
 // Concurrency stress for the path-query engine: many threads hammering one
 // PathService (and one ContainerCache underneath) while every answer is
-// checked against the serial construction. Run under ThreadSanitizer in CI
-// (the dedicated tsan job builds exactly this subset); the assertions prove
-// bit-identity, TSan proves the absence of data races.
+// checked against a serial oracle: the orbit image of the representative's
+// construction (orbit_reference.hpp), or a single-threaded route() through
+// a cache of its own. Run under ThreadSanitizer in CI (the dedicated tsan
+// job builds exactly this subset); the assertions prove bit-identity, TSan
+// proves the absence of data races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +14,8 @@
 #include "core/container_cache.hpp"
 #include "core/disjoint.hpp"
 #include "core/metrics.hpp"
+#include "obs/metrics.hpp"
+#include "orbit_reference.hpp"
 #include "query/path_service.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +39,7 @@ TEST(QueryStress, ConcurrentPristineAnswersMatchSerial) {
   std::vector<core::DisjointPathSet> expected;
   expected.reserve(pairs.size());
   for (const auto& [s, t] : pairs) {
-    expected.push_back(core::node_disjoint_paths(net, s, t));
+    expected.push_back(orbit_reference::expected_answer(net, s, t));
   }
 
   std::atomic<std::size_t> mismatches{0};
@@ -70,7 +74,8 @@ TEST(QueryStress, ConcurrentPristineAnswersMatchSerial) {
 TEST(QueryStress, ConcurrentMixedFaultAndPristineTraffic) {
   const HhcTopology net{2};
   PathService service{net, {.cache_shards = 2}};
-  const fault::AdaptiveRouter reference{net};
+  core::ContainerCache reference_cache{net};
+  const fault::AdaptiveRouter reference{net, &reference_cache};
 
   const auto pairs = core::sample_pairs(net, 32, 7);
   // A fixed fault set shared by every thread (the FaultModel is read-only
@@ -98,9 +103,9 @@ TEST(QueryStress, ConcurrentMixedFaultAndPristineTraffic) {
                                      .faults = pristine ? nullptr : &faults});
         const bool good =
             pristine
-                ? answer.paths ==
-                      core::node_disjoint_paths(net, pairs[k].s, pairs[k].t)
-                          .paths
+                ? answer.paths == orbit_reference::expected_answer(
+                                      net, pairs[k].s, pairs[k].t)
+                                      .paths
                 : answer.paths == expected[k].paths &&
                       answer.level == expected[k].level;
         if (!good) mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -118,7 +123,8 @@ TEST(QueryStress, ConcurrentSurvivorFallbackMatchesSerial) {
   // sweep their own per-thread scratch at once over one shared FaultModel.
   const HhcTopology net{3};
   PathService service{net, {.cache_shards = 2}};
-  const fault::AdaptiveRouter reference{net};
+  core::ContainerCache reference_cache{net};
+  const fault::AdaptiveRouter reference{net, &reference_cache};
 
   util::Xoshiro256 fault_rng{31};
   core::FaultModel faults;
@@ -176,7 +182,7 @@ TEST(QueryStress, ConcurrentCacheWithEvictionStaysCorrect) {
   const auto pairs = core::sample_pairs(net, 48, 99);
   std::vector<core::DisjointPathSet> expected;
   for (const auto& [s, t] : pairs) {
-    expected.push_back(core::node_disjoint_paths(net, s, t));
+    expected.push_back(orbit_reference::expected_answer(net, s, t));
   }
 
   std::atomic<std::size_t> mismatches{0};
@@ -199,6 +205,64 @@ TEST(QueryStress, ConcurrentCacheWithEvictionStaysCorrect) {
   EXPECT_EQ(cache.hits() + cache.misses(), kThreads * 150);
 }
 
+TEST(QueryStress, ConcurrentOrbitFillsAreDeterministic) {
+  // Every round starts a fresh service, releases the threads at once, and
+  // walks them through the same pairs in the same order, so they race the
+  // first fill of each orbit record through answer(), answer_view() and a
+  // bare cache lookup. Losing a fill's publication must still serve the
+  // single-threaded answer.
+  const HhcTopology net{4};
+  const auto pairs = core::sample_pairs(net, 96, 4242);
+  core::ContainerCache serial{net};
+  std::vector<std::vector<core::Path>> expected;
+  for (const auto& [s, t] : pairs) {
+    expected.push_back(serial.materialize(s, t, {}).paths);
+  }
+  const std::size_t orbits = serial.stats().orbit_entries;
+
+  obs::Counter& fills =
+      obs::MetricRegistry::global().counter("construct.orbit_fills");
+  constexpr std::size_t kFillThreads = 6;
+  constexpr int kRounds = 4;
+  std::atomic<std::size_t> mismatches{0};
+  for (int round = 0; round < kRounds; ++round) {
+    PathService service{net, {.cache_shards = 2}};
+    const std::uint64_t fills_before = fills.get();
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t id = 0; id < kFillThreads; ++id) {
+      threads.emplace_back([&, id] {
+        ready.fetch_add(1, std::memory_order_acq_rel);
+        while (ready.load(std::memory_order_acquire) < kFillThreads) {
+          std::this_thread::yield();
+        }
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const PairQuery q{.s = pairs[k].s, .t = pairs[k].t};
+          std::vector<core::Path> got;
+          switch ((id + k) % 3) {
+            case 0: got = service.answer(q).paths; break;
+            case 1:
+              got = service.answer_view(q).container.materialize().paths;
+              break;
+            default:
+              got = service.cache().lookup(q.s, q.t).materialize().paths;
+              break;
+          }
+          if (got != expected[k]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    // A lost publication is not a fill: one fill per orbit, however many
+    // threads raced it.
+    EXPECT_EQ(service.cache().stats().orbit_entries, orbits);
+    EXPECT_EQ(fills.get() - fills_before, orbits);
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
 TEST(QueryStress, ConcurrentBatchesOnOneService) {
   // Multiple caller threads each issuing whole batches (the service's own
   // pool fans each batch out further) — nested parallelism must neither
@@ -211,7 +275,7 @@ TEST(QueryStress, ConcurrentBatchesOnOneService) {
   std::vector<RouteResult> expected;
   for (const auto& q : queries) {
     expected.push_back(RouteResult{
-        .paths = core::node_disjoint_paths(net, q.s, q.t).paths,
+        .paths = orbit_reference::expected_answer(net, q.s, q.t).paths,
         .level = DegradationLevel::kGuaranteed});
   }
 

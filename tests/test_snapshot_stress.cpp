@@ -7,10 +7,10 @@
 // snapshots under a per-shard mutex. These tests drive lookups concurrently
 // against every writer-side event — insert (publication), eviction, and
 // clear() — asserting that readers always observe a coherent snapshot
-// (bit-identical answers to direct construction) and that handles pin their
-// containers across arbitrary churn. They are exactly the interleavings the
-// snapshot swap must make safe, so they double as the TSan proof obligation
-// for the design in DESIGN.md §9.
+// (bit-identical answers to the orbit-image oracle in orbit_reference.hpp)
+// and that handles pin their containers across arbitrary churn. They are
+// exactly the interleavings the snapshot swap must make safe, so they
+// double as the TSan proof obligation for the design in DESIGN.md §9.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,7 @@
 
 #include "core/container_cache.hpp"
 #include "core/metrics.hpp"
+#include "orbit_reference.hpp"
 #include "util/rng.hpp"
 #include "util/striped.hpp"
 
@@ -39,7 +40,7 @@ TEST(SnapshotStress, LookupsRaceInsertionsAndEvictions) {
   std::vector<DisjointPathSet> expected;
   expected.reserve(pairs.size());
   for (const auto& [s, t] : pairs) {
-    expected.push_back(node_disjoint_paths(net, s, t));
+    expected.push_back(orbit_reference::expected_answer(net, s, t));
   }
 
   std::atomic<std::size_t> mismatches{0};
@@ -104,14 +105,14 @@ TEST(SnapshotStress, HandlesOutliveConcurrentChurn) {
 TEST(SnapshotStress, ClearRacesLookupsWithoutTearing) {
   // clear() unpublishes every shard's snapshot while readers run. A reader
   // either sees the old snapshot (hit) or none (miss + reconstruction) —
-  // both must yield the canonical container; nothing may crash or tear.
+  // both must yield the pair's orbit image; nothing may crash or tear.
   const HhcTopology net{2};
   ContainerCache cache{net, {.shards = 2}};
   const auto pairs = sample_pairs(net, 16, 3);
   std::vector<DisjointPathSet> expected;
   expected.reserve(pairs.size());
   for (const auto& [s, t] : pairs) {
-    expected.push_back(node_disjoint_paths(net, s, t));
+    expected.push_back(orbit_reference::expected_answer(net, s, t));
   }
 
   std::atomic<bool> stop{false};
