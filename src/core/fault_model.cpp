@@ -1,5 +1,8 @@
 #include "core/fault_model.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <stdexcept>
 
 namespace hhc::core {
@@ -15,6 +18,32 @@ std::uint64_t mix64(std::uint64_t z) noexcept {
 
 }  // namespace
 
+void ActiveFaults::index() {
+  const std::size_t n = facts_.size();
+  std::size_t slots = 2;
+  while (slots < 2 * n) slots *= 2;
+  std::size_t words = 1;  // 64 filter bits per fact
+  while (words < n) words *= 2;
+  slots_.assign(slots, Key{kFree, 0});
+  filter_.assign(words, 0);
+  slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  filter_shift_ = 58 - static_cast<unsigned>(std::countr_zero(words));
+  const std::size_t mask = slots - 1;
+  for (const Key& k : facts_) {
+    const std::uint64_t h = hash(k.a, k.b);
+    const std::uint64_t bit = h >> filter_shift_;
+    filter_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    auto i = static_cast<std::size_t>(h >> slot_shift_);
+    while (slots_[i].a != kFree) i = (i + 1) & mask;
+    slots_[i] = k;  // facts are distinct: no key is inserted twice
+  }
+}
+
+std::uint64_t FaultModel::Stamp::next() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 std::size_t FaultModel::LinkKeyHash::operator()(
     const LinkKey& k) const noexcept {
   return static_cast<std::size_t>(mix64(k.a * 0x9e3779b97f4a7c15ULL ^ k.b));
@@ -27,6 +56,7 @@ void FaultModel::fail_node(Node v, std::uint64_t fail_time,
   }
   node_faults_[v].push_back({fail_time, repair_time});
   has_transient_ |= repair_time != kNeverRepaired;
+  version_.renew();
 }
 
 void FaultModel::fail_link(Node u, Node v, std::uint64_t fail_time,
@@ -39,6 +69,7 @@ void FaultModel::fail_link(Node u, Node v, std::uint64_t fail_time,
   }
   link_faults_[normalize(u, v)].push_back({fail_time, repair_time});
   has_transient_ |= repair_time != kNeverRepaired;
+  version_.renew();
 }
 
 bool FaultModel::any_active(const std::vector<FaultWindow>& windows,
@@ -73,6 +104,39 @@ std::size_t FaultModel::link_fault_count(std::uint64_t time) const {
     if (any_active(windows, time)) ++n;
   }
   return n;
+}
+
+void FaultModel::resolve(std::uint64_t time, ActiveFaults& out) const {
+  out.version_ = 0;  // covers nothing until the rebuild completes
+  std::uint64_t from = 0;
+  std::uint64_t until = kNeverRepaired;
+  // Narrows [from, until) to the boundaries around `time` and reports
+  // whether any window is active at `time`.
+  const auto active = [&](const std::vector<FaultWindow>& windows) {
+    bool any = false;
+    for (const FaultWindow& w : windows) {
+      for (const std::uint64_t boundary : {w.fail_time, w.repair_time}) {
+        if (boundary <= time) {
+          from = std::max(from, boundary);
+        } else {
+          until = std::min(until, boundary);
+        }
+      }
+      any = any || w.active_at(time);
+    }
+    return any;
+  };
+  out.facts_.clear();
+  for (const auto& [v, windows] : node_faults_) {
+    if (active(windows)) out.facts_.push_back({v, v});
+  }
+  for (const auto& [key, windows] : link_faults_) {
+    if (active(windows)) out.facts_.push_back({key.a, key.b});
+  }
+  out.index();
+  out.valid_from_ = from;
+  out.valid_until_ = until;
+  out.version_ = version();
 }
 
 FaultModel FaultModel::random(const HhcTopology& net, const RandomSpec& spec,

@@ -11,8 +11,13 @@
 // [fail_time, repair_time); `kNeverRepaired` makes it permanent. Queries
 // default to time 0; callers without a clock of their own read the model
 // there, where every permanent fault is already active.
+//
+// A caller that checks many facts at one instant (the adaptive router's
+// container scan and survivor BFS) resolves the model once into an
+// `ActiveFaults` snapshot instead of probing it fact by fact; see below.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -34,6 +39,92 @@ struct FaultWindow {
   [[nodiscard]] bool active_at(std::uint64_t time) const noexcept {
     return fail_time <= time && time < repair_time;
   }
+};
+
+/// The facts of one FaultModel active at one instant, in a form that costs
+/// a few nanoseconds per check.
+///
+/// An exact open-addressing set (linear probing, load <= 1/2) holds the
+/// active facts: a node `v` keyed (v, v), a link by its normalized pair
+/// (a, b) with a < b, so the snapshot needs no topology. In front of it
+/// sits a filter of one bit per bucket, at least 64 bits per fact, set for
+/// every fact's bucket: a check on a healthy element (nearly every check)
+/// reads one filter word and stops; only a set bit probes the set.
+///
+/// The snapshot remembers the model's version() and the interval
+/// [valid_from, valid_until) between the latest window boundary at or
+/// before the resolve time and the earliest one after it. No window opens
+/// or closes inside that interval, so the snapshot answers for every time
+/// in it until the model is mutated. Built by FaultModel::resolve; a
+/// re-resolve into a snapshot already grown to the active set allocates
+/// nothing.
+class ActiveFaults {
+ public:
+  [[nodiscard]] bool node_faulty(Node v) const noexcept {
+    return contains(v, v);
+  }
+  [[nodiscard]] bool link_faulty(Node u, Node v) const noexcept {
+    return contains(u, v);
+  }
+
+  /// True when this snapshot answers for the model stamped `version` at
+  /// `time`.
+  [[nodiscard]] bool covers(std::uint64_t version,
+                            std::uint64_t time) const noexcept {
+    return version == version_ && valid_from_ <= time && time < valid_until_;
+  }
+
+  /// Number of active facts (nodes plus links).
+  [[nodiscard]] std::size_t size() const noexcept { return facts_.size(); }
+  [[nodiscard]] std::uint64_t valid_from() const noexcept {
+    return valid_from_;
+  }
+  [[nodiscard]] std::uint64_t valid_until() const noexcept {
+    return valid_until_;
+  }
+
+ private:
+  friend class FaultModel;
+
+  struct Key {
+    Node a = 0;
+    Node b = 0;
+  };
+  // No node id reaches 2^37, so an all-ones `a` marks a free slot.
+  static constexpr Node kFree = ~Node{0};
+
+  // One multiply (Fibonacci hashing); callers read the top bits. A check
+  // sits on the survivor BFS's critical path, so latency beats mixing.
+  // Symmetric in (u, v), so a link is hashed before it is normalized and
+  // only a filter hit pays for the normalization.
+  [[nodiscard]] static std::uint64_t hash(Node u, Node v) noexcept {
+    return ((u + v) ^ ((u ^ v) << 29)) * 0x9E3779B97F4A7C15ULL;
+  }
+
+  [[nodiscard]] bool contains(Node u, Node v) const noexcept {
+    const std::uint64_t h = hash(u, v);
+    const std::uint64_t bit = h >> filter_shift_;
+    if (((filter_[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
+    const Key k = u < v ? Key{u, v} : Key{v, u};
+    const std::size_t mask = slots_.size() - 1;
+    for (auto i = static_cast<std::size_t>(h >> slot_shift_);;
+         i = (i + 1) & mask) {
+      if (slots_[i].a == kFree) return false;
+      if (slots_[i].a == k.a && slots_[i].b == k.b) return true;
+    }
+  }
+
+  /// Sizes the filter and the set to facts_ and inserts every fact.
+  void index();
+
+  std::vector<Key> facts_;         // the active facts, in resolve order
+  std::vector<Key> slots_;         // the exact set, power-of-two size
+  std::vector<std::uint64_t> filter_ = std::vector<std::uint64_t>(1, 0);
+  unsigned filter_shift_ = 58;     // 64 - log2(filter bits)
+  unsigned slot_shift_ = 64;       // 64 - log2(slots_.size())
+  std::uint64_t version_ = 0;      // no model carries version 0
+  std::uint64_t valid_from_ = 0;
+  std::uint64_t valid_until_ = 0;  // empty interval: covers nothing
 };
 
 class FaultModel {
@@ -76,6 +167,21 @@ class FaultModel {
   /// True when some registered fault has a finite repair time.
   [[nodiscard]] bool has_transient() const noexcept { return has_transient_; }
 
+  /// A stamp unique in the process to this model's current contents.
+  /// Every mutation takes a fresh one; a copy shares its source's (same
+  /// contents), and a moved-from model takes a fresh one. A snapshot
+  /// resolved from a model is therefore current exactly while its version
+  /// matches, whatever address the model lives at.
+  [[nodiscard]] std::uint64_t version() const noexcept {
+    return version_.value();
+  }
+
+  /// Rebuilds `out` as the facts active at `time`, with the interval over
+  /// which they stay active (ActiveFaults). Costs one pass over every
+  /// registered window, so a caller resolves once and then reads the
+  /// snapshot for as long as ActiveFaults::covers says it may.
+  void resolve(std::uint64_t time, ActiveFaults& out) const;
+
   /// What FaultModel::random injects. Counts are distinct elements; all
   /// sampled faults share the same [fail_time, repair_time) window.
   struct RandomSpec {
@@ -110,10 +216,35 @@ class FaultModel {
   static bool any_active(const std::vector<FaultWindow>& windows,
                          std::uint64_t time);
 
+  // The version stamp: copies keep it, moves hand it over and re-stamp
+  // the source, construction and renew() draw a fresh one.
+  class Stamp {
+   public:
+    Stamp() noexcept : value_{next()} {}
+    Stamp(const Stamp&) noexcept = default;
+    Stamp& operator=(const Stamp&) noexcept = default;
+    Stamp(Stamp&& other) noexcept : value_{other.value_} {
+      other.value_ = next();
+    }
+    Stamp& operator=(Stamp&& other) noexcept {
+      value_ = other.value_;
+      other.value_ = next();
+      return *this;
+    }
+
+    void renew() noexcept { value_ = next(); }
+    [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+
+   private:
+    static std::uint64_t next() noexcept;
+    std::uint64_t value_;
+  };
+
   std::unordered_map<Node, std::vector<FaultWindow>> node_faults_;
   std::unordered_map<LinkKey, std::vector<FaultWindow>, LinkKeyHash>
       link_faults_;
   bool has_transient_ = false;
+  Stamp version_;
 };
 
 }  // namespace hhc::core

@@ -128,11 +128,19 @@ LocalRouteView local_fault_route(const HhcTopology& net, Node s, Node t,
     }
     order[degree - 1] = {route_length(net, net.external_neighbor(v), t),
                          net.external_neighbor(v)};
-    std::sort(order.begin(), order.begin() + degree,
-              [](const auto& lhs, const auto& rhs) {
-                return lhs.first != rhs.first ? lhs.first > rhs.first
-                                              : lhs.second > rhs.second;
-              });
+    // Insertion sort over the used entries. The order is strict and total
+    // (the neighbors are distinct), so it is the one std::sort gives.
+    for (unsigned i = 1; i < degree; ++i) {
+      const std::pair<std::size_t, Node> entry = order[i];
+      unsigned j = i;
+      for (; j > 0 && (entry.first != order[j - 1].first
+                           ? entry.first > order[j - 1].first
+                           : entry.second > order[j - 1].second);
+           --j) {
+        order[j] = order[j - 1];
+      }
+      order[j] = entry;
+    }
     const auto begin = static_cast<std::uint32_t>(untried.size());
     for (unsigned i = 0; i < degree; ++i) untried.push_back(order[i].second);
     frames.push_back(LocalRouteScratch::Frame{

@@ -13,11 +13,28 @@
 
 namespace hhc::fault {
 
+using core::ActiveFaults;
 using core::FaultModel;
 using core::Node;
 using core::Path;
 
 namespace {
+
+// HhcTopology::external_neighbor without its range check: flips bit
+// dec(Y) of X, i.e. address bit m + Y.
+Node external_neighbor(Node v, unsigned m) noexcept {
+  return bits::flip(v, m + static_cast<unsigned>(v & bits::low_mask(m)));
+}
+
+// This thread's snapshot of the faults a query reads. Re-resolved only
+// when the query's model or time falls outside what it covers, so a run
+// of queries against one model inside one fault interval resolves once.
+const ActiveFaults& active_faults(const FaultModel& faults,
+                                  std::uint64_t time) {
+  thread_local ActiveFaults snapshot;
+  if (!snapshot.covers(faults.version(), time)) faults.resolve(time, snapshot);
+  return snapshot;
+}
 
 // Views a container generically: `view.path_count()`, `view.path_size(i)`,
 // `view.node(i, j)`. Implemented by core::ContainerHandle (cached, lazily
@@ -36,19 +53,18 @@ struct RefSetView {
   }
 };
 
-// Every hop of path i traversable at `time`. route() has already found
-// both endpoints healthy, so a hop probes only its link and, unless it
-// enters t, the node it enters: two FaultModel probes per hop where
-// edge_usable_at would make three, with the same verdict.
+// Every hop of path i traversable in the snapshot. route() has already
+// found both endpoints healthy, so a hop checks only its link and, unless
+// it enters t, the node it enters.
 template <typename View>
-bool path_survives(const View& view, std::size_t i, const FaultModel& faults,
-                   std::uint64_t time) {
+bool path_survives(const View& view, std::size_t i,
+                   const ActiveFaults& active) {
   const std::size_t last = view.path_size(i) - 1;
   Node u = view.node(i, 0);
   for (std::size_t j = 1; j <= last; ++j) {
     const Node v = view.node(i, j);
-    if (j < last && faults.node_faulty_at(v, time)) return false;
-    if (faults.link_faulty_at(u, v, time)) return false;
+    if (j < last && active.node_faulty(v)) return false;
+    if (active.link_faulty(u, v)) return false;
     u = v;
   }
   return true;
@@ -58,12 +74,12 @@ bool path_survives(const View& view, std::size_t i, const FaultModel& faults,
 // shortest survivor (same selection as the historical Path* scan) and
 // materializes only that one.
 template <typename View>
-void select_survivor(const View& view, const FaultModel& faults,
-                     std::uint64_t time, query::RouteResult& result) {
+void select_survivor(const View& view, const ActiveFaults& active,
+                     query::RouteResult& result) {
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t best = kNone;
   for (std::size_t i = 0; i < view.path_count(); ++i) {
-    if (!path_survives(view, i, faults, time)) {
+    if (!path_survives(view, i, active)) {
       ++result.container_paths_blocked;
       continue;
     }
@@ -157,19 +173,19 @@ class SweepScratch {
 
   /// The BFS path s -> t, read back through the parent marks. Allocates
   /// exactly the returned path.
-  Path path_to(const core::HhcTopology& net, Node t) {
+  Path path_to(unsigned m, Node t) {
     std::size_t hops = 0;
-    for (Node w = t; find(w).mark != kSource; w = parent(net, w)) ++hops;
+    for (Node w = t; find(w).mark != kSource; w = parent(m, w)) ++hops;
     Path path(hops + 1);
     path[hops] = t;
-    for (std::size_t i = hops; i > 0; --i) path[i - 1] = parent(net, path[i]);
+    for (std::size_t i = hops; i > 0; --i) path[i - 1] = parent(m, path[i]);
     return path;
   }
 
  private:
-  Node parent(const core::HhcTopology& net, Node v) {
+  Node parent(unsigned m, Node v) {
     const unsigned dim = find(v).mark;
-    return dim < net.m() ? bits::flip(v, dim) : net.external_neighbor(v);
+    return dim < m ? bits::flip(v, dim) : external_neighbor(v, m);
   }
 
   std::vector<Slot> slots_;
@@ -189,11 +205,11 @@ SweepScratch& tls_sweep_scratch() {
 // (internal dimensions ascending, then external) through a FIFO, so every
 // parent choice, and hence the detour, is the textbook BFS's.
 //
-// Each fact is probed at most once per sweep: u is never re-probed (it is
-// s, which route() found healthy, or was reached over a usable edge); a
-// neighbor's health is probed on first sight and kept in its mark; and a
-// link is probed only from the endpoint expanded first, since the other
-// endpoint is reached by then.
+// Each fact is checked at most once per sweep, in the snapshot: u is never
+// re-checked (it is s, which route() found healthy, or was reached over a
+// usable edge); a neighbor's health is checked on first sight and kept in
+// its mark; and a link is checked only from the endpoint expanded first,
+// since the other endpoint is reached by then.
 //
 // Cooperatively cancellable: every util::kStopCheckStride expansions the
 // query's deadline/token are polled, and an expired search sets
@@ -201,8 +217,8 @@ SweepScratch& tls_sweep_scratch() {
 // visit the whole survivor subgraph, which is exactly the stage a deadline
 // must be able to interrupt.
 Path survivor_bfs(const core::HhcTopology& net, Node s, Node t,
-                  const FaultModel& faults, std::uint64_t time,
-                  const query::PairQuery& query, bool& timed_out) {
+                  const ActiveFaults& active, const query::PairQuery& query,
+                  bool& timed_out) {
   SweepScratch& scratch = tls_sweep_scratch();
   std::vector<Node>& fifo = scratch.begin();
   const unsigned m = net.m();
@@ -221,19 +237,19 @@ Path survivor_bfs(const core::HhcTopology& net, Node s, Node t,
     const Node u = fifo[head];
     scratch.reserve(m + 1, node_count);
     for (unsigned dim = 0; dim <= m; ++dim) {
-      const Node v = dim < m ? bits::flip(u, dim) : net.external_neighbor(u);
+      const Node v = dim < m ? bits::flip(u, dim) : external_neighbor(u, m);
       SweepScratch::Slot& slot = scratch.find(v);
       if (scratch.live(slot)) {
         if (slot.mark != SweepScratch::kHealthy) continue;  // reached or dead
-      } else if (faults.node_faulty_at(v, time)) {
+      } else if (active.node_faulty(v)) {
         scratch.set(slot, v, SweepScratch::kDead);
         continue;
       } else {
         scratch.set(slot, v, SweepScratch::kHealthy);
       }
-      if (faults.link_faulty_at(u, v, time)) continue;
+      if (active.link_faulty(u, v)) continue;
       slot.mark = static_cast<std::uint8_t>(dim);
-      if (v == t) return scratch.path_to(net, t);
+      if (v == t) return scratch.path_to(m, t);
       fifo.push_back(v);
     }
   }
@@ -249,9 +265,10 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   const Node s = query.s;
   const Node t = query.t;
 
+  const ActiveFaults& active = active_faults(faults, query.time);
+
   query::RouteResult result;
-  if (faults.node_faulty_at(s, query.time) ||
-      faults.node_faulty_at(t, query.time)) {
+  if (active.node_faulty(s) || active.node_faulty(t)) {
     return result;  // a dead endpoint is disconnection, not an error
   }
   if (s == t) {
@@ -274,11 +291,11 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
     if (cache_ != nullptr) {
       const core::ContainerHandle handle =
           cache_->lookup(s, t, query.options, &result.cache_hit);
-      select_survivor(handle, faults, query.time, result);
+      select_survivor(handle, active, result);
     } else {
       const core::DisjointPathSetRef container = core::node_disjoint_paths(
           net_, s, t, query.options, core::tls_construction_scratch());
-      select_survivor(RefSetView{container.paths}, faults, query.time, result);
+      select_survivor(RefSetView{container.paths}, active, result);
     }
   }
   if (!result.paths.empty()) return result;
@@ -301,7 +318,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
       obs::stage_histogram(obs::stages::kBfsFallback);
   obs::TraceSpan span{obs::stages::kBfsFallback, &fallback_hist};
   bool timed_out = false;
-  Path detour = survivor_bfs(net_, s, t, faults, query.time, query, timed_out);
+  Path detour = survivor_bfs(net_, s, t, active, query, timed_out);
   if (timed_out) {
     result.outcome = query::RouteOutcome::kTimedOut;
     return result;

@@ -15,7 +15,10 @@
 //   * PathService::answer_view on a hit (handle + telemetry only);
 //   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
 //     has grown: a disconnected full sweep allocates nothing, and a detour
-//     allocates only the returned path and the result's paths vector.
+//     allocates only the returned path and the result's paths vector —
+//     also at a new time inside the fault interval the snapshot covers;
+//   * re-resolving the router's per-thread fault snapshot (a new model or
+//     a new interval) once it has grown to the largest active set.
 //
 // The measured regions contain no gtest assertions (the assertion machinery
 // allocates); deltas are captured first and checked after. If one of these
@@ -36,6 +39,7 @@
 #include "fault/adaptive_router.hpp"
 #include "obs/metrics.hpp"
 #include "query/path_service.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -60,10 +64,16 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
+// gcc 12 inlines these into std::allocator and then flags free() on memory
+// from operator new (-Wmismatched-new-delete). The replaced operator new
+// above allocates with malloc, so malloc and free pair by construction.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
@@ -306,6 +316,93 @@ TEST(AllocationFree, BestEffortDetourAllocatesOnlyItsResult) {
   EXPECT_TRUE(r.used_fallback);
   ASSERT_EQ(r.paths.size(), 1u);
   EXPECT_TRUE(is_valid_path(net, r.primary(), s, t));
+}
+
+TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
+  // Every fault holds during [0, 100): the warm-up routes at time 10
+  // resolve this thread's snapshot, and the measured routes at other times
+  // inside the interval reuse it with the counts above.
+  const HhcTopology net{3};
+  const fault::AdaptiveRouter router{net};
+  const Node s = net.encode(5, 2);
+  const Node t = net.encode(200, 5);
+  FaultModel isolated;
+  for (const Node v : net.neighbors(t)) isolated.fail_node(v, 0, 100);
+  FaultModel blocked;
+  const Node ds = net.encode(0, 0);
+  const Node dt = net.encode(177, 6);
+  for (const Path& path : node_disjoint_paths(net, ds, dt).paths) {
+    blocked.fail_node(path[path.size() / 2], 0, 100);
+  }
+
+  (void)router.route(s, t, isolated, 10);
+  std::size_t before = allocation_count();
+  const query::RouteResult swept = router.route(s, t, isolated, 57);
+  const std::size_t sweep_delta = allocation_count() - before;
+
+  (void)router.route(ds, dt, blocked, 10);
+  before = allocation_count();
+  const query::RouteResult detoured = router.route(ds, dt, blocked, 99);
+  const std::size_t detour_delta = allocation_count() - before;
+
+  EXPECT_EQ(sweep_delta, 0u);
+  EXPECT_EQ(swept.level, query::DegradationLevel::kDisconnected);
+  EXPECT_TRUE(swept.used_fallback);
+  EXPECT_EQ(detour_delta, 2u);
+  EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
+  ASSERT_EQ(detoured.paths.size(), 1u);
+  EXPECT_TRUE(is_valid_path(net, detoured.primary(), ds, dt));
+}
+
+TEST(AllocationFree, ReResolveIntoGrownSnapshot) {
+  // s is down during [0, 10) and [20, 30) in two models of different
+  // sizes, so a query from s returns right after the endpoint check and
+  // the route's only work is the snapshot. Each measured route changes
+  // the model or the interval and so re-resolves; once the warm-up has
+  // grown the snapshot to the larger model, none of them allocates.
+  const HhcTopology net{3};
+  const fault::AdaptiveRouter router{net};
+  const Node s = net.encode(3, 1);
+  const Node t = net.encode(90, 4);
+  FaultModel small;
+  FaultModel large;
+  for (FaultModel* model : {&small, &large}) {
+    model->fail_node(s, 0, 10);
+    model->fail_node(s, 20, 30);
+  }
+  util::Xoshiro256 rng{0xA1130};
+  for (int k = 0; k < 400; ++k) {
+    const Node u = rng.below(net.node_count());
+    if (u == s) continue;
+    large.fail_node(u, rng.below(30), 40);
+    large.fail_link(u, net.external_neighbor(u), rng.below(30), 40);
+  }
+  const std::uint64_t times[] = {5, 25};
+
+  for (const FaultModel* model : {&large, &small}) {
+    for (const std::uint64_t time : times) {
+      (void)router.route(s, t, *model, time);
+    }
+  }
+  std::vector<query::RouteResult> results;
+  results.reserve(8);
+  const std::size_t before = allocation_count();
+  for (int round = 0; round < 2; ++round) {
+    for (const FaultModel* model : {&small, &large}) {
+      for (const std::uint64_t time : times) {
+        results.push_back(router.route(s, t, *model, time));
+      }
+    }
+  }
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(delta, 0u) << "re-resolving routes performed " << delta
+                       << " heap allocations";
+  for (const query::RouteResult& r : results) {
+    EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
+    EXPECT_FALSE(r.used_fallback);
+    EXPECT_TRUE(r.paths.empty());
+  }
 }
 
 }  // namespace

@@ -174,6 +174,81 @@ TEST(QueryStress, ConcurrentSurvivorFallbackMatchesSerial) {
   EXPECT_EQ(service.stats().queries, kThreads * 150);
 }
 
+TEST(QueryStress, ConcurrentRoutesAcrossFaultEpochsMatchSerial) {
+  // Every thread keeps its own fault snapshot. Four threads walk the same
+  // queries through fault_churn-shaped epochs of two shared models, each
+  // in its own order, so their snapshots re-resolve at different moments
+  // while the others route; every answer must be the serial one.
+  constexpr std::size_t kRouters = 4;
+  constexpr std::uint64_t kEpochs = 6;
+  const HhcTopology net{3};
+  PathService service{net, {.cache_shards = 2}};
+  core::ContainerCache reference_cache{net};
+  const fault::AdaptiveRouter reference{net, &reference_cache};
+
+  util::Xoshiro256 fault_rng{41};
+  std::vector<core::FaultModel> models(2);
+  for (core::FaultModel& faults : models) {
+    for (std::uint64_t e = 0; e < kEpochs; ++e) {
+      for (int k = 0; k < 40; ++k) {
+        faults.fail_node(fault_rng.below(net.node_count()), e, e + 1);
+      }
+      for (int k = 0; k < 400; ++k) {
+        const Node u = fault_rng.below(net.node_count());
+        faults.fail_link(u, net.neighbors(u)[fault_rng.below(net.degree())],
+                         e, e + 1);
+      }
+    }
+  }
+
+  const auto pairs = core::sample_pairs(net, 48, 78);
+  const auto query = [&](std::size_t model, std::uint64_t epoch,
+                         std::size_t k) {
+    return PairQuery{.s = pairs[k].s,
+                     .t = pairs[k].t,
+                     .faults = &models[model],
+                     .time = epoch};
+  };
+  // expected[(model * kEpochs + epoch) * pairs.size() + k]
+  std::vector<RouteResult> expected;
+  std::size_t expected_fallbacks = 0;
+  for (std::size_t model = 0; model < models.size(); ++model) {
+    for (std::uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        expected.push_back(reference.route(query(model, epoch, k)));
+        if (expected.back().used_fallback) ++expected_fallbacks;
+      }
+    }
+  }
+  ASSERT_GE(expected_fallbacks * 5, expected.size());
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t id = 0; id < kRouters; ++id) {
+    threads.emplace_back([&, id] {
+      util::Xoshiro256 rng{950 + id};
+      for (std::size_t step = 0; step < 240; ++step) {
+        // Runs of 8 queries per epoch, and of 40 per model, offset by id.
+        const std::uint64_t epoch = (step / 8 + id) % kEpochs;
+        const std::size_t model = (step / 40 + id) % models.size();
+        if (id == 0 && step % 8 == 0) service.advance_fault_epoch();
+        const std::size_t k = rng.below(pairs.size());
+        const RouteResult& want =
+            expected[(model * kEpochs + epoch) * pairs.size() + k];
+        const RouteResult answer = service.answer(query(model, epoch, k));
+        if (answer.paths != want.paths || answer.level != want.level ||
+            answer.container_paths_blocked != want.container_paths_blocked ||
+            answer.used_fallback != want.used_fallback) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(service.stats().queries, kRouters * 240);
+}
+
 TEST(QueryStress, ConcurrentCacheWithEvictionStaysCorrect) {
   // Tiny capacity forces constant eviction -> constant re-construction and
   // entry churn under every shard lock, the worst case for the relabel path.

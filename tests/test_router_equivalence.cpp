@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -290,6 +291,102 @@ TEST(RouterEquivalence, SweepsInterleavedAcrossTopologies) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(tally.fallbacks, 100u);
+}
+
+// fault_churn's shape: during [e, e+1) for each epoch e < `epochs`, a
+// fraction of the nodes and of the links fail; one node is down for good.
+FaultModel epoch_schedule(const HhcTopology& net, std::uint64_t epochs,
+                          double node_frac, double link_frac,
+                          util::Xoshiro256& rng) {
+  FaultModel faults;
+  const std::uint64_t n = net.node_count();
+  const auto nodes = static_cast<std::uint64_t>(static_cast<double>(n) *
+                                                node_frac) + 1;
+  const auto links = static_cast<std::uint64_t>(
+      static_cast<double>(n * net.degree() / 2) * link_frac) + 1;
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    for (std::uint64_t k = 0; k < nodes; ++k) {
+      faults.fail_node(rng.below(n), e, e + 1);
+    }
+    for (std::uint64_t k = 0; k < links; ++k) {
+      const Node u = rng.below(n);
+      const auto nbrs = net.neighbors(u);
+      faults.fail_link(u, nbrs[rng.below(nbrs.size())], e, e + 1);
+    }
+  }
+  faults.fail_node(rng.below(n));
+  return faults;
+}
+
+TEST(RouterEquivalence, SnapshotFollowsModelsTopologiesAndTimes) {
+  // One thread's fault snapshot serves every query below in turn. Each
+  // block of eight routes keeps one model and topology while its time
+  // steps across two epoch boundaries; the next block switches topology
+  // (m = 1..4) and model. Routes thus alternate between reusing the
+  // snapshot and re-resolving it for a new interval or a new model, and
+  // every answer must be the oracle's. m = 4 gets sparse faults, so its
+  // BFS sweeps stay rare.
+  constexpr std::uint64_t kEpochs = 6;
+  util::Xoshiro256 rng{0xB1C};
+  std::vector<HhcTopology> nets;
+  std::vector<std::vector<FaultModel>> models;
+  for (unsigned m = 1; m <= 4; ++m) {
+    nets.emplace_back(m);
+    const double node_frac = m < 4 ? 0.02 : 0.00002;
+    const double link_frac = m < 4 ? 0.10 : 0.0001;
+    models.push_back({});
+    for (int k = 0; k < 2; ++k) {
+      models.back().push_back(
+          epoch_schedule(nets.back(), kEpochs, node_frac, link_frac, rng));
+    }
+  }
+  Tally tally;
+  for (std::size_t block = 0; block < 250; ++block) {
+    const HhcTopology& net = nets[block % nets.size()];
+    const FaultModel& faults =
+        models[block % nets.size()][(block / nets.size()) % 2];
+    const AdaptiveRouter router{net};
+    const std::uint64_t first = rng.below(kEpochs);
+    for (std::uint64_t k = 0; k < 8; ++k) {
+      Case c;
+      c.s = rng.below(net.node_count());
+      c.t = rng.below(net.node_count());
+      c.time = first + k / 3;
+      c.faults = faults;
+      expect_identical(net, router, c,
+                       reference_route(net, c.s, c.t, faults, c.time), tally);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(tally.best_effort, 20u);
+  EXPECT_GT(tally.disconnected_sweeps, 0u);
+}
+
+TEST(RouterEquivalence, ModelRebuiltAtOneAddressIsReResolved) {
+  // Two different models live at one address in turn; the second must not
+  // be answered from the snapshot resolved for the first.
+  const HhcTopology net{2};
+  const AdaptiveRouter router{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(9, 3);
+  std::optional<FaultModel> slot;
+  const FaultModel* address = nullptr;
+  for (int round = 0; round < 4; ++round) {
+    slot.emplace();
+    if (round % 2 == 0) slot->fail_node(t);
+    if (address != nullptr) {
+      ASSERT_EQ(&*slot, address);
+    }
+    address = &*slot;
+    const query::RouteResult want = reference_route(net, s, t, *slot, 0);
+    EXPECT_EQ(want.level, round % 2 == 0
+                              ? query::DegradationLevel::kDisconnected
+                              : query::DegradationLevel::kGuaranteed);
+    const query::RouteResult got = router.route(s, t, *slot);
+    EXPECT_EQ(got.paths, want.paths) << "round " << round;
+    EXPECT_EQ(got.level, want.level) << "round " << round;
+    slot.reset();
+  }
 }
 
 // Fails the middle node of every container path, so the scan comes up
