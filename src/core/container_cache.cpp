@@ -105,13 +105,16 @@ std::uint64_t ContainerCache::next_shard_id() noexcept {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-const ContainerCache::ShardIndex* ContainerCache::snapshot(Shard& shard) {
+const ContainerCache::ShardIndex* ContainerCache::snapshot(
+    Shard& shard) const {
   struct Entry {
     std::uint64_t version = 0;
     std::shared_ptr<const ShardIndex> index;
   };
   thread_local std::vector<Entry> tls_pins;
-  if (shard.id >= tls_pins.size()) tls_pins.resize(shard.id + 1);
+  // Sized for all of this cache's shards at once (their ids ascend in
+  // shards_ order), so a thread's first lookup is its only TLS growth here.
+  if (shard.id >= tls_pins.size()) tls_pins.resize(shards_.back()->id + 1);
   Entry& entry = tls_pins[shard.id];
   // Fresh TLS entries carry stamp 0, matching the never-published state's
   // null index, so the no-publications-yet case needs no refresh either.

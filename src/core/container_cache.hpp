@@ -349,7 +349,7 @@ class ContainerCache {
   /// returned pointer stays valid until this thread's next lookup on the
   /// same shard; it may be one publication stale, which is fine: the miss
   /// path re-probes the live index under the mutex before constructing.
-  [[nodiscard]] static const ShardIndex* snapshot(Shard& shard);
+  [[nodiscard]] const ShardIndex* snapshot(Shard& shard) const;
 
   /// Clones `old` (skipping `victim`, if any), inserts (key, value), and
   /// returns the new index. Pure build; caller publishes under the writer

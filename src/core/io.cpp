@@ -18,14 +18,24 @@ std::string binary(std::uint64_t v, unsigned width) {
 }
 
 // Graphviz node identifier (plain integer keeps dot happy).
-std::string dot_id(Node v) { return "n" + std::to_string(v); }
+std::string dot_id(Node v) {
+  std::string id{"n"};
+  id += std::to_string(v);
+  return id;
+}
 
 }  // namespace
 
 std::string format_node(const HhcTopology& net, Node v) {
   if (!net.contains(v)) throw std::invalid_argument("format_node: bad node");
-  return "(" + binary(net.cluster_of(v), net.cluster_dimensions()) + "," +
-         binary(net.position_of(v), net.m()) + ")";
+  // Appended piecewise: gcc 12 -O3 misreads `"(" + std::string` as an
+  // overlapping memcpy (-Wrestrict).
+  std::string out{"("};
+  out += binary(net.cluster_of(v), net.cluster_dimensions());
+  out += ',';
+  out += binary(net.position_of(v), net.m());
+  out += ')';
+  return out;
 }
 
 std::string format_path(const HhcTopology& net, const Path& path) {

@@ -59,11 +59,16 @@ const OrbitTable::Forms& OrbitTable::forms(unsigned m) {
       const unsigned width = 1U << n;  // bits of a cluster label
       const std::size_t positions = std::size_t{1} << n;
       std::vector<std::uint8_t> perms;  // perms[k*n + i] = σ_k(i)
-      std::vector<std::uint8_t> sigma(n);
+      // σ permutes the first n entries of the whole identity array. gcc 12
+      // at -O3 turns an iota over exactly n bytes into an 8-byte store and
+      // flags it (-Wstringop-overflow); filling all kMaxM entries does not.
+      std::array<std::uint8_t, kMaxM> sigma{};
       std::iota(sigma.begin(), sigma.end(), std::uint8_t{0});
+      const auto first = sigma.begin();
+      const auto last = first + n;
       do {
-        perms.insert(perms.end(), sigma.begin(), sigma.end());
-      } while (std::next_permutation(sigma.begin(), sigma.end()));
+        perms.insert(perms.end(), first, last);
+      } while (std::next_permutation(first, last));
       f.count = perms.size() / n;
 
       f.sigma_y.resize(f.count * positions);

@@ -1,5 +1,5 @@
 // Process-wide metric registry: named lock-free counters, gauges, and
-// power-of-two histograms.
+// striped log-linear histograms.
 //
 // The hot-path types are deliberately header-inline so that ANY layer —
 // including hhc_core, which hhc_obs's exporters link against — can record
@@ -15,17 +15,19 @@
 //       obs::MetricRegistry::global().counter("construct.arena_refills");
 //   refills.inc();
 //
-// Histogram generalizes the query engine's latency histogram (which is now
-// a thin wrapper, see query/stats.hpp): kBuckets power-of-two bins where
-// bucket b counts values in [2^(b-1), 2^b) and bucket 0 the sub-unit ones.
-// Percentiles read off upper bucket edges (conservative). Unlike the
-// pre-obs implementation, Snapshot::percentile skips empty leading buckets
-// (p = 0 reports the first NON-empty bucket's edge, not a phantom 1) and
-// aligns its error semantics with sim::percentile: out-of-range p and an
-// empty histogram throw std::invalid_argument instead of silently
-// returning 0.
+// Histogram is the one latency distribution of the codebase: the trace
+// stage histograms, the registry's histograms and PathService's
+// per-outcome answer latency all use its layout. Each recording thread
+// writes its own cache-line-aligned stripe (util::Striped), so a record
+// never touches a line another thread writes; snapshot() folds the stripes.
+// Buckets are log-linear, 8 per power of two (<= 12.5% relative error).
+// Percentiles read off upper bucket edges (conservative), skip empty
+// leading buckets (p = 0 reports the first NON-empty bucket's edge), and
+// share sim::percentile's error semantics: out-of-range p and an empty
+// histogram throw std::invalid_argument.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -35,11 +37,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/striped.hpp"
 
 namespace hhc::core {
 struct StatRow;
@@ -80,92 +83,136 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Shared percentile arithmetic for power-of-two bucket arrays (used by
-/// Histogram::Snapshot and query::LatencyHistogram::Snapshot). Throws
-/// std::invalid_argument for p outside [0, 1] (NaN included) or when the
-/// buckets are empty; p = 0 returns the edge of the first non-empty bucket.
-[[nodiscard]] inline double bucket_percentile(
-    std::span<const std::uint64_t> buckets, std::uint64_t count, double p) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw std::invalid_argument("bucket_percentile: p outside [0, 1]");
-  }
-  if (count == 0) {
-    throw std::invalid_argument("bucket_percentile: empty histogram");
-  }
-  // ceil(p * count) samples must fall at or below the reported edge; the
-  // clamp to >= 1 is what skips empty leading buckets at p = 0 (otherwise
-  // target = 0 is satisfied by bucket 0 even when bucket 0 holds nothing).
-  auto target =
-      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(count)));
-  if (target == 0) target = 1;
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    cumulative += buckets[b];
-    if (cumulative >= target) return std::ldexp(1.0, static_cast<int>(b));
-  }
-  return std::ldexp(1.0, static_cast<int>(buckets.size()) - 1);
-}
-
-/// Lock-free power-of-two histogram: bucket b counts values in
-/// [2^(b-1), 2^b), bucket 0 everything below 1 (plus NaN/negatives), the
-/// top bucket saturates. Recording is one relaxed fetch_add plus a CAS-loop
-/// max update; snapshots are consistent enough for dashboards (relaxed
-/// per-bucket loads).
+/// Log-linear histogram recorded into per-thread stripes.
+///
+/// Bucket layout: bucket 0 holds everything below 2^kMinExponent (zero,
+/// negatives and NaN included); buckets 1 .. kBuckets - 2 split each power
+/// of two in [2^kMinExponent, 2^kMaxExponent) into 2^kSubBits equal
+/// sub-buckets, indexed straight from the double's exponent and top
+/// kSubBits mantissa bits; the top bucket holds everything from
+/// 2^kMaxExponent up. A sub-bucket [lo, hi) has hi / lo <= 9 / 8, so an
+/// upper edge overstates any sample in it by at most 12.5%.
+///
+/// Writes: record() resolves the calling thread's Stripe (one TLS lookup,
+/// see util/striped.hpp), bumps one bucket and updates a running max, all
+/// on memory no other thread writes, so plain relaxed loads and stores do
+/// it. snapshot() folds every stripe under the histogram's mutex; stripes
+/// of exited threads stay owned by the histogram, so their counts survive.
+/// reset() starts a new epoch and never writes a stripe.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 40;
+  static constexpr int kSubBits = 3;
+  static constexpr int kMinExponent = -10;  // 2^-10 µs ≈ 1 ps
+  static constexpr int kMaxExponent = 30;   // 2^30 µs ≈ 18 min
+  static constexpr std::size_t kBuckets =
+      2 + (static_cast<std::size_t>(kMaxExponent - kMinExponent) << kSubBits);
+  /// 2^kMinExponent and 2^kMaxExponent: the log-linear range.
+  static constexpr double kLowest = std::bit_cast<double>(
+      static_cast<std::uint64_t>(1023 + kMinExponent) << 52);
+  static constexpr double kHighest = std::bit_cast<double>(
+      static_cast<std::uint64_t>(1023 + kMaxExponent) << 52);
 
   struct Snapshot {
-    std::vector<std::uint64_t> buckets;  // kBuckets power-of-two bins
-    std::uint64_t count = 0;
+    std::vector<std::uint64_t> buckets = std::vector<std::uint64_t>(kBuckets);
+    std::uint64_t count = 0;  // always the sum of `buckets`
     double max_value = 0.0;
 
-    /// Upper bucket edge below which a `p` fraction of samples fall.
-    /// Throws std::invalid_argument when empty or p is outside [0, 1].
+    /// Upper edge of the bucket holding the ceil(p * count)-th smallest
+    /// sample (conservative: >= the sample, by at most 12.5% inside the
+    /// log-linear range); the top bucket reports max_value. p = 0 reports
+    /// the first non-empty bucket. Throws std::invalid_argument when empty
+    /// or when p is outside [0, 1] (NaN included), like sim::percentile.
     [[nodiscard]] double percentile(double p) const {
-      return bucket_percentile(buckets, count, p);
+      if (!(p >= 0.0 && p <= 1.0)) {
+        throw std::invalid_argument("Histogram: percentile p outside [0, 1]");
+      }
+      if (count == 0) {
+        throw std::invalid_argument("Histogram: percentile of no samples");
+      }
+      // The clamp to >= 1 is what skips empty leading buckets at p = 0.
+      auto target =
+          static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(count)));
+      if (target == 0) target = 1;
+      std::uint64_t cumulative = 0;
+      for (std::size_t b = 0; b + 1 < buckets.size(); ++b) {
+        cumulative += buckets[b];
+        if (cumulative >= target) return upper_edge(b);
+      }
+      return std::max(max_value, kHighest);
+    }
+
+    /// Adds another snapshot's samples (e.g. per-outcome histograms).
+    void merge(const Snapshot& other) {
+      for (std::size_t b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
+      count += other.count;
+      max_value = std::max(max_value, other.max_value);
     }
   };
 
-  /// Bucket index for a sample: 0 for < 1 (also NaN/negatives), else
-  /// 1 + floor(log2(v)), saturating at the top bucket.
+  /// Bucket index for a sample (see the class comment).
   [[nodiscard]] static std::size_t bucket_of(double value) noexcept {
-    if (!(value >= 1.0)) return 0;
-    if (value >= 0x1p63) return kBuckets - 1;  // beyond uint64 conversion
-    const auto v = static_cast<std::uint64_t>(value);
-    const auto width = static_cast<std::size_t>(std::bit_width(v));
-    return width < kBuckets ? width : kBuckets - 1;
+    if (!(value >= kLowest)) return 0;
+    if (value >= kHighest) return kBuckets - 1;
+    return static_cast<std::size_t>(
+        (std::bit_cast<std::uint64_t>(value) >> kMantissaShift) - kIndexBias);
   }
 
-  /// Thread-safe, wait-free; NaN/negative samples clamp to bucket 0.
-  void record(double value) noexcept {
-    buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    if (!(value > 0.0)) return;
-    double seen = max_.load(std::memory_order_relaxed);
-    while (value > seen && !max_.compare_exchange_weak(
-                               seen, value, std::memory_order_relaxed)) {
-    }
+  /// Exclusive upper edge of bucket b < kBuckets - 1 (2^kMinExponent for
+  /// bucket 0): the bit pattern of the next bucket's lower edge.
+  [[nodiscard]] static double upper_edge(std::size_t b) noexcept {
+    return std::bit_cast<double>((b + 1 + kIndexBias) << kMantissaShift);
   }
+
+  /// One thread's buckets and running max. Single writer (the owning
+  /// thread); any thread may fold it. PathService embeds stripes in its own
+  /// per-thread cell so an answer resolves one TLS slot for all telemetry.
+  class Stripe {
+   public:
+    void record(double value) noexcept {
+      util::stripe_add(buckets_[bucket_of(value)]);
+      // NaN and non-positive samples never become the max.
+      if (value > max_.load(std::memory_order_relaxed)) {
+        max_.store(value, std::memory_order_relaxed);
+      }
+    }
+
+    void add_to(Snapshot& snap) const noexcept {
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        const std::uint64_t n = buckets_[b].load(std::memory_order_relaxed);
+        snap.buckets[b] += n;
+        snap.count += n;
+      }
+      snap.max_value =
+          std::max(snap.max_value, max_.load(std::memory_order_relaxed));
+    }
+
+   private:
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+    std::atomic<double> max_{0.0};
+  };
+
+  /// Thread-safe; wait-free after this thread's first record.
+  void record(double value) noexcept { stripes_.local().record(value); }
 
   [[nodiscard]] Snapshot snapshot() const {
     Snapshot snap;
-    snap.buckets.resize(kBuckets);
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      snap.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-      snap.count += snap.buckets[b];
-    }
-    snap.max_value = max_.load(std::memory_order_relaxed);
+    stripes_.for_each([&snap](const Stripe& stripe) { stripe.add_to(snap); });
     return snap;
   }
 
-  void reset() noexcept {
-    for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-    max_.store(0.0, std::memory_order_relaxed);
-  }
+  /// Zeroes the histogram without writing any stripe (see
+  /// util::Striped::reset()); a record racing the reset lands before or
+  /// after it.
+  void reset() noexcept { stripes_.reset(); }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<double> max_{0.0};
+  // bits >> kMantissaShift is (biased exponent << kSubBits) | sub-bucket;
+  // the bias maps 2^kMinExponent to bucket 1.
+  static constexpr int kMantissaShift = 52 - kSubBits;
+  static constexpr std::uint64_t kIndexBias =
+      (static_cast<std::uint64_t>(1023 + kMinExponent) << kSubBits) - 1;
+
+  util::Striped<Stripe> stripes_;
 };
 
 /// Name-sorted point-in-time view of every registered metric; histogram

@@ -11,24 +11,10 @@ namespace hhc::obs::stages {
 inline constexpr const char* kAnswer = "query.answer";
 inline constexpr const char* kAnswerView = "query.answer_view";
 
-// per-outcome answer latency (overload robustness layer); the .ok histogram
-// is the production latency, .timed_out what in-flight expired work cost
-// before it was abandoned. Gate sheds and admission-time expiries are
-// deliberately histogram-free: the shed-fast path performs NO shared-memory
-// writes (per-thread striped tallies only, surfaced via ServiceStats), so
-// rejection stays effectively free under overload.
-inline constexpr const char* kAnswerOk = "query.answer.ok";
-inline constexpr const char* kAnswerTimedOut = "query.answer.timed_out";
-
-// overload decision counters (obs::MetricRegistry counters, not spans);
-// shed/timed-out totals live in ServiceStats, not the registry, for the
-// same shed-fast reason.
-inline constexpr const char* kInvalidCount = "query.invalid";
-inline constexpr const char* kDegradedAdmissionCount =
-    "query.degraded_admission";
-inline constexpr const char* kBreakerShortCircuitCount =
-    "query.breaker_short_circuit";
-inline constexpr const char* kBreakerTripCount = "query.breaker_trips";
+// Per-outcome answer latency and the overload tallies (shed, timed out,
+// invalid, degraded admissions, breaker short-circuits and trips) are not
+// registry metrics: PathService keeps them in its own per-thread stripes
+// and ServiceStats is their one source.
 
 // container cache (miss-path stages; the lock-free HIT path is deliberately
 // span-free — hits are timed by the enclosing query.answer/answer_view

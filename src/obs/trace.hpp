@@ -8,7 +8,7 @@
 //
 // When ENABLED, each completed span appends one fixed-size event to the
 // calling thread's ring buffer. The ring is SINGLE-WRITER LOCK-FREE: the
-// owning thread commits an event with a handful of relaxed atomic stores
+// owning thread commits an event with a handful of release atomic stores
 // bracketed by a per-slot sequence counter (a seqlock), so an enabled span
 // never takes a mutex either — the enabled-tracing throughput cost on the
 // query hot path stays < 5% (pinned by the CI bench smoke check). Rings
@@ -85,8 +85,12 @@ struct TraceRing {
       : capacity{cap}, tid{id},
         slots{cap > 0 ? std::make_unique<Slot[]>(cap) : nullptr} {}
 
-  /// Owner thread only. Lock-free: a seq bump, three relaxed stores, a
-  /// closing seq store, and the count publication.
+  /// Owner thread only. Lock-free: a seq bump, three release stores, a
+  /// closing seq store, and the count publication. Each field store is a
+  /// release, so a reader that acquires a field value from this write also
+  /// sees the odd seq stored before it; that is what lets snapshot() detect
+  /// a torn slot without standalone fences (which ThreadSanitizer cannot
+  /// model, and gcc rejects under -fsanitize=thread -Werror).
   void append(const char* name, std::uint64_t start,
               std::uint64_t dur) noexcept {
     if (capacity == 0) return;
@@ -94,10 +98,9 @@ struct TraceRing {
     Slot& slot = slots[n % capacity];
     const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: mid-write
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.start.store(start, std::memory_order_relaxed);
-    slot.dur.store(dur, std::memory_order_relaxed);
+    slot.name.store(name, std::memory_order_release);
+    slot.start.store(start, std::memory_order_release);
+    slot.dur.store(dur, std::memory_order_release);
     slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
     count.store(n + 1, std::memory_order_release);
   }
@@ -111,10 +114,11 @@ struct TraceRing {
       const Slot& slot = slots[i];
       const std::uint32_t s1 = slot.seq.load(std::memory_order_acquire);
       if ((s1 & 1) != 0) continue;  // mid-write
-      TraceEvent event{slot.name.load(std::memory_order_relaxed),
-                       slot.start.load(std::memory_order_relaxed),
-                       slot.dur.load(std::memory_order_relaxed), tid};
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire loads: a field value from a newer write makes that write's
+      // odd seq visible to the re-read below, which then differs from s1.
+      TraceEvent event{slot.name.load(std::memory_order_acquire),
+                       slot.start.load(std::memory_order_acquire),
+                       slot.dur.load(std::memory_order_acquire), tid};
       if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
       out.push_back(event);
     }

@@ -3,9 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/stages.hpp"
-
 namespace hhc::query {
 
 std::size_t& AdmissionGate::shed_streak() const {
@@ -104,18 +101,20 @@ void AdmissionGate::release() noexcept {
 
 void AdmissionGate::record_latency(double micros) noexcept {
   if (!(micros >= 0.0)) return;  // NaN/negative samples carry no signal
-  completion_count_.add(1);
-  completion_sum_ns_.add(static_cast<std::uint64_t>(micros * 1000.0));
+  Completions& local = completion_cells_.local();
+  const std::uint64_t n = local.count.load(std::memory_order_relaxed) + 1;
+  local.count.store(n, std::memory_order_relaxed);
+  util::stripe_add(local.sum_ns, static_cast<std::uint64_t>(micros * 1000.0));
   if (config_.overload_latency_us <= 0.0) {
     // Detector disabled: the cells are pure telemetry, folded only when
-    // ewma_latency_us() is read — no shared writes on the completion path.
+    // ewma_latency_us() is read.
     return;
   }
-  // Decision-epoch fold: every kDecisionEpoch-th completion folds the
-  // striped cells into the EWMA, and an overloaded gate folds eagerly so
-  // the rare probe completions reopen it without waiting out an epoch.
-  const std::uint64_t n =
-      completions_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Decision-epoch fold: every kDecisionEpoch-th completion of a thread
+  // folds the striped cells into the EWMA, and an overloaded gate folds
+  // eagerly so the rare probe completions reopen it without waiting out an
+  // epoch. The trigger is this thread's own count, so the completion path
+  // writes no shared memory between folds.
   if (n % kDecisionEpoch == 0 ||
       overload_cached_.load(std::memory_order_relaxed)) {
     (void)try_fold_completions();
@@ -123,8 +122,12 @@ void AdmissionGate::record_latency(double micros) noexcept {
 }
 
 void AdmissionGate::apply_fold_locked() const noexcept {
-  const std::uint64_t count = completion_count_.fold();
-  const std::uint64_t sum_ns = completion_sum_ns_.fold();
+  std::uint64_t count = 0;
+  std::uint64_t sum_ns = 0;
+  completion_cells_.for_each([&](const Completions& local) {
+    count += local.count.load(std::memory_order_relaxed);
+    sum_ns += local.sum_ns.load(std::memory_order_relaxed);
+  });
   const std::uint64_t pending = count - folded_count_;
   if (pending > 0) {
     const double mean_us = static_cast<double>(sum_ns - folded_sum_ns_) /
@@ -204,9 +207,6 @@ void CircuitBreaker::record(core::Node s, core::Node t, bool disconnected) {
   if (++entry.streak >= threshold_) {
     entry.open = true;
     trips_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& trips =
-        obs::MetricRegistry::global().counter(obs::stages::kBreakerTripCount);
-    trips.inc();
   }
 }
 

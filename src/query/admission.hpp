@@ -30,9 +30,9 @@
 // Shed-fast contract (PR 8): a rejected decision performs NO shared-memory
 // writes. The in-flight bound is checked with a read + CAS claim that only
 // writes on successful admission; completion feedback lands in per-thread
-// util::StripedCounter cells and is folded into the EWMA on decision
-// epochs, not per sample; and a disabled mechanism costs at most a relaxed
-// load. This is what makes rejection effectively free and lets goodput
+// util::Striped cells and is folded into the EWMA on decision epochs, not
+// per sample; and a disabled mechanism costs at most a relaxed load. This
+// is what makes rejection effectively free and lets goodput
 // plateau under overload instead of collapsing (the F6b closed-loop sweep
 // in BENCH_query.json is the acceptance curve).
 //
@@ -139,8 +139,8 @@ class AdmissionGate {
 
   /// Feeds one completed answer's latency into the detector: per-thread
   /// striped cells, folded into the EWMA on decision epochs (every
-  /// kDecisionEpoch completions, and eagerly while the gate is overloaded
-  /// so probe completions reopen it promptly). With the detector disabled
+  /// kDecisionEpoch completions of a thread, and eagerly while the gate is
+  /// overloaded so probe completions reopen it promptly). Between folds
   /// this touches thread-private cells only.
   void record_latency(double micros) noexcept;
 
@@ -163,7 +163,7 @@ class AdmissionGate {
     return config_;
   }
 
-  /// Completions folded per EWMA update when the detector is armed.
+  /// Completions per thread between EWMA folds when the detector is armed.
   static constexpr std::uint64_t kDecisionEpoch = 32;
 
  private:
@@ -184,11 +184,14 @@ class AdmissionGate {
   const std::uint64_t id_;  // process-unique; keys the per-thread shed streak
   std::atomic<std::size_t> in_flight_{0};
 
-  // Completion feedback: per-thread cells on the write side, folded into
-  // ewma_us_/overload_cached_ under fold_mutex_ on decision epochs.
-  util::StripedCounter completion_count_;
-  util::StripedCounter completion_sum_ns_;
-  std::atomic<std::uint64_t> completions_{0};  // epoch trigger (armed only)
+  // Completion feedback: one per-thread cell (count and summed ns) on the
+  // write side, folded into ewma_us_/overload_cached_ under fold_mutex_ on
+  // decision epochs.
+  struct Completions {
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum_ns{0};
+  };
+  util::Striped<Completions> completion_cells_;
   mutable std::mutex fold_mutex_;
   mutable std::uint64_t folded_count_ = 0;  // under fold_mutex_
   mutable std::uint64_t folded_sum_ns_ = 0;

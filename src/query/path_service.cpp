@@ -40,16 +40,6 @@ const RouteResult& timed_out_result() {
   return result;
 }
 
-obs::Histogram& outcome_histogram(RouteOutcome outcome) {
-  static obs::Histogram& ok = obs::stage_histogram(obs::stages::kAnswerOk);
-  static obs::Histogram& timed_out =
-      obs::stage_histogram(obs::stages::kAnswerTimedOut);
-  switch (outcome) {
-    case RouteOutcome::kTimedOut: return timed_out;
-    default: return ok;  // kOk / kShed-by-breaker (kInvalid never finalizes)
-  }
-}
-
 }  // namespace
 
 PathService::PathService(const core::HhcTopology& net, PathServiceConfig config)
@@ -65,23 +55,20 @@ PathService::PathService(const core::HhcTopology& net, PathServiceConfig config)
   if (config_.threads != 1) pool_.emplace(config_.threads);
 }
 
-void PathService::count_shed_fast(const PairQuery& query) noexcept {
-  (query.faults == nullptr ? pristine_ : fault_aware_).add(1);
-  shed_.add(1);
-}
-
-void PathService::count_timed_out_fast(const PairQuery& query) noexcept {
-  (query.faults == nullptr ? pristine_ : fault_aware_).add(1);
-  timed_out_.add(1);
+void PathService::count_rejected(const PairQuery& query,
+                                 Count outcome) noexcept {
+  Tally& tally = tallies_.local();
+  tally.bump(received(query));
+  tally.bump(outcome);
 }
 
 RouteResult PathService::finalize(const PairQuery& query, RouteResult result,
-                                  double micros) {
+                                  double micros, Tally& tally) {
   result.micros = micros;
-  latency_.record(micros);
-  outcome_histogram(result.outcome).record(micros);
-
-  (query.faults == nullptr ? pristine_ : fault_aware_).add(1);
+  (result.outcome == RouteOutcome::kTimedOut ? tally.latency_timed_out
+                                             : tally.latency_ok)
+      .record(micros);
+  tally.bump(received(query));
   switch (result.outcome) {
     case RouteOutcome::kOk:
       // Completed answers (and only those) feed the overload detector: a
@@ -89,31 +76,25 @@ RouteResult PathService::finalize(const PairQuery& query, RouteResult result,
       // the very overload it is evidence of.
       gate_.record_latency(micros);
       switch (result.level) {
-        case DegradationLevel::kGuaranteed:
-          guaranteed_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case DegradationLevel::kBestEffort:
-          best_effort_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case DegradationLevel::kDisconnected:
-          disconnected_.fetch_add(1, std::memory_order_relaxed);
-          break;
+        case DegradationLevel::kGuaranteed: tally.bump(kGuaranteed); break;
+        case DegradationLevel::kBestEffort: tally.bump(kBestEffort); break;
+        case DegradationLevel::kDisconnected: tally.bump(kDisconnected); break;
       }
       break;
     case RouteOutcome::kTimedOut:
       // In-flight timeouts did real admitted work; their cost is signal the
-      // detector should see and the .timed_out histogram keeps it visible.
+      // detector should see and the timed-out histogram keeps it visible.
       gate_.record_latency(micros);
-      timed_out_.add(1);
+      tally.bump(kTimedOut);
       break;
     case RouteOutcome::kShed:
       // Admitted work reported non-authoritative: breaker short-circuits
       // and degraded skip-fallback answers. Gate sheds never get here —
-      // they take the striped fast path in answer()/answer_view().
-      shed_.add(1);
+      // they take the shed-fast path in answer()/answer_view().
+      tally.bump(kShed);
       break;
     case RouteOutcome::kInvalid:
-      invalid_.fetch_add(1, std::memory_order_relaxed);
+      tally.bump(kInvalid);
       break;
   }
   return result;
@@ -127,38 +108,34 @@ RouteResult PathService::answer(const PairQuery& query) {
   // preallocated result — no span, no clock read, no histogram, no cache
   // or registry traffic.
   if (util::should_stop(query.deadline, query.cancel)) {
-    count_timed_out_fast(query);
+    count_rejected(query, kTimedOut);
     return timed_out_result();
   }
   const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
   if (verdict == AdmissionVerdict::kShed) {
-    count_shed_fast(query);
+    count_rejected(query, kShed);
     return shed_result();
   }
   if (verdict == AdmissionVerdict::kTimedOut) {
     // Queued past the deadline: never dispatched, so no service time to
     // report — same striped fast path as admission-time expiry.
-    count_timed_out_fast(query);
+    count_rejected(query, kTimedOut);
     return timed_out_result();
   }
 
   SlotGuard guard{gate_};
-  // Telemetry starts only once the query is admitted: latency_ and the
-  // stage histograms measure post-admission service time.
+  // Telemetry starts only once the query is admitted: the latency
+  // histograms measure post-admission service time.
   static obs::Histogram& answer_hist =
       obs::stage_histogram(obs::stages::kAnswer);
   obs::TraceSpan span{obs::stages::kAnswer, &answer_hist};
   util::Stopwatch watch;
+  Tally& tally = tallies_.local();
 
   const bool degraded = verdict == AdmissionVerdict::kAdmittedDegraded;
-  if (degraded) {
-    degraded_admissions_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& degrades = obs::MetricRegistry::global().counter(
-        obs::stages::kDegradedAdmissionCount);
-    degrades.inc();
-  }
-  RouteResult result = answer_impl(query, degraded);
-  return finalize(query, std::move(result), watch.micros());
+  if (degraded) tally.bump(kDegradedAdmissions);
+  RouteResult result = answer_impl(query, degraded, tally);
+  return finalize(query, std::move(result), watch.micros(), tally);
 }
 
 RouteView PathService::answer_view(const PairQuery& query) {
@@ -173,7 +150,7 @@ RouteView PathService::answer_view(const PairQuery& query) {
 
   // Same shed-fast ordering as answer(): refuse before any per-query work.
   if (util::should_stop(query.deadline, query.cancel)) {
-    count_timed_out_fast(query);
+    count_rejected(query, kTimedOut);
     RouteView view;
     view.outcome = RouteOutcome::kTimedOut;
     return view;
@@ -184,13 +161,13 @@ RouteView PathService::answer_view(const PairQuery& query) {
   // there is no fallback to skip — so it collapses to plain admission.)
   const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
   if (verdict == AdmissionVerdict::kShed) {
-    count_shed_fast(query);
+    count_rejected(query, kShed);
     RouteView view;
     view.outcome = RouteOutcome::kShed;
     return view;
   }
   if (verdict == AdmissionVerdict::kTimedOut) {
-    count_timed_out_fast(query);
+    count_rejected(query, kTimedOut);
     RouteView view;
     view.outcome = RouteOutcome::kTimedOut;
     return view;
@@ -201,6 +178,7 @@ RouteView PathService::answer_view(const PairQuery& query) {
       obs::stage_histogram(obs::stages::kAnswerView);
   obs::TraceSpan span{obs::stages::kAnswerView, &view_hist};
   util::Stopwatch watch;
+  Tally& tally = tallies_.local();
   RouteView view;
 
   // Stage boundary: a kQueue admission wait may have consumed the deadline;
@@ -209,10 +187,9 @@ RouteView PathService::answer_view(const PairQuery& query) {
   if (util::should_stop(query.deadline, query.cancel)) {
     view.outcome = RouteOutcome::kTimedOut;
     view.micros = watch.micros();
-    latency_.record(view.micros);
-    outcome_histogram(view.outcome).record(view.micros);
-    pristine_.add(1);
-    timed_out_.add(1);
+    tally.latency_timed_out.record(view.micros);
+    tally.bump(kPristine);
+    tally.bump(kTimedOut);
     return view;
   }
 
@@ -229,15 +206,15 @@ RouteView PathService::answer_view(const PairQuery& query) {
         cache_.lookup(query.s, query.t, query.options, &view.cache_hit);
   }
   view.micros = watch.micros();
-  latency_.record(view.micros);
-  outcome_histogram(RouteOutcome::kOk).record(view.micros);
+  tally.latency_ok.record(view.micros);
   gate_.record_latency(view.micros);
-  pristine_.add(1);
-  guaranteed_.fetch_add(1, std::memory_order_relaxed);
+  tally.bump(kPristine);
+  tally.bump(kGuaranteed);
   return view;
 }
 
-RouteResult PathService::answer_impl(const PairQuery& query, bool degraded) {
+RouteResult PathService::answer_impl(const PairQuery& query, bool degraded,
+                                     Tally& tally) {
   if (!net_.contains(query.s) || !net_.contains(query.t)) {
     throw std::invalid_argument("PathService: node out of range");
   }
@@ -257,11 +234,7 @@ RouteResult PathService::answer_impl(const PairQuery& query, bool degraded) {
       // another survivor sweep proving it again. kShed marks the verdict
       // as non-authoritative.
       result.outcome = RouteOutcome::kShed;
-      breaker_short_circuits_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& short_circuits =
-          obs::MetricRegistry::global().counter(
-              obs::stages::kBreakerShortCircuitCount);
-      short_circuits.inc();
+      tally.bump(kBreakerShortCircuits);
       return result;
     }
     result = router_.route(query, {.skip_fallback = degraded});
@@ -299,11 +272,7 @@ std::vector<RouteResult> PathService::answer(
       results[i].outcome = RouteOutcome::kInvalid;
       // Still one received query: keep it in the pristine/fault-aware totals
       // so the outcome partition keeps summing to `queries`.
-      (queries[i].faults == nullptr ? pristine_ : fault_aware_).add(1);
-      invalid_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& invalids =
-          obs::MetricRegistry::global().counter(obs::stages::kInvalidCount);
-      invalids.inc();
+      count_rejected(queries[i], kInvalid);
     }
   };
   if (pool_) {
@@ -316,25 +285,32 @@ std::vector<RouteResult> PathService::answer(
 
 ServiceStats PathService::stats() const {
   ServiceStats stats;
-  stats.pristine = pristine_.fold();
-  stats.fault_aware = fault_aware_.fold();
+  std::array<std::uint64_t, kCounts> counts{};
+  tallies_.for_each([&](const Tally& tally) {
+    for (std::size_t c = 0; c < kCounts; ++c) {
+      counts[c] += tally.counts[c].load(std::memory_order_relaxed);
+    }
+    tally.latency_ok.add_to(stats.latency_ok);
+    tally.latency_timed_out.add_to(stats.latency_timed_out);
+  });
+  stats.pristine = counts[kPristine];
+  stats.fault_aware = counts[kFaultAware];
   stats.queries = stats.pristine + stats.fault_aware;
-  stats.guaranteed = guaranteed_.load(std::memory_order_relaxed);
-  stats.best_effort = best_effort_.load(std::memory_order_relaxed);
-  stats.disconnected = disconnected_.load(std::memory_order_relaxed);
-  stats.shed = shed_.fold();
-  stats.timed_out = timed_out_.fold();
-  stats.invalid = invalid_.load(std::memory_order_relaxed);
-  stats.degraded_admissions =
-      degraded_admissions_.load(std::memory_order_relaxed);
-  stats.breaker_short_circuits =
-      breaker_short_circuits_.load(std::memory_order_relaxed);
+  stats.guaranteed = counts[kGuaranteed];
+  stats.best_effort = counts[kBestEffort];
+  stats.disconnected = counts[kDisconnected];
+  stats.shed = counts[kShed];
+  stats.timed_out = counts[kTimedOut];
+  stats.invalid = counts[kInvalid];
+  stats.degraded_admissions = counts[kDegradedAdmissions];
+  stats.breaker_short_circuits = counts[kBreakerShortCircuits];
   stats.breaker_trips = breaker_.trips();
   stats.fault_epoch = breaker_.fault_epoch();
   stats.ewma_latency_us = gate_.ewma_latency_us();
   stats.in_flight = gate_.in_flight();
   stats.cache = cache_.stats();
-  stats.latency = latency_.snapshot();
+  stats.latency = stats.latency_ok;
+  stats.latency.merge(stats.latency_timed_out);
   // Same read instant for the registry, so one ServiceStats carries every
   // telemetry surface (satellites read stats.metrics instead of touching
   // the global registry themselves).
@@ -342,18 +318,6 @@ ServiceStats PathService::stats() const {
   return stats;
 }
 
-void PathService::reset_stats() noexcept {
-  pristine_.reset();
-  fault_aware_.reset();
-  shed_.reset();
-  timed_out_.reset();
-  guaranteed_.store(0, std::memory_order_relaxed);
-  best_effort_.store(0, std::memory_order_relaxed);
-  disconnected_.store(0, std::memory_order_relaxed);
-  invalid_.store(0, std::memory_order_relaxed);
-  degraded_admissions_.store(0, std::memory_order_relaxed);
-  breaker_short_circuits_.store(0, std::memory_order_relaxed);
-  latency_.reset();
-}
+void PathService::reset_stats() noexcept { tallies_.reset(); }
 
 }  // namespace hhc::query

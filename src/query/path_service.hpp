@@ -22,9 +22,9 @@
 //     through fault::AdaptiveRouter — which shares this service's cache for
 //     its container lookups — so one service answers both pristine and
 //     degraded-mode traffic;
-//   * observability: per-shard hit/miss/eviction counters, a lock-free query
-//     latency histogram, and a stats() snapshot renderable as table, CSV, or
-//     JSON (query/stats.hpp).
+//   * observability: per-shard hit/miss/eviction counters, per-thread
+//     striped query tallies and latency histograms, and a stats() snapshot
+//     renderable as table, CSV, or JSON (query/stats.hpp).
 //
 // Semantics note: unlike the bare construction (which throws), a service
 // treats s == t as the trivial answer — one zero-length path, kGuaranteed —
@@ -32,6 +32,7 @@
 // request, not a programming error. Out-of-range nodes still throw.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -120,7 +121,7 @@ class PathService {
   /// Consistent telemetry snapshot (cheap; safe under concurrent answer()).
   [[nodiscard]] ServiceStats stats() const;
 
-  /// Zeroes the service-level counters and the latency histogram. Cache
+  /// Zeroes the service-level counters and latency histograms. Cache
   /// counters/entries are owned by the cache: use cache().clear().
   void reset_stats() noexcept;
 
@@ -149,16 +150,44 @@ class PathService {
   }
 
  private:
-  [[nodiscard]] RouteResult answer_impl(const PairQuery& query, bool degraded);
-  /// Shared exit path for ADMITTED queries: stamps micros, feeds the
-  /// histograms/EWMA, bumps the outcome and level counters. Shed/expired
-  /// queries never reach it — they take the striped fast paths below.
+  // Everything one caller thread tallies for this service, in one
+  // cache-line-aligned stripe: an answer resolves its slot once and writes
+  // only memory no other caller writes. stats() folds every stripe.
+  enum Count : std::size_t {
+    kPristine,
+    kFaultAware,
+    kGuaranteed,
+    kBestEffort,
+    kDisconnected,
+    kShed,
+    kTimedOut,
+    kInvalid,
+    kDegradedAdmissions,
+    kBreakerShortCircuits,
+    kCounts,
+  };
+  struct Tally {
+    std::array<std::atomic<std::uint64_t>, kCounts> counts{};
+    obs::Histogram::Stripe latency_ok;
+    obs::Histogram::Stripe latency_timed_out;
+
+    void bump(Count count) noexcept { util::stripe_add(counts[count]); }
+  };
+  [[nodiscard]] static Count received(const PairQuery& query) noexcept {
+    return query.faults == nullptr ? kPristine : kFaultAware;
+  }
+
+  [[nodiscard]] RouteResult answer_impl(const PairQuery& query, bool degraded,
+                                        Tally& tally);
+  /// Shared exit path for ADMITTED queries: stamps micros, records the one
+  /// latency sample, feeds the EWMA, bumps the outcome and level counters.
+  /// Shed/expired queries never reach it — they take count_rejected().
   RouteResult finalize(const PairQuery& query, RouteResult result,
-                       double micros);
-  /// The striped fast-path tallies: one thread-private cell bump per
-  /// counter, no shared cache-line writes (see util/striped.hpp).
-  void count_shed_fast(const PairQuery& query) noexcept;
-  void count_timed_out_fast(const PairQuery& query) noexcept;
+                       double micros, Tally& tally);
+  /// A query that never reached finalize(): gate sheds and expiries (the
+  /// shed-fast path) and malformed batch elements. Two bumps in this
+  /// thread's stripe, nothing else.
+  void count_rejected(const PairQuery& query, Count outcome) noexcept;
 
   const core::HhcTopology& net_;
   PathServiceConfig config_;
@@ -167,22 +196,7 @@ class PathService {
   std::optional<util::ThreadPool> pool_;
   AdmissionGate gate_;
   CircuitBreaker breaker_;
-
-  // pristine/fault-aware/shed/timed-out sit on the shed-fast and
-  // expiry-fast paths, so they are per-thread striped cells folded by
-  // stats(); the level counters only move on completed (admitted) answers
-  // and stay plain atomics.
-  util::StripedCounter pristine_;
-  util::StripedCounter fault_aware_;
-  util::StripedCounter shed_;
-  util::StripedCounter timed_out_;
-  std::atomic<std::uint64_t> guaranteed_{0};
-  std::atomic<std::uint64_t> best_effort_{0};
-  std::atomic<std::uint64_t> disconnected_{0};
-  std::atomic<std::uint64_t> invalid_{0};
-  std::atomic<std::uint64_t> degraded_admissions_{0};
-  std::atomic<std::uint64_t> breaker_short_circuits_{0};
-  LatencyHistogram latency_;
+  util::Striped<Tally> tallies_;
 };
 
 }  // namespace hhc::query

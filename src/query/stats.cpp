@@ -12,8 +12,15 @@ namespace {
 
 // Percentile for rendering: empty snapshots print 0 instead of throwing
 // (a freshly constructed service must still render a stats row).
-double pct(const LatencyHistogram::Snapshot& latency, double p) {
+double pct(const obs::Histogram::Snapshot& latency, double p) {
   return latency.count == 0 ? 0.0 : latency.percentile(p);
+}
+
+core::StatRow latency_row(const char* name,
+                          const obs::Histogram::Snapshot& latency) {
+  return core::stat_dist("latency", name, latency.count, pct(latency, 0.50),
+                         pct(latency, 0.90), pct(latency, 0.99),
+                         latency.max_value);
 }
 
 }  // namespace
@@ -40,9 +47,9 @@ std::vector<core::StatRow> ServiceStats::rows() const {
                                    ewma_latency_us));
   scalar("in_flight", in_flight);
 
-  rows.push_back(core::stat_dist("latency", "answer_us", latency.count,
-                                 pct(latency, 0.50), pct(latency, 0.90),
-                                 pct(latency, 0.99), latency.max_micros));
+  rows.push_back(latency_row("answer_us", latency));
+  rows.push_back(latency_row("answer_ok_us", latency_ok));
+  rows.push_back(latency_row("answer_timed_out_us", latency_timed_out));
 
   std::vector<core::StatRow> cache_rows = cache.rows();
   rows.insert(rows.end(), std::make_move_iterator(cache_rows.begin()),
@@ -78,7 +85,7 @@ void ServiceStats::print(std::ostream& os) const {
       .add(static_cast<std::uint64_t>(cache.evictions))
       .add(pct(latency, 0.50), 1)
       .add(pct(latency, 0.99), 1)
-      .add(latency.max_micros, 1);
+      .add(latency.max_value, 1);
   table.print(os, "path service: " + std::to_string(cache.shards.size()) +
                       " cache shards, " + std::to_string(pristine) +
                       " pristine + " + std::to_string(fault_aware) +

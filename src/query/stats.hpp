@@ -1,28 +1,30 @@
 // Built-in observability for the path-query engine.
 //
-// LatencyHistogram is now a thin microsecond-flavored wrapper over
-// obs::Histogram (the process-wide metrics layer grew out of it): a fixed
-// array of lock-free power-of-two microsecond buckets (bucket b counts
-// latencies in [2^(b-1), 2^b) µs, bucket 0 the sub-microsecond ones), so
-// recording on the hot query path is one relaxed fetch_add and never blocks
-// a concurrent reader. Percentiles are read off the bucket boundaries —
-// upper edge, i.e. conservative — which is the right fidelity for "is p99 a
-// microsecond or a millisecond" dashboards. Percentile error semantics
-// match sim::percentile: out-of-range p or an empty snapshot THROW
-// std::invalid_argument (callers render "0" for empty snapshots
-// explicitly), and p = 0 reports the first non-empty bucket's edge instead
-// of a phantom 1 µs.
-//
-// Latency semantics (PR 8): the histogram measures POST-ADMISSION service
-// time. Gate-shed queries and admission-time deadline expiries never touch
-// it — the shed-fast path records nothing but per-thread striped outcome
-// tallies — so under overload the distribution describes the work actually
-// performed, not a blur of sub-microsecond rejections.
-//
 // ServiceStats is the plain-data snapshot PathService::stats() returns:
-// query/level totals, the cache's per-shard counters, and the latency
-// distribution, renderable as an aligned table, CSV, or JSON (via core::io)
-// so service telemetry lands in the same formats as campaign reports.
+// query/level/outcome totals, the overload tallies, the cache's per-shard
+// counters, and the answer-latency distribution, renderable as an aligned
+// table, CSV, or JSON (via core::io) so service telemetry lands in the same
+// formats as campaign reports. It is the ONE source for these numbers: the
+// registry carries no duplicate of any of them.
+//
+// Where the numbers come from: every caller thread owns one cache-line-
+// aligned stripe per service (util::Striped) holding all of its per-query
+// tallies and its two latency histogram stripes (obs::Histogram::Stripe),
+// so an answer resolves one TLS slot and never writes a line another
+// caller writes; stats() folds the stripes. Totals are exact when writers
+// are quiescent and at-most-one-update racy under load.
+//
+// Latency semantics: the histograms measure POST-ADMISSION service time
+// in µs, one record per admitted answer. latency_ok holds answers that
+// completed (kOk, plus the admitted non-authoritative sheds: breaker
+// short-circuits and degraded skips); latency_timed_out holds in-flight
+// expiries; latency is their merge. Gate-shed queries and admission-time
+// deadline expiries never touch them — the shed-fast path records nothing
+// but striped outcome tallies — so under overload the distribution
+// describes the work actually performed, not a blur of sub-microsecond
+// rejections. Buckets are obs::Histogram's log-linear layout (<= 12.5%
+// relative error); percentiles throw on an empty snapshot, so renderers
+// print 0 for one.
 #pragma once
 
 #include <cstdint>
@@ -34,38 +36,6 @@
 #include "obs/metrics.hpp"
 
 namespace hhc::query {
-
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = obs::Histogram::kBuckets;
-
-  struct Snapshot {
-    std::vector<std::uint64_t> buckets;  // kBuckets power-of-two µs bins
-    std::uint64_t count = 0;
-    double max_micros = 0.0;
-
-    /// Upper bucket edge (µs) below which a `p` fraction of samples fall;
-    /// p = 0 is the first non-empty bucket's edge. Throws
-    /// std::invalid_argument when the snapshot is empty or p is outside
-    /// [0, 1] — same contract as sim::percentile.
-    [[nodiscard]] double percentile(double p) const {
-      return obs::bucket_percentile(buckets, count, p);
-    }
-  };
-
-  /// Thread-safe, wait-free; NaN/negative samples clamp to bucket 0.
-  void record(double micros) noexcept { histogram_.record(micros); }
-
-  [[nodiscard]] Snapshot snapshot() const {
-    obs::Histogram::Snapshot snap = histogram_.snapshot();
-    return Snapshot{std::move(snap.buckets), snap.count, snap.max_value};
-  }
-
-  void reset() noexcept { histogram_.reset(); }
-
- private:
-  obs::Histogram histogram_;
-};
 
 /// Point-in-time service telemetry; see PathService::stats().
 struct ServiceStats {
@@ -82,9 +52,8 @@ struct ServiceStats {
 
   // Overload robustness (see DESIGN.md §8/§10). shed includes both gate
   // rejections and breaker short-circuits; the latter also counted apart.
-  // shed/timed_out are folded from per-thread striped cells — the ONLY
-  // tallies the shed-fast rejection path touches — so they are exact when
-  // writers are quiescent and at-most-one-increment racy under load.
+  // shed/timed_out are the ONLY tallies the shed-fast rejection path
+  // touches.
   std::uint64_t shed = 0;
   std::uint64_t timed_out = 0;
   std::uint64_t invalid = 0;               // malformed batch elements
@@ -97,7 +66,9 @@ struct ServiceStats {
 
   core::CacheStats cache;           // aggregate + per-shard counters
 
-  LatencyHistogram::Snapshot latency;
+  obs::Histogram::Snapshot latency;            // every admitted answer, µs
+  obs::Histogram::Snapshot latency_ok;         // completed answers
+  obs::Histogram::Snapshot latency_timed_out;  // in-flight expiries
 
   /// The process-wide obs::MetricRegistry, captured at the same stats()
   /// read so one snapshot carries every telemetry surface.
@@ -106,8 +77,9 @@ struct ServiceStats {
   [[nodiscard]] double hit_rate() const noexcept { return cache.hit_rate(); }
 
   /// Everything as unified core::StatRow rows: the query-level counters
-  /// (section "service"), the answer-latency distribution (section
-  /// "latency"), the cache snapshot (sections "cache"/"cache.shard<i>"),
+  /// (section "service"), the answer-latency distributions (section
+  /// "latency": answer_us, answer_ok_us, answer_timed_out_us), the cache
+  /// snapshot (sections "cache"/"cache.shard<i>"),
   /// then the registry metrics (sections "counter"/"gauge"/"histogram").
   [[nodiscard]] std::vector<core::StatRow> rows() const;
 

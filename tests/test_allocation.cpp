@@ -12,7 +12,9 @@
 //   * ContainerCache::lookup on a hit (one shared_ptr copy, no allocation);
 //   * ContainerCache::materialize at m <= 4 once the orbit records are
 //     filled (allocates only the returned paths);
-//   * PathService::answer_view on a hit (handle + telemetry only);
+//   * PathService::answer_view on a hit (handle + telemetry only), and
+//     PathService::answer's orbit decode (its result only), also on a
+//     fresh thread after one warm-up call;
 //   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
 //     has grown: a disconnected full sweep allocates nothing, and a detour
 //     allocates only the returned path and the result's paths vector —
@@ -29,6 +31,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/container_cache.hpp"
@@ -261,6 +264,50 @@ TEST(AllocationFree, AnswerViewOnHit) {
   EXPECT_EQ(delta, 0u) << "answer_view hits performed " << delta
                        << " allocations";
   EXPECT_EQ(total_paths, pairs.size() * (net.m() + 1));
+}
+
+TEST(AllocationFree, FreshThreadAfterOneWarmUpCall) {
+  // A thread's first answer registers its telemetry stripes (the service's
+  // tally stripe, the gate's completion cell, the cache's hit counter);
+  // after that one warm-up call, an answer_view hit allocates nothing and
+  // an answer() orbit decode allocates only its result (the paths vector
+  // and one vector per path).
+  const HhcTopology net{4};
+  query::PathService service{net};
+  const auto pairs = sample_pairs(net, 64, 0xA1140);
+  for (const auto& [s, t] : pairs) {
+    (void)service.answer_view({.s = s, .t = t});  // populate
+    (void)service.answer({.s = s, .t = t});       // fill the orbit records
+  }
+
+  std::size_t view_delta = 0;
+  std::size_t answer_delta = 0;
+  std::size_t total_paths = 0;
+  std::thread caller{[&] {
+    (void)service.answer_view({.s = pairs[0].s, .t = pairs[0].t});
+    (void)service.answer({.s = pairs[0].s, .t = pairs[0].t});
+
+    std::size_t before = allocation_count();
+    for (const auto& [s, t] : pairs) {
+      const query::RouteView view = service.answer_view({.s = s, .t = t});
+      total_paths += view.container.path_count();
+    }
+    view_delta = allocation_count() - before;
+
+    before = allocation_count();
+    for (const auto& [s, t] : pairs) {
+      const query::RouteResult result = service.answer({.s = s, .t = t});
+      total_paths += result.paths.size();
+    }
+    answer_delta = allocation_count() - before;
+  }};
+  caller.join();
+
+  EXPECT_EQ(view_delta, 0u) << "answer_view hits performed " << view_delta
+                            << " allocations";
+  EXPECT_EQ(answer_delta, pairs.size() * (net.m() + 2))
+      << "answer() allocated beyond its result";
+  EXPECT_EQ(total_paths, 2 * pairs.size() * (net.m() + 1));
 }
 
 // A container at m = 3 whose m+1 paths are each cut at one interior node,

@@ -152,7 +152,9 @@ TEST_P(CubeContainerSweep, RandomContainersAreDisjoint) {
 INSTANTIATE_TEST_SUITE_P(Dimensions, CubeContainerSweep,
                          ::testing::Range(2u, 10u),
                          [](const ::testing::TestParamInfo<unsigned>& param_info) {
-                           return "n" + std::to_string(param_info.param);
+                           std::string name{"n"};
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(CubeDisjoint, RealizeRouteTracesDimensions) {

@@ -162,7 +162,9 @@ TEST_P(FoldedContainerSweep, RandomContainersAreDisjoint) {
 INSTANTIATE_TEST_SUITE_P(Dimensions, FoldedContainerSweep,
                          ::testing::Range(2u, 9u),
                          [](const ::testing::TestParamInfo<unsigned>& param_info) {
-                           return "n" + std::to_string(param_info.param);
+                           std::string name{"n"};
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(FoldedDisjoint, MaxLengthBounded) {

@@ -192,8 +192,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u),
                        ::testing::Values(1, 2, 3)),
     [](const ::testing::TestParamInfo<DisjointSweep::ParamType>& param_info) {
-      return "m" + std::to_string(std::get<0>(param_info.param)) + "_seed" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name{"m"};
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_seed";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 }  // namespace

@@ -29,7 +29,9 @@ TEST(Io, ToDotContainsAllNodesAndStructure) {
   const auto dot = to_dot(net);
   EXPECT_NE(dot.find("graph hhc"), std::string::npos);
   for (Node v = 0; v < net.node_count(); ++v) {
-    EXPECT_NE(dot.find("n" + std::to_string(v)), std::string::npos);
+    std::string id{"n"};
+    id += std::to_string(v);
+    EXPECT_NE(dot.find(id), std::string::npos);
   }
   EXPECT_NE(dot.find("subgraph cluster_0"), std::string::npos);
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);  // external edges

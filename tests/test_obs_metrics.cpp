@@ -1,17 +1,21 @@
 // The metric registry and its lock-free primitives. The histogram tests pin
-// the exact power-of-two bucket geometry (bucket b = [2^(b-1), 2^b)) and the
-// percentile semantics that PR'd alongside the telemetry fixes: p = 0 skips
-// empty leading buckets, out-of-range p and empty histograms throw — the
-// pre-obs LatencyHistogram silently reported 1µs for both. The concurrent
-// tests run under ThreadSanitizer in CI.
+// the log-linear bucket geometry (8 sub-buckets per power of two between
+// 2^-10 and 2^30, an underflow and a saturating top bucket), its 12.5%
+// relative error bound, and the percentile semantics: p = 0 skips empty
+// leading buckets, out-of-range p and empty histograms throw — the pre-obs
+// LatencyHistogram silently reported 1µs for both. The concurrent tests
+// cover the per-thread stripes (exited threads' counts survive, reset
+// racing writers) and run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace hhc::obs {
 namespace {
@@ -41,19 +45,47 @@ TEST(ObsGauge, SetAddNegative) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsHistogram, BucketBoundaries) {
-  // Bucket 0: everything below 1. Bucket b >= 1: [2^(b-1), 2^b).
+  // Bucket 0: everything below 2^-10. Then 8 equal sub-buckets per power
+  // of two: [1, 1.125) is the first sub-bucket of 2^0, [1.875, 2) its last.
+  const std::size_t one = Histogram::bucket_of(1.0);
+  EXPECT_EQ(one, 1u + 10u * 8u);
   EXPECT_EQ(Histogram::bucket_of(0.0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(0.999), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1.0), 1u);
-  EXPECT_EQ(Histogram::bucket_of(1.999), 1u);
-  EXPECT_EQ(Histogram::bucket_of(2.0), 2u);
-  EXPECT_EQ(Histogram::bucket_of(3.999), 2u);
-  EXPECT_EQ(Histogram::bucket_of(4.0), 3u);
+  EXPECT_EQ(Histogram::bucket_of(std::nextafter(0x1p-10, 0.0)), 0u);
+  EXPECT_EQ(Histogram::bucket_of(0x1p-10), 1u);
+  EXPECT_EQ(Histogram::bucket_of(1.124), one);
+  EXPECT_EQ(Histogram::bucket_of(1.125), one + 1);
+  EXPECT_EQ(Histogram::bucket_of(1.999), one + 7);
+  EXPECT_EQ(Histogram::bucket_of(2.0), one + 8);
+  EXPECT_EQ(Histogram::bucket_of(2.25), one + 9);
+  EXPECT_EQ(Histogram::upper_edge(0), 0x1p-10);
+  EXPECT_EQ(Histogram::upper_edge(one), 1.125);
+  EXPECT_EQ(Histogram::upper_edge(one + 7), 2.0);
+  EXPECT_EQ(Histogram::upper_edge(one + 8), 2.25);
+  // Every log-linear bucket holds exactly [previous edge, its edge), and
+  // consecutive edges grow by 1/8 of the power of two they sit in.
   for (std::size_t b = 1; b + 1 < Histogram::kBuckets; ++b) {
-    const double edge = std::ldexp(1.0, static_cast<int>(b - 1));
-    EXPECT_EQ(Histogram::bucket_of(edge), b) << "lower edge of bucket " << b;
-    EXPECT_EQ(Histogram::bucket_of(std::nextafter(edge * 2.0, 0.0)), b)
+    const double lower = Histogram::upper_edge(b - 1);
+    const double upper = Histogram::upper_edge(b);
+    EXPECT_EQ(Histogram::bucket_of(lower), b) << "lower edge of bucket " << b;
+    EXPECT_EQ(Histogram::bucket_of(std::nextafter(upper, 0.0)), b)
         << "upper edge of bucket " << b;
+    const double octave = std::ldexp(1.0, std::ilogb(lower));
+    EXPECT_EQ(upper - lower, octave / 8.0) << "width of bucket " << b;
+  }
+  EXPECT_EQ(Histogram::upper_edge(Histogram::kBuckets - 2), 0x1p30);
+}
+
+TEST(ObsHistogram, UpperEdgeWithinOneEighthOfEverySample) {
+  // Seeded log-uniform samples over [1e-3, 1e6] µs: the reported edge is
+  // an upper bound, and at most 12.5% above the sample.
+  util::Xoshiro256 rng{0x10C11AE};
+  for (int i = 0; i < 20000; ++i) {
+    const double value = std::pow(10.0, -3.0 + 9.0 * rng.uniform01());
+    Histogram h;
+    h.record(value);
+    const double edge = h.snapshot().percentile(0.5);
+    EXPECT_GE(edge, value) << value;
+    EXPECT_LE(edge, 1.125 * value) << value;
   }
 }
 
@@ -73,7 +105,8 @@ TEST(ObsHistogram, NanAndNegativeClampToBucketZero) {
 
 TEST(ObsHistogram, TopBucketSaturates) {
   const std::size_t top = Histogram::kBuckets - 1;
-  EXPECT_EQ(Histogram::bucket_of(std::ldexp(1.0, 62)), top);
+  EXPECT_EQ(Histogram::bucket_of(std::nextafter(0x1p30, 0.0)), top - 1);
+  EXPECT_EQ(Histogram::bucket_of(0x1p30), top);
   EXPECT_EQ(Histogram::bucket_of(std::ldexp(1.0, 200)), top);
   EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<double>::infinity()), top);
 
@@ -82,6 +115,9 @@ TEST(ObsHistogram, TopBucketSaturates) {
   const auto snap = h.snapshot();
   EXPECT_EQ(snap.buckets[top], 1u);
   EXPECT_EQ(snap.max_value, std::ldexp(1.0, 100));
+  // A percentile landing in the saturated bucket reports the max, which
+  // keeps it an upper bound.
+  EXPECT_EQ(snap.percentile(1.0), std::ldexp(1.0, 100));
 }
 
 // ---------------------------------------------------------------------------
@@ -90,26 +126,26 @@ TEST(ObsHistogram, TopBucketSaturates) {
 
 TEST(ObsHistogram, PercentileSkipsEmptyLeadingBuckets) {
   // The historical bug: with nothing in bucket 0, p = 0 computed target = 0,
-  // which the empty bucket 0 "satisfied", reporting a phantom 1µs.
+  // which the empty bucket 0 "satisfied", reporting a phantom edge.
   Histogram h;
-  h.record(100.0);  // bucket 7: [64, 128)
+  h.record(100.0);  // [96, 104): 2^6 * (1 + 4/8) .. 2^6 * (1 + 5/8)
   const auto snap = h.snapshot();
-  EXPECT_EQ(snap.percentile(0.0), 128.0);
-  EXPECT_EQ(snap.percentile(0.5), 128.0);
-  EXPECT_EQ(snap.percentile(1.0), 128.0);
+  EXPECT_EQ(snap.percentile(0.0), 104.0);
+  EXPECT_EQ(snap.percentile(0.5), 104.0);
+  EXPECT_EQ(snap.percentile(1.0), 104.0);
 }
 
 TEST(ObsHistogram, PercentileAtMedianAndTail) {
   Histogram h;
-  for (int i = 0; i < 50; ++i) h.record(1.5);    // bucket 1, edge 2
-  for (int i = 0; i < 49; ++i) h.record(10.0);   // bucket 4, edge 16
-  h.record(1000.0);                              // bucket 10, edge 1024
+  for (int i = 0; i < 50; ++i) h.record(1.5);    // [1.5, 1.625)
+  for (int i = 0; i < 49; ++i) h.record(10.0);   // [10, 11)
+  h.record(1000.0);                              // [960, 1024)
   const auto snap = h.snapshot();
   EXPECT_EQ(snap.count, 100u);
-  EXPECT_EQ(snap.percentile(0.0), 2.0);    // first non-empty bucket's edge
-  EXPECT_EQ(snap.percentile(0.5), 2.0);    // sample 50 still in bucket 1
-  EXPECT_EQ(snap.percentile(0.51), 16.0);  // sample 51 is in bucket 4
-  EXPECT_EQ(snap.percentile(0.99), 16.0);
+  EXPECT_EQ(snap.percentile(0.0), 1.625);  // first non-empty bucket's edge
+  EXPECT_EQ(snap.percentile(0.5), 1.625);  // sample 50 still in [1.5, 1.625)
+  EXPECT_EQ(snap.percentile(0.51), 11.0);  // sample 51 is in [10, 11)
+  EXPECT_EQ(snap.percentile(0.99), 11.0);
   EXPECT_EQ(snap.percentile(1.0), 1024.0);
 }
 
@@ -134,6 +170,36 @@ TEST(ObsHistogram, ResetZeroesEverything) {
   const auto snap = h.snapshot();
   EXPECT_EQ(snap.count, 0u);
   EXPECT_EQ(snap.max_value, 0.0);
+}
+
+TEST(ObsHistogram, ResetEmptiesEveryStripeUntilItsOwnerRecordsAgain) {
+  Histogram h;
+  std::thread{[&h] { h.record(7.0); }}.join();  // an exited thread's stripe
+  h.record(2.0);
+  h.record(2.0);
+  h.reset();
+  EXPECT_EQ(h.snapshot().count, 0u);
+  EXPECT_EQ(h.snapshot().max_value, 0.0);
+  h.record(3.0);  // this thread's stripe starts over
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.buckets[Histogram::bucket_of(2.0)], 0u);
+  EXPECT_EQ(snap.buckets[Histogram::bucket_of(3.0)], 1u);
+  EXPECT_EQ(snap.max_value, 3.0);
+}
+
+TEST(ObsHistogram, SnapshotsMerge) {
+  Histogram a;
+  Histogram b;
+  a.record(1.0);
+  b.record(3.0);
+  b.record(3.0);
+  auto snap = a.snapshot();
+  snap.merge(b.snapshot());
+  EXPECT_EQ(snap.count, 3u);
+  EXPECT_EQ(snap.buckets[Histogram::bucket_of(3.0)], 2u);
+  EXPECT_EQ(snap.max_value, 3.0);
+  EXPECT_EQ(snap.percentile(0.0), 1.125);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,6 +325,68 @@ TEST(ObsStress, SnapshotWhileRecording) {
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
+}
+
+TEST(ObsStress, CountsFromExitedThreadsSurvive) {
+  // Stripes belong to the histogram, not the thread: counts recorded by
+  // threads that have since exited stay in every later snapshot.
+  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kPerThread = 1000;
+  Histogram h;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::thread> threads;
+    for (std::size_t id = 0; id < kThreads; ++id) {
+      threads.emplace_back([&h, id] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          h.record(static_cast<double>(id + 1));
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.count, 2 * kThreads * kPerThread);
+  for (std::size_t id = 0; id < kThreads; ++id) {
+    EXPECT_EQ(snap.buckets[Histogram::bucket_of(static_cast<double>(id + 1))],
+              2 * kPerThread);
+  }
+  EXPECT_EQ(snap.max_value, static_cast<double>(kThreads));
+}
+
+TEST(ObsStress, ResetRacingWritersKeepsSnapshotsConsistent) {
+  // reset() zeroes stripes while their owners keep recording; whatever a
+  // racing snapshot sees, its count is the sum of its buckets, and once the
+  // writers stop a final reset leaves nothing behind.
+  constexpr std::size_t kWriters = 4;
+  Histogram h;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> started{0};
+  std::vector<std::thread> writers;
+  for (std::size_t id = 0; id < kWriters; ++id) {
+    writers.emplace_back([&h, &stop, &started, id] {
+      std::uint64_t i = 0;
+      h.record(1.0);
+      started.fetch_add(1, std::memory_order_relaxed);
+      while (!stop.load(std::memory_order_relaxed)) {
+        h.record(static_cast<double>((i++ + id) % 4096) / 8.0);
+      }
+    });
+  }
+  while (started.load(std::memory_order_relaxed) < kWriters) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 300; ++i) {
+    if (i % 3 == 0) h.reset();
+    const auto snap = h.snapshot();
+    std::uint64_t sum = 0;
+    for (const auto b : snap.buckets) sum += b;
+    EXPECT_EQ(sum, snap.count);
+    EXPECT_EQ(snap.buckets.size(), Histogram::kBuckets);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : writers) t.join();
+  h.reset();
+  EXPECT_EQ(h.snapshot().count, 0u);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "core/routing.hpp"
 #include "fault/adaptive_router.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stages.hpp"
 #include "orbit_reference.hpp"
 #include "query/path_service.hpp"
 #include "util/deadline.hpp"
@@ -242,7 +241,7 @@ TEST(PathService, StatsCountQueriesLevelsAndLatency) {
   EXPECT_EQ(stats.guaranteed + stats.best_effort + stats.disconnected,
             stats.queries);
   EXPECT_EQ(stats.latency.count, stats.queries);
-  EXPECT_GT(stats.latency.max_micros, 0.0);
+  EXPECT_GT(stats.latency.max_value, 0.0);
   EXPECT_GE(stats.latency.percentile(0.99), stats.latency.percentile(0.50));
   // Every non-self query performs one cache lookup: 40 pristine + 1 via the
   // router's shared-cache container fetch.
@@ -250,39 +249,54 @@ TEST(PathService, StatsCountQueriesLevelsAndLatency) {
 }
 
 TEST(LatencyHistogram, PercentileSkipsEmptyLeadingBuckets) {
-  // The pre-obs implementation computed target = ceil(p * count), which is
-  // 0 at p = 0 — "satisfied" by the empty bucket 0, reporting a phantom
-  // 1µs. The rewrapped histogram skips empty leading buckets.
-  LatencyHistogram latency;
-  latency.record(100.0);  // bucket [64, 128)
-  const auto snap = latency.snapshot();
-  EXPECT_EQ(snap.percentile(0.0), 128.0);
-  EXPECT_EQ(snap.percentile(1.0), 128.0);
+  // The service's latency is an obs::Histogram::Snapshot, rendered from
+  // the conservative upper bucket edge. The pre-obs implementation
+  // computed target = ceil(p * count), which is 0 at p = 0 — "satisfied"
+  // by an empty bucket 0, reporting a phantom edge; p = 0 must skip empty
+  // leading buckets instead.
+  obs::Histogram latency;
+  latency.record(100.0);  // log-linear bucket [96, 104)
+  ServiceStats stats;
+  stats.latency = latency.snapshot();
+  EXPECT_EQ(stats.latency.percentile(0.0), 104.0);
+  EXPECT_EQ(stats.latency.percentile(1.0), 104.0);
+  EXPECT_NE(stats.to_csv().find(
+                "latency,answer_us,,1,104.000000,104.000000,104.000000,"),
+            std::string::npos);
 }
 
 TEST(LatencyHistogram, ErrorSemanticsMatchSimPercentile) {
-  LatencyHistogram latency;
-  // Empty histograms and out-of-range p throw, exactly like
-  // sim::percentile, instead of silently returning a bogus 0 or 1.
-  EXPECT_THROW((void)latency.snapshot().percentile(0.5),
+  // A service that has answered nothing reports an empty latency
+  // snapshot; empty snapshots and out-of-range p throw, exactly like
+  // sim::percentile, instead of silently returning a bogus 0 or edge.
+  const HhcTopology net{2};
+  PathService service{net};
+  EXPECT_THROW((void)service.stats().latency.percentile(0.5),
                std::invalid_argument);
-  latency.record(1.0);
-  const auto snap = latency.snapshot();
-  EXPECT_THROW((void)snap.percentile(-0.1), std::invalid_argument);
-  EXPECT_THROW((void)snap.percentile(1.5), std::invalid_argument);
+  (void)service.answer(PairQuery{.s = 0, .t = 60});
+  const auto latency = service.stats().latency;
+  ASSERT_EQ(latency.count, 1u);
+  EXPECT_THROW((void)latency.percentile(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)latency.percentile(1.5), std::invalid_argument);
+  EXPECT_GE(latency.percentile(0.5), latency.max_value);
 }
 
 TEST(LatencyHistogram, SubMicrosecondAndHugeSamples) {
-  LatencyHistogram latency;
-  latency.record(0.25);   // bucket 0
+  obs::Histogram latency;
+  latency.record(0.25);   // log-linear bucket [0.25, 0.28125)
   latency.record(-3.0);   // clamps to bucket 0, ignored for max
-  latency.record(1e30);   // saturates the top bucket
+  latency.record(1e30);   // beyond 2^30 µs: saturates the top bucket
   const auto snap = latency.snapshot();
   EXPECT_EQ(snap.count, 3u);
-  EXPECT_EQ(snap.buckets.front(), 2u);
+  EXPECT_EQ(snap.buckets.front(), 1u);
+  EXPECT_EQ(snap.buckets[obs::Histogram::bucket_of(0.25)], 1u);
   EXPECT_EQ(snap.buckets.back(), 1u);
-  EXPECT_EQ(snap.max_micros, 1e30);
-  EXPECT_EQ(snap.percentile(0.5), 1.0);  // bucket 0's upper edge
+  EXPECT_EQ(snap.max_value, 1e30);
+  // Bucket 0's upper edge, then the sub-microsecond sample's edge.
+  EXPECT_EQ(snap.percentile(1.0 / 3.0), std::ldexp(1.0, -10));
+  EXPECT_EQ(snap.percentile(0.5), 0.28125);
+  // The saturated top bucket reports the max: still an upper bound.
+  EXPECT_EQ(snap.percentile(1.0), 1e30);
 }
 
 TEST(PathService, EmptyStatsRenderWithoutThrowing) {
@@ -329,9 +343,10 @@ TEST(PathService, EmitsWellFormedCsvAndJson) {
   EXPECT_NE(csv.find("cache.shard0,entries,"), std::string::npos);
   EXPECT_NE(csv.find("cache.shard3,evictions,"), std::string::npos);
   EXPECT_NE(csv.find("latency,answer_us,"), std::string::npos);
-  // The registry metrics ride along in the same table (the per-outcome
-  // answer histogram records once per successful query).
-  EXPECT_NE(csv.find("histogram,query.answer.ok,"), std::string::npos);
+  // The per-outcome latency rows: every answer here completed, so the
+  // ok row carries all 25 samples and the timed-out row none.
+  EXPECT_NE(csv.find("latency,answer_ok_us,,25,"), std::string::npos);
+  EXPECT_NE(csv.find("latency,answer_timed_out_us,,0,"), std::string::npos);
   // Header + one line per row, nothing else.
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(csv.begin(), csv.end(), '\n')),
@@ -549,12 +564,11 @@ TEST(PathService, BreakerShortCircuitsRepeatedDisconnectsUntilEpochAdvance) {
 }
 
 TEST(PathService, OutcomeCountersLandInServiceStatsNotTheRegistry) {
-  // PR 8 shed-fast contract: shed/timed-out totals are per-thread striped
+  // Shed-fast contract: shed/timed-out totals are per-thread striped
   // ServiceStats tallies — the rejection path writes NO registry counters
-  // and NO histograms. Breaker events happen on the (already admitted)
-  // fault-aware path, so those registry counters remain.
+  // and NO histograms. Breaker trips and short-circuits are counted once,
+  // in ServiceStats too; the registry carries no duplicate.
   const HhcTopology net{2};
-  auto& registry = obs::MetricRegistry::global();
 
   PathServiceConfig config;
   config.admission.breaker_threshold = 1;
@@ -577,9 +591,15 @@ TEST(PathService, OutcomeCountersLandInServiceStatsNotTheRegistry) {
   // The admission-time expiry did no admitted work: only the two
   // fault-aware answers show up in the service-time histogram.
   EXPECT_EQ(stats.latency.count, 2u);
-  EXPECT_GE(registry.counter(obs::stages::kBreakerTripCount).get(), 1u);
-  EXPECT_GE(registry.counter(obs::stages::kBreakerShortCircuitCount).get(),
-            1u);
+  EXPECT_EQ(stats.breaker_trips, 1u);
+  EXPECT_EQ(stats.breaker_short_circuits, 1u);
+  EXPECT_EQ(stats.latency_ok.count, 2u);
+  EXPECT_EQ(stats.latency_timed_out.count, 0u);
+  // No query-layer registry counter exists for any of these events.
+  for (const auto& [name, value] :
+       obs::MetricRegistry::global().snapshot().counters) {
+    EXPECT_EQ(name.rfind("query.", 0), std::string::npos) << name;
+  }
 }
 
 }  // namespace
