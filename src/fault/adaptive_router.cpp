@@ -1,6 +1,7 @@
 #include "fault/adaptive_router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <span>
 #include <utility>
@@ -106,12 +107,19 @@ void select_survivor(const View& view, const ActiveFaults& active,
 // that a test can cross the wrap in a fraction of a second.
 class SweepScratch {
  public:
-  // A live slot's mark: kDead and kHealthy record a probed node the sweep
-  // has not reached; any other value means reached, with 0..m naming the
-  // dimension of the edge from its BFS parent (m = the external edge).
-  static constexpr std::uint8_t kSource = 0xFD;
+  // A live slot's mark. kDead and kHealthy record a probed node neither
+  // side has reached. Any other value means reached: kFromT is set when
+  // the search from t reached it, and the low bits are kRoot for s and t
+  // themselves, else 0..m naming the dimension of the edge from its BFS
+  // parent (m = the external edge).
+  static constexpr std::uint8_t kFromT = 0x40;
+  static constexpr std::uint8_t kRoot = 0x3F;
   static constexpr std::uint8_t kDead = 0xFE;
   static constexpr std::uint8_t kHealthy = 0xFF;
+
+  [[nodiscard]] static bool reached(std::uint8_t mark) noexcept {
+    return mark < kDead;
+  }
 
   struct Slot {
     Node node = 0;
@@ -119,15 +127,16 @@ class SweepScratch {
     std::uint8_t mark = 0;
   };
 
-  /// Forgets the previous sweep and returns the emptied FIFO.
-  std::vector<Node>& begin() {
+  /// Forgets the previous sweep and returns the emptied FIFOs, one for
+  /// the search from s and one for the search from t.
+  std::array<std::vector<Node>, 2>& begin() {
     if (++epoch_ == 0) {
       for (Slot& slot : slots_) slot.stamp = 0;
       epoch_ = 1;
     }
     size_ = 0;
-    fifo_.clear();
-    return fifo_;
+    for (std::vector<Node>& fifo : fifos_) fifo.clear();
+    return fifos_;
   }
 
   /// Room for `extra` more nodes without a rehash, so Slot references
@@ -171,25 +180,30 @@ class SweepScratch {
     slot.mark = mark;
   }
 
-  /// The BFS path s -> t, read back through the parent marks. Allocates
-  /// exactly the returned path.
-  Path path_to(unsigned m, Node t) {
-    std::size_t hops = 0;
-    for (Node w = t; find(w).mark != kSource; w = parent(m, w)) ++hops;
-    Path path(hops + 1);
-    path[hops] = t;
-    for (std::size_t i = hops; i > 0; --i) path[i - 1] = parent(m, path[i]);
+  /// The path s -> x -> y -> t over the usable edge {x, y}, where the
+  /// search from s reached x after `x_hops` edges and the search from t
+  /// reached y after `y_hops`. Both halves are read back through the
+  /// parent marks; allocates exactly the returned path.
+  Path join(unsigned m, Node x, std::size_t x_hops, Node y,
+            std::size_t y_hops) {
+    Path path(x_hops + y_hops + 2);
+    path[x_hops] = x;
+    for (std::size_t i = x_hops; i > 0; --i) path[i - 1] = parent(m, path[i]);
+    path[x_hops + 1] = y;
+    for (std::size_t i = x_hops + 1; i + 1 < path.size(); ++i) {
+      path[i + 1] = parent(m, path[i]);
+    }
     return path;
   }
 
  private:
   Node parent(unsigned m, Node v) {
-    const unsigned dim = find(v).mark;
+    const unsigned dim = find(v).mark & kRoot;
     return dim < m ? bits::flip(v, dim) : external_neighbor(v, m);
   }
 
   std::vector<Slot> slots_;
-  std::vector<Node> fifo_;
+  std::array<std::vector<Node>, 2> fifos_;
   std::size_t size_ = 0;
   unsigned shift_ = 64;
   std::uint16_t epoch_ = 0;
@@ -200,60 +214,92 @@ SweepScratch& tls_sweep_scratch() {
   return scratch;
 }
 
-// BFS over the implicit topology restricted to usable edges; empty when t
-// is unreachable. Neighbors are visited in HhcTopology::neighbors order
-// (internal dimensions ascending, then external) through a FIFO, so every
-// parent choice, and hence the detour, is the textbook BFS's.
+// Level-synchronous bidirectional BFS over the implicit topology restricted
+// to usable edges; empty when t is unreachable. One search grows from s and
+// one from t, each through its own FIFO. A step expands one whole level of
+// whichever side's current level holds fewer nodes (s on a tie), visiting
+// neighbors in HhcTopology::neighbors order (internal dimensions ascending,
+// then external). A usable edge from the expanding side to a node the
+// other side has reached is a meeting point, and the first one is
+// returned: a shortest path, so the detour has the one-sided BFS's hop
+// count. Before a step, the nodes within a hops of s and those within b
+// hops of t (a, b the two current depths) are disjoint, or an earlier step
+// would have met; so dist(s, t) > a + b, and a meeting at this step has
+// length a + b + 1. When either side's level comes up empty, that side's
+// component is exhausted and t is unreachable: an isolated t ends the
+// search after t's own expansion, whatever the size of s's component.
 //
-// Each fact is checked at most once per sweep, in the snapshot: u is never
-// re-checked (it is s, which route() found healthy, or was reached over a
-// usable edge); a neighbor's health is checked on first sight and kept in
-// its mark; and a link is checked only from the endpoint expanded first,
-// since the other endpoint is reached by then.
+// Each fact is checked at most once per side, in the snapshot: u is never
+// re-checked (it is s or t, which route() found healthy, or was reached
+// over a usable edge); a neighbor's health is checked on first sight and
+// kept in its mark; and a link inside one side's tree is checked only
+// from the endpoint that side expands first, since the side has reached
+// the other endpoint by the time it expands it. A link between the two
+// trees may be checked once from each side.
 //
-// Cooperatively cancellable: every util::kStopCheckStride expansions the
-// query's deadline/token are polled, and an expired search sets
-// `timed_out` and returns empty — a hostile fault set can make this sweep
-// visit the whole survivor subgraph, which is exactly the stage a deadline
-// must be able to interrupt.
+// Cooperatively cancellable: every util::kStopCheckStride expansions,
+// counted across both sides, the query's deadline/token are polled, and an
+// expired search sets `timed_out` and returns empty — a hostile fault set
+// can make this sweep visit a whole survivor component, which is exactly
+// the stage a deadline must be able to interrupt.
 Path survivor_bfs(const core::HhcTopology& net, Node s, Node t,
                   const ActiveFaults& active, const query::PairQuery& query,
                   bool& timed_out) {
   SweepScratch& scratch = tls_sweep_scratch();
-  std::vector<Node>& fifo = scratch.begin();
+  std::array<std::vector<Node>, 2>& fifos = scratch.begin();
   const unsigned m = net.m();
   const std::uint64_t node_count = net.node_count();
   scratch.reserve(2, node_count);
-  scratch.set(scratch.find(s), s, SweepScratch::kSource);
-  scratch.set(scratch.find(t), t, SweepScratch::kHealthy);  // route() probed t
-  fifo.push_back(s);
+  scratch.set(scratch.find(s), s, SweepScratch::kRoot);
+  scratch.set(scratch.find(t), t, SweepScratch::kFromT | SweepScratch::kRoot);
+  fifos[0].push_back(s);
+  fifos[1].push_back(t);
+  // Per side (0 = from s, 1 = from t): its current level is
+  // fifos[side][head[side], end), at depth[side] hops from its root.
+  std::array<std::size_t, 2> head{0, 0};
+  std::array<std::size_t, 2> depth{0, 0};
   std::size_t expansions = 0;
-  for (std::size_t head = 0; head < fifo.size(); ++head) {
-    if (++expansions % util::kStopCheckStride == 0 &&
-        util::should_stop(query.deadline, query.cancel)) {
-      timed_out = true;
-      return {};
-    }
-    const Node u = fifo[head];
-    scratch.reserve(m + 1, node_count);
-    for (unsigned dim = 0; dim <= m; ++dim) {
-      const Node v = dim < m ? bits::flip(u, dim) : external_neighbor(u, m);
-      SweepScratch::Slot& slot = scratch.find(v);
-      if (scratch.live(slot)) {
-        if (slot.mark != SweepScratch::kHealthy) continue;  // reached or dead
-      } else if (active.node_faulty(v)) {
-        scratch.set(slot, v, SweepScratch::kDead);
-        continue;
-      } else {
-        scratch.set(slot, v, SweepScratch::kHealthy);
+  for (;;) {
+    const std::size_t side =
+        fifos[1].size() - head[1] < fifos[0].size() - head[0] ? 1 : 0;
+    std::vector<Node>& fifo = fifos[side];
+    const std::uint8_t own = side == 0 ? 0 : SweepScratch::kFromT;
+    const std::size_t end = fifo.size();
+    for (; head[side] < end; ++head[side]) {
+      if (++expansions % util::kStopCheckStride == 0 &&
+          util::should_stop(query.deadline, query.cancel)) {
+        timed_out = true;
+        return {};
       }
-      if (active.link_faulty(u, v)) continue;
-      slot.mark = static_cast<std::uint8_t>(dim);
-      if (v == t) return scratch.path_to(m, t);
-      fifo.push_back(v);
+      const Node u = fifo[head[side]];
+      scratch.reserve(m + 1, node_count);
+      for (unsigned dim = 0; dim <= m; ++dim) {
+        const Node v = dim < m ? bits::flip(u, dim) : external_neighbor(u, m);
+        SweepScratch::Slot& slot = scratch.find(v);
+        if (scratch.live(slot)) {
+          if (SweepScratch::reached(slot.mark)) {
+            if ((slot.mark & SweepScratch::kFromT) == own ||
+                active.link_faulty(u, v)) {
+              continue;
+            }
+            return side == 0 ? scratch.join(m, u, depth[0], v, depth[1])
+                             : scratch.join(m, v, depth[0], u, depth[1]);
+          }
+          if (slot.mark == SweepScratch::kDead) continue;
+        } else if (active.node_faulty(v)) {
+          scratch.set(slot, v, SweepScratch::kDead);
+          continue;
+        } else {
+          scratch.set(slot, v, SweepScratch::kHealthy);
+        }
+        if (active.link_faulty(u, v)) continue;
+        slot.mark = static_cast<std::uint8_t>(own | dim);
+        fifo.push_back(v);
+      }
     }
+    if (fifo.size() == end) return {};  // this side's component is exhausted
+    ++depth[side];
   }
-  return {};
 }
 
 }  // namespace

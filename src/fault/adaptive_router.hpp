@@ -16,13 +16,22 @@
 // RouteLimits{.skip_fallback = true}: step 2 never runs.
 //
 // The BFS walks the implicit topology (no explicit graph build) and is
-// intended for campaign-scale instances (m <= 4). It keeps its state in a
-// per-thread scratch reused across calls: an epoch-stamped open-addressing
-// map from node to "source / dead / healthy / reached across dimension d"
-// and a flat FIFO. Once a thread's scratch has grown to its working set, a
-// sweep allocates nothing and a detour allocates only the returned path.
-// A full sweep leaves the thread holding 2N slots of 16 bytes plus the
-// FIFO's N nodes, with N the node count: 80 KiB at m = 3, 40 MiB at m = 4.
+// intended for campaign-scale instances (m <= 4). It is bidirectional and
+// level-synchronous: one frontier grows from s and one from t, a step
+// expands a whole level of the smaller frontier, and the search returns at
+// the first usable edge between the two trees, which closes a shortest
+// path. A side whose next level comes up empty ends the search as
+// disconnected, so an isolated endpoint costs one expansion, not a sweep
+// of the other endpoint's component. It keeps its state in a per-thread
+// scratch reused across calls: an epoch-stamped open-addressing map from
+// node to "dead / healthy / reached by side s or t across dimension d"
+// and one flat FIFO per side. Once a thread's scratch has grown to its
+// working set, a sweep allocates nothing and a detour allocates only the
+// returned path. The map holds at most N keys (N the node count) in 2N
+// slots of 16 bytes, and each FIFO at most N nodes. A thread keeps the
+// largest of each it has needed, at most 96 KiB at m = 3 and 48 MiB at
+// m = 4; a search that meets early or ends at a small component needs far
+// less.
 //
 // No stage probes the FaultModel itself. route() reads one per-thread
 // core::ActiveFaults snapshot of the facts active at query.time: an exact
@@ -40,10 +49,13 @@
 // Each stage checks a fault fact at most once. route() checks s and t
 // once; the container scan then checks a hop's link and the interior node
 // it enters; the BFS never re-checks the node it expands (healthy by
-// construction), records a neighbor's health on first sight, and checks
-// each link only from the endpoint expanded first. Neighbors are
-// enumerated in HhcTopology::neighbors order through a FIFO, so the BFS
-// tree, and with it every detour, is the one a plain hash-map BFS builds.
+// construction), records a neighbor's health on first sight, and checks a
+// link inside one side's tree only from the endpoint expanded first. A
+// link between the two trees may be checked once from each side. The
+// search order depends only on the snapshot and (s, t): neighbors are
+// enumerated in HhcTopology::neighbors order through FIFOs, so a query's
+// detour is the same on every call and every thread, and as short as the
+// one a plain one-sided BFS finds, though it may take different nodes.
 //
 // Results are reported in the unified query vocabulary
 // (query::PairQuery -> query::RouteResult; see query/types.hpp), so

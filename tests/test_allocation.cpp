@@ -16,9 +16,11 @@
 //     PathService::answer's orbit decode (its result only), also on a
 //     fresh thread after one warm-up call;
 //   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
-//     has grown: a disconnected full sweep allocates nothing, and a detour
-//     allocates only the returned path and the result's paths vector —
-//     also at a new time inside the fault interval the snapshot covers;
+//     has grown: a disconnected sweep of two 1024-node halves allocates
+//     nothing, an isolated endpoint ends the search before it needs more
+//     room than one detour grew, and a detour allocates only the returned
+//     path and the result's paths vector — also at a new time inside the
+//     fault interval the snapshot covers;
 //   * re-resolving the router's per-thread fault snapshot (a new model or
 //     a new interval) once it has grown to the largest active set.
 //
@@ -325,10 +327,15 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
   const fault::AdaptiveRouter router{net};
   const Node s = net.encode(5, 2);
   const Node t = net.encode(200, 5);
-  // t's neighbors all down: the scan finds every path blocked and the BFS
-  // sweeps the whole of s's component before reporting kDisconnected.
+  // Every external link that flips cluster-address bit 0 is down, which
+  // cuts the network into two halves of 1024 nodes, with s (X = 5) and t
+  // (X = 200) on opposite sides. The scan finds every path blocked, and
+  // both frontiers sweep their whole half before reporting kDisconnected.
   FaultModel faults;
-  for (const Node v : net.neighbors(t)) faults.fail_node(v);
+  for (Node x = 0; x < 256; x += 2) {
+    const Node u = net.encode(x, 0);
+    faults.fail_link(u, net.external_neighbor(u));
+  }
   const query::PairQuery q{.s = s, .t = t, .faults = &faults};
 
   (void)router.route(q);  // warm-up sweep grows this thread's scratch
@@ -341,6 +348,44 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
   EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_EQ(r.container_paths_blocked, net.degree());
+}
+
+TEST(AllocationFree, IsolatedEndpointStopsEarly) {
+  // At m = 4 an isolated t is found after t's own expansion, however large
+  // s's component is. During [0, 10) one interior node of every container
+  // path is down, so a route at time 0 is a best-effort detour; during
+  // [10, 20) t's neighbors are down instead. On a fresh thread, after the
+  // detour has grown the scratch (and warmed the construction for this
+  // pair), the isolated-t query at time 10 needs no more room and
+  // allocates nothing. A search that swept s's component would grow the
+  // scratch toward 2^21 slots.
+  const HhcTopology net{4};
+  const fault::AdaptiveRouter router{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(40'000, 9);
+  FaultModel faults;
+  for (const Path& path : node_disjoint_paths(net, s, t).paths) {
+    faults.fail_node(path[path.size() / 2], 0, 10);
+  }
+  for (const Node v : net.neighbors(t)) faults.fail_node(v, 10, 20);
+
+  query::RouteResult detoured;
+  query::RouteResult isolated;
+  std::size_t delta = 0;
+  std::thread caller{[&] {
+    detoured = router.route(s, t, faults, 0);
+    const std::size_t before = allocation_count();
+    isolated = router.route(s, t, faults, 10);
+    delta = allocation_count() - before;
+  }};
+  caller.join();
+
+  EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
+  EXPECT_EQ(delta, 0u) << "an isolated-t query performed " << delta
+                       << " heap allocations";
+  EXPECT_EQ(isolated.level, query::DegradationLevel::kDisconnected);
+  EXPECT_TRUE(isolated.used_fallback);
+  EXPECT_EQ(isolated.container_paths_blocked, net.degree());
 }
 
 TEST(AllocationFree, BestEffortDetourAllocatesOnlyItsResult) {

@@ -1,24 +1,30 @@
-// Bit-identity of AdaptiveRouter against the router it replaced.
+// AdaptiveRouter against the router it replaced.
 //
 // The oracle below keeps the original implementation verbatim: the container
 // scan probes every hop with FaultModel::edge_usable_at (3 probes), and the
 // survivor BFS walks HhcTopology::neighbors through a std::deque with a
 // std::unordered_map parent map (its deadline poll is left out: these
 // queries carry no deadline). The production router answers from a
-// per-thread epoch-stamped scratch and probes each fault fact once; every
-// query here must get the same paths, level, blocked count and fallback
-// flag from both, with and without a shared ContainerCache. With a cache
-// the oracle scans the container the cache serves: the orbit image of the
-// representative's construction (orbit_reference.hpp).
+// per-thread epoch-stamped scratch, probes each fault fact once, and
+// searches from both endpoints at once. Every query here must get the same
+// level, outcome, blocked count and fallback flag from both, with and
+// without a shared ContainerCache, and the same path whenever the container
+// serves it. A survivor-BFS detour may take different nodes: it must have
+// the oracle's hop count, run s -> t over topology edges usable at the
+// query's time, and repeat no node. With a cache the oracle scans the
+// container the cache serves: the orbit image of the representative's
+// construction (orbit_reference.hpp).
 //
 // Cases are seeded: m = 2..4, node and link faults with permanent and
 // transient windows, random query times, containers blocked on purpose,
-// isolated endpoints (disconnected pairs) and faulty endpoints.
+// isolated endpoints (disconnected pairs) and faulty endpoints. A last case
+// checks that a detour is the same on every call and every thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <set>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -203,14 +209,38 @@ struct Tally {
   std::size_t disconnected_sweeps = 0;
 };
 
-// Routes `c` through `router`; any field that differs from the oracle's
-// answer `want` fails the test with the case's coordinates.
-void expect_identical(const HhcTopology& net, const AdaptiveRouter& router,
-                      const Case& c, const query::RouteResult& want,
-                      Tally& tally) {
-  const query::RouteResult got = router.route(c.s, c.t, c.faults, c.time);
-  ASSERT_EQ(got.paths, want.paths)
+// A best-effort detour: as long as the oracle's, from c.s to c.t over
+// edges usable at c.time, with no node twice.
+void expect_shortest_detour(const HhcTopology& net, const Case& c,
+                            const Path& got, const Path& want) {
+  ASSERT_EQ(got.size(), want.size())
       << "m=" << net.m() << " s=" << c.s << " t=" << c.t << " time=" << c.time;
+  ASSERT_EQ(got.front(), c.s);
+  ASSERT_EQ(got.back(), c.t);
+  for (std::size_t j = 0; j + 1 < got.size(); ++j) {
+    ASSERT_TRUE(net.is_edge(got[j], got[j + 1]))
+        << got[j] << "-" << got[j + 1] << " is not an edge";
+    ASSERT_TRUE(c.faults.edge_usable_at(got[j], got[j + 1], c.time))
+        << got[j] << "-" << got[j + 1] << " is not usable at " << c.time;
+  }
+  ASSERT_EQ(std::set<Node>(got.begin(), got.end()).size(), got.size())
+      << "a node repeats";
+}
+
+// Routes `c` through `router`; any field that differs from the oracle's
+// answer `want` fails the test with the case's coordinates. A detour is
+// held to expect_shortest_detour instead of the oracle's node sequence.
+void expect_equivalent(const HhcTopology& net, const AdaptiveRouter& router,
+                       const Case& c, const query::RouteResult& want,
+                       Tally& tally) {
+  const query::RouteResult got = router.route(c.s, c.t, c.faults, c.time);
+  if (want.level == query::DegradationLevel::kBestEffort) {
+    ASSERT_EQ(got.paths.size(), 1u) << "s=" << c.s << " t=" << c.t;
+    expect_shortest_detour(net, c, got.paths[0], want.paths[0]);
+  } else {
+    ASSERT_EQ(got.paths, want.paths) << "m=" << net.m() << " s=" << c.s
+                                     << " t=" << c.t << " time=" << c.time;
+  }
   ASSERT_EQ(got.level, want.level) << "s=" << c.s << " t=" << c.t;
   ASSERT_EQ(got.outcome, want.outcome) << "s=" << c.s << " t=" << c.t;
   ASSERT_EQ(got.container_paths_blocked, want.container_paths_blocked)
@@ -239,13 +269,13 @@ void run_cases(unsigned m, std::size_t count, std::uint64_t seed,
     const Case c = make_case(net, shapes[i % shapes.size()], rng);
     const query::RouteResult want =
         reference_route(net, c.s, c.t, c.faults, c.time);
-    expect_identical(net, direct, c, want, tally);
+    expect_equivalent(net, direct, c, want, tally);
     if (::testing::Test::HasFatalFailure()) return;
     // Twice through the cache: a miss that publishes, then a hit.
     const query::RouteResult want_cached =
         reference_route(net, c.s, c.t, c.faults, c.time, true);
-    expect_identical(net, cached, c, want_cached, tally);
-    expect_identical(net, cached, c, want_cached, tally);
+    expect_equivalent(net, cached, c, want_cached, tally);
+    expect_equivalent(net, cached, c, want_cached, tally);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The seeds exercise every branch, not just the container scan.
@@ -266,8 +296,9 @@ TEST(RouterEquivalence, MatchesReferenceM3) {
 }
 
 TEST(RouterEquivalence, MatchesReferenceM4) {
-  // An isolated t makes both BFSs sweep all 2^20 nodes, so m = 4 takes
-  // few such cases; the rest are blocked containers and cut-off sources.
+  // An isolated t makes the oracle's BFS sweep all 2^20 nodes, so m = 4
+  // takes few such cases; the rest are blocked containers and cut-off
+  // sources.
   run_cases(4, 12, 0xB19,
             {Shape::kBlocked, Shape::kIsolateS, Shape::kDeadEndpoint,
              Shape::kBlocked, Shape::kRandom, Shape::kBlocked,
@@ -286,8 +317,8 @@ TEST(RouterEquivalence, SweepsInterleavedAcrossTopologies) {
     const AdaptiveRouter router{net};
     const Shape shape = kAllShapes[rng.below(kAllShapes.size())];
     const Case c = make_case(net, shape, rng);
-    expect_identical(net, router, c,
-                     reference_route(net, c.s, c.t, c.faults, c.time), tally);
+    expect_equivalent(net, router, c,
+                      reference_route(net, c.s, c.t, c.faults, c.time), tally);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(tally.fallbacks, 100u);
@@ -353,8 +384,8 @@ TEST(RouterEquivalence, SnapshotFollowsModelsTopologiesAndTimes) {
       c.t = rng.below(net.node_count());
       c.time = first + k / 3;
       c.faults = faults;
-      expect_identical(net, router, c,
-                       reference_route(net, c.s, c.t, faults, c.time), tally);
+      expect_equivalent(net, router, c,
+                        reference_route(net, c.s, c.t, faults, c.time), tally);
       if (HasFatalFailure()) return;
     }
   }
@@ -404,7 +435,8 @@ TEST(RouterEquivalence, SurvivesSweepStampWrap) {
   // thread, sweep 1 and sweep 65,536 (the first after the wrap) carry the
   // same stamp, and both run the same wide m = 3 detour: had the wrap not
   // cleared the table, the second would find the first's marks live and
-  // stop early. The sweeps in between are cheap m = 1 fallbacks.
+  // take a different path or stop early. The sweeps in between are cheap
+  // m = 1 fallbacks.
   const HhcTopology wide{3};
   const Node s = wide.encode(0, 0);
   const Node t = wide.encode(177, 6);
@@ -438,9 +470,48 @@ TEST(RouterEquivalence, SurvivesSweepStampWrap) {
   sweeper.join();
 
   EXPECT_EQ(ring_mismatches, 0u);
+  ASSERT_EQ(wide_got[0].paths.size(), 1u);
+  const Case wide_case{wide_faults, s, t, 0};
+  expect_shortest_detour(wide, wide_case, wide_got[0].paths[0],
+                         want.paths[0]);
   for (const query::RouteResult& got : wide_got) {
-    EXPECT_EQ(got.paths, want.paths);
+    EXPECT_EQ(got.paths, wide_got[0].paths);
     EXPECT_EQ(got.level, want.level);
+  }
+}
+
+TEST(RouterEquivalence, DetourIsTheSameOnEveryCallAndThread) {
+  // The search order depends only on the snapshot and (s, t), not on what
+  // the thread's scratch held before or on which thread routes: a detour
+  // routed twice on one thread, other detours in between, and once on a
+  // second thread is the same path each time.
+  const HhcTopology net{3};
+  const AdaptiveRouter router{net};
+  util::Xoshiro256 rng{0xB1D};
+  std::vector<Case> cases;
+  for (int attempt = 0; attempt < 400 && cases.size() < 24; ++attempt) {
+    Case c = make_case(net, Shape::kBlocked, rng);
+    if (reference_route(net, c.s, c.t, c.faults, c.time).level ==
+        query::DegradationLevel::kBestEffort) {
+      cases.push_back(std::move(c));
+    }
+  }
+  ASSERT_GE(cases.size(), 10u);
+  const auto route_all = [&] {
+    std::vector<std::vector<Path>> paths;
+    for (const Case& c : cases) {
+      paths.push_back(router.route(c.s, c.t, c.faults, c.time).paths);
+    }
+    return paths;
+  };
+  const std::vector<std::vector<Path>> first = route_all();
+  const std::vector<std::vector<Path>> again = route_all();
+  std::vector<std::vector<Path>> other;
+  std::thread{[&] { other = route_all(); }}.join();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_EQ(first[i].size(), 1u) << "s=" << cases[i].s << " t=" << cases[i].t;
+    EXPECT_EQ(again[i], first[i]) << "s=" << cases[i].s << " t=" << cases[i].t;
+    EXPECT_EQ(other[i], first[i]) << "s=" << cases[i].s << " t=" << cases[i].t;
   }
 }
 
