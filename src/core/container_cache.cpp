@@ -129,6 +129,16 @@ const ContainerCache::ShardIndex* ContainerCache::snapshot(
   return entry.index.get();
 }
 
+void flatten(const DisjointPathSetRef& set, std::vector<Node>& nodes,
+             std::vector<std::uint32_t>& offsets) {
+  nodes.clear();
+  offsets.assign(1, 0);
+  for (const PathRef path : set.paths) {
+    nodes.insert(nodes.end(), path.begin(), path.end());
+    offsets.push_back(static_cast<std::uint32_t>(nodes.size()));
+  }
+}
+
 std::size_t ContainerHandle::max_length() const noexcept {
   std::size_t best = 0;
   for (std::size_t i = 0; i < path_count(); ++i) {
@@ -238,17 +248,9 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
     static obs::Histogram& construct_hist =
         obs::stage_histogram(obs::stages::kConstruct);
     obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
-    const DisjointPathSetRef canonical =
-        node_disjoint_paths(net_, cs, ct, options, tls_construction_scratch());
-    flat->offsets.reserve(canonical.paths.size() + 1);
-    flat->offsets.push_back(0);
-    std::size_t total = 0;
-    for (const PathRef p : canonical.paths) total += p.size();
-    flat->nodes.reserve(total);
-    for (const PathRef p : canonical.paths) {
-      flat->nodes.insert(flat->nodes.end(), p.begin(), p.end());
-      flat->offsets.push_back(static_cast<std::uint32_t>(flat->nodes.size()));
-    }
+    core::flatten(
+        node_disjoint_paths(net_, cs, ct, options, tls_construction_scratch()),
+        flat->nodes, flat->offsets);
   }
 
   static obs::Histogram& publish_hist =
@@ -296,6 +298,33 @@ DisjointPathSet ContainerCache::materialize(Node s, Node t,
   (hit ? hits_ : misses_).add();
   if (cache_hit != nullptr) *cache_hit = hit;
   return set;
+}
+
+void ContainerCache::flatten(Node s, Node t, const ConstructionOptions& options,
+                             std::vector<Node>& nodes,
+                             std::vector<std::uint32_t>& offsets,
+                             bool* cache_hit) {
+  if (!net_.contains(s) || !net_.contains(t)) {
+    throw std::invalid_argument("ContainerCache: node out of range");
+  }
+  if (s == t) throw std::invalid_argument("ContainerCache: s == t");
+  OrbitTable* orbit = orbit_table(options);
+  if (orbit == nullptr) {
+    const ContainerHandle handle = lookup(s, t, options, cache_hit);
+    nodes.clear();
+    offsets.assign(1, 0);
+    for (std::size_t i = 0; i < handle.path_count(); ++i) {
+      for (std::size_t j = 0; j < handle.path_size(i); ++j) {
+        nodes.push_back(handle.node(i, j));
+      }
+      offsets.push_back(static_cast<std::uint32_t>(nodes.size()));
+    }
+    return;
+  }
+  bool hit = false;
+  orbit->flatten(s, t, nodes, offsets, &hit);
+  (hit ? hits_ : misses_).add();
+  if (cache_hit != nullptr) *cache_hit = hit;
 }
 
 std::size_t ContainerCache::evictions() const noexcept {

@@ -66,7 +66,10 @@
 // API contract: lookup() is THE borrowed read path — it returns a
 // ContainerHandle off the published snapshot. materialize() is the owning
 // path: at m <= 4 it decodes straight from the orbit table into owning
-// paths and touches no shard index, publication or eviction.
+// paths and touches no shard index, publication or eviction. flatten() is
+// the scanning path (fault::AdaptiveRouter's container scan): the same
+// container decoded into the caller's reusable flat buffers, so a scan
+// copies no shared entry and bumps no refcount.
 #pragma once
 
 #include <array>
@@ -94,6 +97,11 @@ struct FlatContainer {
   std::vector<Node> nodes;
   std::vector<std::uint32_t> offsets;  // paths[i] = nodes[offsets[i], offsets[i+1])
 };
+
+/// Writes `set` into `nodes` and `offsets` (both overwritten) in the
+/// FlatContainer layout.
+void flatten(const DisjointPathSetRef& set, std::vector<Node>& nodes,
+             std::vector<std::uint32_t>& offsets);
 
 /// A zero-copy view of a cached container, relabeled lazily.
 ///
@@ -254,6 +262,18 @@ class ContainerCache {
   [[nodiscard]] DisjointPathSet materialize(Node s, Node t,
                                             const ConstructionOptions& options,
                                             bool* cache_hit = nullptr);
+
+  /// The same container flattened into caller-owned buffers, as in
+  /// FlatContainer: `nodes` holds every path back to back and `offsets`
+  /// (path_count + 1 entries) delimits them; both are overwritten. At
+  /// m <= 4 it decodes the orbit record straight into the buffers and
+  /// touches no shard index or refcount; at m = 5 it is lookup() plus a
+  /// copy. Counts hits()/misses() and sets `cache_hit` as materialize()
+  /// does. Once the buffers have grown to a container, a call at m <= 4
+  /// allocates nothing. Throws as lookup() does.
+  void flatten(Node s, Node t, const ConstructionOptions& options,
+               std::vector<Node>& nodes, std::vector<std::uint32_t>& offsets,
+               bool* cache_hit = nullptr);
 
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }

@@ -24,12 +24,12 @@ void ActiveFaults::index() {
   while (slots < 2 * n) slots *= 2;
   std::size_t words = 1;  // 64 filter bits per fact
   while (words < n) words *= 2;
-  slots_.assign(slots, Key{kFree, 0});
+  slots_.assign(slots, Fact{kFree, 0});
   filter_.assign(words, 0);
   slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
   filter_shift_ = 58 - static_cast<unsigned>(std::countr_zero(words));
   const std::size_t mask = slots - 1;
-  for (const Key& k : facts_) {
+  for (const Fact& k : facts_) {
     const std::uint64_t h = hash(k.a, k.b);
     const std::uint64_t bit = h >> filter_shift_;
     filter_[bit >> 6] |= std::uint64_t{1} << (bit & 63);

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -60,6 +61,12 @@ struct FaultWindow {
 /// nothing.
 class ActiveFaults {
  public:
+  /// One active fact: a node `v` as (v, v), a link as (a, b) with a < b.
+  struct Fact {
+    Node a = 0;
+    Node b = 0;
+  };
+
   [[nodiscard]] bool node_faulty(Node v) const noexcept {
     return contains(v, v);
   }
@@ -76,6 +83,10 @@ class ActiveFaults {
 
   /// Number of active facts (nodes plus links).
   [[nodiscard]] std::size_t size() const noexcept { return facts_.size(); }
+  /// The active facts, in resolve order.
+  [[nodiscard]] std::span<const Fact> facts() const noexcept { return facts_; }
+  /// The version() of the model this snapshot was resolved from.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
   [[nodiscard]] std::uint64_t valid_from() const noexcept {
     return valid_from_;
   }
@@ -86,10 +97,6 @@ class ActiveFaults {
  private:
   friend class FaultModel;
 
-  struct Key {
-    Node a = 0;
-    Node b = 0;
-  };
   // No node id reaches 2^37, so an all-ones `a` marks a free slot.
   static constexpr Node kFree = ~Node{0};
 
@@ -105,7 +112,7 @@ class ActiveFaults {
     const std::uint64_t h = hash(u, v);
     const std::uint64_t bit = h >> filter_shift_;
     if (((filter_[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
-    const Key k = u < v ? Key{u, v} : Key{v, u};
+    const Fact k = u < v ? Fact{u, v} : Fact{v, u};
     const std::size_t mask = slots_.size() - 1;
     for (auto i = static_cast<std::size_t>(h >> slot_shift_);;
          i = (i + 1) & mask) {
@@ -117,8 +124,8 @@ class ActiveFaults {
   /// Sizes the filter and the set to facts_ and inserts every fact.
   void index();
 
-  std::vector<Key> facts_;         // the active facts, in resolve order
-  std::vector<Key> slots_;         // the exact set, power-of-two size
+  std::vector<Fact> facts_;        // the active facts, in resolve order
+  std::vector<Fact> slots_;        // the exact set, power-of-two size
   std::vector<std::uint64_t> filter_ = std::vector<std::uint64_t>(1, 0);
   unsigned filter_shift_ = 58;     // 64 - log2(filter bits)
   unsigned slot_shift_ = 64;       // 64 - log2(slots_.size())

@@ -15,23 +15,38 @@
 // the m+1 paths survive, and how many were blocked?) passes
 // RouteLimits{.skip_fallback = true}: step 2 never runs.
 //
-// The BFS walks the implicit topology (no explicit graph build) and is
-// intended for campaign-scale instances (m <= 4). It is bidirectional and
-// level-synchronous: one frontier grows from s and one from t, a step
-// expands a whole level of the smaller frontier, and the search returns at
-// the first usable edge between the two trees, which closes a shortest
-// path. A side whose next level comes up empty ends the search as
-// disconnected, so an isolated endpoint costs one expansion, not a sweep
-// of the other endpoint's component. It keeps its state in a per-thread
-// scratch reused across calls: an epoch-stamped open-addressing map from
-// node to "dead / healthy / reached by side s or t across dimension d"
-// and one flat FIFO per side. Once a thread's scratch has grown to its
-// working set, a sweep allocates nothing and a detour allocates only the
-// returned path. The map holds at most N keys (N the node count) in 2N
-// slots of 16 bytes, and each FIFO at most N nodes. A thread keeps the
-// largest of each it has needed, at most 96 KiB at m = 3 and 48 MiB at
-// m = 4; a search that meets early or ends at a small component needs far
-// less.
+// The BFS walks the implicit topology (no explicit graph build) and runs
+// only at m <= 4 (core::OrbitTable::kMaxM): its state is indexed by node,
+// and m = 5 has 2^37 nodes. Above that, a fully cut container answers as
+// under skip_fallback: outcome kShed, level kDisconnected, no sweep. The
+// BFS is bidirectional and level-synchronous: one frontier grows from s
+// and one from t, a step expands a whole level of the smaller frontier,
+// and the search returns at the first usable edge between the two trees,
+// which closes a shortest path. A side whose next level comes up empty
+// ends the search as disconnected, so an isolated endpoint costs one
+// expansion, not a sweep of the other endpoint's component.
+//
+// It reads no fault fact. The first sweep after a re-resolve projects the
+// thread's snapshot (below) into one byte per node, bit d set when the
+// dimension-d edge is usable (link healthy, both endpoints alive), keyed
+// on the snapshot's identity; a re-projection at the same m resets only
+// the bytes the previous one cleared. Expanding u walks the set bits of
+// its byte in ascending order, which is HhcTopology::neighbors order, so a
+// query's detour is the same on every call and every thread, and as short
+// as the one a plain one-sided BFS finds, though it may take different
+// nodes. The sweep's marks are an epoch-stamped array of one {stamp,
+// mark} per node, and each side has one FIFO of a slot per node, never
+// initialized. All of it is per-thread scratch reused across calls: once
+// grown, a sweep allocates nothing and a detour allocates only the
+// returned path. At m = 4 a thread keeps 4 MiB of marks, 1 MiB of usable
+// bytes and two 8 MiB FIFOs, of which a search that meets early or ends at
+// a small component touches few pages.
+//
+// The container scan decodes the pair's container into a per-thread flat
+// buffer (ContainerCache::flatten: the orbit record at m <= 4; without a
+// cache, the construction) and checks each path in the snapshot: s and t
+// once per route, then a hop's link and the interior node it enters. It
+// copies only the path it delivers.
 //
 // No stage probes the FaultModel itself. route() reads one per-thread
 // core::ActiveFaults snapshot of the facts active at query.time: an exact
@@ -46,24 +61,13 @@
 // thread per epoch; one that builds a fresh model per route pays it on
 // every call, in proportion to that model's size.
 //
-// Each stage checks a fault fact at most once. route() checks s and t
-// once; the container scan then checks a hop's link and the interior node
-// it enters; the BFS never re-checks the node it expands (healthy by
-// construction), records a neighbor's health on first sight, and checks a
-// link inside one side's tree only from the endpoint expanded first. A
-// link between the two trees may be checked once from each side. The
-// search order depends only on the snapshot and (s, t): neighbors are
-// enumerated in HhcTopology::neighbors order through FIFOs, so a query's
-// detour is the same on every call and every thread, and as short as the
-// one a plain one-sided BFS finds, though it may take different nodes.
-//
 // Results are reported in the unified query vocabulary
 // (query::PairQuery -> query::RouteResult; see query/types.hpp), so
 // "container vs fallback vs disconnected" reads the same here, in the
 // PathService, and in the sim. The router can optionally share a
 // core::ContainerCache — query::PathService wires its sharded cache in — so
-// container lookups under heavy fault-aware traffic hit the cache instead
-// of re-running the construction per call.
+// container scans under heavy fault-aware traffic decode the cache's orbit
+// records instead of re-running the construction per call.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +81,7 @@ namespace hhc::fault {
 
 class AdaptiveRouter {
  public:
-  /// `cache` (optional, not owned) serves the container lookups; it must
+  /// `cache` (optional, not owned) serves the container scans; it must
   /// outlive the router and belong to the same topology. Without one, every
   /// route() call runs the construction directly.
   explicit AdaptiveRouter(const core::HhcTopology& net,

@@ -8,6 +8,7 @@
 #include "core/disjoint.hpp"
 #include "core/fault_model.hpp"
 #include "core/io.hpp"
+#include "core/orbit_table.hpp"
 #include "fault/adaptive_router.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
@@ -80,6 +81,11 @@ double CampaignRow::fallback_rate() const noexcept {
 }
 
 CampaignRunner::CampaignRunner(CampaignConfig config) : config_{config} {
+  if (!core::OrbitTable::covers(config_.m)) {
+    // Above m = 4 the router sheds a cut container instead of sweeping, so
+    // a campaign could not tell a detour from a disconnected pair.
+    throw std::invalid_argument("CampaignRunner: m must be at most 4");
+  }
   if (config_.trials == 0) {
     throw std::invalid_argument("CampaignRunner: trials must be positive");
   }

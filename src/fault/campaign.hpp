@@ -22,7 +22,7 @@
 namespace hhc::fault {
 
 struct CampaignConfig {
-  unsigned m = 3;             // cluster dimension (1..5; BFS fallback <= 4)
+  unsigned m = 3;             // cluster dimension (1..4, the BFS range)
   std::size_t trials = 200;   // s-t pairs per fault budget
   std::size_t max_faults = 0; // sweep 0..max_faults; 0 means degree + 2
   double link_fault_fraction = 0.0;  // of each budget, injected as links

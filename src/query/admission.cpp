@@ -1,17 +1,50 @@
 #include "query/admission.hpp"
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 namespace hhc::query {
 
-std::size_t& AdmissionGate::shed_streak() const {
-  // One slot per gate instance (ids are process-unique and never reused),
-  // mirroring StripedCounter's TLS scheme: streaks for destroyed gates are
+std::vector<AdmissionGate::Local>& AdmissionGate::locals() noexcept {
+  // One entry per gate instance (ids are process-unique and never reused),
+  // mirroring StripedCounter's TLS scheme: entries for destroyed gates are
   // inert because their ids are never consulted again.
-  thread_local std::vector<std::size_t> streaks;
-  if (id_ >= streaks.size()) streaks.resize(id_ + 1, 0);
-  return streaks[id_];
+  thread_local std::vector<Local> entries;
+  return entries;
+}
+
+AdmissionGate::Local& AdmissionGate::local() const {
+  std::vector<Local>& entries = locals();
+  if (id_ >= entries.size()) entries.resize(id_ + 1);
+  return entries[id_];
+}
+
+bool AdmissionGate::try_claim(Local& local) noexcept {
+  // A thread's first claim starts at a slot picked by its arrival order,
+  // so new callers spread over the slots instead of all probing slot 0.
+  static std::atomic<std::size_t> next_thread{0};
+  thread_local const std::size_t thread_index =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t n = config_.max_in_flight;
+  std::size_t i = local.slot != kNoSlot ? local.slot : thread_index % n;
+  for (std::size_t k = 0; k < n; ++k, i = i + 1 == n ? 0 : i + 1) {
+    // Read before the exchange: a taken slot costs a load, not a write.
+    if (!slots_[i].taken.load(std::memory_order_relaxed) &&
+        !slots_[i].taken.exchange(true, std::memory_order_acquire)) {
+      local.slot = i;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t AdmissionGate::in_flight() const noexcept {
+  std::size_t n = overflow_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < config_.max_in_flight; ++i) {
+    if (slots_[i].taken.load(std::memory_order_relaxed)) ++n;
+  }
+  return n;
 }
 
 AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
@@ -26,16 +59,16 @@ AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
     // smoothed latency worse. Every probe_interval-th consecutive shed
     // decision per thread is admitted degraded as a half-open probe so
     // completions keep feeding the detector (recovery contract).
-    std::size_t& streak = shed_streak();
+    std::size_t& streak = local().streak;
     if (config_.probe_interval == 0 ||
         ++streak % config_.probe_interval != 0) {
       return AdmissionVerdict::kShed;  // no shared writes
     }
-    // The probe claims a slot like a kDegrade admission: it may transiently
-    // exceed the bound, which is the price of keeping the feedback loop
-    // closed while the gate is shut.
+    // The probe is counted past the bound like a kDegrade admission: it
+    // may transiently exceed the bound, which is the price of keeping the
+    // feedback loop closed while the gate is shut.
     if (config_.max_in_flight != 0) {
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
+      overflow_.fetch_add(1, std::memory_order_relaxed);
     }
     return AdmissionVerdict::kAdmittedDegraded;
   }
@@ -47,25 +80,24 @@ AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
                     : AdmissionVerdict::kAdmitted;
   }
 
-  // Claim a slot with a read + CAS: the write happens only on successful
-  // admission, so a saturated gate sheds with a single relaxed load and no
-  // cache-line ping-pong (the old optimistic fetch_add/fetch_sub pair made
-  // every rejected query a shared writer).
-  std::size_t occupied = in_flight_.load(std::memory_order_relaxed);
-  while (occupied < config_.max_in_flight) {
-    if (in_flight_.compare_exchange_weak(occupied, occupied + 1,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-      return overload ? AdmissionVerdict::kAdmittedDegraded
-                      : AdmissionVerdict::kAdmitted;
-    }
+  // Claim a slot: reads only until a free one is found, so a saturated
+  // gate sheds after one relaxed load per slot and no shared write.
+  Local& mine = local();
+  if (try_claim(mine)) {
+    return overload ? AdmissionVerdict::kAdmittedDegraded
+                    : AdmissionVerdict::kAdmitted;
   }
 
   switch (config_.policy) {
     case AdmissionPolicy::kReject:
+      // Every slot is held. With more callers than cores, a holder may be
+      // waiting for the very CPU this caller is on: give the CPU up once,
+      // so a caller that retries at once does not keep a preempted holder,
+      // and its slot, off the CPU for a whole time slice.
+      std::this_thread::yield();
       return AdmissionVerdict::kShed;
     case AdmissionPolicy::kDegrade:
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
+      overflow_.fetch_add(1, std::memory_order_relaxed);
       return AdmissionVerdict::kAdmittedDegraded;
     case AdmissionPolicy::kQueue:
       break;
@@ -79,10 +111,7 @@ AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
     if (util::should_stop(deadline, cancel)) {
       return AdmissionVerdict::kTimedOut;
     }
-    std::size_t current = in_flight_.load(std::memory_order_relaxed);
-    if (current < config_.max_in_flight &&
-        in_flight_.compare_exchange_strong(current, current + 1,
-                                           std::memory_order_acquire)) {
+    if (try_claim(mine)) {
       return overload_cached_.load(std::memory_order_relaxed)
                  ? AdmissionVerdict::kAdmittedDegraded
                  : AdmissionVerdict::kAdmitted;
@@ -93,9 +122,41 @@ AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
 
 void AdmissionGate::release() noexcept {
   if (config_.max_in_flight == 0) return;  // nothing was claimed
-  in_flight_.fetch_sub(1, std::memory_order_release);
+  give_back();
   if (config_.policy == AdmissionPolicy::kQueue) {
     slot_free_.notify_one();
+  }
+}
+
+void AdmissionGate::give_back() noexcept {
+  // Admissions past the bound go back first: while any is out, the gate
+  // is at or over its bound and no slot may reopen.
+  std::size_t over = overflow_.load(std::memory_order_relaxed);
+  while (over > 0) {
+    if (overflow_.compare_exchange_weak(over, over - 1,
+                                        std::memory_order_release,
+                                        std::memory_order_relaxed)) {
+      return;
+    }
+  }
+  // Then this thread's own slot: the common case, on a line in its cache.
+  const std::vector<Local>& entries = locals();
+  const std::size_t own = id_ < entries.size() ? entries[id_].slot : kNoSlot;
+  if (own != kNoSlot &&
+      slots_[own].taken.exchange(false, std::memory_order_release)) {
+    return;
+  }
+  // The contract pairs admits and releases by count, not by thread, so a
+  // release whose own slot is free frees whichever slot is taken; the
+  // count of taken slots stays exact. A pass that finds none taken ends:
+  // an unmatched release has nothing to give back.
+  for (bool seen = true; seen;) {
+    seen = false;
+    for (std::size_t i = 0; i < config_.max_in_flight; ++i) {
+      if (!slots_[i].taken.load(std::memory_order_relaxed)) continue;
+      seen = true;
+      if (slots_[i].taken.exchange(false, std::memory_order_release)) return;
+    }
   }
 }
 

@@ -28,13 +28,17 @@
 //                    sets so expensive.
 //
 // Shed-fast contract (PR 8): a rejected decision performs NO shared-memory
-// writes. The in-flight bound is checked with a read + CAS claim that only
-// writes on successful admission; completion feedback lands in per-thread
-// util::Striped cells and is folded into the EWMA on decision epochs, not
-// per sample; and a disabled mechanism costs at most a relaxed load. This
-// is what makes rejection effectively free and lets goodput
-// plateau under overload instead of collapsing (the F6b closed-loop sweep
-// in BENCH_query.json is the acceptance curve).
+// writes. The in-flight bound is a set of slots, one cache line each,
+// claimed by a read + exchange that only writes on successful admission;
+// a caller reclaims the slot it released last, so a steady caller's claim
+// and release stay in its own core's cache. A rejection at the bound
+// yields the caller's CPU once, to a slot holder that may be waiting for
+// it. Completion feedback lands in per-thread util::Striped cells and is
+// folded into the EWMA on decision epochs, not per sample; and a disabled
+// mechanism costs at most a relaxed load. This is what makes rejection
+// effectively free and lets goodput plateau under overload instead of
+// collapsing (the F6b closed-loop sweep in BENCH_query.json is the
+// acceptance curve).
 //
 // Recovery contract: the EWMA only learns from completed answers, so a
 // gate shedding 100% of traffic would otherwise never observe that load
@@ -53,8 +57,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "core/topology.hpp"
 #include "util/deadline.hpp"
@@ -81,7 +87,8 @@ enum class AdmissionPolicy {
 struct AdmissionConfig {
   /// Concurrent in-flight answer() bound; 0 = unlimited. An unlimited gate
   /// does no occupancy accounting at all (admit/release are read-only), so
-  /// the default config adds zero shared writes to the query hot path.
+  /// the default config adds zero shared writes to the query hot path. A
+  /// bounded gate keeps one cache line per slot.
   std::size_t max_in_flight = 0;
   AdmissionPolicy policy = AdmissionPolicy::kReject;
   /// EWMA smoothing factor in (0, 1]; the weight of the newest sample.
@@ -119,8 +126,9 @@ enum class AdmissionVerdict {
 class AdmissionGate {
  public:
   explicit AdmissionGate(AdmissionConfig config)
-      : config_{config}, id_{next_id().fetch_add(1,
-                                                 std::memory_order_relaxed)} {}
+      : config_{config},
+        id_{next_id().fetch_add(1, std::memory_order_relaxed)},
+        slots_{std::make_unique<Slot[]>(config.max_in_flight)} {}
 
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
@@ -154,11 +162,10 @@ class AdmissionGate {
   /// the hot admit() path reads the cached epoch-folded state instead.
   [[nodiscard]] bool overloaded() const noexcept;
 
-  /// Instantaneous occupancy; always 0 for an unlimited gate (which does
-  /// no accounting — see AdmissionConfig::max_in_flight).
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  /// Instantaneous occupancy: claimed slots plus admissions past the
+  /// bound. Always 0 for an unlimited gate (which does no accounting — see
+  /// AdmissionConfig::max_in_flight).
+  [[nodiscard]] std::size_t in_flight() const noexcept;
   [[nodiscard]] const AdmissionConfig& config() const noexcept {
     return config_;
   }
@@ -173,7 +180,20 @@ class AdmissionGate {
   void fold_completions() const noexcept;
   [[nodiscard]] bool try_fold_completions() const noexcept;
   void apply_fold_locked() const noexcept;
-  [[nodiscard]] std::size_t& shed_streak() const;
+
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  /// This thread's state for this gate: its consecutive-shed streak and
+  /// the slot it claimed last.
+  struct Local {
+    std::size_t streak = 0;
+    std::size_t slot = kNoSlot;
+  };
+  [[nodiscard]] static std::vector<Local>& locals() noexcept;
+  [[nodiscard]] Local& local() const;
+  /// Claims a free slot, trying this thread's last one first.
+  [[nodiscard]] bool try_claim(Local& local) noexcept;
+  /// Gives back one admission: an overflow one, else a slot.
+  void give_back() noexcept;
 
   [[nodiscard]] static std::atomic<std::uint64_t>& next_id() noexcept {
     static std::atomic<std::uint64_t> id{0};
@@ -181,8 +201,17 @@ class AdmissionGate {
   }
 
   AdmissionConfig config_;
-  const std::uint64_t id_;  // process-unique; keys the per-thread shed streak
-  std::atomic<std::size_t> in_flight_{0};
+  const std::uint64_t id_;  // process-unique; keys the per-thread Local
+  // The bound as max_in_flight slots, one cache line each. A thread
+  // reclaims the slot it released last, so a steady caller's claim and
+  // release stay in its own core's cache instead of passing one shared
+  // counter line between cores on every query.
+  struct alignas(64) Slot {
+    std::atomic<bool> taken{false};
+  };
+  std::unique_ptr<Slot[]> slots_;
+  // Admissions past the bound (kDegrade, overload probes); released first.
+  std::atomic<std::size_t> overflow_{0};
 
   // Completion feedback: one per-thread cell (count and summed ns) on the
   // write side, folded into ewma_us_/overload_cached_ under fold_mutex_ on

@@ -20,7 +20,7 @@
 //     dependent);
 //   * fault-aware queries: a PairQuery carrying a FaultModel view routes
 //     through fault::AdaptiveRouter — which shares this service's cache for
-//     its container lookups — so one service answers both pristine and
+//     its container scans — so one service answers both pristine and
 //     degraded-mode traffic;
 //   * observability: per-shard hit/miss/eviction counters, per-thread
 //     striped query tallies and latency histograms, and a stats() snapshot

@@ -106,8 +106,9 @@ struct SoakReport {
   double max_overrun_us = 0.0;   // worst completion past its own deadline
   std::uint64_t breaker_trips = 0;
   std::uint64_t breaker_short_circuits = 0;
-  /// Seconds spent in the epoch loop only; building the topology, the
-  /// fault schedule and the worker pool is not counted.
+  /// Seconds of query phase: each epoch's submit -> drain span, summed.
+  /// Building the topology, the fault schedule and the worker pool, an
+  /// epoch's pair generation and its latency tallies are not counted.
   double wall_seconds = 0.0;
 
   /// Mean ok-rate over epochs with / without an active fault — recovery

@@ -309,6 +309,41 @@ TEST(AdaptiveRouter, SharedCacheChangesNothingButCounts) {
   EXPECT_GT(cache.hits(), 0u);
 }
 
+TEST(AdaptiveRouter, CutContainerAboveM4IsShedWithoutASweep) {
+  // The survivor sweep is node-indexed and runs only at m <= 4. At m = 5
+  // (2^37 nodes) a fully cut container answers as under skip_fallback:
+  // outcome kShed, level kDisconnected, no sweep. A container with one
+  // surviving path still delivers it, with or without a shared cache.
+  const HhcTopology net{5};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter direct{net};
+  const AdaptiveRouter cached{net, &cache};
+  const Node s = net.encode(0, 3);
+  const Node t = net.encode(0xDEADBEEF, 17);
+  const auto container = core::node_disjoint_paths(net, s, t);
+  FaultModel cut;
+  FaultModel one_left;
+  for (std::size_t i = 0; i < container.paths.size(); ++i) {
+    const Path& path = container.paths[i];
+    cut.fail_node(path[path.size() / 2]);
+    if (i > 0) one_left.fail_node(path[path.size() / 2]);
+  }
+  for (const AdaptiveRouter* router : {&direct, &cached}) {
+    const auto shed = router->route(s, t, cut);
+    EXPECT_EQ(shed.outcome, query::RouteOutcome::kShed);
+    EXPECT_EQ(shed.level, query::DegradationLevel::kDisconnected);
+    EXPECT_FALSE(shed.used_fallback);
+    EXPECT_TRUE(shed.paths.empty());
+    EXPECT_EQ(shed.container_paths_blocked, container.paths.size());
+
+    const auto served = router->route(s, t, one_left);
+    EXPECT_EQ(served.outcome, query::RouteOutcome::kOk);
+    ASSERT_EQ(served.level, query::DegradationLevel::kGuaranteed);
+    EXPECT_EQ(served.primary(), container.paths[0]);
+    EXPECT_EQ(served.container_paths_blocked, container.paths.size() - 1);
+  }
+}
+
 TEST(AdaptiveRouter, PairQueryFormMatchesConvenienceForm) {
   const HhcTopology net{2};
   const AdaptiveRouter router{net};

@@ -54,6 +54,60 @@ TEST(AdmissionGate, DegradePolicyAdmitsDegradedBeyondTheBound) {
   gate.release();
 }
 
+TEST(AdmissionGate, ReleaseOnAnotherThreadFreesASlot) {
+  // admit() and release() pair by count, not by thread: slots claimed on
+  // one thread and given back on another leave the gate empty and open.
+  AdmissionConfig config;
+  config.max_in_flight = 3;
+  config.policy = AdmissionPolicy::kReject;
+  AdmissionGate gate{config};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  }
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
+
+  std::thread other{[&gate] {
+    gate.release();
+    gate.release();
+  }};
+  other.join();
+  EXPECT_EQ(gate.in_flight(), 1u);
+  gate.release();
+  EXPECT_EQ(gate.in_flight(), 0u);
+
+  std::thread again{[&gate] {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+    }
+    EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
+  }};
+  again.join();
+  for (int i = 0; i < 3; ++i) gate.release();
+  EXPECT_EQ(gate.in_flight(), 0u);
+}
+
+TEST(AdmissionGate, AdmissionsPastTheBoundGoBackFirst) {
+  // A degraded admission past the bound is given back before any slot, so
+  // the gate stays at its bound while the slot's own holder is still out.
+  AdmissionConfig config;
+  config.max_in_flight = 1;
+  config.policy = AdmissionPolicy::kDegrade;
+  AdmissionGate gate{config};
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
+            AdmissionVerdict::kAdmittedDegraded);
+  gate.release();
+  EXPECT_EQ(gate.in_flight(), 1u);
+  // The one slot is still held, so the next admission is degraded again.
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
+            AdmissionVerdict::kAdmittedDegraded);
+  gate.release();
+  gate.release();
+  EXPECT_EQ(gate.in_flight(), 0u);
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  gate.release();
+}
+
 TEST(AdmissionGate, QueuePolicyTimesOutOnExpiredDeadline) {
   AdmissionConfig config;
   config.max_in_flight = 1;

@@ -15,12 +15,16 @@
 //   * PathService::answer_view on a hit (handle + telemetry only), and
 //     PathService::answer's orbit decode (its result only), also on a
 //     fresh thread after one warm-up call;
+//   * AdaptiveRouter's container scan once the thread's flat buffer has
+//     grown (a scan-served route allocates only its returned path and the
+//     result's paths vector);
 //   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
 //     has grown: a disconnected sweep of two 1024-node halves allocates
 //     nothing, an isolated endpoint ends the search before it needs more
 //     room than one detour grew, and a detour allocates only the returned
 //     path and the result's paths vector — also at a new time inside the
-//     fault interval the snapshot covers;
+//     fault interval the snapshot covers, and after an interval change that
+//     re-projects the usable-edge bytes;
 //   * re-resolving the router's per-thread fault snapshot (a new model or
 //     a new interval) once it has grown to the largest active set.
 //
@@ -34,6 +38,8 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/container_cache.hpp"
@@ -444,6 +450,87 @@ TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
   EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
   ASSERT_EQ(detoured.paths.size(), 1u);
   EXPECT_TRUE(is_valid_path(net, detoured.primary(), ds, dt));
+}
+
+TEST(AllocationFree, ScanServedRouteAllocatesOnlyItsPath) {
+  // Three node faults at m = 3 never cut a whole container, so every route
+  // below is served by the scan. With a shared cache the scan decodes the
+  // orbit record into the thread's flat buffer; without one it flattens
+  // the construction. Once the buffer has grown, the records are filled
+  // and the snapshot is resolved, a route allocates its returned path and
+  // the result's paths vector, nothing else.
+  const HhcTopology net{3};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter direct{net};
+  const fault::AdaptiveRouter cached{net, &cache};
+  FaultModel faults;
+  for (const Node v : {Node{17}, Node{700}, Node{1500}}) faults.fail_node(v);
+  std::vector<std::pair<Node, Node>> pairs;
+  for (const auto& [s, t] : sample_pairs(net, 80, 0xA1150)) {
+    if (!faults.node_faulty_at(s) && !faults.node_faulty_at(t)) {
+      pairs.emplace_back(s, t);
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [s, t] : pairs) {
+      (void)direct.route(s, t, faults);
+      (void)cached.route(s, t, faults);
+    }
+  }
+
+  std::size_t guaranteed = 0;
+  const std::size_t before = allocation_count();
+  for (const auto& [s, t] : pairs) {
+    for (const fault::AdaptiveRouter* router : {&direct, &cached}) {
+      const query::RouteResult r = router->route(s, t, faults);
+      if (r.level == query::DegradationLevel::kGuaranteed) ++guaranteed;
+    }
+  }
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(guaranteed, 2 * pairs.size());
+  EXPECT_EQ(delta, 2 * 2 * pairs.size())
+      << "scan-served routes allocated beyond their results";
+}
+
+TEST(AllocationFree, ReProjectionAllocatesOnlyThePath) {
+  // During [0, 10) one interior node of every container path of (s0, t0)
+  // is down, during [10, 20) one of every path of (s1, t1); routes
+  // alternate between the two, so each one re-resolves the snapshot and
+  // its sweep re-projects the usable-edge bytes. Once the warm-up has
+  // routed both, a re-projecting detour allocates its path and the
+  // result's paths vector, nothing else.
+  const HhcTopology net{3};
+  const fault::AdaptiveRouter router{net};
+  const Node s0 = net.encode(0, 0);
+  const Node t0 = net.encode(177, 6);
+  const Node s1 = net.encode(5, 2);
+  const Node t1 = net.encode(200, 5);
+  FaultModel faults;
+  for (const Path& path : node_disjoint_paths(net, s0, t0).paths) {
+    faults.fail_node(path[path.size() / 2], 0, 10);
+  }
+  for (const Path& path : node_disjoint_paths(net, s1, t1).paths) {
+    faults.fail_node(path[path.size() / 2], 10, 20);
+  }
+  (void)router.route(s0, t0, faults, 0);
+  (void)router.route(s1, t1, faults, 10);
+
+  std::size_t best_effort = 0;
+  const std::size_t before = allocation_count();
+  for (int round = 0; round < 4; ++round) {
+    for (const auto& [s, t, time] :
+         {std::tuple{s0, t0, 3}, std::tuple{s1, t1, 13}}) {
+      const query::RouteResult r =
+          router.route(s, t, faults, static_cast<std::uint64_t>(time));
+      if (r.level == query::DegradationLevel::kBestEffort) ++best_effort;
+    }
+  }
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(best_effort, 8u);
+  EXPECT_EQ(delta, 2u * 8u)
+      << "re-projecting routes allocated beyond their results";
 }
 
 TEST(AllocationFree, ReResolveIntoGrownSnapshot) {

@@ -145,5 +145,15 @@ TEST(FaultCampaign, RejectsBadConfig) {
   EXPECT_THROW(CampaignRunner{config}, std::invalid_argument);
 }
 
+TEST(FaultCampaign, RejectsMAboveTheSweepRange) {
+  // The router sheds a cut container above m = 4 instead of sweeping, so a
+  // campaign there could not tell a detour from a disconnected pair.
+  CampaignConfig config;
+  config.m = 5;
+  EXPECT_THROW(CampaignRunner{config}, std::invalid_argument);
+  config.m = 4;
+  EXPECT_NO_THROW(CampaignRunner{config});
+}
+
 }  // namespace
 }  // namespace hhc::fault

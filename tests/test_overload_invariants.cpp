@@ -19,6 +19,7 @@
 // are pure functions of the seed; only wall-clock-derived fields vary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -217,17 +218,12 @@ TEST(OverloadInvariants, AdmissionExpiryClassifiesTimedOutExactlyOnce) {
             stats.queries);
 }
 
-// Best-of-3 closed-loop goodput: wall-clock measurements on a shared CI
-// box are noisy; the max over three runs is the machine's actual capacity.
-double best_goodput(const sim::SoakConfig& config) {
-  double best = 0.0;
-  for (int i = 0; i < 3; ++i) {
-    const sim::SoakReport report = sim::run_soak(config);
-    EXPECT_EQ(report.stuck, 0u);
-    EXPECT_EQ(report.door_shed, 0u);  // closed loop never door-sheds
-    if (report.goodput_qps() > best) best = report.goodput_qps();
-  }
-  return best;
+// One closed-loop run's goodput, checking the run's own invariants.
+double goodput(const sim::SoakConfig& config) {
+  const sim::SoakReport report = sim::run_soak(config);
+  EXPECT_EQ(report.stuck, 0u);
+  EXPECT_EQ(report.door_shed, 0u);  // closed loop never door-sheds
+  return report.goodput_qps();
 }
 
 // Wall-clock performance contracts are meaningless under sanitizer
@@ -251,10 +247,14 @@ TEST(OverloadInvariants, ClosedLoopGoodputSurvivesFourTimesOverload) {
   // four times the streams AND four times the traffic against a shed-fast
   // kReject bound. The plateau property: rejection is cheap enough that
   // goodput keeps >= 0.9x the uncontended peak instead of collapsing.
+  // Each peak epoch runs for milliseconds, long enough that every stream
+  // is running at once and the 16 overload streams really contend for the
+  // 4 slots; legs far shorter than a thread wake-up are mostly one stream
+  // answering alone, and measure nothing about the gate.
   sim::SoakConfig peak;
   peak.m = 1;
   peak.epochs = 2;
-  peak.queries_per_epoch = 4096;
+  peak.queries_per_epoch = 32768;
   peak.workers = 4;
   peak.closed_loop = true;
   peak.fault_rate = 0.0;  // pure pristine warm-cache traffic
@@ -270,12 +270,26 @@ TEST(OverloadInvariants, ClosedLoopGoodputSurvivesFourTimesOverload) {
   // neither measured config pays first-run costs.
   { (void)sim::run_soak(peak); }
 
-  const double peak_qps = best_goodput(peak);
-  const double overload_qps = best_goodput(overload);
-  ASSERT_GT(peak_qps, 0.0);
-  EXPECT_GE(overload_qps, 0.9 * peak_qps)
-      << "goodput collapsed under 4x overload: " << overload_qps << " vs "
-      << peak_qps << " qps uncontended";
+  // Five alternating pairs, each an overload run right after a peak run
+  // so both see the same stretch of host load; the median pair ratio is
+  // the verdict. Outside load on a shared box moves single runs either
+  // way (a quiet 10 ms favours the shorter peak leg), and the median of
+  // paired ratios is what a burst in one run cannot move.
+  constexpr int kPairs = 5;
+  std::vector<double> ratios;
+  for (int i = 0; i < kPairs; ++i) {
+    const double peak_qps = goodput(peak);
+    const double overload_qps = goodput(overload);
+    ASSERT_GT(peak_qps, 0.0);
+    ratios.push_back(overload_qps / peak_qps);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[kPairs / 2];
+  EXPECT_GE(median, 0.9)
+      << "goodput collapsed under 4x overload: the median overload/peak "
+         "ratio of "
+      << kPairs << " paired runs is " << median << " (lowest "
+      << ratios.front() << ", highest " << ratios.back() << ")";
 }
 
 }  // namespace

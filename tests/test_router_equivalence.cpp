@@ -4,9 +4,10 @@
 // scan probes every hop with FaultModel::edge_usable_at (3 probes), and the
 // survivor BFS walks HhcTopology::neighbors through a std::deque with a
 // std::unordered_map parent map (its deadline poll is left out: these
-// queries carry no deadline). The production router answers from a
-// per-thread epoch-stamped scratch, probes each fault fact once, and
-// searches from both endpoints at once. Every query here must get the same
+// queries carry no deadline). The production router scans a flattened
+// container through a per-thread fault snapshot, sweeps over a per-thread
+// usable-edge byte per node with epoch-stamped marks, and searches from
+// both endpoints at once. Every query here must get the same
 // level, outcome, blocked count and fallback flag from both, with and
 // without a shared ContainerCache, and the same path whenever the container
 // serves it. A survivor-BFS detour may take different nodes: it must have
@@ -17,8 +18,10 @@
 //
 // Cases are seeded: m = 2..4, node and link faults with permanent and
 // transient windows, random query times, containers blocked on purpose,
-// isolated endpoints (disconnected pairs) and faulty endpoints. A last case
-// checks that a detour is the same on every call and every thread.
+// isolated endpoints (disconnected pairs) and faulty endpoints. Further
+// cases alternate models whose snapshots share an interval and a fact
+// count, feed facts that name no node or edge of the topology, and check
+// that a detour is the same on every call and every thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -480,11 +483,93 @@ TEST(RouterEquivalence, SurvivesSweepStampWrap) {
   }
 }
 
+// Routes `count` random pairs against `models[i % models.size()]`, through
+// a router without a cache and one with, and holds each answer to the
+// oracle's.
+Tally route_alternating(const HhcTopology& net,
+                        const std::vector<FaultModel>& models,
+                        std::size_t count, util::Xoshiro256& rng) {
+  core::ContainerCache cache{net};
+  const AdaptiveRouter direct{net};
+  const AdaptiveRouter cached{net, &cache};
+  Tally tally;
+  for (std::size_t i = 0; i < count; ++i) {
+    Case c;
+    c.faults = models[i % models.size()];
+    c.s = rng.below(net.node_count());
+    c.t = rng.below(net.node_count());
+    expect_equivalent(net, direct, c,
+                      reference_route(net, c.s, c.t, c.faults, c.time), tally);
+    if (::testing::Test::HasFatalFailure()) return tally;
+    expect_equivalent(net, cached, c,
+                      reference_route(net, c.s, c.t, c.faults, c.time, true),
+                      tally);
+    if (::testing::Test::HasFatalFailure()) return tally;
+  }
+  return tally;
+}
+
+FaultModel::RandomSpec dense_spec(const HhcTopology& net) {
+  // About 3% of the nodes and 12% of the links, so most containers are
+  // cut and most routes sweep.
+  const std::uint64_t n = net.node_count();
+  return {.node_faults = static_cast<std::size_t>(n / 32),
+          .internal_link_faults = static_cast<std::size_t>(n * net.m() / 16),
+          .external_link_faults = static_cast<std::size_t>(n / 16)};
+}
+
+TEST(RouterEquivalence, ProjectionFollowsSnapshotIdentity) {
+  // Two models whose faults are all permanent, so their snapshots cover
+  // the same interval, and which hold the same number of facts, routed
+  // alternately on one thread. The sweep reads a usable-edge projection of
+  // the snapshot; one keyed on less than the snapshot's identity (say the
+  // interval and the fact count) would answer one model's sweeps from the
+  // other's bytes.
+  for (const unsigned m : {2U, 3U}) {
+    const HhcTopology net{m};
+    util::Xoshiro256 rng{0xB1E + m};
+    std::vector<FaultModel> models;
+    for (int k = 0; k < 2; ++k) {
+      models.push_back(FaultModel::random(net, dense_spec(net), 0, 1, rng));
+    }
+    ASSERT_EQ(models[0].fault_count(), models[1].fault_count());
+    const Tally tally = route_alternating(net, models, 300, rng);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(tally.best_effort, 60u) << "m=" << m;
+  }
+}
+
+TEST(RouterEquivalence, FactsOutsideTheTopologyBlockNothing) {
+  // A model may name nodes beyond the topology's node count, and links
+  // between nodes that are not adjacent. Neither blocks an edge, so the
+  // projection must skip them (and, under ASan, write nothing outside its
+  // bytes) while the real faults beside them still cut containers.
+  for (const unsigned m : {2U, 3U}) {
+    const HhcTopology net{m};
+    const std::uint64_t n = net.node_count();
+    util::Xoshiro256 rng{0xB1F + m};
+    FaultModel faults = FaultModel::random(net, dense_spec(net), 0, 1, rng);
+    faults.fail_node(n);
+    faults.fail_node(n + 17);
+    faults.fail_node((Node{1} << 37) - 1);
+    faults.fail_link(n - 1, n);          // one end outside
+    faults.fail_link(n, n + 1);          // an internal dimension, outside
+    faults.fail_link(net.encode(0, 0), net.encode(0, 3));  // two Y bits
+    // The external edge at Y = 1 flips X bit 1; X bit 0 is no edge there.
+    faults.fail_link(net.encode(0, 1), net.encode(1, 1));
+    faults.fail_link(net.encode(4, 0), net.encode(5, 1));  // X and Y bits
+    const Tally tally = route_alternating(net, {faults}, 300, rng);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(tally.best_effort, 60u) << "m=" << m;
+  }
+}
+
 TEST(RouterEquivalence, DetourIsTheSameOnEveryCallAndThread) {
   // The search order depends only on the snapshot and (s, t), not on what
   // the thread's scratch held before or on which thread routes: a detour
   // routed twice on one thread, other detours in between, and once on a
-  // second thread is the same path each time.
+  // second thread (with its own snapshot, usable-edge bytes and sweep
+  // marks) is the same path each time.
   const HhcTopology net{3};
   const AdaptiveRouter router{net};
   util::Xoshiro256 rng{0xB1D};
