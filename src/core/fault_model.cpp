@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 
 namespace hhc::core {
@@ -29,14 +30,23 @@ void ActiveFaults::index() {
   slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
   filter_shift_ = 58 - static_cast<unsigned>(std::countr_zero(words));
   const std::size_t mask = slots - 1;
-  for (const Fact& k : facts_) {
+  // A fact active through two windows arrives twice: the set keeps the
+  // first, and facts_ is compacted to one copy of each, in order.
+  std::size_t kept = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    const Fact k = facts_[f];
     const std::uint64_t h = hash(k.a, k.b);
+    auto i = static_cast<std::size_t>(h >> slot_shift_);
+    while (slots_[i].a != kFree && (slots_[i].a != k.a || slots_[i].b != k.b)) {
+      i = (i + 1) & mask;
+    }
+    if (slots_[i].a != kFree) continue;  // a duplicate
+    slots_[i] = k;
     const std::uint64_t bit = h >> filter_shift_;
     filter_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-    auto i = static_cast<std::size_t>(h >> slot_shift_);
-    while (slots_[i].a != kFree) i = (i + 1) & mask;
-    slots_[i] = k;  // facts are distinct: no key is inserted twice
+    facts_[kept++] = k;
   }
+  facts_.resize(kept);
 }
 
 std::uint64_t FaultModel::Stamp::next() noexcept {
@@ -55,8 +65,7 @@ void FaultModel::fail_node(Node v, std::uint64_t fail_time,
     throw std::invalid_argument("FaultModel::fail_node: empty fault window");
   }
   node_faults_[v].push_back({fail_time, repair_time});
-  has_transient_ |= repair_time != kNeverRepaired;
-  version_.renew();
+  record(v, v, fail_time, repair_time);
 }
 
 void FaultModel::fail_link(Node u, Node v, std::uint64_t fail_time,
@@ -67,8 +76,29 @@ void FaultModel::fail_link(Node u, Node v, std::uint64_t fail_time,
   if (fail_time >= repair_time) {
     throw std::invalid_argument("FaultModel::fail_link: empty fault window");
   }
-  link_faults_[normalize(u, v)].push_back({fail_time, repair_time});
-  has_transient_ |= repair_time != kNeverRepaired;
+  const LinkKey key = normalize(u, v);
+  link_faults_[key].push_back({fail_time, repair_time});
+  record(key.a, key.b, fail_time, repair_time);
+}
+
+void FaultModel::record(Node a, Node b, std::uint64_t fail_time,
+                        std::uint64_t repair_time) {
+  // Inserts after every element not greater than `value` (by `key`): an
+  // in-order registration appends.
+  const auto insert = [](auto& sorted, const auto& value, auto key) {
+    sorted.insert(
+        std::ranges::upper_bound(sorted, std::invoke(key, value), {}, key),
+        value);
+  };
+  const TimedFact fact{fail_time, repair_time, a, b};
+  if (repair_time == kNeverRepaired) {
+    insert(permanent_, fact, &TimedFact::fail_time);
+  } else {
+    insert(transient_, fact, &TimedFact::fail_time);
+    insert(repair_times_, repair_time, std::identity{});
+    longest_transient_ =
+        std::max(longest_transient_, repair_time - fail_time);
+  }
   version_.renew();
 }
 
@@ -108,30 +138,41 @@ std::size_t FaultModel::link_fault_count(std::uint64_t time) const {
 
 void FaultModel::resolve(std::uint64_t time, ActiveFaults& out) const {
   out.version_ = 0;  // covers nothing until the rebuild completes
+  // [from, until): the latest window boundary at or before `time` and the
+  // earliest one after it, read off each sorted boundary list.
   std::uint64_t from = 0;
   std::uint64_t until = kNeverRepaired;
-  // Narrows [from, until) to the boundaries around `time` and reports
-  // whether any window is active at `time`.
-  const auto active = [&](const std::vector<FaultWindow>& windows) {
-    bool any = false;
-    for (const FaultWindow& w : windows) {
-      for (const std::uint64_t boundary : {w.fail_time, w.repair_time}) {
-        if (boundary <= time) {
-          from = std::max(from, boundary);
-        } else {
-          until = std::min(until, boundary);
-        }
-      }
-      any = any || w.active_at(time);
+  const auto narrow = [&](const auto& sorted, auto key) {
+    const auto after = std::ranges::upper_bound(sorted, time, {}, key);
+    if (after != sorted.begin()) {
+      from = std::max(from, std::invoke(key, *(after - 1)));
     }
-    return any;
+    if (after != sorted.end()) {
+      until = std::min(until, std::invoke(key, *after));
+    }
+    return after;
   };
+  const auto permanent_end = narrow(permanent_, &TimedFact::fail_time);
+  const auto transient_end = narrow(transient_, &TimedFact::fail_time);
+  narrow(repair_times_, std::identity{});
+  // A permanent window's repair boundary, kNeverRepaired, is at or before
+  // only the last representable time, where no permanent fault is active.
+  const bool last_time = time == kNeverRepaired;
+  if (last_time && !permanent_.empty()) from = kNeverRepaired;
+
   out.facts_.clear();
-  for (const auto& [v, windows] : node_faults_) {
-    if (active(windows)) out.facts_.push_back({v, v});
+  if (!last_time) {
+    for (auto it = permanent_.begin(); it != permanent_end; ++it) {
+      out.facts_.push_back({it->a, it->b});
+    }
   }
-  for (const auto& [key, windows] : link_faults_) {
-    if (active(windows)) out.facts_.push_back({key.a, key.b});
+  // A transient window active at `time` failed after time - longest.
+  const std::uint64_t oldest =
+      time > longest_transient_ ? time - longest_transient_ : 0;
+  for (auto it = std::ranges::lower_bound(transient_.begin(), transient_end,
+                                          oldest, {}, &TimedFact::fail_time);
+       it != transient_end; ++it) {
+    if (it->repair_time > time) out.facts_.push_back({it->a, it->b});
   }
   out.index();
   out.valid_from_ = from;

@@ -13,7 +13,7 @@
 // there, where every permanent fault is already active.
 //
 // A caller that checks many facts at one instant (the adaptive router's
-// container scan and survivor BFS) resolves the model once into an
+// container scan and survivor search) resolves the model once into an
 // `ActiveFaults` snapshot instead of probing it fact by fact; see below.
 #pragma once
 
@@ -101,7 +101,7 @@ class ActiveFaults {
   static constexpr Node kFree = ~Node{0};
 
   // One multiply (Fibonacci hashing); callers read the top bits. A check
-  // sits on the survivor BFS's critical path, so latency beats mixing.
+  // sits on the container scan's critical path, so latency beats mixing.
   // Symmetric in (u, v), so a link is hashed before it is normalized and
   // only a filter hit pays for the normalization.
   [[nodiscard]] static std::uint64_t hash(Node u, Node v) noexcept {
@@ -172,7 +172,9 @@ class FaultModel {
   }
 
   /// True when some registered fault has a finite repair time.
-  [[nodiscard]] bool has_transient() const noexcept { return has_transient_; }
+  [[nodiscard]] bool has_transient() const noexcept {
+    return !transient_.empty();
+  }
 
   /// A stamp unique in the process to this model's current contents.
   /// Every mutation takes a fresh one; a copy shares its source's (same
@@ -183,10 +185,16 @@ class FaultModel {
     return version_.value();
   }
 
-  /// Rebuilds `out` as the facts active at `time`, with the interval over
-  /// which they stay active (ActiveFaults). Costs one pass over every
-  /// registered window, so a caller resolves once and then reads the
-  /// snapshot for as long as ActiveFaults::covers says it may.
+  /// Rebuilds `out` as the facts active at `time`, each once, with the
+  /// interval over which they stay active (ActiveFaults). Costs
+  /// O(log windows + active facts) when no transient window is much longer
+  /// than the rest: the validity interval is a binary search of the
+  /// windows' fail times and of the transient repair times, the permanent
+  /// facts are a prefix of the permanent windows by fail time, and only the
+  /// transient windows failing in [time - longest transient window, time]
+  /// are scanned. One very long transient window widens that scan toward
+  /// the whole history. A caller resolves once and then reads the snapshot
+  /// for as long as ActiveFaults::covers says it may.
   void resolve(std::uint64_t time, ActiveFaults& out) const;
 
   /// What FaultModel::random injects. Counts are distinct elements; all
@@ -223,6 +231,20 @@ class FaultModel {
   static bool any_active(const std::vector<FaultWindow>& windows,
                          std::uint64_t time);
 
+  // One registered window and its fact, as resolve() reads it: a node v as
+  // (v, v), a link by its normalized pair.
+  struct TimedFact {
+    std::uint64_t fail_time = 0;
+    std::uint64_t repair_time = kNeverRepaired;
+    Node a = 0;
+    Node b = 0;
+  };
+
+  // Files a window the caller has put in the per-key maps in resolve()'s
+  // time order too, and re-stamps the model.
+  void record(Node a, Node b, std::uint64_t fail_time,
+              std::uint64_t repair_time);
+
   // The version stamp: copies keep it, moves hand it over and re-stamp
   // the source, construction and renew() draw a fresh one.
   class Stamp {
@@ -247,10 +269,18 @@ class FaultModel {
     std::uint64_t value_;
   };
 
+  // Per key, for the point queries (node_faulty_at, link_faulty_at and the
+  // counts).
   std::unordered_map<Node, std::vector<FaultWindow>> node_faults_;
   std::unordered_map<LinkKey, std::vector<FaultWindow>, LinkKeyHash>
       link_faults_;
-  bool has_transient_ = false;
+  // In time order, for resolve(); the mutators keep them sorted, so an
+  // in-order registration is an append. Equal fail times keep registration
+  // order.
+  std::vector<TimedFact> permanent_;        // by fail time
+  std::vector<TimedFact> transient_;        // by fail time
+  std::vector<std::uint64_t> repair_times_;  // transient_'s, ascending
+  std::uint64_t longest_transient_ = 0;     // max repair - fail
   Stamp version_;
 };
 

@@ -1,5 +1,6 @@
 #include "fault/adaptive_router.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <memory>
@@ -92,66 +93,112 @@ class UsableEdges {
   unsigned m_ = 0;  // no topology has m = 0
 };
 
-// Per-thread survivor-BFS state, reused across sweeps so that a sweep
-// whose working set fits what earlier sweeps grew allocates nothing.
+// The distance bound's tables for one (m, Y_t): per position y, `base` is
+// H(y, Y_t), and bit j of reach[k - 1] is set when
+// |(j ^ y) & ~(y ^ Y_t)| >= k (k = 1..m; unused k stay empty). For a node
+// at position y whose cluster differs from t's in ΔX, the max-part of the
+// bound is then the number of k with ΔX & reach[k - 1] != 0, since the
+// sets shrink as k grows. Built at compile time for every m <= 4, so the
+// search runs no popcount.
+struct BoundRow {
+  std::array<std::uint32_t, core::OrbitTable::kMaxM> reach{};
+  std::uint32_t base = 0;
+};
+
+constexpr unsigned kPositions = 1U << core::OrbitTable::kMaxM;
+using BoundTable = std::array<BoundRow, kPositions>;  // indexed by y
+
+constexpr auto kBoundTables = [] {
+  std::array<std::array<BoundTable, kPositions>, core::OrbitTable::kMaxM + 1>
+      tables{};
+  for (unsigned m = 1; m <= core::OrbitTable::kMaxM; ++m) {
+    const unsigned positions = 1U << m;
+    for (unsigned yt = 0; yt < positions; ++yt) {
+      for (unsigned y = 0; y < positions; ++y) {
+        BoundRow& row = tables[m][yt][y];
+        row.base = static_cast<std::uint32_t>(std::popcount(y ^ yt));
+        const unsigned agree = ~(y ^ yt) & (positions - 1);
+        for (unsigned j = 0; j < positions; ++j) {
+          const auto c = static_cast<unsigned>(std::popcount((j ^ y) & agree));
+          for (unsigned k = 1; k <= c; ++k) row.reach[k - 1] |= 1U << j;
+        }
+      }
+    }
+  }
+  return tables;
+}();
+
+// The max-part of the bound at a node whose row is `row`: the largest k
+// with ΔX & reach[k - 1] != 0, counted branch-free.
+inline std::uint32_t max_part(std::uint32_t dx, const BoundRow& row) noexcept {
+  std::uint32_t k = 0;
+  for (const std::uint32_t reach : row.reach) k += (dx & reach) != 0 ? 1 : 0;
+  return k;
+}
+
+// Per-thread survivor-search state, reused across searches so that once it
+// has grown to a topology a search allocates nothing.
 //
-// `marks` holds one {stamp, bits} per node of the largest topology swept
-// so far. A node is reached in the current sweep only while its stamp
-// equals `epoch`, so starting a sweep is one increment rather than a
-// clear; when the stamp wraps, every stamp is cleared once. The stamp is
-// 16 bits (a mark is 4 bytes either way) so that a test can cross the wrap
-// in a fraction of a second. Each side's FIFO has a slot per node too, but
-// is never initialized: a slot is written before it is read, so pages a
-// sweep does not reach are never touched.
-struct SweepScratch {
-  // A reached node's bits: kFromT is set when the search from t reached
-  // it, and the low bits are kRoot for s and t themselves, else 0..m
-  // naming the dimension of the edge from its BFS parent (m = the
-  // external edge).
-  static constexpr std::uint8_t kFromT = 0x40;
-  static constexpr std::uint8_t kRoot = 0x3F;
+// `marks` holds one record per node of the largest topology searched so
+// far. A node is generated in the current search only while its `stamp`
+// equals `epoch`, and reached by the guard search from t only while its
+// `guard` does, so starting a search is one increment rather than a clear;
+// when the epoch wraps, every stamp is cleared once. The stamps are 16
+// bits so that a test can cross the wrap in a fraction of a second. The
+// two A* stacks and the guard's FIFO have a slot per node each and are
+// never initialized: a slot is written before it is read, so pages a
+// search does not reach are never touched.
+struct SearchScratch {
+  // A generated node's bits: the low three name the dimension of the edge
+  // from its parent (kRoot for s), kClosed is set once it is expanded, and
+  // kBucket is the parity of f / 2 when it was last pushed.
+  static constexpr std::uint8_t kDimBits = 0x07;
+  static constexpr std::uint8_t kRoot = 0x07;
+  static constexpr std::uint8_t kClosed = 0x08;
+  static constexpr std::uint8_t kBucket = 0x10;
 
   struct Mark {
     std::uint16_t stamp = 0;
+    std::uint16_t guard = 0;
+    std::uint8_t h = 0;  // the distance bound to t
     std::uint8_t bits = 0;
   };
 
-  /// Forgets the previous sweep and makes room for `node_count` nodes.
+  /// Forgets the previous search and makes room for `node_count` nodes.
   void begin(std::uint64_t node_count) {
     if (capacity < node_count) {
       const auto n = static_cast<std::size_t>(node_count);
       marks.resize(n);
-      for (auto& fifo : fifos) fifo = std::make_unique_for_overwrite<Node[]>(n);
+      for (auto& slots : stacks) {
+        slots = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+      }
+      guard_fifo = std::make_unique_for_overwrite<std::uint32_t[]>(n);
       capacity = node_count;
     }
     if (++epoch == 0) {
-      for (Mark& mark : marks) mark.stamp = 0;
+      for (Mark& mark : marks) mark.stamp = mark.guard = 0;
       epoch = 1;
     }
   }
 
-  /// The path s -> x -> y -> t over the usable edge {x, y}, where the
-  /// search from s reached x after `x_hops` edges and the search from t
-  /// reached y after `y_hops`. Both halves are read back through the
-  /// parent marks; allocates exactly the returned path.
-  [[nodiscard]] Path join(unsigned m, Node x, std::size_t x_hops, Node y,
-                          std::size_t y_hops) const {
-    const auto parent = [&](Node v) {
-      return neighbor(v, marks[v].bits & kRoot, m);
-    };
-    Path path(x_hops + y_hops + 2);
-    path[x_hops] = x;
-    for (std::size_t i = x_hops; i > 0; --i) path[i - 1] = parent(path[i]);
-    path[x_hops + 1] = y;
-    for (std::size_t i = x_hops + 1; i + 1 < path.size(); ++i) {
-      path[i + 1] = parent(path[i]);
+  /// The path s -> ... -> u -> t of `hops` edges, read back from t through
+  /// the parent dimensions; allocates exactly the returned path.
+  [[nodiscard]] Path trace(unsigned m, Node u, Node t, std::size_t hops) const {
+    Path path(hops + 1);
+    path[hops] = t;
+    path[hops - 1] = u;
+    for (std::size_t i = hops - 1; i > 0; --i) {
+      path[i - 1] = neighbor(path[i], marks[path[i]].bits & kDimBits, m);
     }
     return path;
   }
 
   std::vector<Mark> marks;
-  std::array<std::unique_ptr<Node[]>, 2> fifos;  // from s, from t
-  std::uint64_t capacity = 0;  // nodes `marks` and each FIFO hold
+  // The open nodes at f and at f + 2 (which is which swaps), as node ids:
+  // the search runs only at m <= 4, whose ids fit 32 bits.
+  std::array<std::unique_ptr<std::uint32_t[]>, 2> stacks;
+  std::unique_ptr<std::uint32_t[]> guard_fifo;
+  std::uint64_t capacity = 0;  // nodes `marks` and each slot array hold
   std::uint16_t epoch = 0;
 };
 
@@ -161,13 +208,13 @@ struct RouterScratch {
   // time falls outside what it covers, so a run of queries against one
   // model inside one fault interval resolves once.
   ActiveFaults active;
-  // The snapshot's usable-edge bytes, projected on the first sweep that
+  // The snapshot's usable-edge bytes, projected on the first search that
   // reads them after a re-resolve.
   UsableEdges usable;
   // The scanned container, flattened as in core::FlatContainer.
   std::vector<Node> nodes;
   std::vector<std::uint32_t> offsets;
-  SweepScratch sweep;
+  SearchScratch search;
 };
 
 RouterScratch& tls_router_scratch() {
@@ -207,80 +254,158 @@ void select_survivor(const RouterScratch& scratch, const ActiveFaults& active,
   result.level = query::DegradationLevel::kGuaranteed;
 }
 
-// Level-synchronous bidirectional BFS over the usable edges; empty when t
-// is unreachable. One search grows from s and one from t, each through its
-// own FIFO. A step expands one whole level of whichever side's current
-// level holds fewer nodes (s on a tie), each node's usable edges in
-// ascending dimension, which is HhcTopology::neighbors order. The first
-// usable edge from the expanding side to a node the other side has reached
-// closes a shortest path (DESIGN.md §6 gives the argument). A side whose
-// level comes up empty has exhausted its component, so an isolated t ends
-// the search after t's own expansion. No fault fact is read here: `usable`
-// folds each edge's link and both endpoints into one bit.
+// A* from s to t over the usable edges under the bound
+// detail::distance_bound; empty when t is unreachable. The bound changes by
+// exactly 1 across every edge (DESIGN.md §6), so f = g + h rises by 0 or 2
+// along an edge and two LIFO stacks, the open nodes at f and at f + 2,
+// replace a priority queue. A node is closed when expanded; the first time
+// t is generated, from a node at the current (least) f, closes a shortest
+// path. Expanding u takes its usable edges in ascending dimension, which is
+// HhcTopology::neighbors order, so a detour depends only on the snapshot
+// and (s, t). No fault fact is read here: `usable` folds each edge's link
+// and both endpoints into one bit.
 //
-// Cooperatively cancellable: every util::kStopCheckStride expansions,
-// counted across both sides, the query's deadline/token are polled, and an
-// expired search sets `timed_out` and returns empty — a hostile fault set
-// can make this sweep visit a whole survivor component, which is exactly
-// the stage a deadline must be able to interrupt.
-Path survivor_bfs(const core::HhcTopology& net, Node s, Node t,
-                  const std::uint8_t* usable, SweepScratch& scratch,
-                  const query::PairQuery& query, bool& timed_out) {
-  using Mark = SweepScratch::Mark;
+// A* alone would sweep all of s's component when t sits in a smaller one.
+// A plain BFS from t (the guard) runs beside it: one expansion before the
+// first A* expansion, so an isolated t costs one, then one per
+// kGuardStride A* expansions. When the guard exhausts t's component
+// without reaching s, or A*'s stacks empty, t is unreachable; a
+// disconnected pair costs at most min(|C_s|, kGuardStride * |C_t|) A*
+// expansions.
+//
+// Cooperatively cancellable: every util::kStopCheckStride A* expansions the
+// query's deadline/token are polled, and an expired search sets
+// `timed_out` and returns empty — a hostile fault set can make this search
+// visit a whole survivor component, which is exactly the stage a deadline
+// must be able to interrupt.
+Path survivor_search(const core::HhcTopology& net, Node s, Node t,
+                     const std::uint8_t* usable, SearchScratch& scratch,
+                     const query::PairQuery& query, bool& timed_out) {
+  using Mark = SearchScratch::Mark;
+  constexpr std::size_t kGuardStride = 4;
   scratch.begin(net.node_count());
   const unsigned m = net.m();
   const std::uint16_t epoch = scratch.epoch;
   Mark* const marks = scratch.marks.data();
-  marks[s] = {epoch, SweepScratch::kRoot};
-  marks[t] = {epoch, SweepScratch::kFromT | SweepScratch::kRoot};
-  scratch.fifos[0][0] = s;
-  scratch.fifos[1][0] = t;
-  // Per side (0 = from s, 1 = from t): its current level is
-  // fifos[side][head[side], end), at depth[side] hops from its root, and
-  // the next level grows to tail[side]. A side holds at most N - 1 nodes
-  // (the other side holds its root), so its FIFO never overflows.
-  std::array<std::size_t, 2> head{0, 0};
-  std::array<std::size_t, 2> tail{1, 1};
-  std::array<std::size_t, 2> depth{0, 0};
+
+  // The guard's state: t's component so far is guard_fifo[0, guard_tail),
+  // expanded up to guard_head. It stops once it has reached s.
+  std::uint32_t* const guard_fifo = scratch.guard_fifo.get();
+  std::size_t guard_head = 0;
+  std::size_t guard_tail = 1;
+  bool guard_live = true;
+  guard_fifo[0] = static_cast<std::uint32_t>(t);
+  marks[t].guard = epoch;
+  // One guard expansion; false once t's component is exhausted without s.
+  const auto guard_step = [&] {
+    const Node u = guard_fifo[guard_head++];
+    const unsigned edges = usable[u];
+    for (unsigned dim = 0; dim <= m; ++dim) {
+      if (((edges >> dim) & 1U) == 0) continue;
+      const Node v = neighbor(u, dim, m);
+      if (marks[v].guard == epoch) continue;
+      if (v == s) guard_live = false;  // connected: A* will find t
+      marks[v].guard = epoch;
+      guard_fifo[guard_tail++] = static_cast<std::uint32_t>(v);
+    }
+    return !guard_live || guard_head < guard_tail;
+  };
+  if (!guard_step()) return {};
+
+  const Node xt = t >> m;
+  const BoundTable& rows = kBoundTables[m][t & bits::low_mask(m)];
+  // `open` is the stack at the least f, `later` the one at f + 2; a node's
+  // kBucket bit says which f it was last pushed at.
+  std::uint32_t* open = scratch.stacks[0].get();
+  std::uint32_t* later = scratch.stacks[1].get();
+  std::size_t open_size = 1;
+  std::size_t later_size = 0;
+  std::uint8_t bucket = 0;
+  std::size_t f = detail::distance_bound(m, s, t);
+  open[0] = static_cast<std::uint32_t>(s);
+  marks[s].stamp = epoch;
+  marks[s].h = static_cast<std::uint8_t>(f);
+  marks[s].bits = SearchScratch::kRoot;
   std::size_t expansions = 0;
   for (;;) {
-    const std::size_t side = tail[1] - head[1] < tail[0] - head[0] ? 1 : 0;
-    Node* const fifo = scratch.fifos[side].get();
-    const std::uint8_t own = side == 0 ? 0 : SweepScratch::kFromT;
-    const std::size_t end = tail[side];
-    for (; head[side] < end; ++head[side]) {
-      if (++expansions % util::kStopCheckStride == 0 &&
-          util::should_stop(query.deadline, query.cancel)) {
-        timed_out = true;
-        return {};
+    if (open_size == 0) {
+      if (later_size == 0) return {};  // s's component is exhausted
+      std::swap(open, later);
+      open_size = std::exchange(later_size, 0);
+      bucket = static_cast<std::uint8_t>(bucket ^ SearchScratch::kBucket);
+      f += 2;
+    }
+    const Node u = open[--open_size];
+    Mark& from = marks[u];
+    if ((from.bits & SearchScratch::kClosed) != 0) continue;  // re-pushed
+    from.bits |= SearchScratch::kClosed;
+    if (++expansions % util::kStopCheckStride == 0 &&
+        util::should_stop(query.deadline, query.cancel)) {
+      timed_out = true;
+      return {};
+    }
+    if (guard_live && expansions % kGuardStride == 0 && !guard_step()) {
+      return {};  // t's component is exhausted without s
+    }
+    const auto dx = static_cast<std::uint32_t>((u >> m) ^ xt);
+    const auto y = static_cast<unsigned>(u & bits::low_mask(m));
+    const unsigned h = from.h;
+    // |ΔX|, which only an external hop changes.
+    const unsigned crossings =
+        h - rows[y].base - 2 * max_part(dx, rows[y]);
+    const unsigned edges = usable[u];
+    for (unsigned dim = 0; dim <= m; ++dim) {
+      if (((edges >> dim) & 1U) == 0) continue;
+      const Node v = neighbor(u, dim, m);
+      if (v == t) return scratch.trace(m, u, t, f);  // h(u) = 1: g(u) = f - 1
+      unsigned hv = 0;
+      if (dim < m) {
+        const BoundRow& row = rows[y ^ (1U << dim)];
+        hv = crossings + row.base + 2 * max_part(dx, row);
+      } else {  // drops the term for X-bit y exactly when ΔX has it
+        hv = ((dx >> y) & 1U) != 0 ? h - 1 : h + 1;
       }
-      const Node u = fifo[head[side]];
-      const unsigned edges = usable[u];
-      // Every dimension in turn, the usable bit folded into branch-free
-      // updates: which neighbors a sweep takes is data-dependent, and a
-      // mispredicted branch per neighbor costs more than the visit.
-      for (unsigned dim = 0; dim <= m; ++dim) {
-        const Node v = neighbor(u, dim, m);
-        Mark& mark = marks[v];
-        const bool open = ((edges >> dim) & 1U) != 0;
-        const bool seen = mark.stamp == epoch;
-        if (open && seen && (mark.bits & SweepScratch::kFromT) != own) {
-          return side == 0 ? scratch.join(m, u, depth[0], v, depth[1])
-                           : scratch.join(m, v, depth[0], u, depth[1]);
-        }
-        const bool take = open && !seen;
-        const Mark reached{epoch, static_cast<std::uint8_t>(own | dim)};
-        mark = take ? reached : mark;
-        fifo[tail[side]] = v;
-        tail[side] += take ? 1 : 0;
+      // Via u, v lies at f when the bound falls, else at f + 2.
+      const bool here = hv < h;
+      Mark& mark = marks[v];
+      if (mark.stamp != epoch) {
+        mark.stamp = epoch;
+        mark.h = static_cast<std::uint8_t>(hv);
+      } else if ((mark.bits & SearchScratch::kClosed) != 0 || !here ||
+                 (mark.bits & SearchScratch::kBucket) == bucket) {
+        continue;  // closed, already open at f, or no nearer via u
+      }
+      // New, or open at f + 2 and now reached at f: (re)push with parent u.
+      mark.bits = static_cast<std::uint8_t>(
+          dim | (here ? bucket : bucket ^ SearchScratch::kBucket));
+      if (here) {
+        open[open_size++] = static_cast<std::uint32_t>(v);
+      } else {
+        later[later_size++] = static_cast<std::uint32_t>(v);
       }
     }
-    if (tail[side] == end) return {};  // this side's component is exhausted
-    ++depth[side];
   }
 }
 
 }  // namespace
+
+namespace detail {
+
+unsigned distance_bound(unsigned m, Node v, Node t) {
+  const Node dx = (v ^ t) >> m;
+  const Node yv = v & bits::low_mask(m);
+  const Node agree = ~(yv ^ t) & bits::low_mask(m);
+  int most = 0;
+  for (Node rest = dx; rest != 0; rest &= rest - 1) {
+    const Node j = bits::lowest_set(rest);
+    most = std::max(most, bits::popcount((j ^ yv) & agree));
+  }
+  return static_cast<unsigned>(bits::popcount(dx) +
+                               bits::hamming(yv, t & bits::low_mask(m)) +
+                               2 * most);
+}
+
+}  // namespace detail
 
 query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
                                          const RouteLimits& limits) const {
@@ -349,8 +474,8 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   obs::TraceSpan span{obs::stages::kBfsFallback, &fallback_hist};
   bool timed_out = false;
   Path detour =
-      survivor_bfs(net_, s, t, scratch.usable.project(active, net_),
-                   scratch.sweep, query, timed_out);
+      survivor_search(net_, s, t, scratch.usable.project(active, net_),
+                      scratch.search, query, timed_out);
   if (timed_out) {
     result.outcome = query::RouteOutcome::kTimedOut;
     return result;

@@ -7,7 +7,7 @@
 // gracefully in those regimes instead of returning an empty path:
 //
 //   1. try the disjoint container (the paper's guarantee)    -> kGuaranteed
-//   2. fall back to BFS on the survivor subgraph             -> kBestEffort
+//   2. fall back to a shortest survivor path                 -> kBestEffort
 //   3. only when s and t are genuinely disconnected          -> kDisconnected
 //
 // so a caller always learns *why* there is no path, never just an empty
@@ -15,32 +15,36 @@
 // the m+1 paths survive, and how many were blocked?) passes
 // RouteLimits{.skip_fallback = true}: step 2 never runs.
 //
-// The BFS walks the implicit topology (no explicit graph build) and runs
-// only at m <= 4 (core::OrbitTable::kMaxM): its state is indexed by node,
-// and m = 5 has 2^37 nodes. Above that, a fully cut container answers as
-// under skip_fallback: outcome kShed, level kDisconnected, no sweep. The
-// BFS is bidirectional and level-synchronous: one frontier grows from s
-// and one from t, a step expands a whole level of the smaller frontier,
-// and the search returns at the first usable edge between the two trees,
-// which closes a shortest path. A side whose next level comes up empty
-// ends the search as disconnected, so an isolated endpoint costs one
-// expansion, not a sweep of the other endpoint's component.
+// The survivor search walks the implicit topology (no explicit graph
+// build) and runs only at m <= 4 (core::OrbitTable::kMaxM): its state is
+// indexed by node, and m = 5 has 2^37 nodes. Above that, a fully cut
+// container answers as under skip_fallback: outcome kShed, level
+// kDisconnected, no search. The search is A* toward t under an HHC
+// distance bound (detail::distance_bound below). The bound changes by
+// exactly 1 across every edge, so it is consistent: two LIFO stacks, the
+// open nodes at the least f and at f + 2, serve as the priority queue, and
+// the first time t is generated closes a shortest detour. A plain BFS from
+// t (the guard) runs beside it, one expansion before A* starts and then
+// one per four A* expansions; when it exhausts t's component without
+// reaching s, the answer is kDisconnected. An isolated t therefore costs
+// one expansion, not a sweep of s's component.
 //
-// It reads no fault fact. The first sweep after a re-resolve projects the
+// It reads no fault fact. The first search after a re-resolve projects the
 // thread's snapshot (below) into one byte per node, bit d set when the
 // dimension-d edge is usable (link healthy, both endpoints alive), keyed
 // on the snapshot's identity; a re-projection at the same m resets only
 // the bytes the previous one cleared. Expanding u walks the set bits of
 // its byte in ascending order, which is HhcTopology::neighbors order, so a
 // query's detour is the same on every call and every thread, and as short
-// as the one a plain one-sided BFS finds, though it may take different
-// nodes. The sweep's marks are an epoch-stamped array of one {stamp,
-// mark} per node, and each side has one FIFO of a slot per node, never
-// initialized. All of it is per-thread scratch reused across calls: once
-// grown, a sweep allocates nothing and a detour allocates only the
-// returned path. At m = 4 a thread keeps 4 MiB of marks, 1 MiB of usable
-// bytes and two 8 MiB FIFOs, of which a search that meets early or ends at
-// a small component touches few pages.
+// as the one a plain BFS finds, though it may take different nodes. The
+// search's marks are an epoch-stamped array of one 6-byte record per node
+// (stamp, guard stamp, bound, parent dimension and state), the two stacks
+// and the guard's FIFO a 32-bit slot per node each, never initialized. All
+// of it is per-thread scratch reused across calls: once grown, a search
+// allocates nothing and a detour allocates only the returned path. At
+// m = 4 a thread keeps 6 MiB of marks, 1 MiB of usable bytes and three
+// 4 MiB arrays of slots, of which a search that finds t early or ends at a
+// small component touches few pages.
 //
 // The container scan decodes the pair's container into a per-thread flat
 // buffer (ContainerCache::flatten: the orbit record at m <= 4; without a
@@ -55,11 +59,11 @@
 // snapshot carries the model's version() and the interval between the
 // fault windows' boundaries around the time it was resolved at; route()
 // re-resolves only when the query's (version, time) falls outside it. A
-// resolve passes over every registered window (about 160 us for a
-// 14,080-window schedule on a 4-vCPU Xeon), so a caller that routes many
+// resolve costs O(log windows + active facts): the model keeps its windows
+// ordered by time (core::FaultModel::resolve). A caller that routes many
 // queries against one model at epoch-granular times pays it once per
 // thread per epoch; one that builds a fresh model per route pays it on
-// every call, in proportion to that model's size.
+// every call.
 //
 // Results are reported in the unified query vocabulary
 // (query::PairQuery -> query::RouteResult; see query/types.hpp), so
@@ -79,6 +83,19 @@
 
 namespace hhc::fault {
 
+namespace detail {
+
+/// A lower bound on the number of hops from v to t in HHC(m), faults or
+/// not: with ΔX = X_v ^ X_t, a walk takes one external hop per set bit j of
+/// ΔX, standing at position j to take it, so it needs at least
+/// H(Y_v, j) + H(j, Y_t) internal hops for each such j. Hence
+///   |ΔX| + H(Y_v, Y_t) + 2 max_{j in ΔX} |(j ^ Y_v) & ~(Y_v ^ Y_t)|,
+/// the max over an empty ΔX being 0. It is 0 only at t and changes by
+/// exactly 1 across every edge, which makes it a consistent A* bound.
+[[nodiscard]] unsigned distance_bound(unsigned m, core::Node v, core::Node t);
+
+}  // namespace detail
+
 class AdaptiveRouter {
  public:
   /// `cache` (optional, not owned) serves the container scans; it must
@@ -89,7 +106,7 @@ class AdaptiveRouter {
       : net_{net}, cache_{cache} {}
 
   /// Knobs the admission layer threads through: a degraded route skips the
-  /// survivor-subgraph BFS fallback entirely (the expensive stage under
+  /// survivor-subgraph search fallback entirely (the expensive stage under
   /// hostile fault sets) and reports outcome kShed when the container scan
   /// alone could not deliver — that kDisconnected is NOT authoritative.
   struct RouteLimits {
@@ -104,8 +121,8 @@ class AdaptiveRouter {
   ///
   /// Cooperative cancellation: query.deadline / query.cancel are checked at
   /// each stage boundary and every util::kStopCheckStride expansions inside
-  /// the BFS loop; an expired query returns outcome kTimedOut with whatever
-  /// container-scan detail was already gathered.
+  /// the survivor search; an expired query returns outcome kTimedOut with
+  /// whatever container-scan detail was already gathered.
   [[nodiscard]] query::RouteResult route(const query::PairQuery& query) const {
     return route(query, RouteLimits{});
   }

@@ -246,6 +246,84 @@ TEST(ActiveFaults, CoversExactlyTheTimesWithTheSameFacts) {
   }
 }
 
+TEST(ActiveFaults, ResolveMatchesABruteForcePassOverEveryWindow) {
+  // Random window sets registered out of time order, mixing permanent and
+  // transient windows, with several windows (overlapping or not) on one
+  // fact. At each time checked, 0, every boundary, the instant before each
+  // and the last representable time, the snapshot's facts are, each once,
+  // the facts some window holds active, and its interval is the boundaries
+  // around the time, as a pass over every window computes them.
+  struct Window {
+    Node a;
+    Node b;  // a == b: a node
+    FaultWindow window;
+  };
+  util::Xoshiro256 rng{0xAF40};
+  ActiveFaults snapshot;
+  for (int round = 0; round < 40; ++round) {
+    FaultModel model;
+    std::vector<Window> windows;
+    std::set<std::uint64_t> times{0, kNeverRepaired};
+    const std::uint64_t count = 1 + rng.below(60);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      // Few distinct facts, so facts repeat and their windows overlap.
+      const Node a = rng.below(6);
+      const Node b = rng.chance(0.5) ? a : rng.below(6);
+      const std::uint64_t fail = rng.below(50);
+      const std::uint64_t repair =
+          rng.chance(0.25) ? kNeverRepaired
+                           : fail + 1 + rng.below(rng.chance(0.1) ? 200 : 8);
+      if (a == b) {
+        model.fail_node(a, fail, repair);
+      } else {
+        model.fail_link(a, b, fail, repair);
+      }
+      windows.push_back({std::min(a, b), std::max(a, b), {fail, repair}});
+      for (const std::uint64_t boundary : {fail, repair}) {
+        if (boundary == kNeverRepaired) continue;
+        times.insert(boundary);
+        if (boundary > 0) times.insert(boundary - 1);
+      }
+    }
+    for (const std::uint64_t time : times) {
+      std::set<std::pair<Node, Node>> want;
+      std::uint64_t from = 0;
+      std::uint64_t until = kNeverRepaired;
+      for (const Window& w : windows) {
+        if (w.window.active_at(time)) want.emplace(w.a, w.b);
+        for (const std::uint64_t boundary :
+             {w.window.fail_time, w.window.repair_time}) {
+          if (boundary <= time) {
+            from = std::max(from, boundary);
+          } else {
+            until = std::min(until, boundary);
+          }
+        }
+      }
+      model.resolve(time, snapshot);
+      std::vector<std::pair<Node, Node>> got;
+      for (const ActiveFaults::Fact& fact : snapshot.facts()) {
+        got.emplace_back(fact.a, fact.b);
+      }
+      std::sort(got.begin(), got.end());
+      ASSERT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end())
+          << "a fact is listed twice; round " << round << " time " << time;
+      const std::vector<std::pair<Node, Node>> expected(want.begin(),
+                                                         want.end());
+      ASSERT_EQ(got, expected) << "round " << round << " time " << time;
+      ASSERT_EQ(snapshot.size(), want.size());
+      ASSERT_EQ(snapshot.valid_from(), from)
+          << "round " << round << " time " << time;
+      ASSERT_EQ(snapshot.valid_until(), until)
+          << "round " << round << " time " << time;
+      for (const auto& [a, b] : want) {
+        ASSERT_TRUE(a == b ? snapshot.node_faulty(a)
+                           : snapshot.link_faulty(b, a));
+      }
+    }
+  }
+}
+
 // ---- version rules --------------------------------------------------------
 
 TEST(ActiveFaults, DefaultSnapshotCoversNothing) {

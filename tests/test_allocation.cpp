@@ -18,13 +18,14 @@
 //   * AdaptiveRouter's container scan once the thread's flat buffer has
 //     grown (a scan-served route allocates only its returned path and the
 //     result's paths vector);
-//   * AdaptiveRouter's survivor-BFS fallback once the thread's sweep scratch
-//     has grown: a disconnected sweep of two 1024-node halves allocates
-//     nothing, an isolated endpoint ends the search before it needs more
-//     room than one detour grew, and a detour allocates only the returned
-//     path and the result's paths vector — also at a new time inside the
-//     fault interval the snapshot covers, and after an interval change that
-//     re-projects the usable-edge bytes;
+//   * AdaptiveRouter's survivor-search fallback once the thread's search
+//     scratch has grown: a disconnected search of two 1024-node halves
+//     allocates nothing, an isolated endpoint or a small component around t
+//     ends the search before it needs more room than one detour grew, and
+//     a detour allocates only the returned path and the result's paths
+//     vector — also at a new time inside the fault interval the snapshot
+//     covers, and after an interval change that re-projects the usable-edge
+//     bytes;
 //   * re-resolving the router's per-thread fault snapshot (a new model or
 //     a new interval) once it has grown to the largest active set.
 //
@@ -319,7 +320,7 @@ TEST(AllocationFree, FreshThreadAfterOneWarmUpCall) {
 }
 
 // A container at m = 3 whose m+1 paths are each cut at one interior node,
-// so every fault-aware route takes the survivor-BFS fallback.
+// so every fault-aware route takes the survivor-search fallback.
 FaultModel block_container(const HhcTopology& net, Node s, Node t) {
   FaultModel faults;
   for (const Path& path : node_disjoint_paths(net, s, t).paths) {
@@ -392,6 +393,56 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   EXPECT_EQ(isolated.level, query::DegradationLevel::kDisconnected);
   EXPECT_TRUE(isolated.used_fallback);
   EXPECT_EQ(isolated.container_paths_blocked, net.degree());
+}
+
+TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
+  // As above, but t is not alone: during [10, 20) t and its m internal
+  // neighbors keep the edges among themselves and lose every other one,
+  // so t's component has m + 1 nodes. The guard BFS from t exhausts it,
+  // and the route answers kDisconnected without allocating on a thread
+  // whose scratch the detour at time 0 grew.
+  const HhcTopology net{4};
+  const fault::AdaptiveRouter router{net};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(40'000, 9);
+  FaultModel faults;
+  for (const Path& path : node_disjoint_paths(net, s, t).paths) {
+    faults.fail_node(path[path.size() / 2], 0, 10);
+  }
+  // The cut below is 17 link facts; 12 gateway links of a far cluster
+  // bring time 0's snapshot to as many, so the measured re-resolve reuses
+  // its room.
+  for (Node y = 0; y < 12; ++y) {
+    const Node far = net.encode(1000, y);
+    faults.fail_link(far, net.external_neighbor(far), 0, 10);
+  }
+  faults.fail_link(t, net.external_neighbor(t), 10, 20);
+  for (unsigned i = 0; i < net.m(); ++i) {
+    const Node w = net.internal_neighbor(t, i);
+    faults.fail_link(w, net.external_neighbor(w), 10, 20);
+    for (unsigned j = 0; j < net.m(); ++j) {
+      if (j != i) faults.fail_link(w, net.internal_neighbor(w, j), 10, 20);
+    }
+  }
+
+  query::RouteResult detoured;
+  query::RouteResult cut_off;
+  std::size_t delta = 0;
+  std::thread caller{[&] {
+    detoured = router.route(s, t, faults, 0);
+    const std::size_t before = allocation_count();
+    cut_off = router.route(s, t, faults, 10);
+    delta = allocation_count() - before;
+  }};
+  caller.join();
+
+  EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
+  EXPECT_EQ(delta, 0u) << "a cut-off-component query performed " << delta
+                       << " heap allocations";
+  EXPECT_EQ(cut_off.level, query::DegradationLevel::kDisconnected);
+  EXPECT_EQ(cut_off.outcome, query::RouteOutcome::kOk);
+  EXPECT_TRUE(cut_off.used_fallback);
+  EXPECT_EQ(cut_off.container_paths_blocked, net.degree());
 }
 
 TEST(AllocationFree, BestEffortDetourAllocatesOnlyItsResult) {

@@ -489,7 +489,7 @@ TEST(PathService, AnswerViewHonorsDeadlines) {
 }
 
 TEST(PathService, OverloadDegradesFaultAwareAnswersToShed) {
-  // EWMA overload + blocked container: the survivor BFS is skipped, and
+  // EWMA overload + blocked container: the survivor search is skipped, and
   // the non-authoritative "couldn't check" is reported as kShed — never as
   // an authoritative kOk/kDisconnected.
   const HhcTopology net{2};

@@ -119,7 +119,7 @@ TEST(QueryStress, ConcurrentMixedFaultAndPristineTraffic) {
 
 TEST(QueryStress, ConcurrentSurvivorFallbackMatchesSerial) {
   // Dense enough faults that a large share of fault-aware queries miss
-  // every container path and run the survivor BFS, so several threads
+  // every container path and run the survivor search, so several threads
   // sweep their own per-thread scratch at once over one shared FaultModel.
   const HhcTopology net{3};
   PathService service{net, {.cache_shards = 2}};

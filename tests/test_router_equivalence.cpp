@@ -5,12 +5,12 @@
 // survivor BFS walks HhcTopology::neighbors through a std::deque with a
 // std::unordered_map parent map (its deadline poll is left out: these
 // queries carry no deadline). The production router scans a flattened
-// container through a per-thread fault snapshot, sweeps over a per-thread
-// usable-edge byte per node with epoch-stamped marks, and searches from
-// both endpoints at once. Every query here must get the same
-// level, outcome, blocked count and fallback flag from both, with and
-// without a shared ContainerCache, and the same path whenever the container
-// serves it. A survivor-BFS detour may take different nodes: it must have
+// container through a per-thread fault snapshot, and searches a per-thread
+// usable-edge byte per node with epoch-stamped marks, by A* toward t under
+// an HHC distance bound beside a guard BFS from t. Every query here must
+// get the same level, outcome, blocked count and fallback flag from both,
+// with and without a shared ContainerCache, and the same path whenever the
+// container serves it. A detour may take different nodes: it must have
 // the oracle's hop count, run s -> t over topology edges usable at the
 // query's time, and repeat no node. With a cache the oracle scans the
 // container the cache serves: the orbit image of the representative's
@@ -20,8 +20,10 @@
 // transient windows, random query times, containers blocked on purpose,
 // isolated endpoints (disconnected pairs) and faulty endpoints. Further
 // cases alternate models whose snapshots share an interval and a fact
-// count, feed facts that name no node or edge of the topology, and check
-// that a detour is the same on every call and every thread.
+// count, feed facts that name no node or edge of the topology, check that
+// a detour is the same on every call and every thread, route every pair
+// at m = 2 (and 2,000 at m = 3) under dense faults, and check the search's
+// distance bound exhaustively at m <= 3.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -424,7 +426,7 @@ TEST(RouterEquivalence, ModelRebuiltAtOneAddressIsReResolved) {
 }
 
 // Fails the middle node of every container path, so the scan comes up
-// empty and the route takes the survivor-BFS fallback.
+// empty and the route takes the survivor-search fallback.
 FaultModel block_container(const HhcTopology& net, Node s, Node t) {
   FaultModel faults;
   for (const Path& path : core::node_disjoint_paths(net, s, t).paths) {
@@ -597,6 +599,91 @@ TEST(RouterEquivalence, DetourIsTheSameOnEveryCallAndThread) {
     ASSERT_EQ(first[i].size(), 1u) << "s=" << cases[i].s << " t=" << cases[i].t;
     EXPECT_EQ(again[i], first[i]) << "s=" << cases[i].s << " t=" << cases[i].t;
     EXPECT_EQ(other[i], first[i]) << "s=" << cases[i].s << " t=" << cases[i].t;
+  }
+}
+
+// About 5% of the nodes and 25% of the links down, all permanent, drawn
+// from `rng`: most containers are cut, and many pairs are disconnected.
+FaultModel very_dense_faults(const HhcTopology& net, util::Xoshiro256& rng) {
+  const std::uint64_t n = net.node_count();
+  const FaultModel::RandomSpec spec{
+      .node_faults = static_cast<std::size_t>(n / 20),
+      .internal_link_faults = static_cast<std::size_t>(n * net.m() / 8),
+      .external_link_faults = static_cast<std::size_t>(n / 8)};
+  return FaultModel::random(net, spec, rng.below(n), rng.below(n), rng);
+}
+
+TEST(RouterEquivalence, DenseFaultsKeepDetoursShortest) {
+  // Twenty fault sets per m at a density where the survivor search does
+  // most of the routing. At m = 2 every ordered pair is routed, at m = 3
+  // 2,000 sampled ones, and each answer is held to the oracle's: a detour
+  // as short as the BFS distance over the survivors, over usable edges,
+  // and kDisconnected exactly when t is unreachable.
+  for (const unsigned m : {2U, 3U}) {
+    const HhcTopology net{m};
+    const AdaptiveRouter router{net};
+    const std::uint64_t n = net.node_count();
+    util::Xoshiro256 rng{0xB20 + m};
+    Tally tally;
+    for (int set = 0; set < 20; ++set) {
+      Case c;
+      c.faults = very_dense_faults(net, rng);
+      const std::uint64_t pairs = m == 2 ? n * n : 100;
+      for (std::uint64_t k = 0; k < pairs; ++k) {
+        c.s = m == 2 ? k / n : rng.below(n);
+        c.t = m == 2 ? k % n : rng.below(n);
+        expect_equivalent(net, router, c,
+                          reference_route(net, c.s, c.t, c.faults, c.time),
+                          tally);
+        if (HasFatalFailure()) return;
+      }
+    }
+    // 31,487 and 12,332 at m = 2, 1,592 and 33 at m = 3.
+    EXPECT_GT(tally.best_effort, m == 2 ? 20'000U : 1'000U) << "m=" << m;
+    EXPECT_GT(tally.disconnected_sweeps, m == 2 ? 5'000U : 10U) << "m=" << m;
+  }
+}
+
+// Fault-free hop counts from t to every node of `net` (m <= 3).
+std::vector<unsigned> distances_to(const HhcTopology& net, Node t) {
+  std::vector<unsigned> dist(net.node_count(), ~0U);
+  std::deque<Node> frontier{t};
+  dist[t] = 0;
+  while (!frontier.empty()) {
+    const Node u = frontier.front();
+    frontier.pop_front();
+    for (const Node v : net.neighbors(u)) {
+      if (dist[v] != ~0U) continue;
+      dist[v] = dist[u] + 1;
+      frontier.push_back(v);
+    }
+  }
+  return dist;
+}
+
+TEST(RouterEquivalence, DistanceBoundIsConsistent) {
+  // Exhaustively at m <= 3: the survivor search's bound is 0 at t, never
+  // exceeds the fault-free distance to t (so, faults only removing edges,
+  // any survivor distance), and changes by exactly 1 across every edge,
+  // which is what lets two stacks stand in for A*'s priority queue.
+  for (unsigned m = 1; m <= 3; ++m) {
+    const HhcTopology net{m};
+    std::size_t checked = 0;
+    for (Node t = 0; t < net.node_count(); ++t) {
+      const std::vector<unsigned> dist = distances_to(net, t);
+      ASSERT_EQ(detail::distance_bound(m, t, t), 0U);
+      for (Node u = 0; u < net.node_count(); ++u) {
+        const unsigned h = detail::distance_bound(m, u, t);
+        ASSERT_LE(h, dist[u]) << "m=" << m << " u=" << u << " t=" << t;
+        for (const Node v : net.neighbors(u)) {
+          const unsigned hv = detail::distance_bound(m, v, t);
+          ASSERT_EQ(h > hv ? h - hv : hv - h, 1U)
+              << "m=" << m << " edge " << u << "-" << v << " t=" << t;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_EQ(checked, net.node_count() * net.node_count() * net.degree());
   }
 }
 
