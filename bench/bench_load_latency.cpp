@@ -19,7 +19,7 @@
 //
 // Part 3 (closed-loop sweep + shed cost, PR 8): the acceptance curve for
 // the shed-fast path. A fixed set of streams (4x the in-flight bound)
-// issue-on-completion against a kReject gate, so offered load self-
+// issue-on-completion against a bounded gate, so offered load self-
 // regulates and every excess arrival exercises the striped rejection path;
 // goodput must PLATEAU as queries/epoch rises (the old sweep collapsed
 // 575k -> 296k qps because rejections paid per-query allocation + stats).
@@ -56,56 +56,25 @@ struct OverloadRow {
   double shed_rate = 0.0;
 };
 
-OverloadRow run_level(std::size_t offered_per_epoch, std::size_t epochs) {
+// One level of the F6b sweeps: m = 2, 2 ms deadlines, fault rate 0.5 and
+// an 8-slot bounded gate. Open loop: 4 workers behind a 512-deep arrival
+// queue that sheds the excess at the door. Closed loop: 32 streams (4x the
+// bound) issuing on completion, so offered load self-regulates, door_shed
+// is 0 by construction, and the excess arrivals all take the gate's
+// rejection path.
+OverloadRow run_level(std::size_t offered_per_epoch, std::size_t epochs,
+                      bool closed_loop) {
   hhc::sim::SoakConfig config;
   config.m = 2;
   config.epochs = epochs;
   config.queries_per_epoch = offered_per_epoch;
-  config.workers = 4;
+  config.workers = closed_loop ? 32 : 4;
   config.max_queued = 512;
+  config.closed_loop = closed_loop;
   config.deadline_us = 2000.0;
   config.fault_rate = 0.5;
   config.seed = 99;
   config.admission.max_in_flight = 8;
-  config.admission.policy = hhc::query::AdmissionPolicy::kQueue;
-  const hhc::sim::SoakReport report = hhc::sim::run_soak(config);
-
-  OverloadRow row;
-  row.offered_per_epoch = offered_per_epoch;
-  row.offered = report.offered;
-  row.ok = report.ok;
-  row.shed = report.shed + report.door_shed;
-  row.timed_out = report.timed_out;
-  row.goodput_qps = report.wall_seconds > 0.0
-                        ? static_cast<double>(report.ok) / report.wall_seconds
-                        : 0.0;
-  for (const auto& epoch : report.epochs) {
-    if (epoch.p99_us > row.p99_us) row.p99_us = epoch.p99_us;
-  }
-  row.shed_rate = report.offered > 0
-                      ? static_cast<double>(row.shed) /
-                            static_cast<double>(report.offered)
-                      : 0.0;
-  return row;
-}
-
-// Closed-loop variant: the same network and seed, but `workers` fixed
-// streams (4x the in-flight bound) issuing on completion against a
-// shed-fast kReject gate — offered load self-regulates, door_shed is 0 by
-// construction, and the excess arrivals all take the rejection path.
-OverloadRow run_closed_level(std::size_t offered_per_epoch,
-                             std::size_t epochs) {
-  hhc::sim::SoakConfig config;
-  config.m = 2;
-  config.epochs = epochs;
-  config.queries_per_epoch = offered_per_epoch;
-  config.workers = 32;
-  config.closed_loop = true;
-  config.deadline_us = 2000.0;
-  config.fault_rate = 0.5;
-  config.seed = 99;
-  config.admission.max_in_flight = 8;
-  config.admission.policy = hhc::query::AdmissionPolicy::kReject;
   const hhc::sim::SoakReport report = hhc::sim::run_soak(config);
 
   OverloadRow row;
@@ -125,21 +94,44 @@ OverloadRow run_closed_level(std::size_t offered_per_epoch,
   return row;
 }
 
+// Runs one sweep over `levels` and prints it as a table titled `title`.
+std::vector<OverloadRow> run_sweep(const std::vector<std::size_t>& levels,
+                                   std::size_t epochs, bool closed_loop,
+                                   const std::string& title) {
+  std::vector<OverloadRow> rows;
+  hhc::util::Table table{{"offered/epoch", "offered", "ok", "shed",
+                          "timed-out", "goodput q/s", "p99 us", "shed rate"}};
+  for (const std::size_t level : levels) {
+    const OverloadRow row = run_level(level, epochs, closed_loop);
+    table.row()
+        .add(std::uint64_t{row.offered_per_epoch})
+        .add(std::uint64_t{row.offered})
+        .add(std::uint64_t{row.ok})
+        .add(std::uint64_t{row.shed})
+        .add(std::uint64_t{row.timed_out})
+        .add(row.goodput_qps, 0)
+        .add(row.p99_us, 1)
+        .add(row.shed_rate, 3);
+    rows.push_back(row);
+  }
+  table.print(std::cout, title);
+  return rows;
+}
+
 struct ShedCost {
   double p50_us = 0.0;
   double p99_us = 0.0;
 };
 
-// Times answer() against a gate shedding 100% of traffic (overloaded +
-// shed_on_overload, probing disabled): the per-call cost of the rejection
-// fast path itself, clock overhead included.
+// Times answer() against a gate shedding 100% of traffic (overloaded,
+// probing disabled): the per-call cost of the rejection fast path itself,
+// clock overhead included.
 ShedCost measure_shed_cost(std::size_t samples) {
   using namespace hhc;
   const core::HhcTopology net{2};
   query::PathServiceConfig config;
   config.admission.ewma_alpha = 1.0;
   config.admission.overload_latency_us = 1e-3;  // any completion overloads
-  config.admission.shed_on_overload = true;
   config.admission.probe_interval = 0;  // pure sheds for the measurement
   query::PathService service{net, config};
   (void)service.answer(query::PairQuery{.s = 0, .t = 60});  // seed the EWMA
@@ -266,51 +258,19 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> levels{256, 1024, 4096};
   if (!smoke) levels.push_back(16384);
 
-  std::vector<OverloadRow> rows;
-  util::Table sweep{{"offered/epoch", "offered", "ok", "shed", "timed-out",
-                     "goodput q/s", "p99 us", "shed rate"}};
-  for (const std::size_t level : levels) {
-    const OverloadRow row = run_level(level, epochs);
-    sweep.row()
-        .add(std::uint64_t{row.offered_per_epoch})
-        .add(std::uint64_t{row.offered})
-        .add(std::uint64_t{row.ok})
-        .add(std::uint64_t{row.shed})
-        .add(std::uint64_t{row.timed_out})
-        .add(row.goodput_qps, 0)
-        .add(row.p99_us, 1)
-        .add(row.shed_rate, 3);
-    rows.push_back(row);
-  }
-  sweep.print(std::cout,
-              "F6b (m=2): query-engine overload sweep — admission-gated "
-              "service, 2 ms deadlines");
+  const std::vector<OverloadRow> rows = run_sweep(
+      levels, epochs, false,
+      "F6b (m=2): query-engine overload sweep — admission-gated service, "
+      "2 ms deadlines");
   std::cout << "\nExpected shape: goodput plateaus at service capacity while "
                "the shed rate rises\nwith offered load; p99 stays bounded by "
                "the deadline instead of blowing up.\n\n";
 
   // Part 3: the closed-loop goodput plateau + the shed-path cost itself.
-  std::vector<OverloadRow> closed_rows;
-  util::Table closed_sweep{{"offered/epoch", "offered", "ok", "shed",
-                            "timed-out", "goodput q/s", "p99 us",
-                            "shed rate"}};
-  for (const std::size_t level : levels) {
-    const OverloadRow row = run_closed_level(level, epochs);
-    closed_sweep.row()
-        .add(std::uint64_t{row.offered_per_epoch})
-        .add(std::uint64_t{row.offered})
-        .add(std::uint64_t{row.ok})
-        .add(std::uint64_t{row.shed})
-        .add(std::uint64_t{row.timed_out})
-        .add(row.goodput_qps, 0)
-        .add(row.p99_us, 1)
-        .add(row.shed_rate, 3);
-    closed_rows.push_back(row);
-  }
-  closed_sweep.print(
-      std::cout,
-      "F6b closed-loop (m=2): 32 issue-on-completion streams, shed-fast "
-      "kReject gate (bound 8)");
+  const std::vector<OverloadRow> closed_rows = run_sweep(
+      levels, epochs, true,
+      "F6b closed-loop (m=2): 32 issue-on-completion streams, bounded gate "
+      "(8 slots)");
 
   const ShedCost cost = measure_shed_cost(smoke ? 20000 : 100000);
   std::cout << "\nshed-path cost: p50 " << cost.p50_us << " us, p99 "

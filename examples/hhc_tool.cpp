@@ -227,7 +227,32 @@ int cmd_trace(const util::Options& opts) {
 // Replays the chaos/soak harness: open-loop (default) or closed-loop
 // traffic with deadlines and admission control over an evolving fault
 // schedule, reported per epoch.
-int cmd_soak(const util::Options& opts) {
+int cmd_soak(util::Options& opts) {
+  opts.describe("m", "cluster dimension (default 2)")
+      .describe("epochs", "fault epochs replayed (default 8)")
+      .describe("load", "pool queries per epoch (default 256)")
+      .describe("hostile", "inline hostile-pair queries per epoch (default 4)")
+      .describe("workers", "consumer threads or closed-loop streams "
+                           "(default 4)")
+      .describe("max-queued", "open-loop arrival queue bound (default 64)")
+      .describe("closed-loop", "issue-on-completion streams (default false)")
+      .describe("deadline-us", "per-query budget; 0 = none (default 2000)")
+      .describe("fault-rate", "fraction of epochs starting an outage "
+                              "(default 0.5)")
+      .describe("burst", "node faults per outage (default 2)")
+      .describe("repair-after", "epochs until an outage heals (default 1)")
+      .describe("seed", "schedule and traffic seed (default 1)")
+      .describe("max-in-flight", "admission gate slots; 0 = unlimited "
+                                 "(default 8)")
+      .describe("breaker", "disconnects that open a pair's breaker; "
+                           "0 = off (default 3)")
+      .describe("format", "table, csv, or json (default table)");
+  if (opts.help_requested("hhc_tool soak: chaos/soak run over evolving "
+                          "faults")) {
+    return 0;
+  }
+  opts.reject_unknown();
+
   sim::SoakConfig config;
   config.m = static_cast<unsigned>(opts.get_int("m", 2));
   config.epochs = static_cast<std::size_t>(opts.get_int("epochs", 8));
@@ -249,18 +274,6 @@ int cmd_soak(const util::Options& opts) {
       static_cast<std::size_t>(opts.get_int("max-in-flight", 8));
   config.admission.breaker_threshold =
       static_cast<std::size_t>(opts.get_int("breaker", 3));
-  const std::string policy = opts.get("policy", "queue");
-  if (policy == "reject") {
-    config.admission.policy = query::AdmissionPolicy::kReject;
-  } else if (policy == "queue") {
-    config.admission.policy = query::AdmissionPolicy::kQueue;
-  } else if (policy == "degrade") {
-    config.admission.policy = query::AdmissionPolicy::kDegrade;
-  } else {
-    std::fprintf(stderr, "unknown --policy %s (reject|queue|degrade)\n",
-                 policy.c_str());
-    return 1;
-  }
 
   const sim::SoakReport report = sim::run_soak(config);
   const std::string format = opts.get("format", "table");
@@ -308,7 +321,7 @@ int main(int argc, char** argv) try {
     return argc < 2 ? 1 : 0;
   }
   const std::string command = argv[1];
-  const util::Options opts{argc - 1, argv + 1};
+  util::Options opts{argc - 1, argv + 1};
 
   if (command == "info") return cmd_info(opts);
   if (command == "route") return cmd_route(opts);

@@ -87,22 +87,4 @@ std::int64_t Dinic::flow_on(std::size_t edge_index) const {
   return graph_[e.to][e.rev].capacity;
 }
 
-void Dinic::cancel_opposite_unit(std::size_t edge_a, std::size_t edge_b) {
-  const auto [ua, slot_a] = edge_handles_.at(edge_a);
-  const auto [ub, slot_b] = edge_handles_.at(edge_b);
-  Edge& ea = graph_[ua][slot_a];
-  Edge& eb = graph_[ub][slot_b];
-  if (ea.to != ub || eb.to != ua) {
-    throw std::invalid_argument("cancel_opposite_unit: arcs are not opposite");
-  }
-  if (graph_[ea.to][ea.rev].capacity <= 0 ||
-      graph_[eb.to][eb.rev].capacity <= 0) {
-    return;  // at least one carries no flow; nothing to cancel
-  }
-  ea.capacity += 1;
-  graph_[ea.to][ea.rev].capacity -= 1;
-  eb.capacity += 1;
-  graph_[eb.to][eb.rev].capacity -= 1;
-}
-
 }  // namespace hhc::graph

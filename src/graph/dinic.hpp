@@ -35,12 +35,6 @@ class Dinic {
   /// Flow pushed through the edge returned by add_edge().
   [[nodiscard]] std::int64_t flow_on(std::size_t edge_index) const;
 
-  /// Cancels one unit of flow on each of two mutually opposite arcs that
-  /// both carry flow (u->v and v->u modelling one undirected edge). No-op
-  /// unless both carry positive flow. Used by undirected edge-disjoint
-  /// decomposition, where such 2-cycles are meaningless.
-  void cancel_opposite_unit(std::size_t edge_a, std::size_t edge_b);
-
   struct Edge {
     std::uint32_t to;
     std::size_t rev;        // index of the reverse edge in graph_[to]

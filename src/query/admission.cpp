@@ -49,23 +49,25 @@ std::size_t AdmissionGate::in_flight() const noexcept {
 
 AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
                                       const util::CancellationToken* cancel) {
+  // A query that is already expired or cancelled never reaches a slot: it
+  // is classified here, once, and did no admitted work.
+  if (util::should_stop(deadline, cancel)) return AdmissionVerdict::kTimedOut;
+
   // One relaxed load: the overload verdict is the cached result of the
   // last decision-epoch fold, never computed inline on the hot path.
-  const bool overload = overload_cached_.load(std::memory_order_relaxed);
-
-  if (overload && config_.shed_on_overload) {
-    // Shed-fast posture: a latency overload sheds instead of degrading —
-    // queueing or admitting behind an already slow service only makes the
-    // smoothed latency worse. Every probe_interval-th consecutive shed
-    // decision per thread is admitted degraded as a half-open probe so
-    // completions keep feeding the detector (recovery contract).
+  if (overload_cached_.load(std::memory_order_relaxed)) {
+    // A latency overload sheds: admitting behind an already slow service
+    // only makes the smoothed latency worse. Every probe_interval-th
+    // consecutive shed decision per thread is admitted degraded as a
+    // half-open probe so completions keep feeding the detector (recovery
+    // contract).
     std::size_t& streak = local().streak;
     if (config_.probe_interval == 0 ||
         ++streak % config_.probe_interval != 0) {
       return AdmissionVerdict::kShed;  // no shared writes
     }
-    // The probe is counted past the bound like a kDegrade admission: it
-    // may transiently exceed the bound, which is the price of keeping the
+    // The probe is counted past the bound, without a slot: it may
+    // transiently exceed the bound, which is the price of keeping the
     // feedback loop closed while the gate is shut.
     if (config_.max_in_flight != 0) {
       overflow_.fetch_add(1, std::memory_order_relaxed);
@@ -73,62 +75,23 @@ AdmissionVerdict AdmissionGate::admit(const util::Deadline& deadline,
     return AdmissionVerdict::kAdmittedDegraded;
   }
 
-  if (config_.max_in_flight == 0) {
-    // Unlimited gate: no occupancy accounting at all, so the default
-    // config adds zero shared writes to answer()/answer_view().
-    return overload ? AdmissionVerdict::kAdmittedDegraded
-                    : AdmissionVerdict::kAdmitted;
-  }
+  // Unlimited gate: no occupancy accounting at all, so the default config
+  // adds zero shared writes to answer()/answer_view().
+  if (config_.max_in_flight == 0) return AdmissionVerdict::kAdmitted;
 
   // Claim a slot: reads only until a free one is found, so a saturated
   // gate sheds after one relaxed load per slot and no shared write.
-  Local& mine = local();
-  if (try_claim(mine)) {
-    return overload ? AdmissionVerdict::kAdmittedDegraded
-                    : AdmissionVerdict::kAdmitted;
-  }
-
-  switch (config_.policy) {
-    case AdmissionPolicy::kReject:
-      // Every slot is held. With more callers than cores, a holder may be
-      // waiting for the very CPU this caller is on: give the CPU up once,
-      // so a caller that retries at once does not keep a preempted holder,
-      // and its slot, off the CPU for a whole time slice.
-      std::this_thread::yield();
-      return AdmissionVerdict::kShed;
-    case AdmissionPolicy::kDegrade:
-      overflow_.fetch_add(1, std::memory_order_relaxed);
-      return AdmissionVerdict::kAdmittedDegraded;
-    case AdmissionPolicy::kQueue:
-      break;
-  }
-
-  // Queue-with-deadline: wait for a slot, polling the deadline/token. The
-  // condvar wakes on release(); the bounded wait keeps a cancelled or
-  // expired waiter from sleeping forever even if no slot ever frees.
-  std::unique_lock lock{queue_mutex_};
-  for (;;) {
-    if (util::should_stop(deadline, cancel)) {
-      return AdmissionVerdict::kTimedOut;
-    }
-    if (try_claim(mine)) {
-      return overload_cached_.load(std::memory_order_relaxed)
-                 ? AdmissionVerdict::kAdmittedDegraded
-                 : AdmissionVerdict::kAdmitted;
-    }
-    slot_free_.wait_for(lock, std::chrono::microseconds{200});
-  }
+  if (try_claim(local())) return AdmissionVerdict::kAdmitted;
+  // Every slot is held. With more callers than cores, a holder may be
+  // waiting for the very CPU this caller is on: give the CPU up once, so a
+  // caller that retries at once does not keep a preempted holder, and its
+  // slot, off the CPU for a whole time slice.
+  std::this_thread::yield();
+  return AdmissionVerdict::kShed;
 }
 
 void AdmissionGate::release() noexcept {
   if (config_.max_in_flight == 0) return;  // nothing was claimed
-  give_back();
-  if (config_.policy == AdmissionPolicy::kQueue) {
-    slot_free_.notify_one();
-  }
-}
-
-void AdmissionGate::give_back() noexcept {
   // Admissions past the bound go back first: while any is out, the gate
   // is at or over its bound and no slot may reopen.
   std::size_t over = overflow_.load(std::memory_order_relaxed);

@@ -5,19 +5,16 @@
 // time when offered load exceeds capacity, instead of queueing without
 // limit or parking workers in expensive fallbacks:
 //
-//   AdmissionGate    a bounded in-flight limit with a configurable response
-//                    when the bound is hit: reject (shed immediately),
-//                    queue-with-deadline (wait for a slot, bounded by the
-//                    query's deadline), or degrade (admit, but flag the
-//                    query so the expensive fault-aware BFS fallback is
-//                    skipped and the answer is best-effort).
+//   AdmissionGate    a bounded in-flight limit that sheds: a query arriving
+//                    at a full gate is refused at once (outcome kShed). It
+//                    is also the one place that classifies a query that is
+//                    already expired or cancelled on arrival (kTimedOut).
 //   EWMA detector    an exponentially weighted moving average of answer
 //                    latency, folded into the gate: when the smoothed
 //                    latency crosses the configured threshold the service
-//                    is "overloaded" and admissions degrade — or, with
-//                    shed_on_overload, shed — regardless of in-flight
-//                    occupancy (waiting in a queue cannot fix a latency
-//                    overload; shedding work can).
+//                    is "overloaded" and admissions shed regardless of
+//                    in-flight occupancy (admitting behind an already slow
+//                    service only makes the smoothed latency worse).
 //   CircuitBreaker   a per-fault-epoch memory of repeatedly-disconnected
 //                    pairs: once a pair reports kDisconnected `threshold`
 //                    consecutive times within one fault epoch, further
@@ -27,13 +24,13 @@
 //                    hopeless full-graph sweeps that make hostile fault
 //                    sets so expensive.
 //
-// Shed-fast contract (PR 8): a rejected decision performs NO shared-memory
-// writes. The in-flight bound is a set of slots, one cache line each,
-// claimed by a read + exchange that only writes on successful admission;
-// a caller reclaims the slot it released last, so a steady caller's claim
-// and release stay in its own core's cache. A rejection at the bound
-// yields the caller's CPU once, to a slot holder that may be waiting for
-// it. Completion feedback lands in per-thread util::Striped cells and is
+// Shed-fast contract: a shed decision performs NO shared-memory writes.
+// The in-flight bound is a set of slots, one cache line each, claimed by a
+// read + exchange that only writes on successful admission; a caller
+// reclaims the slot it released last, so a steady caller's claim and
+// release stay in its own core's cache. A rejection at the bound yields
+// the caller's CPU once, to a slot holder that may be waiting for it.
+// Completion feedback lands in per-thread util::Striped cells and is
 // folded into the EWMA on decision epochs, not per sample; and a disabled
 // mechanism costs at most a relaxed load. This is what makes rejection
 // effectively free and lets goodput plateau under overload instead of
@@ -42,10 +39,10 @@
 //
 // Recovery contract: the EWMA only learns from completed answers, so a
 // gate shedding 100% of traffic would otherwise never observe that load
-// dropped. Under shed_on_overload every probe_interval-th shed decision
-// per thread is admitted (degraded) as a half-open probe; probe
-// completions feed the detector and close the loop, so a recovered
-// backend reopens the gate within a handful of probes.
+// dropped. Every probe_interval-th overload shed decision per thread is
+// admitted (degraded) as a half-open probe; probe completions feed the
+// detector and close the loop, so a recovered backend reopens the gate
+// within a handful of probes.
 //
 // All three are policy ONLY — they never alter the bits of an answer that
 // is delivered with RouteOutcome::kOk. With the default config (no limit,
@@ -54,7 +51,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -68,29 +64,12 @@
 
 namespace hhc::query {
 
-/// What the gate does when the in-flight bound is reached.
-enum class AdmissionPolicy {
-  kReject,   // shed the query immediately (outcome kShed)
-  kQueue,    // wait for a slot; the query's deadline bounds the wait
-  kDegrade,  // admit anyway, but skip the expensive fault-aware fallback
-};
-
-[[nodiscard]] constexpr const char* to_string(AdmissionPolicy p) noexcept {
-  switch (p) {
-    case AdmissionPolicy::kReject: return "reject";
-    case AdmissionPolicy::kQueue: return "queue";
-    case AdmissionPolicy::kDegrade: return "degrade";
-  }
-  return "?";
-}
-
 struct AdmissionConfig {
   /// Concurrent in-flight answer() bound; 0 = unlimited. An unlimited gate
   /// does no occupancy accounting at all (admit/release are read-only), so
   /// the default config adds zero shared writes to the query hot path. A
   /// bounded gate keeps one cache line per slot.
   std::size_t max_in_flight = 0;
-  AdmissionPolicy policy = AdmissionPolicy::kReject;
   /// EWMA smoothing factor in (0, 1]; the weight of the newest sample.
   double ewma_alpha = 0.2;
   /// Smoothed-latency overload threshold in µs; 0 = detector disabled
@@ -99,25 +78,20 @@ struct AdmissionConfig {
   /// Consecutive kDisconnected answers for one pair (within one fault
   /// epoch) that open its breaker; 0 = breaker disabled.
   std::size_t breaker_threshold = 0;
-  /// When the EWMA detector flags overload, SHED instead of degrading
-  /// admissions. This is the shed-fast posture: an overloaded service
-  /// refuses work in nanoseconds rather than admitting ever-slower
-  /// best-effort answers. false keeps the PR 5 degrade semantics.
-  bool shed_on_overload = false;
-  /// Under shed_on_overload, every Nth consecutive shed decision per
-  /// thread is admitted (degraded) as a half-open probe so the detector
-  /// keeps seeing completions and can observe recovery. 0 disables probing
-  /// (a fully-shedding gate then stays shut until something else
-  /// completes — only sensible in tests).
+  /// While the detector flags overload, every Nth consecutive shed
+  /// decision per thread is admitted (degraded) as a half-open probe so
+  /// the detector keeps seeing completions and can observe recovery. 0
+  /// disables probing (a fully-shedding gate then stays shut until
+  /// something else completes — only sensible in tests).
   std::size_t probe_interval = 64;
 };
 
 /// Gate verdicts, in decreasing order of service delivered.
 enum class AdmissionVerdict {
   kAdmitted,          // run the full query
-  kAdmittedDegraded,  // run, but skip the fault-aware fallback
-  kShed,              // rejected: bound hit / overload under shed_on_overload
-  kTimedOut,          // queued past the query's deadline / cancellation
+  kAdmittedDegraded,  // overload probe: run, but skip the fault-aware fallback
+  kShed,              // rejected: bound hit, or overload
+  kTimedOut,          // expired or cancelled on arrival
 };
 
 /// The bounded in-flight gate + EWMA overload detector. Thread-safe; one
@@ -133,16 +107,14 @@ class AdmissionGate {
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  /// Decides one query's fate. A kShed verdict writes no shared memory.
-  /// Blocks only under the kQueue policy, and then only until a slot
-  /// frees, the deadline expires, or the token is cancelled. An unarmed
-  /// deadline under kQueue waits indefinitely for a slot (there is nothing
-  /// to time out against).
+  /// Decides one query's fate without blocking. A query whose deadline has
+  /// passed or whose token is cancelled answers kTimedOut before any slot
+  /// is read. A kShed verdict writes no shared memory.
   [[nodiscard]] AdmissionVerdict admit(const util::Deadline& deadline,
                                        const util::CancellationToken* cancel);
 
-  /// Returns the slot taken by a successful admit(). No-op on an unlimited
-  /// gate (no slot was ever claimed).
+  /// Gives back one successful admit(): an overload probe first, else a
+  /// slot. No-op on an unlimited gate (no slot was ever claimed).
   void release() noexcept;
 
   /// Feeds one completed answer's latency into the detector: per-thread
@@ -192,8 +164,6 @@ class AdmissionGate {
   [[nodiscard]] Local& local() const;
   /// Claims a free slot, trying this thread's last one first.
   [[nodiscard]] bool try_claim(Local& local) noexcept;
-  /// Gives back one admission: an overflow one, else a slot.
-  void give_back() noexcept;
 
   [[nodiscard]] static std::atomic<std::uint64_t>& next_id() noexcept {
     static std::atomic<std::uint64_t> id{0};
@@ -210,7 +180,7 @@ class AdmissionGate {
     std::atomic<bool> taken{false};
   };
   std::unique_ptr<Slot[]> slots_;
-  // Admissions past the bound (kDegrade, overload probes); released first.
+  // Overload probes, admitted past the bound; released first.
   std::atomic<std::size_t> overflow_{0};
 
   // Completion feedback: one per-thread cell (count and summed ns) on the
@@ -226,9 +196,6 @@ class AdmissionGate {
   mutable std::uint64_t folded_sum_ns_ = 0;
   mutable std::atomic<double> ewma_us_{0.0};
   mutable std::atomic<bool> overload_cached_{false};
-
-  std::mutex queue_mutex_;  // serializes kQueue waiters only
-  std::condition_variable slot_free_;
 };
 
 /// Per-fault-epoch short-circuit for repeatedly-disconnected pairs. The

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
@@ -18,27 +17,6 @@ struct SlotGuard {
   AdmissionGate& gate;
   ~SlotGuard() { gate.release(); }
 };
-
-// Preallocated fast-path answers. A shed/expired query returns a COPY of
-// one of these: the paths vector is empty, so the copy allocates nothing,
-// and no per-query RouteResult state is ever built on the rejection path.
-const RouteResult& shed_result() {
-  static const RouteResult result = [] {
-    RouteResult r;
-    r.outcome = RouteOutcome::kShed;
-    return r;
-  }();
-  return result;
-}
-
-const RouteResult& timed_out_result() {
-  static const RouteResult result = [] {
-    RouteResult r;
-    r.outcome = RouteOutcome::kTimedOut;
-    return r;
-  }();
-  return result;
-}
 
 }  // namespace
 
@@ -62,20 +40,20 @@ void PathService::count_rejected(const PairQuery& query,
   tally.bump(outcome);
 }
 
-RouteResult PathService::finalize(const PairQuery& query, RouteResult result,
-                                  double micros, Tally& tally) {
-  result.micros = micros;
-  (result.outcome == RouteOutcome::kTimedOut ? tally.latency_timed_out
-                                             : tally.latency_ok)
+void PathService::account(const PairQuery& query, RouteOutcome outcome,
+                          DegradationLevel level, double micros,
+                          Tally& tally) {
+  (outcome == RouteOutcome::kTimedOut ? tally.latency_timed_out
+                                      : tally.latency_ok)
       .record(micros);
   tally.bump(received(query));
-  switch (result.outcome) {
+  switch (outcome) {
     case RouteOutcome::kOk:
       // Completed answers (and only those) feed the overload detector: a
       // shed query finishes in nanoseconds and would talk the EWMA out of
       // the very overload it is evidence of.
       gate_.record_latency(micros);
-      switch (result.level) {
+      switch (level) {
         case DegradationLevel::kGuaranteed: tally.bump(kGuaranteed); break;
         case DegradationLevel::kBestEffort: tally.bump(kBestEffort); break;
         case DegradationLevel::kDisconnected: tally.bump(kDisconnected); break;
@@ -90,144 +68,94 @@ RouteResult PathService::finalize(const PairQuery& query, RouteResult result,
     case RouteOutcome::kShed:
       // Admitted work reported non-authoritative: breaker short-circuits
       // and degraded skip-fallback answers. Gate sheds never get here —
-      // they take the shed-fast path in answer()/answer_view().
+      // they take the shed-fast return in serve().
       tally.bump(kShed);
       break;
     case RouteOutcome::kInvalid:
       tally.bump(kInvalid);
       break;
   }
-  return result;
 }
 
-RouteResult PathService::answer(const PairQuery& query) {
-  // Shed-fast contract: the gate decides BEFORE any per-query work. A
-  // query that arrives already expired answers kTimedOut exactly once,
-  // here, without the gate (or a queue wait) ever seeing it; a gate-shed
-  // query pays two thread-private striped bumps and a copy of the
-  // preallocated result — no span, no clock read, no histogram, no cache
-  // or registry traffic.
-  if (util::should_stop(query.deadline, query.cancel)) {
-    count_rejected(query, kTimedOut);
-    return timed_out_result();
+template <class Result, class Body>
+Result PathService::serve(const PairQuery& query, const char* stage,
+                          obs::Histogram& stage_hist, Body&& body) {
+  if (!net_.contains(query.s) || !net_.contains(query.t)) {
+    throw std::invalid_argument("PathService: node out of range");
   }
+  // Shed-fast contract: the gate decides BEFORE any per-query work. It
+  // answers kTimedOut, exactly once, for a query that arrives expired or
+  // cancelled, and kShed at a full or overloaded gate. Either refusal pays
+  // two thread-private striped bumps and returns a result carrying only
+  // its outcome — no span, no clock read, no histogram, no cache or
+  // registry traffic.
   const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
-  if (verdict == AdmissionVerdict::kShed) {
-    count_rejected(query, kShed);
-    return shed_result();
-  }
-  if (verdict == AdmissionVerdict::kTimedOut) {
-    // Queued past the deadline: never dispatched, so no service time to
-    // report — same striped fast path as admission-time expiry.
-    count_rejected(query, kTimedOut);
-    return timed_out_result();
+  if (verdict == AdmissionVerdict::kShed ||
+      verdict == AdmissionVerdict::kTimedOut) {
+    const bool shed = verdict == AdmissionVerdict::kShed;
+    count_rejected(query, shed ? kShed : kTimedOut);
+    Result refused;
+    refused.outcome = shed ? RouteOutcome::kShed : RouteOutcome::kTimedOut;
+    return refused;
   }
 
   SlotGuard guard{gate_};
   // Telemetry starts only once the query is admitted: the latency
   // histograms measure post-admission service time.
-  static obs::Histogram& answer_hist =
-      obs::stage_histogram(obs::stages::kAnswer);
-  obs::TraceSpan span{obs::stages::kAnswer, &answer_hist};
+  obs::TraceSpan span{stage, &stage_hist};
   util::Stopwatch watch;
   Tally& tally = tallies_.local();
+  Result result = body(verdict == AdmissionVerdict::kAdmittedDegraded, tally);
+  result.micros = watch.micros();
+  account(query, result.outcome, result.level, result.micros, tally);
+  return result;
+}
 
-  const bool degraded = verdict == AdmissionVerdict::kAdmittedDegraded;
-  if (degraded) tally.bump(kDegradedAdmissions);
-  RouteResult result = answer_impl(query, degraded, tally);
-  return finalize(query, std::move(result), watch.micros(), tally);
+RouteResult PathService::answer(const PairQuery& query) {
+  static obs::Histogram& answer_hist =
+      obs::stage_histogram(obs::stages::kAnswer);
+  return serve<RouteResult>(
+      query, obs::stages::kAnswer, answer_hist,
+      [&](bool degraded, Tally& tally) {
+        if (degraded) tally.bump(kDegradedAdmissions);
+        return answer_impl(query, degraded, tally);
+      });
 }
 
 RouteView PathService::answer_view(const PairQuery& query) {
-  if (!net_.contains(query.s) || !net_.contains(query.t)) {
-    throw std::invalid_argument("PathService: node out of range");
-  }
   if (query.faults != nullptr) {
     throw std::invalid_argument(
         "PathService::answer_view: pristine-only (fault-aware queries must "
         "use answer())");
   }
-
-  // Same shed-fast ordering as answer(): refuse before any per-query work.
-  if (util::should_stop(query.deadline, query.cancel)) {
-    count_rejected(query, kTimedOut);
-    RouteView view;
-    view.outcome = RouteOutcome::kTimedOut;
-    return view;
-  }
   // The zero-copy path goes through the same gate as answer(): under a
   // bounded in-flight config a data plane hammering views is exactly the
-  // traffic the bound exists for. (Degraded admission is meaningless here —
-  // there is no fallback to skip — so it collapses to plain admission.)
-  const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
-  if (verdict == AdmissionVerdict::kShed) {
-    count_rejected(query, kShed);
-    RouteView view;
-    view.outcome = RouteOutcome::kShed;
-    return view;
-  }
-  if (verdict == AdmissionVerdict::kTimedOut) {
-    count_rejected(query, kTimedOut);
-    RouteView view;
-    view.outcome = RouteOutcome::kTimedOut;
-    return view;
-  }
-  SlotGuard guard{gate_};
-
+  // traffic the bound exists for. (A degraded probe admission is plain
+  // admission here — there is no fallback to skip.)
   static obs::Histogram& view_hist =
       obs::stage_histogram(obs::stages::kAnswerView);
-  obs::TraceSpan span{obs::stages::kAnswerView, &view_hist};
-  util::Stopwatch watch;
-  Tally& tally = tallies_.local();
-  RouteView view;
-
-  // Stage boundary: a kQueue admission wait may have consumed the deadline;
-  // an expired query must not pay for a possible construction behind the
-  // cache lookup. This one was admitted, so it reports its service time.
-  if (util::should_stop(query.deadline, query.cancel)) {
-    view.outcome = RouteOutcome::kTimedOut;
-    view.micros = watch.micros();
-    tally.latency_timed_out.record(view.micros);
-    tally.bump(kPristine);
-    tally.bump(kTimedOut);
-    return view;
-  }
-
-  view.level = DegradationLevel::kGuaranteed;
-  if (query.s == query.t) {
-    // One shared trivial container {node 0}; the XOR mask relabels node 0
-    // to s, so even the self-loop answer allocates nothing per query.
-    static const auto kSelf = std::make_shared<const core::FlatContainer>(
-        core::FlatContainer{{0}, {0, 1}});
-    view.container = core::ContainerHandle{kSelf, query.s};
-    view.cache_hit = true;
-  } else {
-    view.container =
-        cache_.lookup(query.s, query.t, query.options, &view.cache_hit);
-  }
-  view.micros = watch.micros();
-  tally.latency_ok.record(view.micros);
-  gate_.record_latency(view.micros);
-  tally.bump(kPristine);
-  tally.bump(kGuaranteed);
-  return view;
+  return serve<RouteView>(
+      query, obs::stages::kAnswerView, view_hist, [&](bool, Tally&) {
+        RouteView view;
+        view.level = DegradationLevel::kGuaranteed;
+        if (query.s == query.t) {
+          // One shared trivial container {node 0}; the XOR mask relabels
+          // node 0 to s, so even the self-loop answer allocates nothing.
+          static const auto kSelf = std::make_shared<const core::FlatContainer>(
+              core::FlatContainer{{0}, {0, 1}});
+          view.container = core::ContainerHandle{kSelf, query.s};
+          view.cache_hit = true;
+        } else {
+          view.container =
+              cache_.lookup(query.s, query.t, query.options, &view.cache_hit);
+        }
+        return view;
+      });
 }
 
 RouteResult PathService::answer_impl(const PairQuery& query, bool degraded,
                                      Tally& tally) {
-  if (!net_.contains(query.s) || !net_.contains(query.t)) {
-    throw std::invalid_argument("PathService: node out of range");
-  }
-
   RouteResult result;
-  // Stage boundary: queries whose deadline expired during a queued
-  // admission wait answer kTimedOut without touching the cache. (Arriving
-  // already expired was handled before the gate in answer().)
-  if (util::should_stop(query.deadline, query.cancel)) {
-    result.outcome = RouteOutcome::kTimedOut;
-    return result;
-  }
-
   if (query.faults != nullptr) {
     if (breaker_.should_short_circuit(query.s, query.t)) {
       // The pair kept coming back disconnected this epoch; don't spend

@@ -91,15 +91,16 @@ class PathService {
 
   /// Answers one query. Thread-safe: any number of threads may call
   /// concurrently (this is what the batch API does internally). Throws
-  /// std::invalid_argument for out-of-range nodes. Overload behavior:
-  /// admission may shed the query (outcome kShed) or time it out while
-  /// queued (kTimedOut); an expired deadline is noticed at stage
-  /// boundaries, so completion never overruns the deadline by more than
-  /// one stage-check interval. Shed-fast contract: a query that arrives
-  /// already expired answers kTimedOut — exactly once, before the gate
-  /// ever sees it — and a gate-shed query returns a copy of a preallocated
-  /// result after bumping per-thread striped tallies only: no heap state,
-  /// no cache traffic, no histogram or registry update, no clock read.
+  /// std::invalid_argument for out-of-range nodes, before the gate sees
+  /// the query. Overload behavior: admission may shed the query (outcome
+  /// kShed); a query that arrives expired or cancelled answers kTimedOut,
+  /// exactly once, from the gate; an admitted query's deadline is noticed
+  /// at stage boundaries, so completion never overruns the deadline by
+  /// more than one stage-check interval. Shed-fast contract: a refused
+  /// query returns a result carrying only its outcome (no allocation)
+  /// after bumping per-thread striped tallies only: no heap state, no
+  /// cache traffic, no histogram or registry update, no clock read beyond
+  /// the gate's deadline check.
   [[nodiscard]] RouteResult answer(const PairQuery& query);
 
   /// Answers a batch, fanned out over the service's thread pool. results[i]
@@ -179,12 +180,19 @@ class PathService {
 
   [[nodiscard]] RouteResult answer_impl(const PairQuery& query, bool degraded,
                                         Tally& tally);
-  /// Shared exit path for ADMITTED queries: stamps micros, records the one
-  /// latency sample, feeds the EWMA, bumps the outcome and level counters.
-  /// Shed/expired queries never reach it — they take count_rejected().
-  RouteResult finalize(const PairQuery& query, RouteResult result,
-                       double micros, Tally& tally);
-  /// A query that never reached finalize(): gate sheds and expiries (the
+  /// The one admitted-query path behind answer() and answer_view():
+  /// validates the nodes, asks the gate, and returns a shed or an arrival
+  /// expiry through count_rejected(). An admitted query holds its slot,
+  /// `stage` span and stopwatch around body(degraded, tally), then is
+  /// accounted once.
+  template <class Result, class Body>
+  Result serve(const PairQuery& query, const char* stage,
+               obs::Histogram& stage_hist, Body&& body);
+  /// Accounting for an ADMITTED query: records the one latency sample,
+  /// feeds the EWMA, bumps the outcome and level counters.
+  void account(const PairQuery& query, RouteOutcome outcome,
+               DegradationLevel level, double micros, Tally& tally);
+  /// A query that was never admitted: gate sheds and arrival expiries (the
   /// shed-fast path) and malformed batch elements. Two bumps in this
   /// thread's stripe, nothing else.
   void count_rejected(const PairQuery& query, Count outcome) noexcept;

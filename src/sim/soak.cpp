@@ -310,8 +310,6 @@ std::string SoakReport::to_json() const {
   json.key("faults_per_burst").value(std::uint64_t{config.faults_per_burst});
   json.key("repair_after").value(config.repair_after);
   json.key("seed").value(config.seed);
-  json.key("admission_policy")
-      .value(query::to_string(config.admission.policy));
   json.key("max_in_flight").value(std::uint64_t{config.admission.max_in_flight});
   json.key("breaker_threshold")
       .value(std::uint64_t{config.admission.breaker_threshold});

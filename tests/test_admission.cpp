@@ -25,7 +25,6 @@ TEST(AdmissionGate, DefaultConfigAdmitsEverything) {
 TEST(AdmissionGate, RejectPolicyShedsBeyondTheBound) {
   AdmissionConfig config;
   config.max_in_flight = 2;
-  config.policy = AdmissionPolicy::kReject;
   AdmissionGate gate{config};
 
   EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
@@ -40,26 +39,11 @@ TEST(AdmissionGate, RejectPolicyShedsBeyondTheBound) {
   EXPECT_EQ(gate.in_flight(), 0u);
 }
 
-TEST(AdmissionGate, DegradePolicyAdmitsDegradedBeyondTheBound) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kDegrade;
-  AdmissionGate gate{config};
-
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
-            AdmissionVerdict::kAdmittedDegraded);
-  EXPECT_EQ(gate.in_flight(), 2u);  // degraded admissions still hold slots
-  gate.release();
-  gate.release();
-}
-
 TEST(AdmissionGate, ReleaseOnAnotherThreadFreesASlot) {
   // admit() and release() pair by count, not by thread: slots claimed on
   // one thread and given back on another leave the gate empty and open.
   AdmissionConfig config;
   config.max_in_flight = 3;
-  config.policy = AdmissionPolicy::kReject;
   AdmissionGate gate{config};
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
@@ -87,73 +71,78 @@ TEST(AdmissionGate, ReleaseOnAnotherThreadFreesASlot) {
 }
 
 TEST(AdmissionGate, AdmissionsPastTheBoundGoBackFirst) {
-  // A degraded admission past the bound is given back before any slot, so
-  // the gate stays at its bound while the slot's own holder is still out.
+  // An overload probe is admitted past the bound, without a slot, and is
+  // given back before any slot: the gate stays at its bound while the
+  // slot's own holder is still out.
   AdmissionConfig config;
   config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kDegrade;
+  config.ewma_alpha = 1.0;  // EWMA == last sample
+  config.overload_latency_us = 10.0;
+  config.probe_interval = 1;  // every overload decision is a probe
   AdmissionGate gate{config};
   EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+
+  gate.record_latency(1000.0);
+  ASSERT_TRUE(gate.overloaded());
   EXPECT_EQ(gate.admit(Deadline{}, nullptr),
             AdmissionVerdict::kAdmittedDegraded);
+  EXPECT_EQ(gate.in_flight(), 2u);  // the probe counts past the bound
   gate.release();
   EXPECT_EQ(gate.in_flight(), 1u);
-  // The one slot is still held, so the next admission is degraded again.
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
-            AdmissionVerdict::kAdmittedDegraded);
-  gate.release();
+
+  // Recovered: the one slot is still held, so the gate is full and sheds.
+  gate.record_latency(1.0);
+  ASSERT_FALSE(gate.overloaded());
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
   gate.release();
   EXPECT_EQ(gate.in_flight(), 0u);
   EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
   gate.release();
 }
 
+// The gate classifies an arrival that is already expired or cancelled,
+// before it reads any slot: a free slot does not admit it, and a full
+// gate reports it timed out rather than shed.
 TEST(AdmissionGate, QueuePolicyTimesOutOnExpiredDeadline) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kQueue;
-  AdmissionGate gate{config};
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{1}}) {
+    AdmissionConfig config;
+    config.max_in_flight = bound;
+    AdmissionGate gate{config};
+    const Deadline expired = Deadline::after_micros(0.0);
 
-  ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-  // The slot is taken and the deadline has already passed: the queued
-  // admit must give up rather than wait forever.
-  EXPECT_EQ(gate.admit(Deadline::after_micros(0.0), nullptr),
-            AdmissionVerdict::kTimedOut);
-  gate.release();
+    EXPECT_EQ(gate.admit(expired, nullptr), AdmissionVerdict::kTimedOut)
+        << "bound=" << bound;
+    EXPECT_EQ(gate.in_flight(), 0u);
+    // A live deadline is admitted as usual (and fills a bounded gate).
+    ASSERT_EQ(gate.admit(Deadline::after_micros(1e9), nullptr),
+              AdmissionVerdict::kAdmitted);
+    EXPECT_EQ(gate.admit(expired, nullptr), AdmissionVerdict::kTimedOut)
+        << "bound=" << bound;
+    gate.release();
+    EXPECT_EQ(gate.in_flight(), 0u);
+  }
 }
 
 TEST(AdmissionGate, QueuePolicyHonorsCancellation) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kQueue;
-  AdmissionGate gate{config};
-  ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{1}}) {
+    AdmissionConfig config;
+    config.max_in_flight = bound;
+    AdmissionGate gate{config};
+    CancellationToken token;
+    token.cancel();
 
-  CancellationToken token;
-  token.cancel();
-  EXPECT_EQ(gate.admit(Deadline{}, &token), AdmissionVerdict::kTimedOut);
-  gate.release();
-}
-
-TEST(AdmissionGate, QueuePolicyGetsTheSlotWhenReleased) {
-  AdmissionConfig config;
-  config.max_in_flight = 1;
-  config.policy = AdmissionPolicy::kQueue;
-  AdmissionGate gate{config};
-  ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
-
-  std::atomic<bool> admitted{false};
-  std::thread waiter{[&] {
-    // Unarmed deadline: waits however long the release takes.
-    const AdmissionVerdict verdict = gate.admit(Deadline{}, nullptr);
-    EXPECT_EQ(verdict, AdmissionVerdict::kAdmitted);
-    admitted.store(true);
+    EXPECT_EQ(gate.admit(Deadline{}, &token), AdmissionVerdict::kTimedOut)
+        << "bound=" << bound;
+    ASSERT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kAdmitted);
+    EXPECT_EQ(gate.admit(Deadline{}, &token), AdmissionVerdict::kTimedOut)
+        << "bound=" << bound;
     gate.release();
-  }};
-  gate.release();  // frees the slot; the waiter must take it
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(gate.in_flight(), 0u);
+
+    token.reset();
+    EXPECT_EQ(gate.admit(Deadline{}, &token), AdmissionVerdict::kAdmitted);
+    gate.release();
+    EXPECT_EQ(gate.in_flight(), 0u);
+  }
 }
 
 TEST(AdmissionGate, EwmaTracksLatencyAndFlagsOverload) {
@@ -171,9 +160,8 @@ TEST(AdmissionGate, EwmaTracksLatencyAndFlagsOverload) {
   EXPECT_DOUBLE_EQ(gate.ewma_latency_us(), 500.0);
   EXPECT_TRUE(gate.overloaded());
 
-  // Overload degrades admission even though no in-flight bound is set.
-  EXPECT_EQ(gate.admit(Deadline{}, nullptr),
-            AdmissionVerdict::kAdmittedDegraded);
+  // Overload sheds admission even though no in-flight bound is set.
+  EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
 
   gate.record_latency(1.0);
   EXPECT_FALSE(gate.overloaded());
@@ -198,7 +186,6 @@ TEST(AdmissionGate, ConcurrentAdmitsNeverExceedTheBound) {
 
   AdmissionConfig config;
   config.max_in_flight = kBound;
-  config.policy = AdmissionPolicy::kReject;
   AdmissionGate gate{config};
 
   std::atomic<std::size_t> active{0};
@@ -233,7 +220,6 @@ TEST(AdmissionGate, ShedOnOverloadShedsAndProbesReopenTheGate) {
   AdmissionConfig config;
   config.ewma_alpha = 1.0;  // EWMA == last sample, exact assertions
   config.overload_latency_us = 10.0;
-  config.shed_on_overload = true;
   config.probe_interval = 4;
   AdmissionGate gate{config};
 
@@ -243,7 +229,7 @@ TEST(AdmissionGate, ShedOnOverloadShedsAndProbesReopenTheGate) {
   gate.record_latency(1000.0);
   ASSERT_TRUE(gate.overloaded());
 
-  // Overloaded + shed_on_overload: decisions shed instead of degrading...
+  // Overloaded: decisions shed...
   EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
   EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
   EXPECT_EQ(gate.admit(Deadline{}, nullptr), AdmissionVerdict::kShed);
@@ -266,7 +252,6 @@ TEST(AdmissionGate, ProbeIntervalZeroDisablesProbing) {
   AdmissionConfig config;
   config.ewma_alpha = 1.0;
   config.overload_latency_us = 10.0;
-  config.shed_on_overload = true;
   config.probe_interval = 0;
   AdmissionGate gate{config};
   gate.record_latency(1000.0);

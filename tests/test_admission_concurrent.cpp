@@ -7,7 +7,7 @@
 // EXACT accounting invariants once the writers quiesce:
 //
 //   * no leaked in-flight credits: in_flight() == 0 after every admitted
-//     verdict has been released, across all policies, bounds, and the
+//     verdict has been released, across bounds, slot claims and the
 //     half-open probe path;
 //   * the outcome partition stays exact under concurrency;
 //   * equal-sample EWMA folds converge to the sample exactly (the batch
@@ -61,34 +61,41 @@ std::uint64_t hammer_gate(AdmissionGate& gate, std::size_t threads,
 }
 
 TEST(AdmissionConcurrent, NoLeakedCreditsAcrossPoliciesAndBounds) {
-  for (const AdmissionPolicy policy :
-       {AdmissionPolicy::kReject, AdmissionPolicy::kDegrade}) {
+  // Plain bounded gates, and gates whose armed detector makes every
+  // overload decision a probe admitted past the bound: the hammer's
+  // 1-200 us samples swing the EWMA across the 100 us threshold, so slot
+  // claims and probe admissions interleave and release each other.
+  for (const bool probing : {false, true}) {
     for (const std::size_t bound : {std::size_t{1}, std::size_t{4}}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         AdmissionConfig config;
-        config.policy = policy;
         config.max_in_flight = bound;
+        if (probing) {
+          config.ewma_alpha = 1.0;
+          config.overload_latency_us = 100.0;
+          config.probe_interval = 1;
+        }
         AdmissionGate gate{config};
+        if (probing) gate.record_latency(1000.0);  // start overloaded
         const std::uint64_t admitted = hammer_gate(gate, 8, 500, seed);
         EXPECT_GT(admitted, 0u);
         EXPECT_EQ(gate.in_flight(), 0u)
-            << "leaked credits: policy=" << to_string(policy)
-            << " bound=" << bound << " seed=" << seed;
+            << "leaked credits: probing=" << probing << " bound=" << bound
+            << " seed=" << seed;
       }
     }
   }
 }
 
 TEST(AdmissionConcurrent, NoLeakedCreditsOnTheProbePath) {
-  // An overloaded shed_on_overload gate sheds without shared writes but
-  // admits every probe_interval-th decision, CLAIMING a slot — the probe
-  // path must balance its credits exactly like a normal admission.
+  // An overloaded gate sheds without shared writes but admits every
+  // probe_interval-th decision as a probe. A probe claims no slot: it is
+  // counted past the bound in overflow_, and a release gives overflow back
+  // before any slot, so the probe path must balance its credits exactly.
   AdmissionConfig config;
   config.max_in_flight = 2;
-  config.policy = AdmissionPolicy::kReject;
   config.ewma_alpha = 1.0;
   config.overload_latency_us = 10.0;
-  config.shed_on_overload = true;
   config.probe_interval = 8;
   AdmissionGate gate{config};
   gate.record_latency(1000.0);
@@ -170,11 +177,9 @@ TEST(AdmissionConcurrent, ServicePartitionStaysExactUnderRacingTraffic) {
   PathServiceConfig config;
   config.threads = 1;  // answers come from OUR racing threads, not a pool
   config.admission.max_in_flight = 4;
-  config.admission.policy = AdmissionPolicy::kReject;
   config.admission.breaker_threshold = 2;
   config.admission.ewma_alpha = 0.5;
   config.admission.overload_latency_us = 50.0;
-  config.admission.shed_on_overload = true;
   config.admission.probe_interval = 4;
   PathService service{net, config};
 

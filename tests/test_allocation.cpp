@@ -52,6 +52,7 @@
 #include "obs/metrics.hpp"
 #include "query/path_service.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -357,6 +358,40 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
   EXPECT_EQ(r.container_paths_blocked, net.degree());
 }
 
+// Fastest of five runs of `route`, in microseconds.
+template <class Route>
+double min_of_five_micros(Route&& route) {
+  double best = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    const util::Stopwatch watch;
+    (void)route();
+    const double micros = watch.micros();
+    if (run == 0 || micros < best) best = micros;
+  }
+  return best;
+}
+
+// Microseconds of one m = 4 half-cut disconnected sweep, timed warm after
+// an untimed one: every external link that flips cluster-address bit 0 is
+// down, so s and t lie in halves of 2^19 nodes and the search sweeps s's
+// half before it reports kDisconnected. An early stop takes a small
+// fraction of this; a search that sweeps s's component takes more.
+double half_cut_sweep_micros(const HhcTopology& net,
+                             const fault::AdaptiveRouter& router) {
+  FaultModel faults;
+  for (Node x = 0; x < net.cluster_count(); x += 2) {
+    const Node u = net.encode(x, 0);
+    faults.fail_link(u, net.external_neighbor(u));
+  }
+  const query::PairQuery q{.s = net.encode(5, 2),
+                           .t = net.encode(40'000, 5),
+                           .faults = &faults};
+  EXPECT_EQ(router.route(q).level, query::DegradationLevel::kDisconnected);
+  const util::Stopwatch watch;
+  (void)router.route(q);
+  return watch.micros();
+}
+
 TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   // At m = 4 an isolated t is found after t's own expansion, however large
   // s's component is. During [0, 10) one interior node of every container
@@ -364,8 +399,9 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   // [10, 20) t's neighbors are down instead. On a fresh thread, after the
   // detour has grown the scratch (and warmed the construction for this
   // pair), the isolated-t query at time 10 needs no more room and
-  // allocates nothing. A search that swept s's component would grow the
-  // scratch toward 2^21 slots.
+  // allocates nothing. The scratch is node-indexed, so a search that swept
+  // s's component would allocate nothing either: the early stop is pinned
+  // by time instead, against a sweep of half the network.
   const HhcTopology net{4};
   const fault::AdaptiveRouter router{net};
   const Node s = net.encode(0, 0);
@@ -379,17 +415,25 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   query::RouteResult detoured;
   query::RouteResult isolated;
   std::size_t delta = 0;
+  double early_us = 0.0;
+  double sweep_us = 0.0;
   std::thread caller{[&] {
     detoured = router.route(s, t, faults, 0);
     const std::size_t before = allocation_count();
     isolated = router.route(s, t, faults, 10);
     delta = allocation_count() - before;
+    early_us =
+        min_of_five_micros([&] { return router.route(s, t, faults, 10); });
+    sweep_us = half_cut_sweep_micros(net, router);
   }};
   caller.join();
 
   EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
   EXPECT_EQ(delta, 0u) << "an isolated-t query performed " << delta
                        << " heap allocations";
+  EXPECT_LT(early_us, sweep_us / 10)
+      << "an isolated-t query took " << early_us << " us; a half-cut sweep "
+      << "takes " << sweep_us << " us";
   EXPECT_EQ(isolated.level, query::DegradationLevel::kDisconnected);
   EXPECT_TRUE(isolated.used_fallback);
   EXPECT_EQ(isolated.container_paths_blocked, net.degree());
@@ -400,7 +444,8 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   // neighbors keep the edges among themselves and lose every other one,
   // so t's component has m + 1 nodes. The guard BFS from t exhausts it,
   // and the route answers kDisconnected without allocating on a thread
-  // whose scratch the detour at time 0 grew.
+  // whose scratch the detour at time 0 grew, in a small fraction of a
+  // half-cut sweep's time.
   const HhcTopology net{4};
   const fault::AdaptiveRouter router{net};
   const Node s = net.encode(0, 0);
@@ -428,17 +473,25 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   query::RouteResult detoured;
   query::RouteResult cut_off;
   std::size_t delta = 0;
+  double early_us = 0.0;
+  double sweep_us = 0.0;
   std::thread caller{[&] {
     detoured = router.route(s, t, faults, 0);
     const std::size_t before = allocation_count();
     cut_off = router.route(s, t, faults, 10);
     delta = allocation_count() - before;
+    early_us =
+        min_of_five_micros([&] { return router.route(s, t, faults, 10); });
+    sweep_us = half_cut_sweep_micros(net, router);
   }};
   caller.join();
 
   EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
   EXPECT_EQ(delta, 0u) << "a cut-off-component query performed " << delta
                        << " heap allocations";
+  EXPECT_LT(early_us, sweep_us / 10)
+      << "a cut-off-component query took " << early_us << " us; a half-cut "
+      << "sweep takes " << sweep_us << " us";
   EXPECT_EQ(cut_off.level, query::DegradationLevel::kDisconnected);
   EXPECT_EQ(cut_off.outcome, query::RouteOutcome::kOk);
   EXPECT_TRUE(cut_off.used_fallback);

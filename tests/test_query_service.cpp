@@ -466,7 +466,6 @@ TEST(PathService, NoDeadlineAnswersAreBitIdenticalToTheUnlimitedService) {
   const HhcTopology net{2};
   PathService plain{net};
   PathService gated{net, {.admission = {.max_in_flight = 64,
-                                        .policy = AdmissionPolicy::kQueue,
                                         .breaker_threshold = 8}}};
   for (const auto& [s, t] : core::sample_pairs(net, 150, 66)) {
     const auto expected = plain.answer(PairQuery{.s = s, .t = t});
@@ -489,13 +488,14 @@ TEST(PathService, AnswerViewHonorsDeadlines) {
 }
 
 TEST(PathService, OverloadDegradesFaultAwareAnswersToShed) {
-  // EWMA overload + blocked container: the survivor search is skipped, and
-  // the non-authoritative "couldn't check" is reported as kShed — never as
-  // an authoritative kOk/kDisconnected.
+  // EWMA overload + blocked container: the overload probe's survivor
+  // search is skipped, and the non-authoritative "couldn't check" is
+  // reported as kShed — never as an authoritative kOk/kDisconnected.
   const HhcTopology net{2};
   PathServiceConfig config;
   config.admission.ewma_alpha = 1.0;
   config.admission.overload_latency_us = 1e-3;  // any sample overloads
+  config.admission.probe_interval = 1;  // every overload decision probes
   PathService service{net, config};
 
   // A completed answer seeds the EWMA past the threshold.

@@ -39,7 +39,6 @@ TEST(Soak, DeadlinesNeverOverrunByMoreThanTheContractSlack) {
   SoakConfig config = base_config();
   config.deadline_us = 2000.0;
   config.admission.max_in_flight = 2;
-  config.admission.policy = query::AdmissionPolicy::kQueue;
   const SoakReport report = run_soak(config);
 
   EXPECT_EQ(report.stuck, 0u);
