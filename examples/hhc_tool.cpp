@@ -34,7 +34,25 @@ namespace {
 
 using namespace hhc;
 
-int cmd_info(const util::Options& opts) {
+// Every subcommand declares its options first. True when --help was given:
+// the usage is printed and the subcommand runs nothing. An option the
+// subcommand does not declare throws, so a typo fails loudly.
+bool help_only(util::Options& opts, const std::string& summary) {
+  if (opts.help_requested("hhc_tool " + summary)) return true;
+  opts.reject_unknown();
+  return false;
+}
+
+// The --m/--s/--t options of the single-pair subcommands.
+util::Options& describe_pair(util::Options& opts) {
+  return opts.describe("m", "cluster dimension (default 3)")
+      .describe("s", "source node id (default 0)")
+      .describe("t", "target node id (default the last node)");
+}
+
+int cmd_info(util::Options& opts) {
+  opts.describe("m", "cluster dimension (default 3)");
+  if (help_only(opts, "info: network parameters")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
   std::printf("HHC(%u)\n", net.address_bits());
@@ -50,7 +68,9 @@ int cmd_info(const util::Options& opts) {
   return 0;
 }
 
-int cmd_route(const util::Options& opts) {
+int cmd_route(util::Options& opts) {
+  describe_pair(opts);
+  if (help_only(opts, "route: constructive single path")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
   const auto s = static_cast<core::Node>(opts.get_int("s", 0));
@@ -66,7 +86,9 @@ int cmd_route(const util::Options& opts) {
   return 0;
 }
 
-int cmd_paths(const util::Options& opts) {
+int cmd_paths(util::Options& opts) {
+  describe_pair(opts).describe("dot", "print the container as Graphviz");
+  if (help_only(opts, "paths: m+1 node-disjoint paths")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
   const auto s = static_cast<core::Node>(opts.get_int("s", 0));
@@ -90,7 +112,11 @@ int cmd_paths(const util::Options& opts) {
   return 0;
 }
 
-int cmd_faults(const util::Options& opts) {
+int cmd_faults(util::Options& opts) {
+  describe_pair(opts)
+      .describe("count", "random node faults (default m)")
+      .describe("seed", "fault seed (default 1)");
+  if (help_only(opts, "faults: route under random node faults")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
   const auto s = static_cast<core::Node>(opts.get_int("s", 0));
@@ -116,7 +142,10 @@ int cmd_faults(const util::Options& opts) {
   return 0;
 }
 
-int cmd_broadcast(const util::Options& opts) {
+int cmd_broadcast(util::Options& opts) {
+  opts.describe("m", "cluster dimension (default 2)")
+      .describe("root", "broadcast source (default 0)");
+  if (help_only(opts, "broadcast: one-to-all schedule")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 2));
   const core::HhcTopology net{m};
   const auto root = static_cast<core::Node>(opts.get_int("root", 0));
@@ -131,7 +160,9 @@ int cmd_broadcast(const util::Options& opts) {
   return 0;
 }
 
-int cmd_dot(const util::Options& opts) {
+int cmd_dot(util::Options& opts) {
+  opts.describe("m", "cluster dimension (default 2)");
+  if (help_only(opts, "dot: whole network as Graphviz")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 2));
   std::fputs(core::to_dot(core::HhcTopology{m}).c_str(), stdout);
   return 0;
@@ -142,7 +173,16 @@ int cmd_dot(const util::Options& opts) {
 // spans as Chrome trace_event JSON — load into chrome://tracing or
 // https://ui.perfetto.dev. Also prints the per-stage latency histograms
 // accumulated in the metric registry.
-int cmd_trace(const util::Options& opts) {
+int cmd_trace(util::Options& opts) {
+  opts.describe("m", "cluster dimension (default 3)")
+      .describe("queries", "pristine queries (default 200)")
+      .describe("fault-queries", "fault-aware queries (default 50)")
+      .describe("count", "node faults per fault-aware query (default m)")
+      .describe("seed", "query and fault seed (default 1)")
+      .describe("out", "Chrome trace file (default trace.json)")
+      .describe("csv", "also write the spans as CSV to this file")
+      .describe("ring", "trace events kept per thread (default 8192)");
+  if (help_only(opts, "trace: Chrome trace of a query batch")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
   const auto queries = static_cast<std::size_t>(opts.get_int("queries", 200));
@@ -247,11 +287,7 @@ int cmd_soak(util::Options& opts) {
       .describe("breaker", "disconnects that open a pair's breaker; "
                            "0 = off (default 3)")
       .describe("format", "table, csv, or json (default table)");
-  if (opts.help_requested("hhc_tool soak: chaos/soak run over evolving "
-                          "faults")) {
-    return 0;
-  }
-  opts.reject_unknown();
+  if (help_only(opts, "soak: chaos/soak run over evolving faults")) return 0;
 
   sim::SoakConfig config;
   config.m = static_cast<unsigned>(opts.get_int("m", 2));
@@ -309,8 +345,8 @@ void usage() {
       "             (--m --epochs --load --hostile --workers --max-queued\n"
       "              --closed-loop true|false (issue-on-completion streams)\n"
       "              --deadline-us --fault-rate --burst --repair-after --seed\n"
-      "              --max-in-flight --breaker --policy reject|queue|degrade\n"
-      "              --format table|csv|json)");
+      "              --max-in-flight --breaker --format table|csv|json)\n"
+      "<command> --help lists a command's options.");
 }
 
 }  // namespace

@@ -304,27 +304,31 @@ void ContainerCache::flatten(Node s, Node t, const ConstructionOptions& options,
                              std::vector<Node>& nodes,
                              std::vector<std::uint32_t>& offsets,
                              bool* cache_hit) {
+  const ContainerHandle handle = lookup(s, t, options, cache_hit);
+  nodes.clear();
+  offsets.assign(1, 0);
+  for (std::size_t i = 0; i < handle.path_count(); ++i) {
+    for (std::size_t j = 0; j < handle.path_size(i); ++j) {
+      nodes.push_back(handle.node(i, j));
+    }
+    offsets.push_back(static_cast<std::uint32_t>(nodes.size()));
+  }
+}
+
+unsigned ContainerCache::scan(Node s, Node t, const ConstructionOptions& options,
+                              const std::uint8_t* usable,
+                              std::vector<Path>& paths, bool* cache_hit) {
   if (!net_.contains(s) || !net_.contains(t)) {
     throw std::invalid_argument("ContainerCache: node out of range");
   }
   if (s == t) throw std::invalid_argument("ContainerCache: s == t");
   OrbitTable* orbit = orbit_table(options);
-  if (orbit == nullptr) {
-    const ContainerHandle handle = lookup(s, t, options, cache_hit);
-    nodes.clear();
-    offsets.assign(1, 0);
-    for (std::size_t i = 0; i < handle.path_count(); ++i) {
-      for (std::size_t j = 0; j < handle.path_size(i); ++j) {
-        nodes.push_back(handle.node(i, j));
-      }
-      offsets.push_back(static_cast<std::uint32_t>(nodes.size()));
-    }
-    return;
-  }
+  if (orbit == nullptr) throw std::invalid_argument("ContainerCache: m > 4");
   bool hit = false;
-  orbit->flatten(s, t, nodes, offsets, &hit);
+  const unsigned blocked = orbit->scan(s, t, usable, paths, &hit);
   (hit ? hits_ : misses_).add();
   if (cache_hit != nullptr) *cache_hit = hit;
+  return blocked;
 }
 
 std::size_t ContainerCache::evictions() const noexcept {

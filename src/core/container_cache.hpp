@@ -66,10 +66,10 @@
 // API contract: lookup() is THE borrowed read path — it returns a
 // ContainerHandle off the published snapshot. materialize() is the owning
 // path: at m <= 4 it decodes straight from the orbit table into owning
-// paths and touches no shard index, publication or eviction. flatten() is
-// the scanning path (fault::AdaptiveRouter's container scan): the same
-// container decoded into the caller's reusable flat buffers, so a scan
-// copies no shared entry and bumps no refcount.
+// paths and touches no shard index, publication or eviction. scan() is
+// fault::AdaptiveRouter's container scan at m <= 4: it checks the orbit
+// record in place against usable-edge bytes and decodes only the path it
+// delivers. flatten() copies a lookup() into caller buffers (m = 5).
 #pragma once
 
 #include <array>
@@ -263,17 +263,20 @@ class ContainerCache {
                                             const ConstructionOptions& options,
                                             bool* cache_hit = nullptr);
 
-  /// The same container flattened into caller-owned buffers, as in
-  /// FlatContainer: `nodes` holds every path back to back and `offsets`
-  /// (path_count + 1 entries) delimits them; both are overwritten. At
-  /// m <= 4 it decodes the orbit record straight into the buffers and
-  /// touches no shard index or refcount; at m = 5 it is lookup() plus a
-  /// copy. Counts hits()/misses() and sets `cache_hit` as materialize()
-  /// does. Once the buffers have grown to a container, a call at m <= 4
-  /// allocates nothing. Throws as lookup() does.
+  /// The container lookup(s, t, options) hands out, copied into
+  /// caller-owned buffers as in FlatContainer: `nodes` holds every path
+  /// back to back and `offsets` (path_count + 1 entries) delimits them;
+  /// both are overwritten. Counts and throws as lookup() does.
   void flatten(Node s, Node t, const ConstructionOptions& options,
                std::vector<Node>& nodes, std::vector<std::uint32_t>& offsets,
                bool* cache_hit = nullptr);
+
+  /// OrbitTable::scan of the container materialize() would return; counts
+  /// and sets `cache_hit` as materialize() does, and touches no shard
+  /// index. Throws std::invalid_argument at m > 4 and where lookup() does.
+  unsigned scan(Node s, Node t, const ConstructionOptions& options,
+                const std::uint8_t* usable, std::vector<Path>& paths,
+                bool* cache_hit = nullptr);
 
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }

@@ -285,4 +285,40 @@ void OrbitTable::flatten(Node s, Node t, std::vector<Node>& nodes,
   }
 }
 
+unsigned OrbitTable::scan(Node s, Node t, const std::uint8_t* usable,
+                          std::vector<Path>& paths, bool* hit) {
+  const Served served = serve(s, t, hit);
+  const std::uint8_t* const lengths = served.record + kKeyBytes;
+  const std::uint8_t* const codes = lengths + m_ + 1;
+  unsigned blocked = 0;
+  unsigned best = m_ + 1;  // none yet
+  std::size_t best_hop = 0;
+  for (std::size_t p = 0, hop = 0, end = 0; p <= m_; hop = end, ++p) {
+    end = hop + lengths[p];
+    Node v = s;
+    Node y = net_.position_of(s);
+    std::size_t j = hop;
+    // As in decode_path; an external hop tests bit m instead of its flip.
+    for (; j < end; ++j) {
+      const unsigned code = (unsigned{codes[j >> 1]} >> ((j & 1) * 4)) & 0xFU;
+      const Node flip = served.flips[code];
+      const Node external = Node{0} - Node{code == kExternal};
+      if ((usable[v] & (flip | (external & (Node{1} << m_)))) == 0) break;
+      v ^= flip | (external & (Node{1} << (m_ + y)));
+      y ^= flip;
+    }
+    if (j < end) {
+      ++blocked;
+    } else if (best > m_ || lengths[p] < lengths[best]) {
+      best = static_cast<unsigned>(p);
+      best_hop = hop;
+    }
+  }
+  if (best <= m_) {
+    decode_path(served.record, best_hop, best, served.flips, s,
+                paths.emplace_back(std::size_t{lengths[best]} + 1).data());
+  }
+  return blocked;
+}
+
 }  // namespace hhc::core

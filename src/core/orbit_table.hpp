@@ -91,6 +91,14 @@ class OrbitTable {
   /// and `offsets` (m + 2 entries) delimits them. Both are overwritten.
   void flatten(Node s, Node t, std::vector<Node>& nodes,
                std::vector<std::uint32_t>& offsets, bool* hit = nullptr);
+  /// Checks the same container in place against `usable`: bit d of a
+  /// node's byte is set when the dimension-d edge (d = m external) may be
+  /// taken from it. A path is blocked at its first hop whose bit is clear
+  /// in the byte of the node it leaves. Returns the blocked count; only
+  /// the first strictly shortest unblocked path, if any, is decoded and
+  /// appended to `paths`.
+  unsigned scan(Node s, Node t, const std::uint8_t* usable,
+                std::vector<Path>& paths, bool* hit = nullptr);
 
   /// Filled records, and the bytes they and the slot array occupy.
   [[nodiscard]] std::size_t entries() const noexcept {

@@ -208,10 +208,10 @@ struct RouterScratch {
   // time falls outside what it covers, so a run of queries against one
   // model inside one fault interval resolves once.
   ActiveFaults active;
-  // The snapshot's usable-edge bytes, projected on the first search that
-  // reads them after a re-resolve.
+  // The snapshot's usable-edge bytes, projected on the first scan or
+  // search that reads them after a re-resolve.
   UsableEdges usable;
-  // The scanned container, flattened as in core::FlatContainer.
+  // The container scanned at m = 5 or without a cache, as FlatContainer.
   std::vector<Node> nodes;
   std::vector<std::uint32_t> offsets;
   SearchScratch search;
@@ -233,25 +233,25 @@ bool path_survives(std::span<const Node> path, const ActiveFaults& active) {
   return true;
 }
 
-// Scans the flattened container for surviving paths; keeps the first
-// strictly shortest survivor (same selection as the historical Path* scan)
-// and copies only that one.
-void select_survivor(const RouterScratch& scratch, const ActiveFaults& active,
-                     query::RouteResult& result) {
+// Scans the flattened container for surviving paths, as OrbitTable::scan
+// does the orbit record: returns the number blocked, and appends the first
+// strictly shortest survivor, the only one copied, to `paths`.
+unsigned select_survivor(const RouterScratch& scratch,
+                         const ActiveFaults& active, std::vector<Path>& paths) {
   const std::vector<std::uint32_t>& offsets = scratch.offsets;
   std::span<const Node> best;
+  unsigned blocked = 0;
   for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
     const std::span<const Node> path{scratch.nodes.data() + offsets[i],
                                      offsets[i + 1] - offsets[i]};
     if (!path_survives(path, active)) {
-      ++result.container_paths_blocked;
+      ++blocked;
       continue;
     }
     if (best.empty() || path.size() < best.size()) best = path;
   }
-  if (best.empty()) return;
-  result.paths.emplace_back(best.begin(), best.end());
-  result.level = query::DegradationLevel::kGuaranteed;
+  if (!best.empty()) paths.emplace_back(best.begin(), best.end());
+  return blocked;
 }
 
 // A* from s to t over the usable edges under the bound
@@ -441,17 +441,28 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
     static obs::Histogram& scan_hist =
         obs::stage_histogram(obs::stages::kContainerScan);
     obs::TraceSpan span{obs::stages::kContainerScan, &scan_hist};
-    if (cache_ != nullptr) {
-      cache_->flatten(s, t, query.options, scratch.nodes, scratch.offsets,
-                      &result.cache_hit);
+    if (cache_ != nullptr && core::OrbitTable::covers(net_.m())) {
+      result.container_paths_blocked = cache_->scan(
+          s, t, query.options, scratch.usable.project(active, net_),
+          result.paths, &result.cache_hit);
     } else {
-      core::flatten(core::node_disjoint_paths(net_, s, t, query.options,
-                                              core::tls_construction_scratch()),
-                    scratch.nodes, scratch.offsets);
+      if (cache_ != nullptr) {
+        cache_->flatten(s, t, query.options, scratch.nodes, scratch.offsets,
+                        &result.cache_hit);
+      } else {
+        core::flatten(
+            core::node_disjoint_paths(net_, s, t, query.options,
+                                      core::tls_construction_scratch()),
+            scratch.nodes, scratch.offsets);
+      }
+      result.container_paths_blocked =
+          select_survivor(scratch, active, result.paths);
     }
-    select_survivor(scratch, active, result);
   }
-  if (!result.paths.empty()) return result;
+  if (!result.paths.empty()) {
+    result.level = query::DegradationLevel::kGuaranteed;
+    return result;
+  }
 
   // The scan found no survivor, and no sweep runs: either the service told
   // us the sweep is too expensive right now (degraded admission), or the

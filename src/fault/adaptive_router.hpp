@@ -29,49 +29,45 @@
 // reaching s, the answer is kDisconnected. An isolated t therefore costs
 // one expansion, not a sweep of s's component.
 //
-// It reads no fault fact. The first search after a re-resolve projects the
-// thread's snapshot (below) into one byte per node, bit d set when the
-// dimension-d edge is usable (link healthy, both endpoints alive), keyed
-// on the snapshot's identity; a re-projection at the same m resets only
-// the bytes the previous one cleared. Expanding u walks the set bits of
-// its byte in ascending order, which is HhcTopology::neighbors order, so a
-// query's detour is the same on every call and every thread, and as short
-// as the one a plain BFS finds, though it may take different nodes. The
-// search's marks are an epoch-stamped array of one 6-byte record per node
-// (stamp, guard stamp, bound, parent dimension and state), the two stacks
-// and the guard's FIFO a 32-bit slot per node each, never initialized. All
-// of it is per-thread scratch reused across calls: once grown, a search
-// allocates nothing and a detour allocates only the returned path. At
-// m = 4 a thread keeps 6 MiB of marks, 1 MiB of usable bytes and three
-// 4 MiB arrays of slots, of which a search that finds t early or ends at a
-// small component touches few pages.
-//
-// The container scan decodes the pair's container into a per-thread flat
-// buffer (ContainerCache::flatten: the orbit record at m <= 4; without a
-// cache, the construction) and checks each path in the snapshot: s and t
-// once per route, then a hop's link and the interior node it enters. It
-// copies only the path it delivers.
-//
 // No stage probes the FaultModel itself. route() reads one per-thread
-// core::ActiveFaults snapshot of the facts active at query.time: an exact
-// open-addressing set behind a one-bit-per-bucket filter (>= 64 bits per
-// fact), so checking a healthy node or link reads one filter word. The
-// snapshot carries the model's version() and the interval between the
-// fault windows' boundaries around the time it was resolved at; route()
-// re-resolves only when the query's (version, time) falls outside it. A
-// resolve costs O(log windows + active facts): the model keeps its windows
-// ordered by time (core::FaultModel::resolve). A caller that routes many
-// queries against one model at epoch-granular times pays it once per
-// thread per epoch; one that builds a fresh model per route pays it on
-// every call.
+// core::ActiveFaults snapshot of the facts active at query.time (an exact
+// open-addressing set behind a one-bit-per-bucket filter), re-resolved only
+// when the query's (model version, time) leaves the interval between fault
+// window boundaries it was resolved in, at O(log windows + active facts):
+// once per thread per epoch for a caller routing against one model, on
+// every call for one building a fresh model per route. The hashed set
+// serves the endpoint checks and the scans at m = 5 and without a cache.
 //
-// Results are reported in the unified query vocabulary
-// (query::PairQuery -> query::RouteResult; see query/types.hpp), so
-// "container vs fallback vs disconnected" reads the same here, in the
-// PathService, and in the sim. The router can optionally share a
-// core::ContainerCache — query::PathService wires its sharded cache in — so
-// container scans under heavy fault-aware traffic decode the cache's orbit
-// records instead of re-running the construction per call.
+// At m <= 4 the scan and the search read one projection of the snapshot:
+// one byte per node, bit d set when the dimension-d edge (d = m the
+// external one) is usable (link healthy, both endpoints alive), projected
+// by the first scan or search after a re-resolve. A re-projection at the
+// same m resets only the bytes the previous one cleared.
+//
+// The container scan with a cache at m <= 4 walks the pair's orbit record
+// in place (ContainerCache::scan): a hop tests one bit of the byte of the
+// node it leaves, a path stops at its first blocked hop, and only the
+// delivered path (the first strictly shortest survivor) is decoded. At
+// m = 5 (a lookup()) and without a cache (the construction) the container
+// is flattened into a per-thread buffer and each hop checks its link and
+// the interior node it enters in the hashed set.
+//
+// The search expands u by walking the set bits of its byte in ascending
+// order, which is HhcTopology::neighbors order, so a query's detour is the
+// same on every call and every thread, and as short as the one a plain BFS
+// finds, though it may take different nodes. Its marks are an
+// epoch-stamped array of one 6-byte record per node (stamp, guard stamp,
+// bound, parent dimension and state), the two stacks and the guard's FIFO
+// a 32-bit slot per node each, never initialized. All of it is per-thread
+// scratch reused across calls: once grown, a route allocates only the path
+// it returns. At m = 4 a thread keeps the 1 MiB of usable bytes even if it
+// only scans; one that searches also keeps 6 MiB of marks and three 4 MiB
+// arrays of slots, of which a search that finds t early or ends at a small
+// component touches few pages.
+//
+// Results use the query vocabulary (query::PairQuery -> query::RouteResult).
+// The router can share a core::ContainerCache (query::PathService wires its
+// cache in), so scans read orbit records instead of constructing per call.
 #pragma once
 
 #include <cstdint>

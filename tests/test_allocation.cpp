@@ -558,11 +558,12 @@ TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
 
 TEST(AllocationFree, ScanServedRouteAllocatesOnlyItsPath) {
   // Three node faults at m = 3 never cut a whole container, so every route
-  // below is served by the scan. With a shared cache the scan decodes the
-  // orbit record into the thread's flat buffer; without one it flattens
-  // the construction. Once the buffer has grown, the records are filled
-  // and the snapshot is resolved, a route allocates its returned path and
-  // the result's paths vector, nothing else.
+  // below is served by the scan. With a shared cache the scan checks the
+  // orbit record in place against the thread's usable-edge bytes; without
+  // one it flattens the construction into the thread's flat buffer. Once
+  // the scratch has grown, the records are filled and the snapshot is
+  // resolved, a route allocates its returned path and the result's paths
+  // vector, nothing else.
   const HhcTopology net{3};
   ContainerCache cache{net};
   const fault::AdaptiveRouter direct{net};

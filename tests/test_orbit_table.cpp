@@ -4,7 +4,9 @@
 // of its representative's construction through every entry point.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/container_cache.hpp"
@@ -167,6 +169,118 @@ TEST(OrbitTable, EveryOrbitServesAValidImageOfItsRepresentative) {
     EXPECT_EQ(table.entries(), OrbitTable::kOrbitCounts[m]);
     // The fully populated m = 4 table: slots plus records within 6 MB.
     EXPECT_LE(table.bytes(), std::size_t{6} << 20) << "m=" << m;
+  }
+}
+
+// Usable-edge maps for the scan, seeded. They are directed on purpose: a
+// cut clears a bit in one byte only, so the node a hop leaves and the node
+// it enters read differently and the test pins which byte the scan reads.
+enum class Cut { kNothing, kSparse, kExternalOnly, kEverything };
+
+std::vector<std::uint8_t> usable_map(const HhcTopology& net, Cut cut,
+                                     std::uint64_t seed) {
+  const auto all = static_cast<std::uint8_t>((1U << (net.m() + 1)) - 1);
+  std::vector<std::uint8_t> usable(net.node_count(),
+                                   cut == Cut::kEverything ? 0 : all);
+  util::Xoshiro256 rng{seed};
+  for (std::uint8_t& byte : usable) {
+    if (cut == Cut::kSparse) {
+      if (rng.below(50) == 0) byte = 0;  // a node cut: ~2%
+      for (unsigned d = 0; d <= net.m(); ++d) {
+        if (rng.below(10) == 0) byte = static_cast<std::uint8_t>(byte & ~(1U << d));
+      }
+    } else if (cut == Cut::kExternalOnly && rng.below(4) == 0) {
+      byte = static_cast<std::uint8_t>(byte & ~(1U << net.m()));
+    }
+  }
+  return usable;
+}
+
+// The scan against the flattened container checked hop by hop in the same
+// map: equal blocked counts and the same delivered path (the first strictly
+// shortest survivor). Counts the routes delivered with some path blocked.
+void expect_scan_matches_flatten(const HhcTopology& net, OrbitTable& table,
+                                 const std::vector<std::uint8_t>& usable,
+                                 Node s, Node t, std::size_t& mixed) {
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> offsets;
+  table.flatten(s, t, nodes, offsets);
+  unsigned blocked = 0;
+  Path expected;
+  for (std::size_t p = 0; p + 1 < offsets.size(); ++p) {
+    bool open = true;
+    for (std::size_t j = offsets[p]; j + 1 < offsets[p + 1]; ++j) {
+      const Node flip = nodes[j] ^ nodes[j + 1];
+      const unsigned dim = flip < net.cluster_size()
+                               ? static_cast<unsigned>(std::countr_zero(flip))
+                               : net.m();
+      open = open && ((unsigned{usable[nodes[j]]} >> dim) & 1U) != 0;
+    }
+    const std::size_t size = offsets[p + 1] - offsets[p];
+    if (!open) {
+      ++blocked;
+    } else if (expected.empty() || size < expected.size()) {
+      expected.assign(nodes.data() + offsets[p],
+                      nodes.data() + offsets[p + 1]);
+    }
+  }
+  std::vector<Path> paths;
+  bool scan_hit = false;
+  ASSERT_EQ(table.scan(s, t, usable.data(), paths, &scan_hit), blocked)
+      << "m=" << net.m() << " s=" << s << " t=" << t;
+  ASSERT_EQ(paths, expected.empty() ? std::vector<Path>{}
+                                    : std::vector<Path>{expected})
+      << "m=" << net.m() << " s=" << s << " t=" << t;
+  ASSERT_TRUE(scan_hit);  // flatten filled the record
+  if (blocked > 0 && !paths.empty()) ++mixed;
+}
+
+TEST(OrbitTable, ScanInPlaceMatchesFlattenThenCheck) {
+  for (unsigned m = 1; m <= OrbitTable::kMaxM; ++m) {
+    const HhcTopology net{m};
+    OrbitTable table{net, {}};
+    util::Xoshiro256 rng{0x0B1C + m};
+    // Every translation class (ΔX, Ys, Yt) at m <= 3, translated to a
+    // random Xs; 3,000 sampled classes at m = 4.
+    std::vector<std::pair<Node, Node>> pairs;
+    const auto add = [&](std::uint64_t xdiff, std::uint64_t ys,
+                         std::uint64_t yt) {
+      const std::uint64_t xs = rng.below(net.cluster_count());
+      pairs.emplace_back(net.encode(xs, ys), net.encode(xs ^ xdiff, yt));
+    };
+    if (m <= 3) {
+      for (std::uint64_t xdiff = 0; xdiff < net.cluster_count(); ++xdiff) {
+        for (std::uint64_t ys = 0; ys < net.cluster_size(); ++ys) {
+          for (std::uint64_t yt = 0; yt < net.cluster_size(); ++yt) {
+            if (xdiff != 0 || ys != yt) add(xdiff, ys, yt);
+          }
+        }
+      }
+    } else {
+      while (pairs.size() < 3000) {
+        const std::uint64_t xdiff = rng.below(net.cluster_count());
+        const std::uint64_t ys = rng.below(net.cluster_size());
+        const std::uint64_t yt = rng.below(net.cluster_size());
+        if (xdiff != 0 || ys != yt) add(xdiff, ys, yt);
+      }
+    }
+    // A scan fills an absent record and reports the miss.
+    std::vector<Path> first;
+    bool hit = true;
+    (void)table.scan(pairs[0].first, pairs[0].second,
+                     usable_map(net, Cut::kNothing, 0).data(), first, &hit);
+    EXPECT_FALSE(hit);
+    std::size_t mixed = 0;
+    for (const Cut cut : {Cut::kNothing, Cut::kSparse, Cut::kExternalOnly,
+                          Cut::kEverything}) {
+      const auto usable = usable_map(net, cut, rng());
+      for (const auto& [s, t] : pairs) {
+        expect_scan_matches_flatten(net, table, usable, s, t, mixed);
+        if (HasFatalFailure()) return;
+      }
+    }
+    // Some routes are delivered past a blocked path, not only all-or-none.
+    EXPECT_GT(mixed, 0u) << "m=" << m;
   }
 }
 
