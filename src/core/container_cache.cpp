@@ -32,6 +32,8 @@ std::vector<StatRow> CacheStats::rows() const {
   rows.push_back(
       stat_scalar("cache.orbit", "entries", std::uint64_t{orbit_entries}));
   rows.push_back(stat_scalar("cache.orbit", "bytes", std::uint64_t{orbit_bytes}));
+  rows.push_back(
+      stat_scalar("cache.orbit", "tier_entries", std::uint64_t{tier_entries}));
   return rows;
 }
 
@@ -92,7 +94,13 @@ OrbitTable* ContainerCache::orbit_table(const ConstructionOptions& options) {
   if (table != nullptr) return table;
   // First use of this variant: racing threads may each allocate one; the
   // first CAS publishes, the rest free theirs.
-  auto mine = std::make_unique<OrbitTable>(net_, options);
+  // The class tier holds the cache's cap when it has one, else every class
+  // at m <= 3 (2^(2^m + 2m)) and 2^16 of the 2^24 at m = 4.
+  const std::size_t classes = std::size_t{1}
+                              << (net_.cluster_size() + 2 * net_.m());
+  const std::size_t cap = shards_.size() * config_.max_entries_per_shard;
+  auto mine = std::make_unique<OrbitTable>(
+      net_, options, std::min(classes, cap > 0 ? cap : std::size_t{1} << 16));
   if (slot.compare_exchange_strong(table, mine.get(), std::memory_order_acq_rel,
                                    std::memory_order_acquire)) {
     return mine.release();
@@ -202,55 +210,74 @@ ContainerHandle ContainerCache::lookup(Node s, Node t) {
   return lookup(s, t, config_.options);
 }
 
-ContainerHandle ContainerCache::lookup(Node s, Node t,
-                                       const ConstructionOptions& options,
-                                       bool* cache_hit) {
+void ContainerCache::check(Node s, Node t) const {
   if (!net_.contains(s) || !net_.contains(t)) {
     throw std::invalid_argument("ContainerCache: node out of range");
   }
   if (s == t) throw std::invalid_argument("ContainerCache: s == t");
+}
 
+void ContainerCache::count(bool hit, bool* cache_hit) {
+  (hit ? hits_ : misses_).add();
+  if (cache_hit != nullptr) *cache_hit = hit;
+}
+
+ContainerHandle ContainerCache::lookup(Node s, Node t,
+                                       const ConstructionOptions& options,
+                                       bool* cache_hit) {
+  check(s, t);
   const std::uint64_t xs = net_.cluster_of(s);
-  const Key key{xs ^ net_.cluster_of(t), net_.position_of(s),
-                net_.position_of(t), static_cast<std::uint8_t>(options.ordering),
-                static_cast<std::uint8_t>(options.selection)};
-  Shard& shard = *shards_[KeyHash{}(key) & (shards_.size() - 1)];
+  const std::uint64_t xdiff = xs ^ net_.cluster_of(t);
+  const std::uint64_t ys = net_.position_of(s);
+  const std::uint64_t yt = net_.position_of(t);
   // In the packed encoding, relabeling every node's cluster by xs is one
   // XOR with (xs << m) — the handle applies it lazily.
   const Node mask = xs << net_.m();
 
-  // THE hot path: validate this thread's pinned snapshot and probe it. No
-  // mutex, no shared write (the version check is a read; the hit counter
-  // is a thread-private cell), no span (the enclosing answer/answer_view
-  // span times hits; keeping the hit path span-free is what holds
-  // enabled-tracing overhead under 5%).
+  // No span on either hit path: the enclosing answer/answer_view span
+  // times hits, which is what holds enabled-tracing overhead under 5%.
+  if (OrbitTable* orbit = orbit_table(options)) {
+    bool hit = false;
+    ContainerHandle handle;
+    if (const FlatContainer* flat = orbit->tier(xdiff, ys, yt, &hit)) {
+      handle = ContainerHandle{flat, mask};
+    } else {
+      auto owned = std::make_shared<FlatContainer>();
+      orbit->flatten(net_.encode(0, ys), net_.encode(xdiff, yt), owned->nodes,
+                     owned->offsets, &hit);
+      handle = ContainerHandle{std::move(owned), mask};
+    }
+    count(hit, cache_hit);
+    return handle;
+  }
+
+  const Key key{xdiff, ys, yt, static_cast<std::uint8_t>(options.ordering),
+                static_cast<std::uint8_t>(options.selection)};
+  Shard& shard = *shards_[KeyHash{}(key) & (shards_.size() - 1)];
+  // m = 5: validate this thread's pinned snapshot and probe it. No mutex,
+  // no shared write (the version check is a read; the hit counter is a
+  // thread-private cell).
   if (const ShardIndex* index = snapshot(shard)) {
     if (const auto* found = index->find(key)) {
-      hits_.add();
-      if (cache_hit != nullptr) *cache_hit = true;
+      count(true, cache_hit);
       return ContainerHandle{*found, mask};
     }
   }
 
-  // Miss: fill the entry without holding any lock (decode the orbit record
-  // at m <= 4, construct at m = 5), then build-and-swap a new index under
-  // the writer mutex. A racing thread may have published the key meanwhile;
-  // its entry is byte-for-byte the same, so the first publication wins and
-  // the duplicate work is discarded.
-  misses_.add();
+  // Miss: construct without holding any lock, then build-and-swap a new
+  // index under the writer mutex. A racing thread may have published the
+  // key meanwhile; its entry is byte-for-byte the same, so the first
+  // publication wins and the duplicate work is discarded.
+  count(false, cache_hit);
   auto flat = std::make_shared<FlatContainer>();
-  const Node cs = net_.encode(0, key.ys);
-  const Node ct = net_.encode(key.xdiff, key.yt);
-  if (OrbitTable* orbit = orbit_table(options)) {
-    orbit->flatten(cs, ct, flat->nodes, flat->offsets, cache_hit);
-  } else {
-    if (cache_hit != nullptr) *cache_hit = false;
+  {
     static obs::Histogram& construct_hist =
         obs::stage_histogram(obs::stages::kConstruct);
     obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
-    core::flatten(
-        node_disjoint_paths(net_, cs, ct, options, tls_construction_scratch()),
-        flat->nodes, flat->offsets);
+    core::flatten(node_disjoint_paths(net_, net_.encode(0, key.ys),
+                                      net_.encode(key.xdiff, key.yt), options,
+                                      tls_construction_scratch()),
+                  flat->nodes, flat->offsets);
   }
 
   static obs::Histogram& publish_hist =
@@ -270,9 +297,7 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
       current->size >= config_.max_entries_per_shard) {
     // Random replacement, for real: a uniformly random resident entry from
     // the shard's seeded stream (selected by occupied-slot ordinal, so the
-    // choice is deterministic per seed). At m <= 4 the O(capacity) clone
-    // below is most of a miss: the fill before it decodes an orbit record
-    // and constructs only the first time its orbit is seen.
+    // choice is deterministic per seed).
     victim = shard.eviction_rng.below(current->size);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -287,16 +312,12 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
 DisjointPathSet ContainerCache::materialize(Node s, Node t,
                                             const ConstructionOptions& options,
                                             bool* cache_hit) {
-  if (!net_.contains(s) || !net_.contains(t)) {
-    throw std::invalid_argument("ContainerCache: node out of range");
-  }
-  if (s == t) throw std::invalid_argument("ContainerCache: s == t");
+  check(s, t);
   OrbitTable* orbit = orbit_table(options);
   if (orbit == nullptr) return lookup(s, t, options, cache_hit).materialize();
   bool hit = false;
   DisjointPathSet set = orbit->materialize(s, t, &hit);
-  (hit ? hits_ : misses_).add();
-  if (cache_hit != nullptr) *cache_hit = hit;
+  count(hit, cache_hit);
   return set;
 }
 
@@ -318,16 +339,12 @@ void ContainerCache::flatten(Node s, Node t, const ConstructionOptions& options,
 unsigned ContainerCache::scan(Node s, Node t, const ConstructionOptions& options,
                               const std::uint8_t* usable,
                               std::vector<Path>& paths, bool* cache_hit) {
-  if (!net_.contains(s) || !net_.contains(t)) {
-    throw std::invalid_argument("ContainerCache: node out of range");
-  }
-  if (s == t) throw std::invalid_argument("ContainerCache: s == t");
+  check(s, t);
   OrbitTable* orbit = orbit_table(options);
   if (orbit == nullptr) throw std::invalid_argument("ContainerCache: m > 4");
   bool hit = false;
   const unsigned blocked = orbit->scan(s, t, usable, paths, &hit);
-  (hit ? hits_ : misses_).add();
-  if (cache_hit != nullptr) *cache_hit = hit;
+  count(hit, cache_hit);
   return blocked;
 }
 
@@ -370,6 +387,7 @@ CacheStats ContainerCache::stats() const {
     ++stats.orbit_variants;
     stats.orbit_entries += table->entries();
     stats.orbit_bytes += table->bytes();
+    stats.tier_entries += table->tier_entries();
   }
   return stats;
 }

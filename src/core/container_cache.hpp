@@ -22,51 +22,43 @@
 // lookup(), materialize() and PathService::answer() agree on every pair. At
 // m = 5 a miss runs the construction, and entries equal it bit for bit.
 //
-// Concurrency model (RCU-style published snapshots; DESIGN.md §9):
+// Concurrency model (DESIGN.md §9):
 //
-//   * Each shard PUBLISHES an immutable ShardIndex — an open-addressing
-//     table of (key, shared FlatContainer) slots. A publication bumps the
-//     shard's atomic version counter; every thread keeps a version-stamped
-//     shared_ptr to its last-seen snapshot in TLS (keyed by a never-reused
-//     shard id, the util::StripedCounter identity scheme). The steady-state
-//     hit path is ONE acquire load of the version — a read of a line no
-//     reader ever writes — plus a linear probe of the thread's pinned
-//     snapshot: no mutex, no shared write, no allocation. Readers of one
-//     snapshot never observe a concurrent writer's mutation, because
-//     writers never mutate a published index.
-//     (Why not std::atomic<std::shared_ptr>? libstdc++'s _Sp_atomic takes
-//     an internal spin lock — a CAS, i.e. a shared WRITE, on every load —
-//     and unlocks reads with a relaxed RMW, which is a formal data race on
-//     its pointer field that ThreadSanitizer rightly reports. The version
-//     + TLS-pin scheme is wait-free on hits and TSan-clean.)
-//   * Writers (cache misses) fill the entry OUTSIDE any lock (orbit decode,
-//     or the construction at m = 5), then take the shard mutex, clone the
-//     current index into a new table (applying eviction if the shard is at
-//     capacity), insert, swap the published pointer, and bump the version.
-//     A reader whose TLS stamp is stale refreshes by taking that mutex just
-//     long enough to copy the new shared_ptr — once per publication per
-//     thread, never on a steady-state hit. Two threads missing the same key
-//     may both fill it, but the fill is deterministic, so the loser's
-//     duplicate is discarded and results are identical either way.
-//   * Reclamation is the shared_ptr refcount: a swapped-out index stays
-//     alive until the last TLS pin moves on (next refresh or thread exit);
-//     the FlatContainers inside are themselves shared with every
-//     outstanding ContainerHandle, so an entry outlives both its index AND
-//     its eviction for as long as any handle pins it.
+//   * m <= 4: the class tier (orbit_table.hpp). lookup() probes the
+//     OrbitTable's insert-only array of translation-class entries with
+//     acquire loads, and a hit BORROWS the entry: no lock, no shared write,
+//     no refcount, no allocation. A miss flattens the orbit record and
+//     publishes the entry with one CAS; racing misses of one class publish
+//     one entry and serve it to both. Entries live as long as the cache.
+//     The tier holds at most shards x max_entries_per_shard classes when
+//     the cache is capped, else every class at m <= 3 and 2^16 at m = 4;
+//     past that, lookup() decodes an owning copy and publishes nothing.
+//   * m = 5: RCU-style published snapshots. Each shard PUBLISHES an
+//     immutable ShardIndex, an open-addressing table of (key, shared
+//     FlatContainer) slots, and bumps its atomic version counter on each
+//     publication. Every thread keeps a version-stamped shared_ptr to its
+//     last-seen snapshot in TLS (keyed by a never-reused shard id), so a
+//     hit is one acquire load of the version plus a probe of the pinned
+//     snapshot. (Not std::atomic<std::shared_ptr>: libstdc++ takes an
+//     internal spin lock, a shared WRITE, on every load, and TSan reports
+//     its relaxed unlock as a race.) A miss runs the construction outside
+//     any lock, then, under the shard mutex, clones the index (evicting a
+//     seeded random resident when the shard is full), inserts, swaps and
+//     bumps the version. A swapped-out index lives until the last TLS pin
+//     moves on; the FlatContainers inside are shared with every handle.
 //   * Hit/miss counters are per-thread striped cells (util::StripedCounter)
-//     folded on stats()/hits()/misses() — the read path writes only
-//     thread-private memory. Evictions are counted under the shard mutex.
+//     folded on stats()/hits()/misses(). At m <= 4 they count whether the
+//     orbit record was already filled, for every entry point; at m = 5
+//     they count index probes. Evictions are counted under the shard mutex.
 //
-// clear() takes every shard mutex, swaps every shard to an empty index,
-// and resets ALL counters. The orbit tables survive it: their records are
-// immutable and never evicted, and a concurrent materialize() may be
-// reading one. Outstanding handles and in-flight snapshot readers are
-// unaffected (their shared_ptrs keep the old state alive).
+// clear() empties every shard index and resets ALL counters. The orbit
+// tables and their class tiers stay: their entries are immutable, never
+// evicted, and may be lent out or read concurrently.
 //
-// API contract: lookup() is THE borrowed read path — it returns a
-// ContainerHandle off the published snapshot. materialize() is the owning
-// path: at m <= 4 it decodes straight from the orbit table into owning
-// paths and touches no shard index, publication or eviction. scan() is
+// API contract: lookup() is THE zero-copy read path, a ContainerHandle
+// relabeled lazily: borrowed at m <= 4, owning at m = 5 (see its lifetime
+// contract). materialize() is the owning path: at m <= 4 it decodes
+// straight from the orbit record into owning paths. scan() is
 // fault::AdaptiveRouter's container scan at m <= 4: it checks the orbit
 // record in place against usable-edge bytes and decodes only the path it
 // delivers. flatten() copies a lookup() into caller buffers (m = 5).
@@ -91,8 +83,7 @@ class OrbitTable;  // core/orbit_table.hpp
 
 /// A disjoint-path container flattened into two arrays: `nodes` holds every
 /// path back to back, `offsets` (path_count + 1 entries) delimits them.
-/// Immutable once published; the cache shares one FlatContainer between the
-/// resident entry and every outstanding ContainerHandle.
+/// Immutable once published.
 struct FlatContainer {
   std::vector<Node> nodes;
   std::vector<std::uint32_t> offsets;  // paths[i] = nodes[offsets[i], offsets[i+1])
@@ -108,26 +99,32 @@ void flatten(const DisjointPathSetRef& set, std::vector<Node>& nodes,
 /// The construction commutes with cluster translation, and in the packed
 /// node encoding (X << m | Y) that translation is a single XOR:
 ///   encode(cluster_of(v) ^ Xs, position_of(v)) == v ^ (Xs << m).
-/// So a handle is just {shared FlatContainer, XOR mask}: a cache hit copies
-/// one shared_ptr (no allocation, no node copying) and node() applies the
-/// mask on the fly.
+/// So a handle is {FlatContainer pointer, owner, XOR mask}, and node()
+/// applies the mask on the fly: one load and one XOR.
 ///
-/// Lifetime contract: the handle SHARES OWNERSHIP of its container. It
-/// remains valid — and keeps answering the same bits — after the source
-/// entry is evicted, after the shard republishes its index any number of
-/// times, after clear(), and after the ContainerCache itself is destroyed.
-/// Holding a handle is therefore always safe; what it pins is the one
-/// FlatContainer (nodes + offsets), not the cache. materialize() produces
-/// the same owning DisjointPathSet as ContainerCache::materialize() for the
-/// handle's pair.
+/// Lifetime contract. A BORROWED handle (no owner: a lookup() served from
+/// the m <= 4 class tier, or PathService's self-loop view) is valid while
+/// the ContainerCache it came from (or its PathService) lives; it touches
+/// no refcount. An OWNING handle (m = 5, or a class past the tier's
+/// capacity) shares ownership of its container and stays valid, with the
+/// same bits, after eviction, clear(), and the cache's destruction.
+/// materialize() produces the same owning DisjointPathSet as
+/// ContainerCache::materialize() for the handle's pair.
 class ContainerHandle {
  public:
   ContainerHandle() = default;
+  /// Borrowed: `flat` must outlive the handle.
+  ContainerHandle(const FlatContainer* flat, Node xor_mask) noexcept
+      : flat_{flat}, mask_{xor_mask} {}
+  /// Owning: shares ownership of `flat`.
   ContainerHandle(std::shared_ptr<const FlatContainer> flat,
                   Node xor_mask) noexcept
-      : flat_{std::move(flat)}, mask_{xor_mask} {}
+      : flat_{flat.get()}, owner_{std::move(flat)}, mask_{xor_mask} {}
 
   [[nodiscard]] bool valid() const noexcept { return flat_ != nullptr; }
+  [[nodiscard]] bool borrowed() const noexcept {
+    return flat_ != nullptr && owner_ == nullptr;
+  }
   [[nodiscard]] std::size_t path_count() const noexcept {
     return flat_ == nullptr ? 0 : flat_->offsets.size() - 1;
   }
@@ -152,15 +149,16 @@ class ContainerHandle {
   [[nodiscard]] DisjointPathSet materialize() const;
 
  private:
-  std::shared_ptr<const FlatContainer> flat_;
+  const FlatContainer* flat_ = nullptr;
+  std::shared_ptr<const FlatContainer> owner_;  // null when borrowed
   Node mask_ = 0;
 };
 
 struct StatRow;  // core/io.hpp
 
-/// Point-in-time per-shard state. Hit/miss counters are cache-global (the
-/// striped cells are not shard-attributed — see stats() doc); what a shard
-/// owns is its resident entries and its eviction count.
+/// Point-in-time per-shard state (shard indexes serve m = 5 only). Hit/miss
+/// counters are cache-global; what a shard owns is its resident entries
+/// and its eviction count.
 struct CacheShardStats {
   std::size_t entries = 0;
   std::size_t evictions = 0;
@@ -175,10 +173,12 @@ struct CacheStats {
   std::size_t evictions = 0;
   std::vector<CacheShardStats> shards;
   /// The orbit tables (m <= 4): option variants allocated so far, records
-  /// filled across them, and the bytes those tables occupy.
+  /// filled and classes published in their tiers across them, and the
+  /// bytes those tables occupy.
   std::size_t orbit_variants = 0;
   std::size_t orbit_entries = 0;
   std::size_t orbit_bytes = 0;
+  std::size_t tier_entries = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
     const std::size_t total = hits + misses;
@@ -188,8 +188,9 @@ struct CacheStats {
 
   /// The snapshot as unified core::StatRow rows (section "cache" for the
   /// aggregate, "cache.shard<i>" per shard, then "cache.orbit" with the
-  /// variants, entries and bytes rows) so cache telemetry renders with
-  /// the same core::io schema as service stats and the metrics registry.
+  /// variants, entries, bytes and tier_entries rows) so cache telemetry
+  /// renders with the same core::io schema as service stats and the
+  /// metrics registry.
   [[nodiscard]] std::vector<StatRow> rows() const;
 };
 
@@ -206,7 +207,8 @@ class ContainerCache {
     /// eviction. Random replacement is cheap and good enough for the
     /// skewed workloads the cache exists for. The O(capacity) index clone
     /// each publication pays is comparable to the construction the miss
-    /// just ran (see cache.lookup_miss_ns in perfbench's ladder).
+    /// just ran. At m <= 4 there are no shard entries; a cap bounds the
+    /// class tier at shards x max_entries_per_shard classes instead.
     std::size_t max_entries_per_shard = 0;
     /// Seed for the per-shard eviction RNGs (each shard derives its own
     /// stream, so eviction choices are deterministic per configuration).
@@ -236,15 +238,14 @@ class ContainerCache {
   ContainerCache& operator=(const ContainerCache&) = delete;
 
   /// THE read path. A steady-state hit performs no construction, no node
-  /// copying, no heap allocation, and takes NO lock: one acquire load of
-  /// the shard version, a probe of the thread's pinned immutable snapshot,
-  /// one shared_ptr copy, and a per-thread counter bump. A miss fills the
-  /// entry outside any lock (from the orbit table at m <= 4, by running
-  /// the construction at m = 5), then publishes a new index under the
-  /// shard mutex (which hits never touch). hits()/misses() count the index
-  /// probes. If `cache_hit` is non-null it receives whether this call was
-  /// served without running the construction: an index hit, or a miss
-  /// whose orbit record was already filled.
+  /// copying, no heap allocation, and takes NO lock. At m <= 4 it probes
+  /// the class tier and returns a borrowed handle, writing only a
+  /// per-thread counter; a class past the tier's capacity gets an owning
+  /// decode. At m = 5 it probes the thread's pinned shard snapshot and
+  /// returns an owning handle (one shared refcount increment); a miss runs
+  /// the construction and publishes a new index under the shard mutex. If `cache_hit` is non-null it
+  /// receives whether this call was served without running the
+  /// construction, which is what hits()/misses() count.
   /// Throws std::invalid_argument for out-of-range nodes or s == t.
   [[nodiscard]] ContainerHandle lookup(Node s, Node t,
                                        const ConstructionOptions& options,
@@ -254,9 +255,8 @@ class ContainerCache {
 
   /// The owning answer for s -> t: the container lookup(s, t, options)
   /// would hand out, materialized. At m <= 4 it is decoded straight from
-  /// the orbit table into owning paths, and hits()/misses() count whether
-  /// the orbit record was already filled; the shard indexes are untouched.
-  /// At m = 5 it is lookup(...).materialize(). `cache_hit` as for lookup().
+  /// the orbit record into owning paths; at m = 5 it is
+  /// lookup(...).materialize(). Counts and sets `cache_hit` as lookup().
   /// A steady-state call allocates only its result.
   /// Throws std::invalid_argument for out-of-range nodes or s == t.
   [[nodiscard]] DisjointPathSet materialize(Node s, Node t,
@@ -272,8 +272,8 @@ class ContainerCache {
                bool* cache_hit = nullptr);
 
   /// OrbitTable::scan of the container materialize() would return; counts
-  /// and sets `cache_hit` as materialize() does, and touches no shard
-  /// index. Throws std::invalid_argument at m > 4 and where lookup() does.
+  /// and sets `cache_hit` as lookup() does. Throws std::invalid_argument
+  /// at m > 4 and where lookup() does.
   unsigned scan(Node s, Node t, const ConstructionOptions& options,
                 const std::uint8_t* usable, std::vector<Path>& paths,
                 bool* cache_hit = nullptr);
@@ -281,14 +281,14 @@ class ContainerCache {
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }
   [[nodiscard]] std::size_t evictions() const noexcept;
-  /// Total resident entries across shards (reads each shard's published
-  /// snapshot under its mutex — observability path, not the hot path).
+  /// Total resident entries across shard indexes (m = 5; the class tier is
+  /// CacheStats::tier_entries). Observability path: takes each shard mutex.
   [[nodiscard]] std::size_t size() const;
   /// Per-shard + aggregate snapshot, folded at one point in time.
   [[nodiscard]] CacheStats stats() const;
 
-  /// Drops every index entry AND resets all counters; the orbit tables
-  /// stay (see header comment).
+  /// Drops every index entry AND resets all counters; the orbit tables and
+  /// their class tiers stay (see header comment).
   void clear();
 
   [[nodiscard]] const ConstructionOptions& options() const noexcept {
@@ -366,6 +366,10 @@ class ContainerCache {
   /// The orbit table for `options`, allocated on first use; nullptr at
   /// m > OrbitTable::kMaxM.
   [[nodiscard]] OrbitTable* orbit_table(const ConstructionOptions& options);
+  /// Validates s -> t (throws as lookup() does).
+  void check(Node s, Node t) const;
+  /// Bumps hits_ or misses_ and reports `hit` through `cache_hit`.
+  void count(bool hit, bool* cache_hit);
 
   /// This thread's pinned snapshot of `shard`, refreshed (under the shard
   /// mutex) only when the version stamp says a publication happened. The

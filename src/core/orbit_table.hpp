@@ -38,6 +38,13 @@
 // which is identical because the construction is deterministic. Records
 // are never evicted; the destructor frees them. DESIGN.md "The orbit table"
 // gives the memory per m.
+//
+// The class tier. A second insert-only array, keyed by translation class
+// (ΔX, Ys, Yt), holds the class's container flattened from (0, Ys): what
+// ContainerCache::lookup() lends out at m <= 4. A hit is one probe without
+// canonical(); a miss flattens the orbit record and publishes by CAS, as
+// records are. It holds at most a fixed capacity of classes; past it,
+// tier() publishes nothing and the caller decodes its own copy.
 #pragma once
 
 #include <array>
@@ -52,6 +59,8 @@
 
 namespace hhc::core {
 
+struct FlatContainer;  // core/container_cache.hpp
+
 class OrbitTable {
  public:
   /// The largest m served; above it the orbit count (about 1.17e9 at
@@ -65,8 +74,10 @@ class OrbitTable {
   static constexpr std::array<std::size_t, kMaxM + 1> kOrbitCounts{
       0, 7, 39, 479, 52767};
 
-  /// Requires covers(net.m()). The topology is held by reference.
-  OrbitTable(const HhcTopology& net, ConstructionOptions options);
+  /// Requires covers(net.m()). The topology is held by reference. The
+  /// class tier publishes at most `tier_capacity` classes.
+  OrbitTable(const HhcTopology& net, ConstructionOptions options,
+             std::size_t tier_capacity = 0);
   ~OrbitTable();
 
   OrbitTable(const OrbitTable&) = delete;
@@ -100,9 +111,21 @@ class OrbitTable {
   unsigned scan(Node s, Node t, const std::uint8_t* usable,
                 std::vector<Path>& paths, bool* hit = nullptr);
 
-  /// Filled records, and the bytes they and the slot array occupy.
+  /// The class tier's container for (ΔX, Ys, Yt), from (0, Ys) to
+  /// (ΔX, Yt) in flatten()'s layout; valid until the table is destroyed.
+  /// `hit` as for materialize(). Returns nullptr, leaving `hit` alone, when
+  /// the class is absent and the tier is full.
+  [[nodiscard]] const FlatContainer* tier(std::uint64_t xdiff,
+                                          std::uint64_t ys, std::uint64_t yt,
+                                          bool* hit = nullptr);
+
+  /// Filled records, published tier classes, and the bytes both and their
+  /// slot arrays occupy.
   [[nodiscard]] std::size_t entries() const noexcept {
     return entries_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t tier_entries() const noexcept {
+    return tier_entries_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t bytes() const noexcept;
 
@@ -142,9 +165,10 @@ class OrbitTable {
   std::size_t decode_path(const std::uint8_t* record, std::size_t hop,
                           unsigned p, const Node* flips, Node s,
                           Node* out) const noexcept;
-  [[nodiscard]] std::size_t slot_of(std::uint32_t key) const noexcept {
+  [[nodiscard]] static std::size_t slot_of(std::uint32_t key,
+                                           unsigned shift) noexcept {
     return static_cast<std::size_t>(
-        (std::uint64_t{key} * 0x9e3779b97f4a7c15ULL) >> shift_);
+        (std::uint64_t{key} * 0x9e3779b97f4a7c15ULL) >> shift);
   }
 
   const HhcTopology& net_;
@@ -157,6 +181,15 @@ class OrbitTable {
   std::size_t slot_count_ = 0;
   std::atomic<std::size_t> entries_{0};
   std::atomic<std::size_t> record_bytes_{0};
+
+  struct TierEntry;  // {class key, FlatContainer}
+  std::unique_ptr<std::atomic<const TierEntry*>[]> tier_slots_;
+  std::size_t tier_capacity_;
+  std::size_t tier_slot_count_ = 0;
+  unsigned tier_shift_ = 0;
+  // Published classes plus misses reserving a place under the capacity.
+  std::atomic<std::size_t> tier_entries_{0};
+  std::atomic<std::size_t> tier_bytes_{0};
 };
 
 }  // namespace hhc::core

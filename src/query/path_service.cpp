@@ -139,11 +139,10 @@ RouteView PathService::answer_view(const PairQuery& query) {
         RouteView view;
         view.level = DegradationLevel::kGuaranteed;
         if (query.s == query.t) {
-          // One shared trivial container {node 0}; the XOR mask relabels
-          // node 0 to s, so even the self-loop answer allocates nothing.
-          static const auto kSelf = std::make_shared<const core::FlatContainer>(
-              core::FlatContainer{{0}, {0, 1}});
-          view.container = core::ContainerHandle{kSelf, query.s};
+          // One static trivial container {node 0}, borrowed; the XOR mask
+          // relabels node 0 to s, so the self-loop answer allocates nothing.
+          static const core::FlatContainer kSelf{{0}, {0, 1}};
+          view.container = core::ContainerHandle{&kSelf, query.s};
           view.cache_hit = true;
         } else {
           view.container =

@@ -52,9 +52,11 @@
 namespace hhc::query {
 
 /// Borrowed answer of the zero-copy pristine fast path (answer_view).
-/// `container` shares ownership of the cached flat container — valid for as
-/// long as the view lives, even across cache eviction — and relabels nodes
-/// lazily, so a cache hit allocates nothing and copies no node data.
+/// `container` relabels nodes lazily, so a cache hit allocates nothing and
+/// copies no node data. At m <= 4 it borrows the cache's class-tier entry
+/// (or a static self-loop container) and is valid while the PathService
+/// lives; at m = 5, or for a class past the tier's capacity, it shares
+/// ownership of its container and outlives eviction and the service.
 struct RouteView {
   core::ContainerHandle container;
   DegradationLevel level = DegradationLevel::kDisconnected;

@@ -9,7 +9,8 @@
 //     arena/workspaces/buffers have grown to the working set — including a
 //     construction that fills fan-table entries it has never seen (the
 //     table is sized once per m, on the first construction at that m);
-//   * ContainerCache::lookup on a hit (one shared_ptr copy, no allocation);
+//   * ContainerCache::lookup on a hit: a borrowed handle from the class
+//     tier at m <= 4, one shared_ptr copy of the shard entry at m = 5;
 //   * ContainerCache::materialize at m <= 4 once the orbit records are
 //     filled (allocates only the returned paths);
 //   * PathService::answer_view on a hit (handle + telemetry only), and
@@ -233,7 +234,7 @@ TEST(AllocationFree, OrbitMaterializeAllocatesOnlyItsResult) {
 }
 
 TEST(AllocationFree, CacheHitLookup) {
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net};
   const auto pairs = sample_pairs(net, 64, 0xA110F);
   for (const auto& [s, t] : pairs) (void)cache.lookup(s, t);  // populate
@@ -253,6 +254,53 @@ TEST(AllocationFree, CacheHitLookup) {
   EXPECT_EQ(delta, 0u) << "cache hits performed " << delta << " allocations";
   EXPECT_EQ(total_paths, pairs.size() * (net.m() + 1));
   EXPECT_EQ(cache.hits(), pairs.size() + 1);
+}
+
+TEST(AllocationFree, TierHitIsBorrowed) {
+  // At m <= 4 a hit borrows the class tier's entry: no allocation and no
+  // owner, so no refcount either.
+  const HhcTopology net{4};
+  ContainerCache cache{net};
+  const auto pairs = sample_pairs(net, 64, 0xA1150);
+  for (const auto& [s, t] : pairs) (void)cache.lookup(s, t);  // populate
+  (void)cache.lookup(pairs[0].s, pairs[0].t);  // registers the hit cell
+
+  const std::size_t before = allocation_count();
+  std::size_t borrowed = 0;
+  for (const auto& [s, t] : pairs) {
+    const ContainerHandle handle = cache.lookup(s, t);
+    if (handle.borrowed()) ++borrowed;
+  }
+  const std::size_t delta = allocation_count() - before;
+
+  EXPECT_EQ(delta, 0u) << "tier hits performed " << delta << " allocations";
+  EXPECT_EQ(borrowed, pairs.size());
+}
+
+TEST(AllocationFree, TierPastCapacityHandsOutOwningCopies) {
+  // A capped cache's tier holds shards x max_entries_per_shard classes;
+  // later classes get an owning decode that outlives clear() and the
+  // cache itself.
+  const HhcTopology net{3};
+  const auto pairs = sample_pairs(net, 8, 0xA1160);
+  std::vector<ContainerHandle> handles;
+  std::vector<DisjointPathSet> expected;
+  {
+    ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 2}};
+    for (const auto& [s, t] : pairs) handles.push_back(cache.lookup(s, t));
+    EXPECT_EQ(cache.stats().tier_entries, 4u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    cache.clear();
+    for (std::size_t k = 0; k < handles.size(); ++k) {
+      EXPECT_EQ(handles[k].borrowed(), k < 4) << k;
+      expected.push_back(cache.materialize(pairs[k].s, pairs[k].t, {}));
+      EXPECT_EQ(handles[k].materialize().paths, expected[k].paths);
+    }
+  }
+  for (std::size_t k = 4; k < handles.size(); ++k) {
+    ASSERT_TRUE(handles[k].valid());
+    EXPECT_EQ(handles[k].materialize().paths, expected[k].paths);
+  }
 }
 
 TEST(AllocationFree, AnswerViewOnHit) {

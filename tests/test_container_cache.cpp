@@ -3,6 +3,7 @@
 #include "core/container_cache.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
+#include "core/orbit_table.hpp"
 #include "orbit_reference.hpp"
 #include "util/rng.hpp"
 
@@ -42,8 +43,11 @@ TEST(ContainerCache, MatchesTheOrbitImageExactly) {
   }
 }
 
+// The shard indexes (size(), index probes, clear(), eviction, publication)
+// serve m = 5 only, so the tests of them run there; at m <= 4 lookup()
+// reads the class tier (TierServesEveryClass below).
 TEST(ContainerCache, TranslatedPairsHitTheCache) {
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net};
   const std::uint64_t ys = 2;
   const std::uint64_t yt = 5;
@@ -62,7 +66,7 @@ TEST(ContainerCache, TranslatedPairsHitTheCache) {
 }
 
 TEST(ContainerCache, DistinctTriplesMiss) {
-  const HhcTopology net{2};
+  const HhcTopology net{5};
   ContainerCache cache{net};
   (void)cache.lookup(net.encode(0, 0), net.encode(1, 1));
   (void)cache.lookup(net.encode(0, 0), net.encode(2, 1));  // different xdiff
@@ -87,7 +91,7 @@ TEST(ContainerCache, SameClusterPairsWork) {
 TEST(ContainerCache, ClearResetsStorageAndCounters) {
   // clear() means "as good as freshly constructed": entries AND counters go,
   // so post-clear hit rates are meaningful (the documented choice).
-  const HhcTopology net{2};
+  const HhcTopology net{5};
   ContainerCache cache{net};
   (void)cache.lookup(0, 63);
   (void)cache.lookup(0, 63);
@@ -136,7 +140,7 @@ TEST(ContainerCache, ReportsPerCallHitState) {
 }
 
 TEST(ContainerCache, EvictionKeepsShardsBounded) {
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 4}};
   for (const auto& [s, t] : sample_pairs(net, 400, 11)) {
     const auto set = cache.lookup(s, t).materialize();
@@ -154,7 +158,7 @@ TEST(ContainerCache, EvictionCountsAreExact) {
   // Every miss inserts exactly one entry and, once a shard is full,
   // displaces exactly one resident — so the counters reconcile exactly:
   // misses = live entries + evictions.
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 4}};
   for (const auto& [s, t] : sample_pairs(net, 300, 17)) {
     (void)cache.lookup(s, t);
@@ -169,7 +173,7 @@ TEST(ContainerCache, EvictionCountsAreExact) {
 // Hit/miss fingerprint of a fixed re-referencing workload under eviction
 // pressure: which queries hit depends only on which victims were evicted.
 std::uint64_t eviction_fingerprint(std::uint64_t eviction_seed) {
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net,
                        {.shards = 1,
                         .max_entries_per_shard = 8,
@@ -215,7 +219,7 @@ TEST(ContainerCache, StatsSnapshotAddsUp) {
   // The unified rows render carries the same numbers (aggregate section
   // first, then one section per shard, then the orbit tables).
   const auto rows = stats.rows();
-  ASSERT_EQ(rows.size(), 5 + 2 * stats.shards.size() + 3);
+  ASSERT_EQ(rows.size(), 5 + 2 * stats.shards.size() + 4);
   EXPECT_EQ(rows[0].section, "cache");
   EXPECT_EQ(rows[0].name, "entries");
   EXPECT_EQ(static_cast<std::size_t>(rows[0].value), stats.entries);
@@ -233,6 +237,10 @@ TEST(ContainerCache, StatsSnapshotAddsUp) {
   EXPECT_LE(stats.orbit_entries, stats.misses);
   EXPECT_EQ(rows[orbit + 2].name, "bytes");
   EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 2].value), stats.orbit_bytes);
+  EXPECT_EQ(rows[orbit + 3].name, "tier_entries");
+  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 3].value),
+            stats.tier_entries);
+  EXPECT_GT(stats.tier_entries, 0u);
 }
 
 TEST(ContainerCache, RejectsBadInput) {
@@ -240,6 +248,45 @@ TEST(ContainerCache, RejectsBadInput) {
   ContainerCache cache{net};
   EXPECT_THROW((void)cache.lookup(3, 3), std::invalid_argument);
   EXPECT_THROW((void)cache.lookup(0, net.node_count()), std::invalid_argument);
+}
+
+TEST(ContainerCache, TierServesEveryClass) {
+  // Every translation class at m = 3, each from a different source
+  // cluster: lookup() borrows the class tier's entry, which equals
+  // materialize() and the orbit-image oracle bit for bit. The shard
+  // indexes stay empty, and clear() keeps the tier.
+  const HhcTopology net{3};
+  ContainerCache cache{net};
+  std::size_t classes = 0;
+  for (std::uint64_t xdiff = 0; xdiff < net.cluster_count(); ++xdiff) {
+    for (std::uint64_t ys = 0; ys < net.cluster_size(); ++ys) {
+      for (std::uint64_t yt = 0; yt < net.cluster_size(); ++yt) {
+        if (xdiff == 0 && ys == yt) continue;
+        const std::uint64_t xs = (classes++ * 37) % net.cluster_count();
+        const Node s = net.encode(xs, ys);
+        const Node t = net.encode(xs ^ xdiff, yt);
+        const ContainerHandle handle = cache.lookup(s, t);
+        ASSERT_TRUE(handle.borrowed());
+        const auto expected = orbit_reference::expected_answer(net, s, t);
+        ASSERT_EQ(handle.materialize().paths, expected.paths)
+            << "s=" << s << " t=" << t;
+        ASSERT_EQ(cache.materialize(s, t, {}).paths, expected.paths);
+      }
+    }
+  }
+  EXPECT_EQ(classes, 16376u);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.tier_entries, classes);
+  EXPECT_EQ(stats.orbit_entries, OrbitTable::kOrbitCounts[3]);
+
+  cache.clear();
+  bool hit = false;
+  EXPECT_TRUE(cache.lookup(1, 2000, {}, &hit).borrowed());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.stats().tier_entries, classes);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(ContainerCache, LookupMaterializesToPathsResult) {
@@ -263,7 +310,7 @@ TEST(ContainerCache, LookupMaterializesToPathsResult) {
 TEST(ContainerCache, HandleSurvivesEviction) {
   // A handle shares ownership of its flat container: evicting (or clearing)
   // the cache entry must not invalidate outstanding views.
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 1, .max_entries_per_shard = 2}};
   const auto pairs = sample_pairs(net, 60, 23);
   const auto [s, t] = pairs[0];
@@ -306,7 +353,7 @@ TEST(ContainerCache, PublicationKnobsClampAndStayCorrect) {
   // index (initial_index_capacity) and out-of-range load ceilings (clamped
   // into (10, 90]) must serve the same answers and the same entry counts
   // as the defaults across repeated grow-republish cycles.
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   const auto pairs = sample_pairs(net, 48, 0xC0FFEE);
 
   ContainerCache::Config configs[] = {

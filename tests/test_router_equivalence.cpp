@@ -4,10 +4,12 @@
 // scan probes every hop with FaultModel::edge_usable_at (3 probes), and the
 // survivor BFS walks HhcTopology::neighbors through a std::deque with a
 // std::unordered_map parent map (its deadline poll is left out: these
-// queries carry no deadline). The production router scans a flattened
-// container through a per-thread fault snapshot, and searches a per-thread
-// usable-edge byte per node with epoch-stamped marks, by A* toward t under
-// an HHC distance bound beside a guard BFS from t. Every query here must
+// queries carry no deadline). With a cache at m <= 4 the production router
+// scans the pair's orbit record in place against per-thread usable-edge
+// bytes, one per node; at m = 5 or without a cache it scans a flattened
+// container through a per-thread fault snapshot. It searches the same
+// usable-edge bytes with epoch-stamped marks, by A* toward t under an HHC
+// distance bound beside a guard BFS from t. Every query here must
 // get the same level, outcome, blocked count and fallback flag from both,
 // with and without a shared ContainerCache, and the same path whenever the
 // container serves it. A detour may take different nodes: it must have

@@ -1,18 +1,19 @@
-// Concurrency regression suite for the lock-free ContainerCache read path
+// Concurrency regression suite for the lock-free ContainerCache read paths
 // (labelled `stress`: the TSan CI job builds and runs this binary).
 //
-// Each shard publishes its index as an immutable snapshot behind
-// std::atomic<std::shared_ptr<const ShardIndex>>; readers load-acquire the
-// pointer and never take a lock, while writers build-then-swap replacement
-// snapshots under a per-shard mutex. These tests drive lookups concurrently
-// against every writer-side event — insert (publication), eviction, and
-// clear() — asserting that readers always observe a coherent snapshot
-// (bit-identical answers to the orbit-image oracle in orbit_reference.hpp)
-// and that handles pin their containers across arbitrary churn. They are
-// exactly the interleavings the snapshot swap must make safe, so they
-// double as the TSan proof obligation for the design in DESIGN.md §9.
+// At m = 5 each shard publishes its index as an immutable snapshot that
+// readers pin per thread without a lock, while writers build-then-swap
+// replacement snapshots under a per-shard mutex. These tests drive lookups
+// concurrently against every writer-side event — insert (publication),
+// eviction, and clear() — asserting that readers always observe a coherent
+// snapshot (bit-identical answers to the oracle in orbit_reference.hpp)
+// and that handles pin their containers across arbitrary churn. At m <= 4
+// lookup() reads the orbit table's class tier instead: racing first
+// lookups of one class must publish one entry and read identical bits.
+// Together they are the TSan proof obligation for DESIGN.md §9.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -34,7 +35,7 @@ TEST(SnapshotStress, LookupsRaceInsertionsAndEvictions) {
   // a mix of lock-free hits, constructing misses, and displacing inserts,
   // so index snapshots are republished constantly while other threads read
   // them. Any torn read or stale-index use shows up as a path mismatch.
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 4}};
   const auto pairs = sample_pairs(net, 64, 7);
   std::vector<DisjointPathSet> expected;
@@ -70,7 +71,7 @@ TEST(SnapshotStress, HandlesOutliveConcurrentChurn) {
   // reading their original containers byte-for-byte. A handle shares
   // ownership of the flat container, so the churn can only retire the
   // *index* snapshots, never the containers a reader still holds.
-  const HhcTopology net{3};
+  const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 1, .max_entries_per_shard = 2}};
   const auto pairs = sample_pairs(net, 48, 29);
 
@@ -140,6 +141,47 @@ TEST(SnapshotStress, ClearRacesLookupsWithoutTearing) {
   stop.store(true, std::memory_order_relaxed);
   clearer.join();
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(SnapshotStress, TierFirstLookupsPublishOneEntryPerClass) {
+  // Four threads released together look up the same classes in the same
+  // order, so first lookups of a class may race each other's CAS. Every
+  // handle must borrow an entry with the oracle's bits, and the tier must
+  // end with exactly one entry per distinct class.
+  constexpr std::size_t kRacers = 4;
+  const HhcTopology net{3};
+  ContainerCache cache{net};
+  const auto pairs = sample_pairs(net, 256, 41);
+  std::vector<DisjointPathSet> expected;
+  std::vector<std::uint64_t> classes;
+  for (const auto& [s, t] : pairs) {
+    expected.push_back(orbit_reference::expected_answer(net, s, t));
+    classes.push_back(((net.cluster_of(s) ^ net.cluster_of(t)) << 6) |
+                      (net.position_of(s) << 3) | net.position_of(t));
+  }
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+
+  std::atomic<bool> go{false};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t id = 0; id < kRacers; ++id) {
+    threads.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const ContainerHandle handle = cache.lookup(pairs[k].s, pairs[k].t);
+        if (!handle.borrowed() ||
+            handle.materialize().paths != expected[k].paths) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(cache.stats().tier_entries, classes.size());
+  EXPECT_EQ(cache.hits() + cache.misses(), kRacers * pairs.size());
 }
 
 TEST(StripedCounter, FoldIsExactAfterWritersJoin) {
