@@ -198,11 +198,17 @@ int cmd_trace(util::Options& opts) {
   obs::Tracer::enable(
       static_cast<std::size_t>(opts.get_int("ring", std::int64_t{1} << 13)));
 
-  // Pristine queries: cache lookups + cold-miss constructions.
+  // Pristine queries, alternating answer() (orbit decode, constructing on
+  // a cold record) and answer_view() (the cache's store, publishing on a
+  // miss).
   for (std::size_t i = 0; i < queries; ++i) {
     const core::Node s = rng.below(net.node_count());
     const core::Node t = rng.below(net.node_count());
-    (void)service.answer(query::PairQuery{.s = s, .t = t});
+    if (i % 2 == 0) {
+      (void)service.answer(query::PairQuery{.s = s, .t = t});
+    } else {
+      (void)service.answer_view(query::PairQuery{.s = s, .t = t});
+    }
   }
   // Fault-aware queries: container scans, with BFS fallbacks when the
   // fault set blocks every container path.

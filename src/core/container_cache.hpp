@@ -1,6 +1,6 @@
-// Sharded, translation-canonical memoization of disjoint-path containers
-// with a LOCK-FREE read path, backed at m <= 4 by one container per
-// automorphism orbit (core::OrbitTable).
+// Translation-canonical memoization of disjoint-path containers with a
+// LOCK-FREE read path, backed at m <= 4 by one container per automorphism
+// orbit (core::OrbitTable).
 //
 // The construction commutes with cluster translation (tested metamorphically
 // in test_hhc_disjoint.cpp): the container for (Xs, Ys) -> (Xt, Yt) is the
@@ -11,57 +11,40 @@
 // repeated-workload simulations (hotspot traffic, permutation re-runs,
 // retransmissions) into cache hits followed by an O(container size) relabel.
 //
-// Where an entry comes from. At m <= 4 the cache owns one OrbitTable per
-// ConstructionOptions variant (allocated on first use). A miss decodes its
-// triple's container from the orbit record instead of constructing, so the
-// served container is the automorphism image of the orbit
-// representative's construction: m+1 internally disjoint paths with the
-// representative's lengths, equal to node_disjoint_paths(net, s, t, options)
-// bit for bit only when (s, t) is the representative (orbit_table.hpp). The
-// orbit's σ depends only on the triple, so the XOR relabel stays exact and
-// lookup(), materialize() and PathService::answer() agree on every pair. At
-// m = 5 a miss runs the construction, and entries equal it bit for bit.
+// Where an entry comes from. At m <= 4 each ConstructionOptions variant has
+// an OrbitTable, and a miss decodes its triple's container from the orbit
+// record instead of constructing, so the served container is the
+// automorphism image of the orbit representative's construction: m+1
+// internally disjoint paths with the representative's lengths, equal to
+// node_disjoint_paths(net, s, t, options) bit for bit only when (s, t) is
+// the representative (orbit_table.hpp). The orbit's σ depends only on the
+// triple, so the XOR relabel stays exact and lookup(), materialize() and
+// PathService::answer() agree on every pair. At m = 5 a miss runs the
+// construction, and entries equal it bit for bit.
 //
-// Concurrency model (DESIGN.md §9):
+// One store (DESIGN.md §9). Each variant keeps one ClassStore, an
+// insert-only array of translation-class entries. lookup() probes it with
+// acquire loads, and a hit BORROWS the entry: no lock, no shared write, no
+// refcount, no allocation. A miss reserves a place under the capacity,
+// fills the entry (orbit decode at m <= 4, construction at m = 5) and
+// publishes it with one CAS; racing misses of one class publish one entry
+// and serve it to both. Entries are never evicted and live as long as the
+// cache. A capped cache holds shards x max_entries_per_shard classes per
+// variant, an uncapped one min(classes, 2^16); past that, lookup() fills an
+// owning copy and publishes nothing.
 //
-//   * m <= 4: the class tier (orbit_table.hpp). lookup() probes the
-//     OrbitTable's insert-only array of translation-class entries with
-//     acquire loads, and a hit BORROWS the entry: no lock, no shared write,
-//     no refcount, no allocation. A miss flattens the orbit record and
-//     publishes the entry with one CAS; racing misses of one class publish
-//     one entry and serve it to both. Entries live as long as the cache.
-//     The tier holds at most shards x max_entries_per_shard classes when
-//     the cache is capped, else every class at m <= 3 and 2^16 at m = 4;
-//     past that, lookup() decodes an owning copy and publishes nothing.
-//   * m = 5: RCU-style published snapshots. Each shard PUBLISHES an
-//     immutable ShardIndex, an open-addressing table of (key, shared
-//     FlatContainer) slots, and bumps its atomic version counter on each
-//     publication. Every thread keeps a version-stamped shared_ptr to its
-//     last-seen snapshot in TLS (keyed by a never-reused shard id), so a
-//     hit is one acquire load of the version plus a probe of the pinned
-//     snapshot. (Not std::atomic<std::shared_ptr>: libstdc++ takes an
-//     internal spin lock, a shared WRITE, on every load, and TSan reports
-//     its relaxed unlock as a race.) A miss runs the construction outside
-//     any lock, then, under the shard mutex, clones the index (evicting a
-//     seeded random resident when the shard is full), inserts, swaps and
-//     bumps the version. A swapped-out index lives until the last TLS pin
-//     moves on; the FlatContainers inside are shared with every handle.
-//   * Hit/miss counters are per-thread striped cells (util::StripedCounter)
-//     folded on stats()/hits()/misses(). At m <= 4 they count whether the
-//     orbit record was already filled, for every entry point; at m = 5
-//     they count index probes. Evictions are counted under the shard mutex.
-//
-// clear() empties every shard index and resets ALL counters. The orbit
-// tables and their class tiers stay: their entries are immutable, never
-// evicted, and may be lent out or read concurrently.
+// Hit/miss counters are per-thread striped cells (util::StripedCounter)
+// folded on stats()/hits()/misses(). A call counts as a hit when it ran no
+// construction: at m <= 4 when the orbit record was already filled, at
+// m = 5 when the store held the class. clear() resets the counters only.
 //
 // API contract: lookup() is THE zero-copy read path, a ContainerHandle
-// relabeled lazily: borrowed at m <= 4, owning at m = 5 (see its lifetime
-// contract). materialize() is the owning path: at m <= 4 it decodes
-// straight from the orbit record into owning paths. scan() is
-// fault::AdaptiveRouter's container scan at m <= 4: it checks the orbit
-// record in place against usable-edge bytes and decodes only the path it
-// delivers. flatten() copies a lookup() into caller buffers (m = 5).
+// relabeled lazily (see its lifetime contract). materialize() is the
+// owning path: at m <= 4 it decodes straight from the orbit record into
+// owning paths. scan() is fault::AdaptiveRouter's container scan at m <= 4:
+// it checks the orbit record in place against usable-edge bytes and
+// decodes only the path it delivers. flatten() copies a lookup() into
+// caller buffers (m = 5).
 #pragma once
 
 #include <array>
@@ -69,17 +52,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/disjoint.hpp"
 #include "core/topology.hpp"
-#include "util/rng.hpp"
 #include "util/striped.hpp"
 
 namespace hhc::core {
-
-class OrbitTable;  // core/orbit_table.hpp
 
 /// A disjoint-path container flattened into two arrays: `nodes` holds every
 /// path back to back, `offsets` (path_count + 1 entries) delimits them.
@@ -103,11 +82,11 @@ void flatten(const DisjointPathSetRef& set, std::vector<Node>& nodes,
 /// applies the mask on the fly: one load and one XOR.
 ///
 /// Lifetime contract. A BORROWED handle (no owner: a lookup() served from
-/// the m <= 4 class tier, or PathService's self-loop view) is valid while
-/// the ContainerCache it came from (or its PathService) lives; it touches
-/// no refcount. An OWNING handle (m = 5, or a class past the tier's
-/// capacity) shares ownership of its container and stays valid, with the
-/// same bits, after eviction, clear(), and the cache's destruction.
+/// the cache's store, or PathService's self-loop view) is valid while the
+/// ContainerCache it came from (or its PathService) lives; it touches no
+/// refcount. An OWNING handle (a class past the store's capacity) shares
+/// ownership of its container and stays valid, with the same bits, after
+/// the cache's destruction.
 /// materialize() produces the same owning DisjointPathSet as
 /// ContainerCache::materialize() for the handle's pair.
 class ContainerHandle {
@@ -154,31 +133,70 @@ class ContainerHandle {
   Node mask_ = 0;
 };
 
-struct StatRow;  // core/io.hpp
+/// One option variant's container store: an insert-only open-addressing
+/// array of atomic entry pointers, keyed by the packed translation class
+/// (ΔX << 2m) | (Ys << m) | Yt. A probe is acquire loads. A writer
+/// reserves a place under the capacity, builds its entry, and publishes it
+/// with one CAS. Entries are immutable and live as long as the store.
+class ClassStore {
+ public:
+  struct Entry {
+    std::uint64_t key = 0;
+    FlatContainer flat;  // from (0, Ys) to (ΔX, Yt)
+  };
 
-/// Point-in-time per-shard state (shard indexes serve m = 5 only). Hit/miss
-/// counters are cache-global; what a shard owns is its resident entries
-/// and its eviction count.
-struct CacheShardStats {
-  std::size_t entries = 0;
-  std::size_t evictions = 0;
+  /// Holds at most `capacity` entries, in twice as many slots.
+  explicit ClassStore(std::size_t capacity);
+  ~ClassStore();
+
+  ClassStore(const ClassStore&) = delete;
+  ClassStore& operator=(const ClassStore&) = delete;
+
+  /// The published container for `key`, or nullptr.
+  [[nodiscard]] const FlatContainer* find(std::uint64_t key) const noexcept;
+  /// Reserves the place one publish() needs; false, reserving nothing,
+  /// when the store is full.
+  [[nodiscard]] bool reserve() noexcept;
+  /// Publishes `entry` into a place reserve() granted and returns the
+  /// published container for its key. When another entry for the key got
+  /// there first (it is identical: fills are deterministic), `entry` is
+  /// freed, its reservation returned, and the winner's container served.
+  const FlatContainer* publish(std::unique_ptr<Entry> entry) noexcept;
+  /// Published entries plus places reserved by fills in progress.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return size_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  std::size_t capacity_;
+  std::size_t slot_count_;
+  unsigned shift_;  // 64 - log2(slot_count_)
+  std::unique_ptr<std::atomic<const Entry*>[]> slots_;
+  std::atomic<std::size_t> size_{0};
 };
 
-/// Aggregate + per-shard snapshot, as returned by ContainerCache::stats().
-/// All counters are folded/read at one point in time (one clock).
+struct StatRow;  // core/io.hpp
+
+/// Aggregate snapshot, as returned by ContainerCache::stats(). All counters
+/// are folded/read at one point in time (one clock).
 struct CacheStats {
+  /// Store entries across option variants.
   std::size_t entries = 0;
   std::size_t hits = 0;
   std::size_t misses = 0;
+  /// Always 0 and left out of rows(): the store never evicts. perfbench
+  /// derives cache.evictions_per_query from it, so it stays while that
+  /// metric does.
   std::size_t evictions = 0;
-  std::vector<CacheShardStats> shards;
   /// The orbit tables (m <= 4): option variants allocated so far, records
-  /// filled and classes published in their tiers across them, and the
-  /// bytes those tables occupy.
+  /// filled across them, and the bytes those tables occupy.
   std::size_t orbit_variants = 0;
   std::size_t orbit_entries = 0;
   std::size_t orbit_bytes = 0;
-  std::size_t tier_entries = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
     const std::size_t total = hits + misses;
@@ -187,10 +205,9 @@ struct CacheStats {
   }
 
   /// The snapshot as unified core::StatRow rows (section "cache" for the
-  /// aggregate, "cache.shard<i>" per shard, then "cache.orbit" with the
-  /// variants, entries, bytes and tier_entries rows) so cache telemetry
-  /// renders with the same core::io schema as service stats and the
-  /// metrics registry.
+  /// aggregate, then "cache.orbit" with the variants, entries and bytes
+  /// rows) so cache telemetry renders with the same core::io schema as
+  /// service stats and the metrics registry.
   [[nodiscard]] std::vector<StatRow> rows() const;
 };
 
@@ -199,30 +216,12 @@ class ContainerCache {
   struct Config {
     /// Default construction knobs; per-call overrides key separate entries.
     ConstructionOptions options{};
-    /// Number of independent shards (rounded up to a power of two, >= 1).
+    /// The two factors of the store's capacity: a capped cache
+    /// (max_entries_per_shard > 0) holds shards x max_entries_per_shard
+    /// classes per option variant; an uncapped one holds every class up
+    /// to 2^16. A shard count of 0 counts as 1.
     std::size_t shards = 16;
-    /// Per-shard entry cap; 0 = unbounded. When full, one UNIFORMLY RANDOM
-    /// resident entry is displaced per insert (drawn from a per-shard
-    /// seeded util::Xoshiro256, so runs are reproducible) and counted as an
-    /// eviction. Random replacement is cheap and good enough for the
-    /// skewed workloads the cache exists for. The O(capacity) index clone
-    /// each publication pays is comparable to the construction the miss
-    /// just ran. At m <= 4 there are no shard entries; a cap bounds the
-    /// class tier at shards x max_entries_per_shard classes instead.
     std::size_t max_entries_per_shard = 0;
-    /// Seed for the per-shard eviction RNGs (each shard derives its own
-    /// stream, so eviction choices are deterministic per configuration).
-    std::uint64_t eviction_seed = 0x9d1f2c3b4a596877ULL;
-    /// Publication knob: slots pre-sized into each shard's FIRST published
-    /// index (rounded up to a power of two). A good guess (≈ 2x the
-    /// expected resident entries) avoids the first few grow-republish
-    /// cycles; 0 picks a small default. Capped shards size themselves off
-    /// max_entries_per_shard regardless.
-    std::size_t initial_index_capacity = 0;
-    /// Publication knob: per-index load-factor ceiling in percent (the
-    /// probe-length / memory trade). An insert that would push occupancy
-    /// past this grows the cloned table to the next power of two.
-    std::size_t max_load_percent = 50;
   };
 
   /// The topology is held by reference (like sim::NetworkSimulator and every
@@ -238,14 +237,12 @@ class ContainerCache {
   ContainerCache& operator=(const ContainerCache&) = delete;
 
   /// THE read path. A steady-state hit performs no construction, no node
-  /// copying, no heap allocation, and takes NO lock. At m <= 4 it probes
-  /// the class tier and returns a borrowed handle, writing only a
-  /// per-thread counter; a class past the tier's capacity gets an owning
-  /// decode. At m = 5 it probes the thread's pinned shard snapshot and
-  /// returns an owning handle (one shared refcount increment); a miss runs
-  /// the construction and publishes a new index under the shard mutex. If `cache_hit` is non-null it
-  /// receives whether this call was served without running the
-  /// construction, which is what hits()/misses() count.
+  /// copying, no heap allocation, and takes NO lock: it probes the store
+  /// and returns a borrowed handle, writing only a per-thread counter. A
+  /// miss fills the entry and publishes it; a class past the store's
+  /// capacity gets an owning copy. If `cache_hit` is non-null it receives
+  /// whether this call was served without running the construction, which
+  /// is what hits()/misses() count.
   /// Throws std::invalid_argument for out-of-range nodes or s == t.
   [[nodiscard]] ContainerHandle lookup(Node s, Node t,
                                        const ConstructionOptions& options,
@@ -280,122 +277,45 @@ class ContainerCache {
 
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }
-  [[nodiscard]] std::size_t evictions() const noexcept;
-  /// Total resident entries across shard indexes (m = 5; the class tier is
-  /// CacheStats::tier_entries). Observability path: takes each shard mutex.
-  [[nodiscard]] std::size_t size() const;
-  /// Per-shard + aggregate snapshot, folded at one point in time.
+  /// Store entries across option variants.
+  [[nodiscard]] std::size_t size() const noexcept;
+  /// Aggregate snapshot, folded at one point in time.
   [[nodiscard]] CacheStats stats() const;
 
-  /// Drops every index entry AND resets all counters; the orbit tables and
-  /// their class tiers stay (see header comment).
+  /// Resets the hit and miss counters. Entries and orbit records stay:
+  /// they are immutable, never evicted, and may be lent out or read
+  /// concurrently.
   void clear();
 
   [[nodiscard]] const ConstructionOptions& options() const noexcept {
     return config_.options;
   }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
   [[nodiscard]] const HhcTopology& net() const noexcept { return net_; }
 
  private:
-  struct Key {
-    std::uint64_t xdiff;
-    std::uint64_t ys;
-    std::uint64_t yt;
-    std::uint8_t ordering;
-    std::uint8_t selection;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      std::uint64_t h = k.xdiff * 0x9e3779b97f4a7c15ULL;
-      h ^= (k.ys << 17) ^ (k.yt << 3) ^ (h >> 31);
-      h ^= (std::uint64_t{k.ordering} << 11) ^ (std::uint64_t{k.selection} << 7);
-      return static_cast<std::size_t>(h * 0xbf58476d1ce4e5b9ULL);
-    }
-  };
+  struct Variant;  // {ClassStore, OrbitTable at m <= 4}
 
-  /// One published, immutable generation of a shard: an open-addressing
-  /// (linear-probe) table over power-of-two slots. value == nullptr marks
-  /// an empty slot. Never mutated after publication; writers clone.
-  struct ShardIndex {
-    struct Slot {
-      Key key{};
-      std::shared_ptr<const FlatContainer> value;
-    };
-    std::vector<Slot> slots;
-    std::size_t size = 0;
-
-    [[nodiscard]] const std::shared_ptr<const FlatContainer>* find(
-        const Key& key) const noexcept {
-      if (slots.empty()) return nullptr;
-      const std::size_t mask = slots.size() - 1;
-      for (std::size_t i = KeyHash{}(key) & mask;; i = (i + 1) & mask) {
-        const Slot& slot = slots[i];
-        if (slot.value == nullptr) return nullptr;
-        if (slot.key == key) return &slot.value;
-      }
-    }
-    /// Build-side insert (pre-publication only; capacity is guaranteed by
-    /// the builder, which keeps occupancy under the load ceiling).
-    void insert(const Key& key, std::shared_ptr<const FlatContainer> value);
-  };
-
-  struct Shard {
-    /// Process-unique, never reused: keys each thread's TLS snapshot cache
-    /// (see snapshot()). Stale TLS entries for destroyed caches are inert
-    /// because their ids are never issued again.
-    const std::uint64_t id = next_shard_id();
-    /// Bumped (release) on every publication. The acquire load validating
-    /// a thread's TLS stamp against this counter is the entire
-    /// shared-memory footprint of a steady-state hit.
-    std::atomic<std::uint64_t> version{0};
-    /// Guards `index`, the eviction RNG, and publication. Taken by writers
-    /// (build-then-swap) and by a reader's one-shared_ptr-copy refresh
-    /// after a publication; never by a steady-state hit.
-    std::mutex mutex;
-    std::shared_ptr<const ShardIndex> index;  // current published snapshot
-    util::Xoshiro256 eviction_rng;            // guarded by mutex
-    std::atomic<std::size_t> evictions{0};    // bumped under mutex
-  };
-
-  [[nodiscard]] static std::uint64_t next_shard_id() noexcept;
-
-  /// The orbit table for `options`, allocated on first use; nullptr at
-  /// m > OrbitTable::kMaxM.
-  [[nodiscard]] OrbitTable* orbit_table(const ConstructionOptions& options);
+  /// The variant for `options`, allocated on first use.
+  [[nodiscard]] Variant& variant(const ConstructionOptions& options);
+  /// Writes the container of class (ΔX, Ys, Yt) into `flat`; returns
+  /// whether no construction ran.
+  bool fill(Variant& variant, std::uint64_t xdiff, std::uint64_t ys,
+            std::uint64_t yt, const ConstructionOptions& options,
+            FlatContainer& flat);
   /// Validates s -> t (throws as lookup() does).
   void check(Node s, Node t) const;
   /// Bumps hits_ or misses_ and reports `hit` through `cache_hit`.
   void count(bool hit, bool* cache_hit);
 
-  /// This thread's pinned snapshot of `shard`, refreshed (under the shard
-  /// mutex) only when the version stamp says a publication happened. The
-  /// returned pointer stays valid until this thread's next lookup on the
-  /// same shard; it may be one publication stale, which is fine: the miss
-  /// path re-probes the live index under the mutex before constructing.
-  [[nodiscard]] const ShardIndex* snapshot(Shard& shard) const;
-
-  /// Clones `old` (skipping `victim`, if any), inserts (key, value), and
-  /// returns the new index. Pure build; caller publishes under the writer
-  /// mutex.
-  [[nodiscard]] std::shared_ptr<const ShardIndex> rebuild_index(
-      const ShardIndex* old, std::size_t victim, const Key& key,
-      std::shared_ptr<const FlatContainer> value) const;
-
   const HhcTopology& net_;
   Config config_;
-  // unique_ptr because Shard (atomics + mutex) is neither movable nor
-  // copyable; the vector itself is immutable after construction.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t capacity_;  // per variant
   // Cache-global striped hit/miss cells: the lock-free read path's only
   // telemetry writes, folded on stats().
   util::StripedCounter hits_;
   util::StripedCounter misses_;
-  // One orbit table per (ordering, selection) pair, published by CAS.
-  std::array<std::atomic<OrbitTable*>, 4> orbit_tables_{};
+  // One variant per (ordering, selection) pair, published by CAS.
+  std::array<std::atomic<Variant*>, 4> variants_{};
 };
 
 }  // namespace hhc::core

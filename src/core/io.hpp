@@ -75,7 +75,7 @@ class JsonWriter {
 /// (core::CacheStats, query::ServiceStats, the obs::MetricRegistry export).
 /// A row is either a scalar (one number) or a distribution (count +
 /// percentile summary); `section` groups related rows ("cache",
-/// "cache.shard3", "counter", "latency", ...) so one flat table can carry a
+/// "cache.orbit", "counter", "latency", ...) so one flat table can carry a
 /// whole snapshot without per-producer schemas drifting apart.
 struct StatRow {
   enum class Kind { kScalar, kDist };

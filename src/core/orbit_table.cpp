@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/container_cache.hpp"
 #include "core/scratch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stages.hpp"
@@ -103,35 +102,17 @@ const OrbitTable::Forms& OrbitTable::forms(unsigned m) {
   return all[m];
 }
 
-struct OrbitTable::TierEntry {
-  std::uint32_t key;
-  FlatContainer flat;
-};
-
-OrbitTable::OrbitTable(const HhcTopology& net, ConstructionOptions options,
-                       std::size_t tier_capacity)
-    : net_{net},
-      options_{options},
-      m_{net.m()},
-      forms_{forms(net.m())},
-      tier_capacity_{tier_capacity} {
-  // Both arrays stay at most half full: every orbit filled, every class
-  // the tier may hold published.
+OrbitTable::OrbitTable(const HhcTopology& net, ConstructionOptions options)
+    : net_{net}, options_{options}, m_{net.m()}, forms_{forms(net.m())} {
+  // The array stays at most half full with every orbit filled.
   slot_count_ = std::bit_ceil(2 * kOrbitCounts[m_]);
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(slot_count_));
   slots_ = std::make_unique<std::atomic<const std::uint8_t*>[]>(slot_count_);
-  tier_slot_count_ = std::bit_ceil(std::max<std::size_t>(2 * tier_capacity, 2));
-  tier_shift_ = 64 - static_cast<unsigned>(std::countr_zero(tier_slot_count_));
-  tier_slots_ =
-      std::make_unique<std::atomic<const TierEntry*>[]>(tier_slot_count_);
 }
 
 OrbitTable::~OrbitTable() {
   for (std::size_t i = 0; i < slot_count_; ++i) {
     delete[] slots_[i].load(std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < tier_slot_count_; ++i) {
-    delete tier_slots_[i].load(std::memory_order_relaxed);
   }
 }
 
@@ -155,9 +136,8 @@ OrbitTable::Canonical OrbitTable::canonical(std::uint64_t xdiff,
 }
 
 std::size_t OrbitTable::bytes() const noexcept {
-  return (slot_count_ + tier_slot_count_) * sizeof(slots_[0]) +
-         record_bytes_.load(std::memory_order_relaxed) +
-         tier_bytes_.load(std::memory_order_relaxed);
+  return slot_count_ * sizeof(slots_[0]) +
+         record_bytes_.load(std::memory_order_relaxed);
 }
 
 std::unique_ptr<std::uint8_t[]> OrbitTable::build(std::uint32_t key,
@@ -232,53 +212,6 @@ const std::uint8_t* OrbitTable::record(std::uint32_t key, bool* hit) {
       return mine.release();
     }
     if (key_of(expected) == key) return expected;
-  }
-}
-
-const FlatContainer* OrbitTable::tier(std::uint64_t xdiff, std::uint64_t ys,
-                                      std::uint64_t yt, bool* hit) {
-  const auto key =
-      static_cast<std::uint32_t>((xdiff << (2 * m_)) | (ys << m_) | yt);
-  const std::size_t mask = tier_slot_count_ - 1;
-  std::size_t i = slot_of(key, tier_shift_);
-  for (;; i = (i + 1) & mask) {
-    const TierEntry* found = tier_slots_[i].load(std::memory_order_acquire);
-    if (found == nullptr) break;
-    if (found->key == key) {
-      if (hit != nullptr) *hit = true;
-      return &found->flat;
-    }
-  }
-  // Reserve a place before decoding; a full tier publishes nothing, and
-  // the load keeps its misses from writing the shared count.
-  if (tier_entries_.load(std::memory_order_relaxed) >= tier_capacity_) {
-    return nullptr;
-  }
-  if (tier_entries_.fetch_add(1, std::memory_order_relaxed) >= tier_capacity_) {
-    tier_entries_.fetch_sub(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  auto mine = std::make_unique<TierEntry>();
-  mine->key = key;
-  flatten(net_.encode(0, ys), net_.encode(xdiff, yt), mine->flat.nodes,
-          mine->flat.offsets, hit);
-  // Publish as record() does: a same-key winner's entry is identical.
-  for (;; i = (i + 1) & mask) {
-    const TierEntry* expected = nullptr;
-    if (tier_slots_[i].compare_exchange_strong(expected, mine.get(),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      const FlatContainer& flat = mine.release()->flat;
-      tier_bytes_.fetch_add(sizeof(TierEntry) +
-                                flat.nodes.size() * sizeof(Node) +
-                                flat.offsets.size() * sizeof(std::uint32_t),
-                            std::memory_order_relaxed);
-      return &flat;
-    }
-    if (expected->key == key) {
-      tier_entries_.fetch_sub(1, std::memory_order_relaxed);
-      return &expected->flat;
-    }
   }
 }
 

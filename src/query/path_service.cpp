@@ -178,7 +178,7 @@ RouteResult PathService::answer_impl(const PairQuery& query, bool degraded,
     return result;
   }
   // At m <= 4 the cache decodes the pair's orbit record straight into the
-  // owning paths: no shard index, publication or eviction on this path.
+  // owning paths: the cache's store is not touched on this path.
   result.paths =
       cache_.materialize(query.s, query.t, query.options, &result.cache_hit)
           .paths;

@@ -3,15 +3,16 @@
 // One thread-safe object that every consumer of disjoint-path routing talks
 // to, layered over the existing construction:
 //
-//   * a sharded translation-canonical ContainerCache (per-shard mutexes,
-//     lock-free counters) so concurrent queries scale with shards, not a
-//     global lock. At m <= 4 the cache keeps one container per automorphism
-//     orbit, and answer() decodes the pair's orbit record straight into
-//     owning paths: the answer is the image of the orbit representative's
-//     node_disjoint_paths(net, 0, rep, options), m+1 internally disjoint
-//     paths with the representative's lengths. At m = 5 it is
-//     node_disjoint_paths(net, s, t, options) bit for bit. answer(),
-//     answer_view() and fault-aware container scans agree on every pair;
+//   * a translation-canonical ContainerCache (an insert-only store read
+//     with acquire loads, striped hit/miss counters) so concurrent queries
+//     take no lock on a hit. At m <= 4 the cache keeps one container per
+//     automorphism orbit, and answer() decodes the pair's orbit record
+//     straight into owning paths: the answer is the image of the orbit
+//     representative's node_disjoint_paths(net, 0, rep, options), m+1
+//     internally disjoint paths with the representative's lengths. At
+//     m = 5 it is node_disjoint_paths(net, s, t, options) bit for bit.
+//     answer(), answer_view() and fault-aware container scans agree on
+//     every pair;
 //   * a batch API answer(span<PairQuery>) that fans out over the in-repo
 //     util::ThreadPool with deterministic result ordering: results[i] always
 //     answers queries[i], and the routed paths/levels are identical for any
@@ -22,9 +23,9 @@
 //     through fault::AdaptiveRouter — which shares this service's cache for
 //     its container scans — so one service answers both pristine and
 //     degraded-mode traffic;
-//   * observability: per-shard hit/miss/eviction counters, per-thread
-//     striped query tallies and latency histograms, and a stats() snapshot
-//     renderable as table, CSV, or JSON (query/stats.hpp).
+//   * observability: the cache's hit/miss counters and entry count,
+//     per-thread striped query tallies and latency histograms, and a
+//     stats() snapshot renderable as table, CSV, or JSON (query/stats.hpp).
 //
 // Semantics note: unlike the bare construction (which throws), a service
 // treats s == t as the trivial answer — one zero-length path, kGuaranteed —
@@ -53,10 +54,10 @@ namespace hhc::query {
 
 /// Borrowed answer of the zero-copy pristine fast path (answer_view).
 /// `container` relabels nodes lazily, so a cache hit allocates nothing and
-/// copies no node data. At m <= 4 it borrows the cache's class-tier entry
-/// (or a static self-loop container) and is valid while the PathService
-/// lives; at m = 5, or for a class past the tier's capacity, it shares
-/// ownership of its container and outlives eviction and the service.
+/// copies no node data. It borrows the cache's store entry (or a static
+/// self-loop container) and is valid while the PathService lives; for a
+/// class past the store's capacity it shares ownership of its container
+/// and outlives the service.
 struct RouteView {
   core::ContainerHandle container;
   DegradationLevel level = DegradationLevel::kDisconnected;
@@ -70,9 +71,11 @@ struct RouteView {
 struct PathServiceConfig {
   /// Default construction knobs; PairQuery.options overrides per query.
   core::ConstructionOptions options{};
-  /// Cache sharding / capacity (see core::ContainerCache::Config).
+  /// The cache's capacity factors (core::ContainerCache::Config): with
+  /// max_entries_per_shard > 0 it holds cache_shards x max_entries_per_shard
+  /// classes per option variant; with 0, every class up to 2^16.
   std::size_t cache_shards = 16;
-  std::size_t max_entries_per_shard = 0;  // 0 = unbounded
+  std::size_t max_entries_per_shard = 0;
   /// Workers for the batch API: 0 = hardware concurrency, 1 = run batches
   /// inline on the caller's thread (no pool spawned at all).
   std::size_t threads = 1;
@@ -125,7 +128,7 @@ class PathService {
   [[nodiscard]] ServiceStats stats() const;
 
   /// Zeroes the service-level counters and latency histograms. Cache
-  /// counters/entries are owned by the cache: use cache().clear().
+  /// counters are owned by the cache: use cache().clear().
   void reset_stats() noexcept;
 
   /// Tells the circuit breaker the fault landscape changed (faults added or

@@ -71,7 +71,7 @@ std::string ServiceStats::to_json() const {
 
 void ServiceStats::print(std::ostream& os) const {
   util::Table table{{"queries", "guaranteed", "best-effort", "disconnected",
-                     "shed", "timed out", "hit rate %", "entries", "evictions",
+                     "shed", "timed out", "hit rate %", "entries",
                      "p50 us", "p99 us", "max us"}};
   table.row()
       .add(queries)
@@ -82,12 +82,10 @@ void ServiceStats::print(std::ostream& os) const {
       .add(timed_out)
       .add(100.0 * hit_rate(), 1)
       .add(static_cast<std::uint64_t>(cache.entries))
-      .add(static_cast<std::uint64_t>(cache.evictions))
       .add(pct(latency, 0.50), 1)
       .add(pct(latency, 0.99), 1)
       .add(latency.max_value, 1);
-  table.print(os, "path service: " + std::to_string(cache.shards.size()) +
-                      " cache shards, " + std::to_string(pristine) +
+  table.print(os, "path service: " + std::to_string(pristine) +
                       " pristine + " + std::to_string(fault_aware) +
                       " fault-aware queries");
 }

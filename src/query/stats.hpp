@@ -1,10 +1,10 @@
 // Built-in observability for the path-query engine.
 //
 // ServiceStats is the plain-data snapshot PathService::stats() returns:
-// query/level/outcome totals, the overload tallies, the cache's per-shard
-// counters, and the answer-latency distribution, renderable as an aligned
-// table, CSV, or JSON (via core::io) so service telemetry lands in the same
-// formats as campaign reports. It is the ONE source for these numbers: the
+// query/level/outcome totals, the overload tallies, the cache's counters,
+// and the answer-latency distribution, renderable as an aligned table, CSV,
+// or JSON (via core::io) so service telemetry lands in the same formats as
+// campaign reports. It is the ONE source for these numbers: the
 // registry carries no duplicate of any of them.
 //
 // Where the numbers come from: every caller thread owns one cache-line-
@@ -64,7 +64,7 @@ struct ServiceStats {
   double ewma_latency_us = 0.0;            // the overload detector's view
   std::uint64_t in_flight = 0;             // instantaneous occupancy
 
-  core::CacheStats cache;           // aggregate + per-shard counters
+  core::CacheStats cache;
 
   obs::Histogram::Snapshot latency;            // every admitted answer, µs
   obs::Histogram::Snapshot latency_ok;         // completed answers
@@ -79,7 +79,7 @@ struct ServiceStats {
   /// Everything as unified core::StatRow rows: the query-level counters
   /// (section "service"), the answer-latency distributions (section
   /// "latency": answer_us, answer_ok_us, answer_timed_out_us), the cache
-  /// snapshot (sections "cache"/"cache.shard<i>"),
+  /// snapshot (sections "cache"/"cache.orbit"),
   /// then the registry metrics (sections "counter"/"gauge"/"histogram").
   [[nodiscard]] std::vector<core::StatRow> rows() const;
 

@@ -9,8 +9,8 @@
 //     arena/workspaces/buffers have grown to the working set — including a
 //     construction that fills fan-table entries it has never seen (the
 //     table is sized once per m, on the first construction at that m);
-//   * ContainerCache::lookup on a hit: a borrowed handle from the class
-//     tier at m <= 4, one shared_ptr copy of the shard entry at m = 5;
+//   * ContainerCache::lookup on a hit: a borrowed handle from the store, at
+//     every m;
 //   * ContainerCache::materialize at m <= 4 once the orbit records are
 //     filled (allocates only the returned paths);
 //   * PathService::answer_view on a hit (handle + telemetry only), and
@@ -30,6 +30,9 @@
 //   * re-resolving the router's per-thread fault snapshot (a new model or
 //     a new interval) once it has grown to the largest active set.
 //
+// It also counts frees, to show that a store publication which loses its
+// race frees the loser's entry.
+//
 // The measured regions contain no gtest assertions (the assertion machinery
 // allocates); deltas are captured first and checked after. If one of these
 // tests starts failing, some step of the hot path regressed to heap traffic
@@ -38,6 +41,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <thread>
 #include <tuple>
@@ -58,6 +62,12 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_deallocations{0};
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_deallocations.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -83,14 +93,16 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
 // above allocates with malloc, so malloc and free pair by construction.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 #pragma GCC diagnostic pop
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace hhc::core {
@@ -98,6 +110,10 @@ namespace {
 
 std::size_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::size_t deallocation_count() {
+  return g_deallocations.load(std::memory_order_relaxed);
 }
 
 TEST(AllocationFree, ScratchConstructionSteadyState) {
@@ -234,6 +250,7 @@ TEST(AllocationFree, OrbitMaterializeAllocatesOnlyItsResult) {
 }
 
 TEST(AllocationFree, CacheHitLookup) {
+  // An m = 5 hit borrows the store's entry like any other: no allocation.
   const HhcTopology net{5};
   ContainerCache cache{net};
   const auto pairs = sample_pairs(net, 64, 0xA110F);
@@ -257,50 +274,87 @@ TEST(AllocationFree, CacheHitLookup) {
 }
 
 TEST(AllocationFree, TierHitIsBorrowed) {
-  // At m <= 4 a hit borrows the class tier's entry: no allocation and no
+  // At every m a hit borrows the store's entry: no allocation and no
   // owner, so no refcount either.
-  const HhcTopology net{4};
-  ContainerCache cache{net};
-  const auto pairs = sample_pairs(net, 64, 0xA1150);
-  for (const auto& [s, t] : pairs) (void)cache.lookup(s, t);  // populate
-  (void)cache.lookup(pairs[0].s, pairs[0].t);  // registers the hit cell
+  for (const unsigned m : {4U, 5U}) {
+    const HhcTopology net{m};
+    ContainerCache cache{net};
+    const auto pairs = sample_pairs(net, 64, 0xA1150);
+    for (const auto& [s, t] : pairs) (void)cache.lookup(s, t);  // populate
+    (void)cache.lookup(pairs[0].s, pairs[0].t);  // registers the hit cell
 
-  const std::size_t before = allocation_count();
-  std::size_t borrowed = 0;
-  for (const auto& [s, t] : pairs) {
-    const ContainerHandle handle = cache.lookup(s, t);
-    if (handle.borrowed()) ++borrowed;
+    const std::size_t before = allocation_count();
+    std::size_t borrowed = 0;
+    for (const auto& [s, t] : pairs) {
+      const ContainerHandle handle = cache.lookup(s, t);
+      if (handle.borrowed()) ++borrowed;
+    }
+    const std::size_t delta = allocation_count() - before;
+
+    EXPECT_EQ(delta, 0u) << "m=" << m << ": hits performed " << delta
+                         << " allocations";
+    EXPECT_EQ(borrowed, pairs.size()) << "m=" << m;
   }
-  const std::size_t delta = allocation_count() - before;
-
-  EXPECT_EQ(delta, 0u) << "tier hits performed " << delta << " allocations";
-  EXPECT_EQ(borrowed, pairs.size());
 }
 
 TEST(AllocationFree, TierPastCapacityHandsOutOwningCopies) {
-  // A capped cache's tier holds shards x max_entries_per_shard classes;
-  // later classes get an owning decode that outlives clear() and the
-  // cache itself.
-  const HhcTopology net{3};
-  const auto pairs = sample_pairs(net, 8, 0xA1160);
-  std::vector<ContainerHandle> handles;
-  std::vector<DisjointPathSet> expected;
-  {
-    ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 2}};
-    for (const auto& [s, t] : pairs) handles.push_back(cache.lookup(s, t));
-    EXPECT_EQ(cache.stats().tier_entries, 4u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    cache.clear();
-    for (std::size_t k = 0; k < handles.size(); ++k) {
-      EXPECT_EQ(handles[k].borrowed(), k < 4) << k;
-      expected.push_back(cache.materialize(pairs[k].s, pairs[k].t, {}));
-      EXPECT_EQ(handles[k].materialize().paths, expected[k].paths);
+  // A capped cache's store holds shards x max_entries_per_shard classes;
+  // later classes get an owning copy that outlives clear() and the cache
+  // itself.
+  for (const unsigned m : {3U, 5U}) {
+    const HhcTopology net{m};
+    const auto pairs = sample_pairs(net, 8, 0xA1160);
+    std::vector<ContainerHandle> handles;
+    std::vector<DisjointPathSet> expected;
+    {
+      ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 2}};
+      for (const auto& [s, t] : pairs) handles.push_back(cache.lookup(s, t));
+      EXPECT_EQ(cache.size(), 4u) << "m=" << m;
+      cache.clear();
+      for (std::size_t k = 0; k < handles.size(); ++k) {
+        EXPECT_EQ(handles[k].borrowed(), k < 4) << "m=" << m << " k=" << k;
+        expected.push_back(cache.materialize(pairs[k].s, pairs[k].t, {}));
+        EXPECT_EQ(handles[k].materialize().paths, expected[k].paths);
+      }
+    }
+    for (std::size_t k = 4; k < handles.size(); ++k) {
+      ASSERT_TRUE(handles[k].valid());
+      EXPECT_EQ(handles[k].materialize().paths, expected[k].paths)
+          << "m=" << m << " k=" << k;
     }
   }
-  for (std::size_t k = 4; k < handles.size(); ++k) {
-    ASSERT_TRUE(handles[k].valid());
-    EXPECT_EQ(handles[k].materialize().paths, expected[k].paths);
-  }
+}
+
+TEST(ClassStore, LostPublicationServesTheWinner) {
+  // Two fills of one class, published one after the other, stand for two
+  // threads that both missed: the second publication loses. It must serve
+  // the first entry, free its own copy (the entry and its two vectors),
+  // and return its reservation.
+  const auto entry = [] {
+    auto made = std::make_unique<ClassStore::Entry>();
+    made->key = 42;
+    made->flat.nodes = {1, 2, 3};
+    made->flat.offsets = {0, 3};
+    return made;
+  };
+  ClassStore store{4};
+  ASSERT_TRUE(store.reserve());
+  ASSERT_TRUE(store.reserve());
+  auto first = entry();
+  auto second = entry();
+  const FlatContainer* winner = store.publish(std::move(first));
+
+  const std::size_t frees_before = deallocation_count();
+  const std::size_t allocations_before = allocation_count();
+  const FlatContainer* served = store.publish(std::move(second));
+  const std::size_t freed = deallocation_count() - frees_before;
+  const std::size_t allocated = allocation_count() - allocations_before;
+
+  EXPECT_EQ(served, winner);
+  EXPECT_EQ(store.find(42), winner);
+  EXPECT_EQ(freed, 3u);
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(AllocationFree, AnswerViewOnHit) {

@@ -5,7 +5,6 @@
 #include "core/metrics.hpp"
 #include "core/orbit_table.hpp"
 #include "orbit_reference.hpp"
-#include "util/rng.hpp"
 
 namespace hhc::core {
 namespace {
@@ -43,9 +42,9 @@ TEST(ContainerCache, MatchesTheOrbitImageExactly) {
   }
 }
 
-// The shard indexes (size(), index probes, clear(), eviction, publication)
-// serve m = 5 only, so the tests of them run there; at m <= 4 lookup()
-// reads the class tier (TierServesEveryClass below).
+// The store behaves alike at every m; the tests below run at m = 5, where
+// a miss is a construction and entries equal it bit for bit, and
+// TierServesEveryClass covers m = 3.
 TEST(ContainerCache, TranslatedPairsHitTheCache) {
   const HhcTopology net{5};
   ContainerCache cache{net};
@@ -89,8 +88,9 @@ TEST(ContainerCache, SameClusterPairsWork) {
 }
 
 TEST(ContainerCache, ClearResetsStorageAndCounters) {
-  // clear() means "as good as freshly constructed": entries AND counters go,
-  // so post-clear hit rates are meaningful (the documented choice).
+  // clear() resets the counters, so post-clear hit rates are meaningful.
+  // Storage stays: entries may be lent out, so the next lookup of a stored
+  // class hits and borrows the same entry.
   const HhcTopology net{5};
   ContainerCache cache{net};
   (void)cache.lookup(0, 63);
@@ -98,10 +98,15 @@ TEST(ContainerCache, ClearResetsStorageAndCounters) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
+  bool hit = false;
+  const ContainerHandle again = cache.lookup(0, 63, {}, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(again.borrowed());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(again.materialize().paths, node_disjoint_paths(net, 0, 63).paths);
 }
 
 TEST(ContainerCache, TopologyHeldByReference) {
@@ -140,93 +145,79 @@ TEST(ContainerCache, ReportsPerCallHitState) {
 }
 
 TEST(ContainerCache, EvictionKeepsShardsBounded) {
+  // A capped store holds shards x max_entries_per_shard classes and evicts
+  // nothing: later classes are served as owning copies, still correct.
   const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 4}};
+  std::size_t owning = 0;
   for (const auto& [s, t] : sample_pairs(net, 400, 11)) {
-    const auto set = cache.lookup(s, t).materialize();
+    const ContainerHandle handle = cache.lookup(s, t);
+    if (!handle.borrowed()) ++owning;
+    const auto set = handle.materialize();
     std::string why;
     ASSERT_TRUE(verify_disjoint_path_set(net, set, s, t, &why)) << why;
+    ASSERT_EQ(set.paths, node_disjoint_paths(net, s, t).paths);
   }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_GT(owning, 0u);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, cache.size());
-  for (const auto& shard : stats.shards) EXPECT_LE(shard.entries, 4u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(ContainerCache, EvictionCountsAreExact) {
-  // Every miss inserts exactly one entry and, once a shard is full,
-  // displaces exactly one resident — so the counters reconcile exactly:
-  // misses = live entries + evictions.
+  // Single-threaded, every miss either publishes one entry (and borrows
+  // it) or, once the store is full, hands out one owning copy; every hit
+  // borrows. So the counters reconcile exactly.
   const HhcTopology net{5};
   ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 4}};
+  std::size_t published = 0;
+  std::size_t owning = 0;
+  std::size_t borrowed_hits = 0;
   for (const auto& [s, t] : sample_pairs(net, 300, 17)) {
-    (void)cache.lookup(s, t);
+    bool hit = false;
+    const ContainerHandle handle = cache.lookup(s, t, {}, &hit);
+    if (!handle.borrowed()) {
+      ASSERT_FALSE(hit);
+      ++owning;
+    } else if (hit) {
+      ++borrowed_hits;
+    } else {
+      ++published;
+    }
   }
-  EXPECT_EQ(cache.misses(), cache.size() + cache.evictions());
-  const auto stats = cache.stats();
-  std::size_t per_shard = 0;
-  for (const auto& shard : stats.shards) per_shard += shard.evictions;
-  EXPECT_EQ(per_shard, cache.evictions());
-}
-
-// Hit/miss fingerprint of a fixed re-referencing workload under eviction
-// pressure: which queries hit depends only on which victims were evicted.
-std::uint64_t eviction_fingerprint(std::uint64_t eviction_seed) {
-  const HhcTopology net{5};
-  ContainerCache cache{net,
-                       {.shards = 1,
-                        .max_entries_per_shard = 8,
-                        .eviction_seed = eviction_seed}};
-  const auto pairs = sample_pairs(net, 64, 5);
-  util::Xoshiro256 rng{99};
-  std::uint64_t fingerprint = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const auto& [s, t] = pairs[rng.below(pairs.size())];
-    // The index hit, not the per-call flag: once the orbit records are
-    // filled every call is served without the construction.
-    const std::size_t hits_before = cache.hits();
-    (void)cache.lookup(s, t);
-    const bool hit = cache.hits() > hits_before;
-    fingerprint = fingerprint * 1099511628211ULL + (hit ? 1 : 0);
-  }
-  return fingerprint;
-}
-
-TEST(ContainerCache, EvictionIsSeededAndReproducible) {
-  // Same eviction seed -> bit-identical victim choices; a different seed
-  // must pick different victims somewhere in 2000 pressured lookups. The
-  // pre-fix implementation always erased map.begin() — "random" in name
-  // only — which made both fingerprints identical for ANY pair of seeds.
-  EXPECT_EQ(eviction_fingerprint(1), eviction_fingerprint(1));
-  EXPECT_NE(eviction_fingerprint(1), eviction_fingerprint(2));
+  EXPECT_EQ(published, cache.size());
+  EXPECT_EQ(cache.misses(), cache.size() + owning);
+  EXPECT_EQ(cache.hits(), borrowed_hits);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(ContainerCache, StatsSnapshotAddsUp) {
   const HhcTopology net{2};
-  ContainerCache cache{net, {.shards = 5}};  // rounds up to 8
-  EXPECT_EQ(cache.shard_count(), 8u);
+  ContainerCache cache{net, {.shards = 5}};
   for (const auto& [s, t] : sample_pairs(net, 60, 13)) (void)cache.lookup(s, t);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, 60u);
   EXPECT_EQ(stats.hits, cache.hits());
   EXPECT_EQ(stats.misses, cache.misses());
-  std::size_t entries = 0;
-  for (const auto& shard : stats.shards) entries += shard.entries;
-  EXPECT_EQ(entries, stats.entries);
+  EXPECT_EQ(stats.entries, cache.size());
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_LE(stats.entries, 60u);
   EXPECT_GT(stats.hit_rate(), 0.0);
 
   // The unified rows render carries the same numbers (aggregate section
-  // first, then one section per shard, then the orbit tables).
+  // first, then the orbit tables).
   const auto rows = stats.rows();
-  ASSERT_EQ(rows.size(), 5 + 2 * stats.shards.size() + 4);
+  ASSERT_EQ(rows.size(), 7u);
   EXPECT_EQ(rows[0].section, "cache");
   EXPECT_EQ(rows[0].name, "entries");
   EXPECT_EQ(static_cast<std::size_t>(rows[0].value), stats.entries);
   EXPECT_EQ(rows[1].name, "hits");
   EXPECT_EQ(static_cast<std::size_t>(rows[1].value), stats.hits);
-  EXPECT_EQ(rows[5].section, "cache.shard0");
-  const std::size_t orbit = 5 + 2 * stats.shards.size();
+  EXPECT_EQ(rows[2].name, "misses");
+  EXPECT_EQ(static_cast<std::size_t>(rows[2].value), stats.misses);
+  EXPECT_EQ(rows[3].name, "hit_rate");
+  constexpr std::size_t orbit = 4;
   EXPECT_EQ(rows[orbit].section, "cache.orbit");
   EXPECT_EQ(rows[orbit].name, "variants");
   EXPECT_EQ(static_cast<std::size_t>(rows[orbit].value), 1u);
@@ -237,10 +228,6 @@ TEST(ContainerCache, StatsSnapshotAddsUp) {
   EXPECT_LE(stats.orbit_entries, stats.misses);
   EXPECT_EQ(rows[orbit + 2].name, "bytes");
   EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 2].value), stats.orbit_bytes);
-  EXPECT_EQ(rows[orbit + 3].name, "tier_entries");
-  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 3].value),
-            stats.tier_entries);
-  EXPECT_GT(stats.tier_entries, 0u);
 }
 
 TEST(ContainerCache, RejectsBadInput) {
@@ -252,9 +239,9 @@ TEST(ContainerCache, RejectsBadInput) {
 
 TEST(ContainerCache, TierServesEveryClass) {
   // Every translation class at m = 3, each from a different source
-  // cluster: lookup() borrows the class tier's entry, which equals
-  // materialize() and the orbit-image oracle bit for bit. The shard
-  // indexes stay empty, and clear() keeps the tier.
+  // cluster: lookup() borrows the store's entry, which equals
+  // materialize() and the orbit-image oracle bit for bit. clear() keeps
+  // the entries.
   const HhcTopology net{3};
   ContainerCache cache{net};
   std::size_t classes = 0;
@@ -276,16 +263,14 @@ TEST(ContainerCache, TierServesEveryClass) {
   }
   EXPECT_EQ(classes, 16376u);
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.tier_entries, classes);
+  EXPECT_EQ(stats.entries, classes);
   EXPECT_EQ(stats.orbit_entries, OrbitTable::kOrbitCounts[3]);
 
   cache.clear();
   bool hit = false;
   EXPECT_TRUE(cache.lookup(1, 2000, {}, &hit).borrowed());
   EXPECT_TRUE(hit);
-  EXPECT_EQ(cache.stats().tier_entries, classes);
+  EXPECT_EQ(cache.size(), classes);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -308,25 +293,30 @@ TEST(ContainerCache, LookupMaterializesToPathsResult) {
 }
 
 TEST(ContainerCache, HandleSurvivesEviction) {
-  // A handle shares ownership of its flat container: evicting (or clearing)
-  // the cache entry must not invalidate outstanding views.
+  // Nothing is evicted: a borrowed handle keeps its bits across clear()
+  // and any later traffic while the cache lives, and an owning handle (a
+  // class past the 2-entry capacity) outlives the cache itself.
   const HhcTopology net{5};
-  ContainerCache cache{net, {.shards = 1, .max_entries_per_shard = 2}};
   const auto pairs = sample_pairs(net, 60, 23);
   const auto [s, t] = pairs[0];
-  const ContainerHandle handle = cache.lookup(s, t);
-  const auto before = handle.materialize();
+  const auto [u, v] = pairs.back();
+  ContainerHandle owning;
+  {
+    ContainerCache cache{net, {.shards = 1, .max_entries_per_shard = 2}};
+    const ContainerHandle borrowed = cache.lookup(s, t);
+    ASSERT_TRUE(borrowed.borrowed());
+    const auto before = borrowed.materialize();
 
-  // Thrash the 2-entry shard until the original entry is long gone, then
-  // drop everything for good measure.
-  for (const auto& [a, b] : pairs) (void)cache.lookup(a, b);
-  EXPECT_GT(cache.evictions(), 0u);
-  cache.clear();
-
-  ASSERT_TRUE(handle.valid());
-  EXPECT_EQ(handle.materialize().paths, before.paths);
-  // A fresh lookup after eviction reconstructs the identical container.
-  EXPECT_EQ(cache.lookup(s, t).materialize().paths, before.paths);
+    for (const auto& [a, b] : pairs) (void)cache.lookup(a, b);
+    cache.clear();
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(borrowed.materialize().paths, before.paths);
+    EXPECT_EQ(cache.lookup(s, t).materialize().paths, before.paths);
+    owning = cache.lookup(u, v);
+    ASSERT_FALSE(owning.borrowed());
+  }
+  ASSERT_TRUE(owning.valid());
+  EXPECT_EQ(owning.materialize().paths, node_disjoint_paths(net, u, v).paths);
 }
 
 TEST(ContainerCache, TranslatedPairsShareOneFlatContainer) {
@@ -346,33 +336,6 @@ TEST(ContainerCache, TranslatedPairsShareOneFlatContainer) {
   EXPECT_EQ(other.target(), t2);
   EXPECT_EQ(other.materialize().paths,
             orbit_reference::expected_answer(net, s2, t2).paths);
-}
-
-TEST(ContainerCache, PublicationKnobsClampAndStayCorrect) {
-  // The publication knobs shape index growth, never results: a pre-sized
-  // index (initial_index_capacity) and out-of-range load ceilings (clamped
-  // into (10, 90]) must serve the same answers and the same entry counts
-  // as the defaults across repeated grow-republish cycles.
-  const HhcTopology net{5};
-  const auto pairs = sample_pairs(net, 48, 0xC0FFEE);
-
-  ContainerCache::Config configs[] = {
-      {.shards = 1, .initial_index_capacity = 1024},  // no early grows
-      {.shards = 1, .initial_index_capacity = 1, .max_load_percent = 200},
-      {.shards = 1, .max_load_percent = 1},  // clamps to 10: grow-heavy
-  };
-  ContainerCache reference{net};
-  for (auto& config : configs) {
-    ContainerCache cache{net, config};
-    for (const auto& [s, t] : pairs) {
-      EXPECT_EQ(cache.lookup(s, t).materialize().paths,
-                reference.lookup(s, t).materialize().paths);
-    }
-    EXPECT_EQ(cache.size(), reference.size());
-    bool hit = false;
-    (void)cache.lookup(pairs[0].s, pairs[0].t, cache.options(), &hit);
-    EXPECT_TRUE(hit);
-  }
 }
 
 }  // namespace

@@ -340,8 +340,9 @@ TEST(PathService, EmitsWellFormedCsvAndJson) {
             std::string::npos);
   EXPECT_NE(csv.find("service,queries,25"), std::string::npos);
   EXPECT_NE(csv.find("cache,hits,"), std::string::npos);
-  EXPECT_NE(csv.find("cache.shard0,entries,"), std::string::npos);
-  EXPECT_NE(csv.find("cache.shard3,evictions,"), std::string::npos);
+  EXPECT_NE(csv.find("cache,entries,"), std::string::npos);
+  EXPECT_NE(csv.find("cache.orbit,entries,"), std::string::npos);
+  EXPECT_NE(csv.find("cache.orbit,bytes,"), std::string::npos);
   EXPECT_NE(csv.find("latency,answer_us,"), std::string::npos);
   // The per-outcome latency rows: every answer here completed, so the
   // ok row carries all 25 samples and the timed-out row none.
@@ -355,7 +356,7 @@ TEST(PathService, EmitsWellFormedCsvAndJson) {
   const auto json = stats.to_json();  // JsonWriter throws on malformed output
   EXPECT_NE(json.find("\"name\":\"queries\",\"value\":25"), std::string::npos);
   EXPECT_NE(json.find("\"section\":\"latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"section\":\"cache.shard0\""), std::string::npos);
+  EXPECT_NE(json.find("\"section\":\"cache.orbit\""), std::string::npos);
 }
 
 TEST(PathService, FaultAwareQueriesShareThePristineCache) {

@@ -29,12 +29,10 @@ constexpr std::size_t kThreads = 8;
 
 TEST(QueryStress, ConcurrentPristineAnswersMatchSerial) {
   const HhcTopology net{3};
-  // Few shards on purpose: more threads per shard, more lock contention,
-  // better race coverage.
   PathService service{net, {.cache_shards = 4}};
 
   // Zipf-skewed pair workload: heavy repetition of hot pairs maximizes
-  // concurrent hits on the same shard entries.
+  // concurrent hits on the same store entries.
   const auto pairs = core::sample_pairs(net, 64, 2024);
   std::vector<core::DisjointPathSet> expected;
   expected.reserve(pairs.size());
@@ -250,8 +248,8 @@ TEST(QueryStress, ConcurrentRoutesAcrossFaultEpochsMatchSerial) {
 }
 
 TEST(QueryStress, ConcurrentCacheWithEvictionStaysCorrect) {
-  // Tiny capacity forces constant eviction -> constant re-construction and
-  // entry churn under every shard lock, the worst case for the relabel path.
+  // Tiny capacity: most lookups miss the 8-entry store and decode an owning
+  // copy while other threads read the borrowed entries.
   const HhcTopology net{3};
   core::ContainerCache cache{net, {.shards = 2, .max_entries_per_shard = 4}};
   const auto pairs = core::sample_pairs(net, 48, 99);
