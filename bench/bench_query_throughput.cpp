@@ -5,16 +5,16 @@
 // worker threads hammering it doubles. The translation-canonical cache is
 // the point: the hot head of the distribution collapses onto a few
 // translation classes, so concurrent readers should scale with threads.
-// At m = 4 the service's 16 x 64 cache serves answer_view from its orbit
-// table's class tier, which keeps the first 1,024 classes it sees and
+// At m = 4 the service's 16 x 64 cache serves answer_view from
+// ContainerCache's store, which keeps the first 1,024 classes it sees and
 // never evicts; any other class is decoded from its orbit record into an
 // owning handle. The acceptance target is >= 4x aggregate queries/s at 8
 // threads over 1 on the hot (skew 0.99) workload — measurable only on a
 // machine with >= 8 cores.
 //
 // The workers drive answer_view(), the zero-copy pristine fast path: a
-// tier hit hands back a borrowed ContainerHandle (a pointer into the tier:
-// no refcount, no node copying, no allocation), which is what a routing
+// store hit hands back a borrowed ContainerHandle (a pointer into the
+// store: no refcount, no node copying, no allocation), which is what a routing
 // data plane would consume. materialize() on the view reproduces answer()'s
 // paths bit for bit, so the throughput here is the handle path, not a
 // different answer.
@@ -54,6 +54,7 @@ std::size_t g_queries_total = 160000;
 struct RunResult {
   double seconds = 0.0;
   query::ServiceStats stats;
+  std::uint64_t borrowed = 0;  // answers served as a borrowed handle
 };
 
 struct SweepRow {
@@ -62,6 +63,7 @@ struct SweepRow {
   double seconds = 0.0;
   double qps = 0.0;
   double hit_rate = 0.0;
+  double borrowed_rate = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
 };
@@ -76,11 +78,13 @@ RunResult hammer(query::PathService& service,
   const util::ZipfianSampler zipf{pairs.size(), skew};
   const std::size_t per_thread = g_queries_total / threads;
   std::atomic<bool> go{false};
+  std::atomic<std::uint64_t> borrowed{0};
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::size_t id = 0; id < threads; ++id) {
     workers.emplace_back([&, id] {
       util::Xoshiro256 rng{0xF11 + id};
+      std::uint64_t own_borrowed = 0;
       while (!go.load(std::memory_order_acquire)) {}
       for (std::size_t i = 0; i < per_thread; ++i) {
         const std::size_t k = zipf(rng);
@@ -89,7 +93,9 @@ RunResult hammer(query::PathService& service,
         // Touch the handle so the relabeling XOR isn't optimized away.
         volatile core::Node sink = view.container.source();
         (void)sink;
+        if (view.container.borrowed()) ++own_borrowed;
       }
+      borrowed.fetch_add(own_borrowed, std::memory_order_relaxed);
     });
   }
   util::Stopwatch sw;
@@ -98,6 +104,7 @@ RunResult hammer(query::PathService& service,
   RunResult result;
   result.seconds = sw.seconds();
   result.stats = service.stats();
+  result.borrowed = borrowed.load(std::memory_order_relaxed);
   return result;
 }
 
@@ -106,16 +113,16 @@ void sweep(const core::HhcTopology& net,
            const char* label, std::size_t max_threads,
            std::vector<SweepRow>& rows) {
   // Capacity (16 shards x 64 = 1024 classes) is deliberately smaller than
-  // the 4096-pair pool: the tier fills with the classes the warm-up sees
+  // the 4096-pair pool: the store fills with the classes the warm-up sees
   // first, which the Zipf head dominates, while most uniform draws fall
   // past it and pay an owning decode.
   query::PathService service{net,
                              {.cache_shards = 16, .max_entries_per_shard = 64}};
-  // Discarded warm-up: fills the orbit records and the class tier, which
+  // Discarded warm-up: fills the orbit records and the store, which
   // clear() keeps, so every measured row starts from the same state.
   (void)hammer(service, pairs, skew, 1);
   util::Table table{{"threads", "seconds", "queries/s", "speedup", "hit %",
-                     "p50 us", "p99 us"}};
+                     "borrowed %", "p50 us", "p99 us"}};
   double base_qps = 0.0;
   for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
     const auto run = hammer(service, pairs, skew, threads);
@@ -126,6 +133,8 @@ void sweep(const core::HhcTopology& net,
                        .seconds = run.seconds,
                        .qps = qps,
                        .hit_rate = run.stats.hit_rate(),
+                       .borrowed_rate = static_cast<double>(run.borrowed) /
+                                        static_cast<double>(run.stats.queries),
                        .p50_us = run.stats.latency.percentile(0.50),
                        .p99_us = run.stats.latency.percentile(0.99)};
     rows.push_back(row);
@@ -135,6 +144,7 @@ void sweep(const core::HhcTopology& net,
         .add(row.qps, 0)
         .add(row.qps / base_qps, 2)
         .add(100.0 * row.hit_rate, 1)
+        .add(100.0 * row.borrowed_rate, 1)
         .add(row.p50_us, 1)
         .add(row.p99_us, 1);
   }
@@ -236,6 +246,7 @@ void emit_json(const std::vector<SweepRow>& rows,
         .key("seconds").value(row.seconds)
         .key("queries_per_s").value(row.qps)
         .key("hit_rate").value(row.hit_rate)
+        .key("borrowed_rate").value(row.borrowed_rate)
         .key("p50_us").value(row.p50_us)
         .key("p99_us").value(row.p99_us)
         .end_object();
@@ -294,12 +305,14 @@ int main(int argc, char** argv) {
   stage_breakdown(net, pairs, smoke, stages, tracing);
 
   std::cout
-      << "Expected shape: the Zipf head sits in the 1024-class tier, so the\n"
-         "hot workload borrows its containers and runs at about twice the\n"
-         "throughput of the uniform one, most of whose classes fall past\n"
-         "the tier and pay an owning decode of their orbit record. hit %\n"
-         "counts answers whose orbit record was already filled, so after\n"
-         "the warm-up both workloads read near 100%.\n"
+      << "Expected shape: the Zipf head sits in the cache's 1024-class\n"
+         "store, so the hot workload borrows its containers and runs at\n"
+         "about twice the throughput of the uniform one, most of whose\n"
+         "classes fall past the store and pay an owning decode of their\n"
+         "orbit record. borrowed % is the share of answers the store\n"
+         "served as a borrowed handle. hit % counts answers whose orbit\n"
+         "record was already filled, so after the warm-up both workloads\n"
+         "read near 100%.\n"
          "Aggregate queries/s scales with threads (target: >= 4x at 8\n"
          "threads on an >= 8-core machine; a single-core box reports\n"
          "speedup ~1x by construction). Handle answers materialize to the\n"

@@ -4,20 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <functional>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace hhc::core {
-
-namespace {
-
-// SplitMix64-style finalizer: good avalanche for hash mixing.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 void ActiveFaults::index() {
   const std::size_t n = facts_.size();
@@ -54,17 +45,11 @@ std::uint64_t FaultModel::Stamp::next() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::size_t FaultModel::LinkKeyHash::operator()(
-    const LinkKey& k) const noexcept {
-  return static_cast<std::size_t>(mix64(k.a * 0x9e3779b97f4a7c15ULL ^ k.b));
-}
-
 void FaultModel::fail_node(Node v, std::uint64_t fail_time,
                            std::uint64_t repair_time) {
   if (fail_time >= repair_time) {
     throw std::invalid_argument("FaultModel::fail_node: empty fault window");
   }
-  node_faults_[v].push_back({fail_time, repair_time});
   record(v, v, fail_time, repair_time);
 }
 
@@ -76,9 +61,7 @@ void FaultModel::fail_link(Node u, Node v, std::uint64_t fail_time,
   if (fail_time >= repair_time) {
     throw std::invalid_argument("FaultModel::fail_link: empty fault window");
   }
-  const LinkKey key = normalize(u, v);
-  link_faults_[key].push_back({fail_time, repair_time});
-  record(key.a, key.b, fail_time, repair_time);
+  record(std::min(u, v), std::max(u, v), fail_time, repair_time);
 }
 
 void FaultModel::record(Node a, Node b, std::uint64_t fail_time,
@@ -102,38 +85,10 @@ void FaultModel::record(Node a, Node b, std::uint64_t fail_time,
   version_.renew();
 }
 
-bool FaultModel::any_active(const std::vector<FaultWindow>& windows,
-                            std::uint64_t time) {
-  for (const FaultWindow& w : windows) {
-    if (w.active_at(time)) return true;
-  }
-  return false;
-}
-
-bool FaultModel::node_faulty_at(Node v, std::uint64_t time) const {
-  const auto it = node_faults_.find(v);
-  return it != node_faults_.end() && any_active(it->second, time);
-}
-
-bool FaultModel::link_faulty_at(Node u, Node v, std::uint64_t time) const {
-  const auto it = link_faults_.find(normalize(u, v));
-  return it != link_faults_.end() && any_active(it->second, time);
-}
-
-std::size_t FaultModel::node_fault_count(std::uint64_t time) const {
-  std::size_t n = 0;
-  for (const auto& [v, windows] : node_faults_) {
-    if (any_active(windows, time)) ++n;
-  }
-  return n;
-}
-
-std::size_t FaultModel::link_fault_count(std::uint64_t time) const {
-  std::size_t n = 0;
-  for (const auto& [key, windows] : link_faults_) {
-    if (any_active(windows, time)) ++n;
-  }
-  return n;
+const ActiveFaults& FaultModel::snapshot(std::uint64_t time) const {
+  thread_local ActiveFaults active;
+  if (!active.covers(version(), time)) resolve(time, active);
+  return active;
 }
 
 void FaultModel::resolve(std::uint64_t time, ActiveFaults& out) const {
@@ -202,10 +157,16 @@ FaultModel FaultModel::random(const HhcTopology& net, const RandomSpec& spec,
   }
 
   FaultModel model;
+  // The facts drawn so far, a node v as (v, v) and a link by its normalized
+  // pair: a repeat draw is rejected and drawn again.
+  std::set<std::pair<Node, Node>> drawn;
+  const auto fresh = [&drawn](Node u, Node v) {
+    return drawn.emplace(std::min(u, v), std::max(u, v)).second;
+  };
   std::size_t placed = 0;
   while (placed < spec.node_faults) {
     const Node v = rng.below(nodes);
-    if (v == s || v == t || model.node_faulty_at(v, spec.fail_time)) continue;
+    if (v == s || v == t || !fresh(v, v)) continue;
     model.fail_node(v, spec.fail_time, spec.repair_time);
     ++placed;
   }
@@ -214,7 +175,7 @@ FaultModel FaultModel::random(const HhcTopology& net, const RandomSpec& spec,
     const Node u = rng.below(nodes);
     const Node v = net.internal_neighbor(
         u, static_cast<unsigned>(rng.below(net.m())));
-    if (model.link_faulty_at(u, v, spec.fail_time)) continue;
+    if (!fresh(u, v)) continue;
     model.fail_link(u, v, spec.fail_time, spec.repair_time);
     ++placed;
   }
@@ -222,7 +183,7 @@ FaultModel FaultModel::random(const HhcTopology& net, const RandomSpec& spec,
   while (placed < spec.external_link_faults) {
     const Node u = rng.below(nodes);
     const Node v = net.external_neighbor(u);
-    if (model.link_faulty_at(u, v, spec.fail_time)) continue;
+    if (!fresh(u, v)) continue;
     model.fail_link(u, v, spec.fail_time, spec.repair_time);
     ++placed;
   }

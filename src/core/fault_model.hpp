@@ -12,16 +12,17 @@
 // default to time 0; callers without a clock of their own read the model
 // there, where every permanent fault is already active.
 //
-// A caller that checks many facts at one instant (the adaptive router's
-// container scan and survivor search) resolves the model once into an
-// `ActiveFaults` snapshot instead of probing it fact by fact; see below.
+// The model keeps its windows in time order and nothing else. Every read
+// goes through an `ActiveFaults` snapshot of the facts active at one
+// instant (see below): the point queries and the adaptive router read the
+// calling thread's snapshot through FaultModel::snapshot, which re-resolves
+// only when the model or the time leaves what the snapshot covers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/topology.hpp"
@@ -147,33 +148,35 @@ class FaultModel {
   void fail_link(Node u, Node v, std::uint64_t fail_time = 0,
                  std::uint64_t repair_time = kNeverRepaired);
 
-  [[nodiscard]] bool node_faulty_at(Node v, std::uint64_t time = 0) const;
+  /// The calling thread's snapshot of this model at `time`, re-resolved
+  /// only when it does not cover (version(), time). A thread has one
+  /// snapshot for every model it reads: the reference stays valid until
+  /// this thread's next snapshot read on any model, the point queries below
+  /// included.
+  [[nodiscard]] const ActiveFaults& snapshot(std::uint64_t time = 0) const;
+
+  // The point queries, each one snapshot read.
+  [[nodiscard]] bool node_faulty_at(Node v, std::uint64_t time = 0) const {
+    return snapshot(time).node_faulty(v);
+  }
   [[nodiscard]] bool link_faulty_at(Node u, Node v,
-                                    std::uint64_t time = 0) const;
+                                    std::uint64_t time = 0) const {
+    // The snapshot keys a node v as the pair (v, v): no link.
+    return u != v && snapshot(time).link_faulty(u, v);
+  }
 
   /// Edge {u, v} traversable at `time`: both endpoints healthy and the link
   /// itself healthy. Does not check that the edge exists in any topology.
   [[nodiscard]] bool edge_usable_at(Node u, Node v,
                                     std::uint64_t time = 0) const {
-    return !node_faulty_at(u, time) && !node_faulty_at(v, time) &&
-           !link_faulty_at(u, v, time);
+    const ActiveFaults& active = snapshot(time);
+    return !active.node_faulty(u) && !active.node_faulty(v) &&
+           !active.link_faulty(u, v);
   }
 
-  /// Number of distinct nodes / links with an active fault at `time`.
-  [[nodiscard]] std::size_t node_fault_count(std::uint64_t time = 0) const;
-  [[nodiscard]] std::size_t link_fault_count(std::uint64_t time = 0) const;
+  /// Number of distinct nodes plus links with an active fault at `time`.
   [[nodiscard]] std::size_t fault_count(std::uint64_t time = 0) const {
-    return node_fault_count(time) + link_fault_count(time);
-  }
-
-  /// True when no fault was ever registered.
-  [[nodiscard]] bool empty() const noexcept {
-    return node_faults_.empty() && link_faults_.empty();
-  }
-
-  /// True when some registered fault has a finite repair time.
-  [[nodiscard]] bool has_transient() const noexcept {
-    return !transient_.empty();
+    return snapshot(time).size();
   }
 
   /// A stamp unique in the process to this model's current contents.
@@ -215,22 +218,6 @@ class FaultModel {
                            Node s, Node t, util::Xoshiro256& rng);
 
  private:
-  struct LinkKey {
-    Node a = 0;  // min endpoint
-    Node b = 0;  // max endpoint
-    bool operator==(const LinkKey&) const = default;
-  };
-  struct LinkKeyHash {
-    std::size_t operator()(const LinkKey& k) const noexcept;
-  };
-
-  static LinkKey normalize(Node u, Node v) {
-    return u < v ? LinkKey{u, v} : LinkKey{v, u};
-  }
-
-  static bool any_active(const std::vector<FaultWindow>& windows,
-                         std::uint64_t time);
-
   // One registered window and its fact, as resolve() reads it: a node v as
   // (v, v), a link by its normalized pair.
   struct TimedFact {
@@ -240,8 +227,7 @@ class FaultModel {
     Node b = 0;
   };
 
-  // Files a window the caller has put in the per-key maps in resolve()'s
-  // time order too, and re-stamps the model.
+  // Files a window in time order and re-stamps the model.
   void record(Node a, Node b, std::uint64_t fail_time,
               std::uint64_t repair_time);
 
@@ -269,14 +255,9 @@ class FaultModel {
     std::uint64_t value_;
   };
 
-  // Per key, for the point queries (node_faulty_at, link_faulty_at and the
-  // counts).
-  std::unordered_map<Node, std::vector<FaultWindow>> node_faults_;
-  std::unordered_map<LinkKey, std::vector<FaultWindow>, LinkKeyHash>
-      link_faults_;
-  // In time order, for resolve(); the mutators keep them sorted, so an
-  // in-order registration is an append. Equal fail times keep registration
-  // order.
+  // The model's only index, in time order. The mutators keep it sorted, so
+  // an in-order registration is an append; equal fail times keep
+  // registration order.
   std::vector<TimedFact> permanent_;        // by fail time
   std::vector<TimedFact> transient_;        // by fail time
   std::vector<std::uint64_t> repair_times_;  // transient_'s, ascending

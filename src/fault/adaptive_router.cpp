@@ -204,12 +204,8 @@ struct SearchScratch {
 
 // Everything a route keeps per thread, reused across calls.
 struct RouterScratch {
-  // The faults a query reads. Re-resolved only when the query's model or
-  // time falls outside what it covers, so a run of queries against one
-  // model inside one fault interval resolves once.
-  ActiveFaults active;
-  // The snapshot's usable-edge bytes, projected on the first scan or
-  // search that reads them after a re-resolve.
+  // The usable-edge bytes of the thread's fault snapshot, projected on the
+  // first scan or search that reads them after a re-resolve.
   UsableEdges usable;
   // The container scanned at m = 5 or without a cache, as FlatContainer.
   std::vector<Node> nodes;
@@ -415,10 +411,8 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   const Node t = query.t;
 
   RouterScratch& scratch = tls_router_scratch();
-  ActiveFaults& active = scratch.active;
-  if (!active.covers(faults.version(), query.time)) {
-    faults.resolve(query.time, active);
-  }
+  // Read to the end of the route: nothing below reads another snapshot.
+  const ActiveFaults& active = faults.snapshot(query.time);
 
   query::RouteResult result;
   if (active.node_faulty(s) || active.node_faulty(t)) {

@@ -29,14 +29,16 @@
 // reaching s, the answer is kDisconnected. An isolated t therefore costs
 // one expansion, not a sweep of s's component.
 //
-// No stage probes the FaultModel itself. route() reads one per-thread
-// core::ActiveFaults snapshot of the facts active at query.time (an exact
-// open-addressing set behind a one-bit-per-bucket filter), re-resolved only
-// when the query's (model version, time) leaves the interval between fault
-// window boundaries it was resolved in, at O(log windows + active facts):
-// once per thread per epoch for a caller routing against one model, on
-// every call for one building a fresh model per route. The hashed set
-// serves the endpoint checks and the scans at m = 5 and without a cache.
+// route() reads the faults once, through FaultModel::snapshot: the
+// thread's core::ActiveFaults snapshot of the facts active at query.time
+// (an exact open-addressing set behind a one-bit-per-bucket filter), the
+// same one the model's point queries read. It is re-resolved only when the
+// query's (model version, time) leaves the interval between fault window
+// boundaries it was resolved in, at O(log windows + active facts): once per
+// thread per epoch for a caller routing against one model, on every call
+// for one building a fresh model per route, or alternating two models on
+// one thread. The hashed set serves the endpoint checks and the scans at
+// m = 5 and without a cache.
 //
 // At m <= 4 the scan and the search read one projection of the snapshot:
 // one byte per node, bit d set when the dimension-d edge (d = m the

@@ -1,16 +1,19 @@
 // core::ActiveFaults against the FaultModel it is resolved from.
 //
-// A snapshot must answer exactly what the model's own probes answer at the
-// resolve time, for every node and every link, and keep answering it over
-// the whole interval it claims to cover, and no longer. Its version rules
-// must make a stale snapshot impossible to serve: copies share a stamp,
-// every mutation and every move re-stamps, and a model built where another
-// one lived gets a stamp of its own.
+// A snapshot, and the model's point queries that read one, must answer
+// exactly what a brute-force pass over the registered windows answers at
+// the resolve time, for every node and every link, and keep answering it
+// over the whole interval it claims to cover, and no longer. The pass reads
+// the test's own list of the windows it registered, never the model. The
+// version rules must make a stale snapshot impossible to serve: copies
+// share a stamp, every mutation and every move re-stamps, and a model built
+// where another one lived gets a stamp of its own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,12 +26,67 @@ namespace {
 
 constexpr std::uint64_t kEpochs = 8;
 
+// One registered window: a node as (a, a), a link by its normalized pair.
+struct Window {
+  Node a;
+  Node b;
+  std::uint64_t fail;
+  std::uint64_t repair;
+};
+
+// A model and the test's own list of the windows registered on it.
+struct Schedule {
+  FaultModel model;
+  std::vector<Window> windows;
+
+  void fail_node(Node v, std::uint64_t fail = 0,
+                 std::uint64_t repair = kNeverRepaired) {
+    model.fail_node(v, fail, repair);
+    windows.push_back({v, v, fail, repair});
+  }
+  void fail_link(Node u, Node v, std::uint64_t fail = 0,
+                 std::uint64_t repair = kNeverRepaired) {
+    model.fail_link(u, v, fail, repair);
+    windows.push_back({std::min(u, v), std::max(u, v), fail, repair});
+  }
+};
+
+// What a pass over every window says at one time: the facts some window
+// holds active, each once, and the window boundaries around the time.
+struct Expected {
+  std::set<std::pair<Node, Node>> want;
+  std::uint64_t from = 0;
+  std::uint64_t until = kNeverRepaired;
+
+  [[nodiscard]] bool node_faulty(Node v) const {
+    return want.contains({v, v});
+  }
+  [[nodiscard]] bool link_faulty(Node u, Node v) const {
+    return u != v && want.contains({std::min(u, v), std::max(u, v)});
+  }
+};
+
+Expected brute_force(const std::vector<Window>& windows, std::uint64_t time) {
+  Expected expected;
+  for (const Window& w : windows) {
+    if (w.fail <= time && time < w.repair) expected.want.emplace(w.a, w.b);
+    for (const std::uint64_t boundary : {w.fail, w.repair}) {
+      if (boundary <= time) {
+        expected.from = std::max(expected.from, boundary);
+      } else {
+        expected.until = std::min(expected.until, boundary);
+      }
+    }
+  }
+  return expected;
+}
+
 // fault_churn's shape at cluster dimension m: per epoch e, about 2% of the
 // nodes and 10% of the links fail during [e, e+1). A few faults sit on
 // non-edges (the model does not check topology), a few span several epochs,
 // and a few are permanent, so every kind of key and window is present.
-FaultModel churn_schedule(const HhcTopology& net, std::uint64_t seed) {
-  FaultModel model;
+Schedule churn_schedule(const HhcTopology& net, std::uint64_t seed) {
+  Schedule schedule;
   util::Xoshiro256 rng{seed};
   const std::uint64_t n = net.node_count();
   const std::uint64_t node_faults = std::max<std::uint64_t>(1, n / 50);
@@ -36,23 +94,62 @@ FaultModel churn_schedule(const HhcTopology& net, std::uint64_t seed) {
       std::max<std::uint64_t>(1, n * net.degree() / 20);
   for (std::uint64_t e = 0; e < kEpochs; ++e) {
     for (std::uint64_t k = 0; k < node_faults; ++k) {
-      model.fail_node(rng.below(n), e, e + 1);
+      schedule.fail_node(rng.below(n), e, e + 1);
     }
     for (std::uint64_t k = 0; k < link_faults; ++k) {
       const Node u = rng.below(n);
       const auto dim = static_cast<unsigned>(rng.below(net.degree()));
       const Node v = dim < net.m() ? net.internal_neighbor(u, dim)
                                    : net.external_neighbor(u);
-      model.fail_link(u, v, e, e + 1);
+      schedule.fail_link(u, v, e, e + 1);
     }
     const Node u = rng.below(n);
     Node v = rng.below(n);
     if (v == u) v = (u + 1) % n;
-    model.fail_link(u, v, e, e + 1 + rng.below(3));  // maybe a non-edge
+    schedule.fail_link(u, v, e, e + 1 + rng.below(3));  // maybe a non-edge
   }
-  model.fail_node(rng.below(n));
-  model.fail_link(0, n - 1, 3);  // permanent from time 3
-  return model;
+  schedule.fail_node(rng.below(n));
+  schedule.fail_link(0, n - 1, 3);  // permanent from time 3
+  return schedule;
+}
+
+// Non-edges to probe as links, and the pair (0, N - 1) that churn_schedule
+// fails permanently.
+std::vector<std::pair<Node, Node>> sample_non_edges(const HhcTopology& net,
+                                                    std::uint64_t seed) {
+  util::Xoshiro256 rng{seed};
+  std::vector<std::pair<Node, Node>> non_edges;
+  while (non_edges.size() < 500) {
+    const Node u = rng.below(net.node_count());
+    const Node v = rng.below(net.node_count());
+    if (u != v && !net.is_edge(u, v)) non_edges.emplace_back(u, v);
+  }
+  non_edges.emplace_back(0, net.node_count() - 1);
+  return non_edges;
+}
+
+// The nodes, links and listed non-edges of `net` on which `node_faulty` and
+// `link_faulty` (a snapshot's checks or the model's point queries) disagree
+// with `expected`, counted.
+template <typename NodeFaulty, typename LinkFaulty>
+std::size_t mismatches(const HhcTopology& net,
+                       const std::vector<std::pair<Node, Node>>& non_edges,
+                       const Expected& expected, NodeFaulty node_faulty,
+                       LinkFaulty link_faulty) {
+  std::size_t n = 0;
+  for (Node u = 0; u < net.node_count(); ++u) {
+    if (node_faulty(u) != expected.node_faulty(u)) ++n;
+    for (const Node v : net.neighbors(u)) {
+      if (link_faulty(u, v) != expected.link_faulty(u, v)) ++n;
+    }
+  }
+  for (const auto& [u, v] : non_edges) {
+    if (link_faulty(u, v) != expected.link_faulty(u, v) ||
+        link_faulty(v, u) != expected.link_faulty(u, v)) {
+      ++n;
+    }
+  }
+  return n;
 }
 
 // Every resolve time worth checking: each window boundary -1, +0 and +1.
@@ -69,40 +166,33 @@ std::vector<std::uint64_t> boundary_times() {
 TEST(ActiveFaults, MatchesTheModelOnEveryNodeAndEdge) {
   for (unsigned m = 1; m <= 3; ++m) {
     const HhcTopology net{m};
-    const FaultModel model = churn_schedule(net, 0xAF00 + m);
-    util::Xoshiro256 rng{0xAF10 + m};
-    std::vector<std::pair<Node, Node>> non_edges;
-    while (non_edges.size() < 500) {
-      const Node u = rng.below(net.node_count());
-      const Node v = rng.below(net.node_count());
-      if (u != v && !net.is_edge(u, v)) non_edges.emplace_back(u, v);
-    }
-    non_edges.emplace_back(0, net.node_count() - 1);
+    const Schedule schedule = churn_schedule(net, 0xAF00 + m);
+    const FaultModel& model = schedule.model;
+    const auto non_edges = sample_non_edges(net, 0xAF10 + m);
 
     ActiveFaults snapshot;
     for (const std::uint64_t time : boundary_times()) {
+      const Expected expected = brute_force(schedule.windows, time);
       model.resolve(time, snapshot);
       ASSERT_TRUE(snapshot.covers(model.version(), time)) << "time " << time;
-      EXPECT_EQ(snapshot.size(), model.fault_count(time))
+      EXPECT_EQ(snapshot.size(), expected.want.size())
           << "m=" << m << " time=" << time;
-      std::size_t mismatches = 0;
-      for (Node u = 0; u < net.node_count(); ++u) {
-        if (snapshot.node_faulty(u) != model.node_faulty_at(u, time)) {
-          ++mismatches;
-        }
-        for (const Node v : net.neighbors(u)) {
-          if (snapshot.link_faulty(u, v) != model.link_faulty_at(u, v, time)) {
-            ++mismatches;
-          }
-        }
-      }
-      for (const auto& [u, v] : non_edges) {
-        if (snapshot.link_faulty(u, v) != model.link_faulty_at(u, v, time) ||
-            snapshot.link_faulty(v, u) != model.link_faulty_at(u, v, time)) {
-          ++mismatches;
-        }
-      }
-      EXPECT_EQ(mismatches, 0u) << "m=" << m << " time=" << time;
+      EXPECT_EQ(model.fault_count(time), expected.want.size())
+          << "m=" << m << " time=" << time;
+      EXPECT_EQ(mismatches(
+                    net, non_edges, expected,
+                    [&](Node v) { return snapshot.node_faulty(v); },
+                    [&](Node u, Node v) { return snapshot.link_faulty(u, v); }),
+                0u)
+          << "snapshot, m=" << m << " time=" << time;
+      EXPECT_EQ(mismatches(
+                    net, non_edges, expected,
+                    [&](Node v) { return model.node_faulty_at(v, time); },
+                    [&](Node u, Node v) {
+                      return model.link_faulty_at(u, v, time);
+                    }),
+                0u)
+          << "point queries, m=" << m << " time=" << time;
     }
   }
 }
@@ -112,19 +202,31 @@ TEST(ActiveFaults, DenseModelStaysExact) {
   // filter passes many healthy elements on to the exact set, which must
   // still turn every one of them away.
   const HhcTopology net{3};
-  FaultModel model;
-  for (Node v = 0; v < net.node_count(); v += 3) model.fail_node(v);
+  Schedule schedule;
+  for (Node v = 0; v < net.node_count(); v += 3) schedule.fail_node(v);
   for (Node v = 1; v < net.node_count(); v += 5) {
-    model.fail_link(v, net.external_neighbor(v));
+    schedule.fail_link(v, net.external_neighbor(v));
   }
+  const FaultModel& model = schedule.model;
+  const Expected expected = brute_force(schedule.windows, 0);
   ActiveFaults snapshot;
   model.resolve(0, snapshot);
-  EXPECT_EQ(snapshot.size(), model.fault_count());
+  EXPECT_EQ(snapshot.size(), expected.want.size());
+  EXPECT_EQ(model.fault_count(), expected.want.size());
   for (Node v = 0; v < net.node_count(); ++v) {
     ASSERT_EQ(snapshot.node_faulty(v), v % 3 == 0) << v;
+    ASSERT_EQ(model.node_faulty_at(v), v % 3 == 0) << v;
     for (unsigned i = 0; i < net.m(); ++i) {
       ASSERT_FALSE(snapshot.link_faulty(v, net.internal_neighbor(v, i)));
+      ASSERT_FALSE(model.link_faulty_at(v, net.internal_neighbor(v, i)));
     }
+    const Node gateway = net.external_neighbor(v);
+    ASSERT_EQ(snapshot.link_faulty(v, gateway),
+              expected.link_faulty(v, gateway))
+        << v;
+    ASSERT_EQ(model.link_faulty_at(v, gateway),
+              expected.link_faulty(v, gateway))
+        << v;
   }
 }
 
@@ -202,7 +304,8 @@ TEST(ActiveFaults, CoversExactlyTheTimesWithTheSameFacts) {
   // reads the same at t' as the snapshot says.
   util::Xoshiro256 rng{0xAF20};
   for (int round = 0; round < 20; ++round) {
-    FaultModel model;
+    Schedule schedule;
+    const FaultModel& model = schedule.model;
     std::vector<std::uint64_t> boundaries;
     std::vector<Node> nodes;
     std::vector<std::pair<Node, Node>> links;
@@ -214,11 +317,12 @@ TEST(ActiveFaults, CoversExactlyTheTimesWithTheSameFacts) {
       if (repair != kNeverRepaired) boundaries.push_back(repair);
       if (rng.chance(0.5)) {
         nodes.push_back(rng.below(16));
-        model.fail_node(nodes.back(), fail, repair);
+        schedule.fail_node(nodes.back(), fail, repair);
       } else {
         const Node u = rng.below(16);
         links.emplace_back(u, u ^ (1 + rng.below(15)));
-        model.fail_link(links.back().first, links.back().second, fail, repair);
+        schedule.fail_link(links.back().first, links.back().second, fail,
+                           repair);
       }
     }
     ActiveFaults snapshot;
@@ -234,12 +338,15 @@ TEST(ActiveFaults, CoversExactlyTheTimesWithTheSameFacts) {
         ASSERT_EQ(snapshot.covers(model.version(), other), !separated(other))
             << "round " << round << " resolved at " << t << ", asked " << other;
         if (!snapshot.covers(model.version(), other)) continue;
+        const Expected expected = brute_force(schedule.windows, other);
         for (const Node v : nodes) {
-          ASSERT_EQ(snapshot.node_faulty(v), model.node_faulty_at(v, other));
+          ASSERT_EQ(snapshot.node_faulty(v), expected.node_faulty(v));
+          ASSERT_EQ(model.node_faulty_at(v, other), expected.node_faulty(v));
         }
         for (const auto& [u, v] : links) {
-          ASSERT_EQ(snapshot.link_faulty(u, v),
-                    model.link_faulty_at(u, v, other));
+          ASSERT_EQ(snapshot.link_faulty(u, v), expected.link_faulty(u, v));
+          ASSERT_EQ(model.link_faulty_at(u, v, other),
+                    expected.link_faulty(u, v));
         }
       }
     }
@@ -253,11 +360,6 @@ TEST(ActiveFaults, ResolveMatchesABruteForcePassOverEveryWindow) {
   // and the last representable time, the snapshot's facts are, each once,
   // the facts some window holds active, and its interval is the boundaries
   // around the time, as a pass over every window computes them.
-  struct Window {
-    Node a;
-    Node b;  // a == b: a node
-    FaultWindow window;
-  };
   util::Xoshiro256 rng{0xAF40};
   ActiveFaults snapshot;
   for (int round = 0; round < 40; ++round) {
@@ -278,7 +380,7 @@ TEST(ActiveFaults, ResolveMatchesABruteForcePassOverEveryWindow) {
       } else {
         model.fail_link(a, b, fail, repair);
       }
-      windows.push_back({std::min(a, b), std::max(a, b), {fail, repair}});
+      windows.push_back({std::min(a, b), std::max(a, b), fail, repair});
       for (const std::uint64_t boundary : {fail, repair}) {
         if (boundary == kNeverRepaired) continue;
         times.insert(boundary);
@@ -286,20 +388,7 @@ TEST(ActiveFaults, ResolveMatchesABruteForcePassOverEveryWindow) {
       }
     }
     for (const std::uint64_t time : times) {
-      std::set<std::pair<Node, Node>> want;
-      std::uint64_t from = 0;
-      std::uint64_t until = kNeverRepaired;
-      for (const Window& w : windows) {
-        if (w.window.active_at(time)) want.emplace(w.a, w.b);
-        for (const std::uint64_t boundary :
-             {w.window.fail_time, w.window.repair_time}) {
-          if (boundary <= time) {
-            from = std::max(from, boundary);
-          } else {
-            until = std::min(until, boundary);
-          }
-        }
-      }
+      const auto [want, from, until] = brute_force(windows, time);
       model.resolve(time, snapshot);
       std::vector<std::pair<Node, Node>> got;
       for (const ActiveFaults::Fact& fact : snapshot.facts()) {
@@ -444,7 +533,7 @@ TEST(ActiveFaults, ReResolvingShrinksAndGrows) {
   // One snapshot serves a large model, a small one and the large one
   // again: nothing of the previous contents survives a resolve.
   const HhcTopology net{3};
-  const FaultModel large = churn_schedule(net, 0xAF30);
+  const FaultModel large = churn_schedule(net, 0xAF30).model;
   FaultModel small;
   small.fail_node(17);
   ActiveFaults snapshot;
@@ -456,6 +545,61 @@ TEST(ActiveFaults, ReResolvingShrinksAndGrows) {
     for (Node v = 0; v < net.node_count(); ++v) {
       ASSERT_EQ(snapshot.node_faulty(v), v == 17) << v;
     }
+  }
+}
+
+TEST(ActiveFaults, PointQueriesAgreeAcrossThreads) {
+  // Four threads read two shared const models through the point queries,
+  // each through its own per-thread snapshot: a run over the boundary times
+  // (every run crosses window boundaries, so the snapshot re-resolves), on
+  // one model and then the other, each answer checked against the
+  // brute-force pass. Under TSan this is the snapshot's data-race check.
+  const HhcTopology net{2};
+  const Schedule first = churn_schedule(net, 0xAF50);
+  const Schedule second = churn_schedule(net, 0xAF51);
+  const auto non_edges = sample_non_edges(net, 0xAF52);
+  const std::vector<std::uint64_t> times = boundary_times();
+  const auto oracle = [&](const Schedule& schedule) {
+    std::vector<Expected> expected;
+    for (const std::uint64_t time : times) {
+      expected.push_back(brute_force(schedule.windows, time));
+    }
+    return expected;
+  };
+  const std::vector<Expected> expected_first = oracle(first);
+  const std::vector<Expected> expected_second = oracle(second);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t id = 0; id < kThreads; ++id) {
+    threads.emplace_back([&, id] {
+      for (int round = 0; round < 4; ++round) {
+        for (const auto& [schedule, expected] :
+             {std::pair{&first, &expected_first},
+              std::pair{&second, &expected_second}}) {
+          const FaultModel& model = schedule->model;
+          // Each thread starts its run at another time.
+          for (std::size_t k = 0; k < times.size(); ++k) {
+            const std::size_t i = (k + id * 5) % times.size();
+            const std::uint64_t time = times[i];
+            wrong[id] += mismatches(
+                net, non_edges, (*expected)[i],
+                [&](Node v) { return model.node_faulty_at(v, time); },
+                [&](Node u, Node v) {
+                  return model.link_faulty_at(u, v, time);
+                });
+            if (model.fault_count(time) != (*expected)[i].want.size()) {
+              ++wrong[id];
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t id = 0; id < kThreads; ++id) {
+    EXPECT_EQ(wrong[id], 0u) << "thread " << id;
   }
 }
 

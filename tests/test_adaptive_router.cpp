@@ -172,7 +172,9 @@ TEST(AdaptiveRouter, LinkFaultsAloneCanForceFallback) {
     const std::size_t cut = path.size() / 2;
     faults.fail_link(path[cut], path[cut + 1]);
   }
-  EXPECT_EQ(faults.node_fault_count(), 0u);
+  for (const core::ActiveFaults::Fact& fact : faults.snapshot().facts()) {
+    EXPECT_NE(fact.a, fact.b);  // link facts only, no node fact
+  }
   const auto r = router.route(s, t, faults);
   ASSERT_EQ(r.level, query::DegradationLevel::kBestEffort);
   EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));

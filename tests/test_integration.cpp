@@ -98,7 +98,9 @@ TEST(Integration, LinkFaultOnRouteIsHonouredBySinglePathRouters) {
     ASSERT_GE(path.size(), 3u);
     faults.fail_link(path[1], path[2]);
   }
-  ASSERT_EQ(faults.node_fault_count(), 0u);
+  for (const core::ActiveFaults::Fact& fact : faults.snapshot().facts()) {
+    ASSERT_NE(fact.a, fact.b);  // link facts only, no node fact
+  }
   const auto crosses_cut = [&](const core::Path& path) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       if (!faults.edge_usable_at(path[i], path[i + 1])) return true;
