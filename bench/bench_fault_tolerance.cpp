@@ -2,7 +2,9 @@
 //
 // Sweeps the number of faulty nodes f and measures the fraction of sampled
 // (s, t) pairs each router still connects:
-//   disjoint : the constructive m+1-path container (paper's router)
+//   disjoint : the m+1-path container (paper's router), as the router's
+//              ContainerCache serves it: the orbit image PathService
+//              answers with
 //   fixed    : one deterministic route, no diversity
 //   oracle   : BFS on the fault-free subgraph (upper bound; m <= 3)
 // The paper's guarantee shows as a flat 100% disjoint-router line for
@@ -24,7 +26,8 @@ int main() {
   for (unsigned m = 2; m <= 3; ++m) {
     const core::HhcTopology net{m};
     const baseline::MaxflowBaseline base{net};
-    const fault::AdaptiveRouter router{net};
+    core::ContainerCache cache{net};
+    const fault::AdaptiveRouter router{cache};
 
     util::Table table{{"faults f", "disjoint %", "fixed-single %", "oracle %",
                        "guarantee"}};

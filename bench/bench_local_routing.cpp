@@ -1,8 +1,9 @@
 // Experiment F7 — local-knowledge routing vs the global container router.
 //
 // The container router (AdaptiveRouter without its BFS fallback) sees the
-// whole fault set; the local router only probes neighbor liveness and
-// backtracks. Both inherit the f <= m guarantee from connectivity; this
+// whole fault set and scans the container its ContainerCache serves, the
+// orbit image PathService answers with; the local router only probes
+// neighbor liveness and backtracks. Both inherit the f <= m guarantee from connectivity; this
 // table prices the missing knowledge in path length and wasted expansions.
 #include <iostream>
 
@@ -16,7 +17,8 @@
 int main() {
   using namespace hhc;
   const core::HhcTopology net{3};
-  const fault::AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   constexpr std::size_t kTrials = 500;
 
   util::Table table{{"faults f", "local ok %", "global ok %", "local p50 len",

@@ -19,9 +19,14 @@
 // paths bit for bit, so the throughput here is the handle path, not a
 // different answer.
 //
+// A row lasts tens of milliseconds, so on a shared host one run of it says
+// little: each row runs kRepeats times on the same service and reports the
+// median queries/s with its min-max, and the median run's other columns.
+//
 // `--smoke` shrinks the pool/total for a seconds-long CI run. Both modes
 // write machine-readable rows to BENCH_query.json; REPRODUCING.md describes
 // the baseline-comparison workflow.
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstring>
@@ -29,6 +34,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fault_model.hpp"
@@ -50,6 +56,7 @@ using namespace hhc;
 // column isolates parallelism instead of miss-cost amortization.
 std::size_t g_pair_pool = 4096;
 std::size_t g_queries_total = 160000;
+constexpr std::size_t kRepeats = 5;  // runs per sweep row
 
 struct RunResult {
   double seconds = 0.0;
@@ -61,7 +68,9 @@ struct SweepRow {
   double skew = 0.0;
   std::size_t threads = 0;
   double seconds = 0.0;
-  double qps = 0.0;
+  double qps = 0.0;  // median of kRepeats runs
+  double qps_min = 0.0;
+  double qps_max = 0.0;
   double hit_rate = 0.0;
   double borrowed_rate = 0.0;
   double p50_us = 0.0;
@@ -121,27 +130,40 @@ void sweep(const core::HhcTopology& net,
   // Discarded warm-up: fills the orbit records and the store, which
   // clear() keeps, so every measured row starts from the same state.
   (void)hammer(service, pairs, skew, 1);
-  util::Table table{{"threads", "seconds", "queries/s", "speedup", "hit %",
-                     "borrowed %", "p50 us", "p99 us"}};
+  util::Table table{{"threads", "seconds", "queries/s", "min-max", "speedup",
+                     "hit %", "borrowed %", "p50 us", "p99 us"}};
   double base_qps = 0.0;
   for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-    const auto run = hammer(service, pairs, skew, threads);
-    const double qps = static_cast<double>(run.stats.queries) / run.seconds;
+    std::vector<std::pair<double, RunResult>> runs;  // (qps, run)
+    for (std::size_t k = 0; k < kRepeats; ++k) {
+      RunResult run = hammer(service, pairs, skew, threads);
+      runs.emplace_back(static_cast<double>(run.stats.queries) / run.seconds,
+                        std::move(run));
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const auto& [qps, run] = runs[kRepeats / 2];
     if (threads == 1) base_qps = qps;
     const SweepRow row{.skew = skew,
                        .threads = threads,
                        .seconds = run.seconds,
                        .qps = qps,
+                       .qps_min = runs.front().first,
+                       .qps_max = runs.back().first,
                        .hit_rate = run.stats.hit_rate(),
                        .borrowed_rate = static_cast<double>(run.borrowed) /
                                         static_cast<double>(run.stats.queries),
                        .p50_us = run.stats.latency.percentile(0.50),
                        .p99_us = run.stats.latency.percentile(0.99)};
     rows.push_back(row);
+    std::string range = std::to_string(static_cast<std::uint64_t>(row.qps_min));
+    range += '-';
+    range += std::to_string(static_cast<std::uint64_t>(row.qps_max));
     table.row()
         .add(static_cast<int>(threads))
         .add(row.seconds, 3)
         .add(row.qps, 0)
+        .add(range)
         .add(row.qps / base_qps, 2)
         .add(100.0 * row.hit_rate, 1)
         .add(100.0 * row.borrowed_rate, 1)
@@ -234,6 +256,7 @@ void emit_json(const std::vector<SweepRow>& rows,
       .key("mode").value(smoke ? "smoke" : "full")
       .key("pair_pool").value(static_cast<std::uint64_t>(g_pair_pool))
       .key("queries_total").value(static_cast<std::uint64_t>(g_queries_total))
+      .key("repeats").value(static_cast<std::uint64_t>(kRepeats))
       // Lets consumers (the CI scaling assert) judge whether the thread
       // sweep could physically scale on the machine that produced it.
       .key("hardware_threads")
@@ -245,6 +268,8 @@ void emit_json(const std::vector<SweepRow>& rows,
         .key("threads").value(static_cast<std::uint64_t>(row.threads))
         .key("seconds").value(row.seconds)
         .key("queries_per_s").value(row.qps)
+        .key("queries_per_s_min").value(row.qps_min)
+        .key("queries_per_s_max").value(row.qps_max)
         .key("hit_rate").value(row.hit_rate)
         .key("borrowed_rate").value(row.borrowed_rate)
         .key("p50_us").value(row.p50_us)

@@ -127,7 +127,8 @@ int cmd_faults(util::Options& opts) {
   const auto faults =
       core::FaultModel::random(net, {.node_faults = count}, s, t, rng);
 
-  const auto global = fault::AdaptiveRouter{net}.route(
+  core::ContainerCache cache{net};
+  const auto global = fault::AdaptiveRouter{cache}.route(
       query::PairQuery{.s = s, .t = t, .faults = &faults},
       {.skip_fallback = true});
   std::printf("global container router: %s", global.ok() ? "ok" : "FAILED");

@@ -123,16 +123,6 @@ ContainerCache::Variant& ContainerCache::variant(
   return *current;
 }
 
-void flatten(const DisjointPathSetRef& set, std::vector<Node>& nodes,
-             std::vector<std::uint32_t>& offsets) {
-  nodes.clear();
-  offsets.assign(1, 0);
-  for (const PathRef path : set.paths) {
-    nodes.insert(nodes.end(), path.begin(), path.end());
-    offsets.push_back(static_cast<std::uint32_t>(nodes.size()));
-  }
-}
-
 std::size_t ContainerHandle::max_length() const noexcept {
   std::size_t best = 0;
   for (std::size_t i = 0; i < path_count(); ++i) {
@@ -187,9 +177,14 @@ bool ContainerCache::fill(Variant& variant, std::uint64_t xdiff,
   static obs::Histogram& construct_hist =
       obs::stage_histogram(obs::stages::kConstruct);
   obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
-  core::flatten(
-      node_disjoint_paths(net_, s, t, options, tls_construction_scratch()),
-      flat.nodes, flat.offsets);
+  const DisjointPathSetRef set =
+      node_disjoint_paths(net_, s, t, options, tls_construction_scratch());
+  flat.nodes.clear();
+  flat.offsets.assign(1, 0);
+  for (const PathRef path : set.paths) {
+    flat.nodes.insert(flat.nodes.end(), path.begin(), path.end());
+    flat.offsets.push_back(static_cast<std::uint32_t>(flat.nodes.size()));
+  }
   return false;
 }
 
@@ -238,21 +233,6 @@ DisjointPathSet ContainerCache::materialize(Node s, Node t,
   DisjointPathSet set = orbit->materialize(s, t, &hit);
   count(hit, cache_hit);
   return set;
-}
-
-void ContainerCache::flatten(Node s, Node t, const ConstructionOptions& options,
-                             std::vector<Node>& nodes,
-                             std::vector<std::uint32_t>& offsets,
-                             bool* cache_hit) {
-  const ContainerHandle handle = lookup(s, t, options, cache_hit);
-  nodes.clear();
-  offsets.assign(1, 0);
-  for (std::size_t i = 0; i < handle.path_count(); ++i) {
-    for (std::size_t j = 0; j < handle.path_size(i); ++j) {
-      nodes.push_back(handle.node(i, j));
-    }
-    offsets.push_back(static_cast<std::uint32_t>(nodes.size()));
-  }
 }
 
 unsigned ContainerCache::scan(Node s, Node t, const ConstructionOptions& options,

@@ -43,8 +43,8 @@
 // owning path: at m <= 4 it decodes straight from the orbit record into
 // owning paths. scan() is fault::AdaptiveRouter's container scan at m <= 4:
 // it checks the orbit record in place against usable-edge bytes and
-// decodes only the path it delivers. flatten() copies a lookup() into
-// caller buffers (m = 5).
+// decodes only the path it delivers. At m = 5 the router scans a lookup()
+// handle in place.
 #pragma once
 
 #include <array>
@@ -67,11 +67,6 @@ struct FlatContainer {
   std::vector<Node> nodes;
   std::vector<std::uint32_t> offsets;  // paths[i] = nodes[offsets[i], offsets[i+1])
 };
-
-/// Writes `set` into `nodes` and `offsets` (both overwritten) in the
-/// FlatContainer layout.
-void flatten(const DisjointPathSetRef& set, std::vector<Node>& nodes,
-             std::vector<std::uint32_t>& offsets);
 
 /// A zero-copy view of a cached container, relabeled lazily.
 ///
@@ -259,14 +254,6 @@ class ContainerCache {
   [[nodiscard]] DisjointPathSet materialize(Node s, Node t,
                                             const ConstructionOptions& options,
                                             bool* cache_hit = nullptr);
-
-  /// The container lookup(s, t, options) hands out, copied into
-  /// caller-owned buffers as in FlatContainer: `nodes` holds every path
-  /// back to back and `offsets` (path_count + 1 entries) delimits them;
-  /// both are overwritten. Counts and throws as lookup() does.
-  void flatten(Node s, Node t, const ConstructionOptions& options,
-               std::vector<Node>& nodes, std::vector<std::uint32_t>& offsets,
-               bool* cache_hit = nullptr);
 
   /// OrbitTable::scan of the container materialize() would return; counts
   /// and sets `cache_hit` as lookup() does. Throws std::invalid_argument

@@ -4,11 +4,9 @@
 #include <array>
 #include <bit>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/disjoint.hpp"
 #include "core/orbit_table.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
@@ -207,9 +205,6 @@ struct RouterScratch {
   // The usable-edge bytes of the thread's fault snapshot, projected on the
   // first scan or search that reads them after a re-resolve.
   UsableEdges usable;
-  // The container scanned at m = 5 or without a cache, as FlatContainer.
-  std::vector<Node> nodes;
-  std::vector<std::uint32_t> offsets;
   SearchScratch search;
 };
 
@@ -218,35 +213,32 @@ RouterScratch& tls_router_scratch() {
   return scratch;
 }
 
-// Every hop of `path` traversable in the snapshot. route() has already
-// found both endpoints healthy, so a hop checks only its link and, unless
-// it enters t, the node it enters.
-bool path_survives(std::span<const Node> path, const ActiveFaults& active) {
-  for (std::size_t j = 1; j < path.size(); ++j) {
-    if (j + 1 < path.size() && active.node_faulty(path[j])) return false;
-    if (active.link_faulty(path[j - 1], path[j])) return false;
-  }
-  return true;
-}
-
-// Scans the flattened container for surviving paths, as OrbitTable::scan
-// does the orbit record: returns the number blocked, and appends the first
-// strictly shortest survivor, the only one copied, to `paths`.
-unsigned select_survivor(const RouterScratch& scratch,
+// Scans `container` in place for surviving paths, as OrbitTable::scan does
+// the orbit record: returns the number blocked, and appends the first
+// strictly shortest survivor, the only one copied, to `paths`. route() has
+// already found both endpoints healthy, so a hop checks only its link and,
+// unless it enters t, the node it enters.
+unsigned select_survivor(const core::ContainerHandle& container,
                          const ActiveFaults& active, std::vector<Path>& paths) {
-  const std::vector<std::uint32_t>& offsets = scratch.offsets;
-  std::span<const Node> best;
+  std::size_t best = 0;
+  std::size_t best_size = 0;  // 0 until a path survives
   unsigned blocked = 0;
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    const std::span<const Node> path{scratch.nodes.data() + offsets[i],
-                                     offsets[i + 1] - offsets[i]};
-    if (!path_survives(path, active)) {
-      ++blocked;
-      continue;
+  for (std::size_t i = 0; i < container.path_count(); ++i) {
+    const std::size_t size = container.path_size(i);
+    bool survives = true;
+    for (std::size_t j = 1; j < size && survives; ++j) {
+      const Node v = container.node(i, j);
+      survives = (j + 1 == size || !active.node_faulty(v)) &&
+                 !active.link_faulty(container.node(i, j - 1), v);
     }
-    if (best.empty() || path.size() < best.size()) best = path;
+    if (!survives) {
+      ++blocked;
+    } else if (best_size == 0 || size < best_size) {
+      best = i;
+      best_size = size;
+    }
   }
-  if (!best.empty()) paths.emplace_back(best.begin(), best.end());
+  if (best_size != 0) paths.push_back(container.materialize_path(best));
   return blocked;
 }
 
@@ -407,6 +399,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
                                          const RouteLimits& limits) const {
   static const FaultModel kNoFaults;
   const FaultModel& faults = query.faults != nullptr ? *query.faults : kNoFaults;
+  const core::HhcTopology& net = cache_.net();
   const Node s = query.s;
   const Node t = query.t;
 
@@ -435,23 +428,14 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
     static obs::Histogram& scan_hist =
         obs::stage_histogram(obs::stages::kContainerScan);
     obs::TraceSpan span{obs::stages::kContainerScan, &scan_hist};
-    if (cache_ != nullptr && core::OrbitTable::covers(net_.m())) {
-      result.container_paths_blocked = cache_->scan(
-          s, t, query.options, scratch.usable.project(active, net_),
-          result.paths, &result.cache_hit);
-    } else {
-      if (cache_ != nullptr) {
-        cache_->flatten(s, t, query.options, scratch.nodes, scratch.offsets,
-                        &result.cache_hit);
-      } else {
-        core::flatten(
-            core::node_disjoint_paths(net_, s, t, query.options,
-                                      core::tls_construction_scratch()),
-            scratch.nodes, scratch.offsets);
-      }
-      result.container_paths_blocked =
-          select_survivor(scratch, active, result.paths);
-    }
+    result.container_paths_blocked =
+        core::OrbitTable::covers(net.m())
+            ? cache_.scan(s, t, query.options,
+                          scratch.usable.project(active, net), result.paths,
+                          &result.cache_hit)
+            : select_survivor(
+                  cache_.lookup(s, t, query.options, &result.cache_hit),
+                  active, result.paths);
   }
   if (!result.paths.empty()) {
     result.level = query::DegradationLevel::kGuaranteed;
@@ -463,7 +447,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   // topology is beyond the node-indexed sweep state (m > 4, 2^37 nodes).
   // The kDisconnected verdict is best-effort, so the outcome says kShed,
   // not kOk.
-  if (limits.skip_fallback || !core::OrbitTable::covers(net_.m())) {
+  if (limits.skip_fallback || !core::OrbitTable::covers(net.m())) {
     result.outcome = query::RouteOutcome::kShed;
     return result;
   }
@@ -479,7 +463,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   obs::TraceSpan span{obs::stages::kBfsFallback, &fallback_hist};
   bool timed_out = false;
   Path detour =
-      survivor_search(net_, s, t, scratch.usable.project(active, net_),
+      survivor_search(net, s, t, scratch.usable.project(active, net),
                       scratch.search, query, timed_out);
   if (timed_out) {
     result.outcome = query::RouteOutcome::kTimedOut;

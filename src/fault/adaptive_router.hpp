@@ -37,8 +37,8 @@
 // boundaries it was resolved in, at O(log windows + active facts): once per
 // thread per epoch for a caller routing against one model, on every call
 // for one building a fresh model per route, or alternating two models on
-// one thread. The hashed set serves the endpoint checks and the scans at
-// m = 5 and without a cache.
+// one thread. The hashed set serves the endpoint checks and the scan at
+// m = 5.
 //
 // At m <= 4 the scan and the search read one projection of the snapshot:
 // one byte per node, bit d set when the dimension-d edge (d = m the
@@ -46,13 +46,14 @@
 // by the first scan or search after a re-resolve. A re-projection at the
 // same m resets only the bytes the previous one cleared.
 //
-// The container scan with a cache at m <= 4 walks the pair's orbit record
-// in place (ContainerCache::scan): a hop tests one bit of the byte of the
-// node it leaves, a path stops at its first blocked hop, and only the
-// delivered path (the first strictly shortest survivor) is decoded. At
-// m = 5 (a lookup()) and without a cache (the construction) the container
-// is flattened into a per-thread buffer and each hop checks its link and
-// the interior node it enters in the hashed set.
+// The container is the one the router's core::ContainerCache serves, the
+// same one query::PathService answers with. At m <= 4 the scan walks the
+// pair's orbit record in place (ContainerCache::scan): a hop tests one bit
+// of the byte of the node it leaves, a path stops at its first blocked
+// hop, and only the delivered path (the first strictly shortest survivor)
+// is decoded. At m = 5 it walks the lookup() handle in place: each hop
+// checks its link and the interior node it enters in the hashed set, and
+// only the delivered path is copied out.
 //
 // The search expands u by walking the set bits of its byte in ascending
 // order, which is HhcTopology::neighbors order, so a query's detour is the
@@ -68,10 +69,9 @@
 // component touches few pages.
 //
 // Results use the query vocabulary (query::PairQuery -> query::RouteResult).
-// The router can share a core::ContainerCache (query::PathService wires its
-// cache in), so scans read orbit records instead of constructing per call.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "core/container_cache.hpp"
@@ -96,12 +96,16 @@ namespace detail {
 
 class AdaptiveRouter {
  public:
-  /// `cache` (optional, not owned) serves the container scans; it must
-  /// outlive the router and belong to the same topology. Without one, every
-  /// route() call runs the construction directly.
-  explicit AdaptiveRouter(const core::HhcTopology& net,
-                          core::ContainerCache* cache = nullptr)
-      : net_{net}, cache_{cache} {}
+  /// Routes on cache.net(); `cache` (not owned) serves every container
+  /// scan and must outlive the router.
+  explicit AdaptiveRouter(core::ContainerCache& cache) : cache_{cache} {}
+  /// The same router, in the spelling perfbench's ladder still uses:
+  /// `cache` must be non-null and built on `net`.
+  AdaptiveRouter([[maybe_unused]] const core::HhcTopology& net,
+                 core::ContainerCache* cache)
+      : AdaptiveRouter{*cache} {
+    assert(&cache->net() == &net);
+  }
 
   /// Knobs the admission layer threads through: a degraded route skips the
   /// survivor-subgraph search fallback entirely (the expensive stage under
@@ -136,8 +140,7 @@ class AdaptiveRouter {
   }
 
  private:
-  const core::HhcTopology& net_;
-  core::ContainerCache* cache_;
+  core::ContainerCache& cache_;
 };
 
 }  // namespace hhc::fault

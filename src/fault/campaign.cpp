@@ -5,7 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/disjoint.hpp"
+#include "core/container_cache.hpp"
 #include "core/fault_model.hpp"
 #include "core/io.hpp"
 #include "core/orbit_table.hpp"
@@ -39,13 +39,14 @@ struct TrialOutcome {
   double inflation = 0.0;  // valid when delivered
 };
 
-TrialOutcome run_trial(const core::HhcTopology& net,
+TrialOutcome run_trial(core::ContainerCache& cache,
                        const AdaptiveRouter& router,
                        const core::FaultModel::RandomSpec& spec,
                        std::uint64_t seed) {
   static obs::Histogram& trial_hist =
       obs::stage_histogram(obs::stages::kCampaignTrial);
   obs::TraceSpan span{obs::stages::kCampaignTrial, &trial_hist};
+  const core::HhcTopology& net = cache.net();
   util::Xoshiro256 rng{seed};
   core::Node s = rng.below(net.node_count());
   core::Node t = rng.below(net.node_count());
@@ -57,9 +58,10 @@ TrialOutcome run_trial(const core::HhcTopology& net,
   TrialOutcome outcome;
   outcome.level = routed.level;
   if (routed.ok()) {
-    // Reference: the shortest container member with zero faults — what this
-    // pair pays when the guarantee machinery runs unimpeded.
-    const auto baseline = core::node_disjoint_paths(net, s, t).min_length();
+    // Reference: the shortest member of the container the router scans,
+    // with zero faults — what this pair pays when the guarantee machinery
+    // runs unimpeded.
+    const auto baseline = cache.materialize(s, t, {}).min_length();
     outcome.inflation = baseline == 0
                             ? 1.0
                             : static_cast<double>(routed.primary().size() - 1) /
@@ -97,7 +99,9 @@ CampaignRunner::CampaignRunner(CampaignConfig config) : config_{config} {
 
 CampaignReport CampaignRunner::run() const {
   const core::HhcTopology net{config_.m};
-  const AdaptiveRouter router{net};
+  // One cache for the sweep, shared by the pool's workers.
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const std::size_t max_faults =
       config_.max_faults != 0 ? config_.max_faults : net.degree() + 2;
 
@@ -124,7 +128,7 @@ CampaignReport CampaignRunner::run() const {
     util::Stopwatch watch;
     const auto body = [&](std::size_t i) {
       outcomes[i] =
-          run_trial(net, router, spec, trial_seed(config_.seed, f, i));
+          run_trial(cache, router, spec, trial_seed(config_.seed, f, i));
     };
     if (config_.threads == 1) {
       for (std::size_t i = 0; i < config_.trials; ++i) body(i);

@@ -40,7 +40,7 @@ struct CampaignRow {
   std::size_t guaranteed = 0;    // delivered over the container
   std::size_t best_effort = 0;   // delivered via BFS fallback
   std::size_t disconnected = 0;  // no survivor path existed
-  double avg_inflation = 0.0;    // delivered length / fault-free shortest
+  double avg_inflation = 0.0;    // delivered length / container's shortest
   double wall_seconds = 0.0;
 
   [[nodiscard]] std::size_t delivered() const noexcept {

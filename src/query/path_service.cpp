@@ -27,7 +27,7 @@ PathService::PathService(const core::HhcTopology& net, PathServiceConfig config)
                       .options = config.options,
                       .shards = config.cache_shards,
                       .max_entries_per_shard = config.max_entries_per_shard}},
-      router_{net, &cache_},
+      router_{cache_},
       gate_{config.admission},
       breaker_{config.admission.breaker_threshold} {
   if (config_.threads != 1) pool_.emplace(config_.threads);

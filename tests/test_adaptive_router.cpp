@@ -2,7 +2,7 @@
 
 #include "core/disjoint.hpp"
 #include "core/metrics.hpp"
-#include "core/orbit_table.hpp"
+#include "core/container_cache.hpp"
 #include "core/routing.hpp"
 #include "fault/adaptive_router.hpp"
 #include "graph/adjacency_list.hpp"
@@ -43,7 +43,8 @@ bool path_avoids_faults(const Path& path, const FaultModel& faults,
 
 TEST(AdaptiveRouter, FaultFreeIsGuaranteed) {
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   for (const auto& [s, t] : core::sample_pairs(net, 60, 3)) {
     const auto r = router.route(s, t, FaultModel{});
     EXPECT_EQ(r.level, query::DegradationLevel::kGuaranteed);
@@ -58,7 +59,8 @@ TEST(AdaptiveRouter, UnderMNodeFaultsStaysGuaranteed) {
   // least one of the m+1 disjoint paths intact.
   for (unsigned m = 1; m <= 4; ++m) {
     const HhcTopology net{m};
-    const AdaptiveRouter router{net};
+    core::ContainerCache cache{net};
+    const AdaptiveRouter router{cache};
     util::Xoshiro256 rng{101 + m};
     for (const auto& [s, t] : core::sample_pairs(net, 120, m)) {
       FaultModel::RandomSpec spec;
@@ -84,7 +86,8 @@ TEST(AdaptiveRouter, AdversarialFaultsOnNeighbors) {
   // Worst case: m of the m+1 source neighbors fail; the one container path
   // through the remaining neighbor must still get through.
   const HhcTopology net{3};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(5, 0b010);
   const Node t = net.encode(200, 0b101);
   const auto nbrs = net.neighbors(s);
@@ -100,10 +103,11 @@ TEST(AdaptiveRouter, AdversarialFaultsOnNeighbors) {
 
 TEST(AdaptiveRouter, ReportsBlockedCount) {
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(15, 3);
-  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto container = cache.materialize(s, t, {});
   FaultModel faults;
   faults.fail_node(container.paths[0][1]);  // break exactly one path
   const auto r = container_only(router, s, t, faults);
@@ -114,10 +118,11 @@ TEST(AdaptiveRouter, ReportsBlockedCount) {
 TEST(AdaptiveRouter, PicksShortestSurvivingPath) {
   // Fault-free, every container path survives and the shortest one wins.
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(3, 1);
   const Node t = net.encode(12, 2);
-  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto container = cache.materialize(s, t, {});
   const auto r = container_only(router, s, t, FaultModel{});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.primary().size() - 1, container.min_length());
@@ -127,7 +132,8 @@ TEST(AdaptiveRouter, CanFailBeyondGuarantee) {
   // Every neighbor of s faulty cuts every container path (and s itself
   // from the network): the router reports disconnection, not a bad path.
   const HhcTopology net{1};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(3, 1);
   FaultModel faults;
@@ -142,10 +148,11 @@ TEST(AdaptiveRouter, FallsBackWhenAllContainerPathsBlocked) {
   // Block one interior node on every container path: the container alone
   // has no answer here, but the survivor subgraph is still well connected.
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto container = cache.materialize(s, t, {});
   FaultModel faults;
   for (const auto& path : container.paths) {
     faults.fail_node(path[path.size() / 2]);
@@ -163,10 +170,11 @@ TEST(AdaptiveRouter, LinkFaultsAloneCanForceFallback) {
   // without a single node fault — exactly the regime the container's
   // argument does not cover and the fallback exists for.
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto container = cache.materialize(s, t, {});
   FaultModel faults;
   for (const auto& path : container.paths) {
     const std::size_t cut = path.size() / 2;
@@ -183,7 +191,8 @@ TEST(AdaptiveRouter, LinkFaultsAloneCanForceFallback) {
 
 TEST(AdaptiveRouter, ReportsDisconnectionInsteadOfSilentEmpty) {
   const HhcTopology net{1};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(3, 1);
   FaultModel faults;
@@ -197,7 +206,8 @@ TEST(AdaptiveRouter, ReportsDisconnectionInsteadOfSilentEmpty) {
 
 TEST(AdaptiveRouter, FaultyEndpointIsDisconnectedNotAnError) {
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   FaultModel faults;
   faults.fail_node(0);
   EXPECT_EQ(router.route(0, 5, faults).level,
@@ -208,7 +218,8 @@ TEST(AdaptiveRouter, FaultyEndpointIsDisconnectedNotAnError) {
 
 TEST(AdaptiveRouter, TrivialSelfRouteIsGuaranteed) {
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const auto r = router.route(9, 9, FaultModel{});
   EXPECT_EQ(r.level, query::DegradationLevel::kGuaranteed);
   EXPECT_EQ(r.primary(), Path{9});
@@ -216,10 +227,11 @@ TEST(AdaptiveRouter, TrivialSelfRouteIsGuaranteed) {
 
 TEST(AdaptiveRouter, TransientFaultOnlyBlocksDuringItsWindow) {
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto container = cache.materialize(s, t, {});
   FaultModel faults;
   faults.fail_node(container.paths[0][1], /*fail_time=*/5, /*repair_time=*/10);
   EXPECT_EQ(router.route(s, t, faults, 0).container_paths_blocked, 0u);
@@ -239,7 +251,8 @@ TEST(AdaptiveRouter, MatchesBfsReachabilityUnderRandomMixedFaults) {
     // m = 1 (8 nodes, degree 2) disconnects easily; m = 2 mostly survives
     // and exercises the fallback instead.
     const HhcTopology net{m};
-    const AdaptiveRouter router{net};
+    core::ContainerCache cache{net};
+    const AdaptiveRouter router{cache};
     for (int trial = 0; trial < 300; ++trial) {
       const Node s = rng.below(net.node_count());
       Node t = rng.below(net.node_count());
@@ -276,53 +289,17 @@ TEST(AdaptiveRouter, DegradationLevelNames) {
                "disconnected");
 }
 
-TEST(AdaptiveRouter, SharedCacheChangesNothingButCounts) {
-  // A cache serves each pair the automorphism image of its orbit
-  // representative's container (core/orbit_table.hpp). On a representative
-  // pair that image is the construction itself, so wiring a cache in must
-  // be invisible in the answers — only the cost profile changes (second
-  // identical query is a hit). RouterEquivalence covers the other pairs.
-  const HhcTopology net{2};
-  const AdaptiveRouter direct{net};
-  core::ContainerCache cache{net};
-  const AdaptiveRouter cached{net, &cache};
-  const core::OrbitTable orbits{net, {}};
-  util::Xoshiro256 rng{77};
-  for (const auto& [s, t] : core::sample_pairs(net, 80, 9)) {
-    const auto form =
-        orbits.canonical(net.cluster_of(s) ^ net.cluster_of(t),
-                         net.position_of(s), net.position_of(t));
-    const Node rep_s = 0;
-    const Node rep_t = form.key;
-    FaultModel::RandomSpec spec;
-    spec.node_faults = rng.below(net.m() + 2);
-    spec.internal_link_faults = rng.below(2);
-    const auto faults = FaultModel::random(net, spec, rep_s, rep_t, rng);
-    const auto a = direct.route(rep_s, rep_t, faults);
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto b = cached.route(rep_s, rep_t, faults);
-      ASSERT_EQ(a.level, b.level);
-      EXPECT_EQ(a.paths, b.paths);
-      EXPECT_EQ(a.container_paths_blocked, b.container_paths_blocked);
-      EXPECT_EQ(a.used_fallback, b.used_fallback);
-    }
-  }
-  EXPECT_GT(cache.misses(), 0u);
-  EXPECT_GT(cache.hits(), 0u);
-}
-
 TEST(AdaptiveRouter, CutContainerAboveM4IsShedWithoutASweep) {
   // The survivor sweep is node-indexed and runs only at m <= 4. At m = 5
   // (2^37 nodes) a fully cut container answers as under skip_fallback:
   // outcome kShed, level kDisconnected, no sweep. A container with one
-  // surviving path still delivers it, with or without a shared cache.
+  // surviving path still delivers it.
   const HhcTopology net{5};
   core::ContainerCache cache{net};
-  const AdaptiveRouter direct{net};
-  const AdaptiveRouter cached{net, &cache};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 3);
   const Node t = net.encode(0xDEADBEEF, 17);
-  const auto container = core::node_disjoint_paths(net, s, t);
+  const auto container = cache.materialize(s, t, {});
   FaultModel cut;
   FaultModel one_left;
   for (std::size_t i = 0; i < container.paths.size(); ++i) {
@@ -330,25 +307,24 @@ TEST(AdaptiveRouter, CutContainerAboveM4IsShedWithoutASweep) {
     cut.fail_node(path[path.size() / 2]);
     if (i > 0) one_left.fail_node(path[path.size() / 2]);
   }
-  for (const AdaptiveRouter* router : {&direct, &cached}) {
-    const auto shed = router->route(s, t, cut);
-    EXPECT_EQ(shed.outcome, query::RouteOutcome::kShed);
-    EXPECT_EQ(shed.level, query::DegradationLevel::kDisconnected);
-    EXPECT_FALSE(shed.used_fallback);
-    EXPECT_TRUE(shed.paths.empty());
-    EXPECT_EQ(shed.container_paths_blocked, container.paths.size());
+  const auto shed = router.route(s, t, cut);
+  EXPECT_EQ(shed.outcome, query::RouteOutcome::kShed);
+  EXPECT_EQ(shed.level, query::DegradationLevel::kDisconnected);
+  EXPECT_FALSE(shed.used_fallback);
+  EXPECT_TRUE(shed.paths.empty());
+  EXPECT_EQ(shed.container_paths_blocked, container.paths.size());
 
-    const auto served = router->route(s, t, one_left);
-    EXPECT_EQ(served.outcome, query::RouteOutcome::kOk);
-    ASSERT_EQ(served.level, query::DegradationLevel::kGuaranteed);
-    EXPECT_EQ(served.primary(), container.paths[0]);
-    EXPECT_EQ(served.container_paths_blocked, container.paths.size() - 1);
-  }
+  const auto served = router.route(s, t, one_left);
+  EXPECT_EQ(served.outcome, query::RouteOutcome::kOk);
+  ASSERT_EQ(served.level, query::DegradationLevel::kGuaranteed);
+  EXPECT_EQ(served.primary(), container.paths[0]);
+  EXPECT_EQ(served.container_paths_blocked, container.paths.size() - 1);
 }
 
 TEST(AdaptiveRouter, PairQueryFormMatchesConvenienceForm) {
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   FaultModel faults;
   faults.fail_node(7);
   const auto a = router.route(3, 60, faults, /*time=*/2);

@@ -16,9 +16,10 @@
 //   * PathService::answer_view on a hit (handle + telemetry only), and
 //     PathService::answer's orbit decode (its result only), also on a
 //     fresh thread after one warm-up call;
-//   * AdaptiveRouter's container scan once the thread's flat buffer has
-//     grown (a scan-served route allocates only its returned path and the
-//     result's paths vector);
+//   * AdaptiveRouter's container scan, in place on the orbit record at
+//     m = 3 and on the store's borrowed handle at m = 5, once the records
+//     are filled (a scan-served route allocates only its returned path and
+//     the result's paths vector);
 //   * AdaptiveRouter's survivor-search fallback once the thread's search
 //     scratch has grown: a disconnected search of two 1024-node halves
 //     allocates nothing, an isolated endpoint or a small component around t
@@ -422,11 +423,12 @@ TEST(AllocationFree, FreshThreadAfterOneWarmUpCall) {
   EXPECT_EQ(total_paths, 2 * pairs.size() * (net.m() + 1));
 }
 
-// A container at m = 3 whose m+1 paths are each cut at one interior node,
-// so every fault-aware route takes the survivor-search fallback.
-FaultModel block_container(const HhcTopology& net, Node s, Node t) {
+// The container `cache` serves for (s, t), its m+1 paths each cut at one
+// interior node, so every fault-aware route takes the survivor-search
+// fallback. Reading the container fills the pair's orbit record.
+FaultModel block_container(ContainerCache& cache, Node s, Node t) {
   FaultModel faults;
-  for (const Path& path : node_disjoint_paths(net, s, t).paths) {
+  for (const Path& path : cache.materialize(s, t, {}).paths) {
     faults.fail_node(path[path.size() / 2]);
   }
   return faults;
@@ -434,7 +436,8 @@ FaultModel block_container(const HhcTopology& net, Node s, Node t) {
 
 TEST(AllocationFree, DisconnectedSurvivorSweep) {
   const HhcTopology net{3};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s = net.encode(5, 2);
   const Node t = net.encode(200, 5);
   // Every external link that flips cluster-address bit 0 is down, which
@@ -448,6 +451,7 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
   }
   const query::PairQuery q{.s = s, .t = t, .faults = &faults};
 
+  (void)cache.materialize(s, t, {});  // the routes below hit its record
   (void)router.route(q);  // warm-up sweep grows this thread's scratch
   const std::size_t before = allocation_count();
   const query::RouteResult r = router.route(q);
@@ -498,18 +502,19 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   // At m = 4 an isolated t is found after t's own expansion, however large
   // s's component is. During [0, 10) one interior node of every container
   // path is down, so a route at time 0 is a best-effort detour; during
-  // [10, 20) t's neighbors are down instead. On a fresh thread, after the
-  // detour has grown the scratch (and warmed the construction for this
-  // pair), the isolated-t query at time 10 needs no more room and
-  // allocates nothing. The scratch is node-indexed, so a search that swept
-  // s's component would allocate nothing either: the early stop is pinned
-  // by time instead, against a sweep of half the network.
+  // [10, 20) t's neighbors are down instead. Reading the served container
+  // fills the pair's orbit record. On a fresh thread, after the detour has
+  // grown the scratch, the isolated-t query at time 10 needs no more room
+  // and allocates nothing. The scratch is node-indexed, so a search that
+  // swept s's component would allocate nothing either: the early stop is
+  // pinned by time instead, against a sweep of half the network.
   const HhcTopology net{4};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(40'000, 9);
   FaultModel faults;
-  for (const Path& path : node_disjoint_paths(net, s, t).paths) {
+  for (const Path& path : cache.materialize(s, t, {}).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
   for (const Node v : net.neighbors(t)) faults.fail_node(v, 10, 20);
@@ -549,11 +554,12 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   // whose scratch the detour at time 0 grew, in a small fraction of a
   // half-cut sweep's time.
   const HhcTopology net{4};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(40'000, 9);
   FaultModel faults;
-  for (const Path& path : node_disjoint_paths(net, s, t).paths) {
+  for (const Path& path : cache.materialize(s, t, {}).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
   // The cut below is 17 link facts; 12 gateway links of a far cluster
@@ -602,10 +608,11 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
 
 TEST(AllocationFree, BestEffortDetourAllocatesOnlyItsResult) {
   const HhcTopology net{3};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(177, 6);
-  const FaultModel faults = block_container(net, s, t);
+  const FaultModel faults = block_container(cache, s, t);
   const query::PairQuery q{.s = s, .t = t, .faults = &faults};
 
   (void)router.route(q);
@@ -627,7 +634,8 @@ TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
   // resolve this thread's snapshot, and the measured routes at other times
   // inside the interval reuse it with the counts above.
   const HhcTopology net{3};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s = net.encode(5, 2);
   const Node t = net.encode(200, 5);
   FaultModel isolated;
@@ -635,10 +643,11 @@ TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
   FaultModel blocked;
   const Node ds = net.encode(0, 0);
   const Node dt = net.encode(177, 6);
-  for (const Path& path : node_disjoint_paths(net, ds, dt).paths) {
+  for (const Path& path : cache.materialize(ds, dt, {}).paths) {
     blocked.fail_node(path[path.size() / 2], 0, 100);
   }
 
+  (void)cache.materialize(s, t, {});  // the routes below hit its record
   (void)router.route(s, t, isolated, 10);
   std::size_t before = allocation_count();
   const query::RouteResult swept = router.route(s, t, isolated, 57);
@@ -659,45 +668,42 @@ TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
 }
 
 TEST(AllocationFree, ScanServedRouteAllocatesOnlyItsPath) {
-  // Three node faults at m = 3 never cut a whole container, so every route
-  // below is served by the scan. With a shared cache the scan checks the
-  // orbit record in place against the thread's usable-edge bytes; without
-  // one it flattens the construction into the thread's flat buffer. Once
-  // the scratch has grown, the records are filled and the snapshot is
-  // resolved, a route allocates its returned path and the result's paths
-  // vector, nothing else.
-  const HhcTopology net{3};
-  ContainerCache cache{net};
-  const fault::AdaptiveRouter direct{net};
-  const fault::AdaptiveRouter cached{net, &cache};
-  FaultModel faults;
-  for (const Node v : {Node{17}, Node{700}, Node{1500}}) faults.fail_node(v);
-  std::vector<std::pair<Node, Node>> pairs;
-  for (const auto& [s, t] : sample_pairs(net, 80, 0xA1150)) {
-    if (!faults.node_faulty_at(s) && !faults.node_faulty_at(t)) {
-      pairs.emplace_back(s, t);
+  // Three node faults never cut a whole container, so every route below is
+  // served by the scan. At m = 3 it checks the orbit record in place
+  // against the thread's usable-edge bytes; at m = 5 it walks the handle
+  // the store lends against the thread's fault snapshot. Once the scratch
+  // has grown, the containers are filled and the snapshot is resolved, a
+  // route allocates its returned path and the result's paths vector,
+  // nothing else.
+  for (const unsigned m : {3U, 5U}) {
+    const HhcTopology net{m};
+    ContainerCache cache{net};
+    const fault::AdaptiveRouter router{cache};
+    FaultModel faults;
+    for (const Node v : {Node{17}, Node{700}, Node{1500}}) faults.fail_node(v);
+    std::vector<std::pair<Node, Node>> pairs;
+    for (const auto& [s, t] : sample_pairs(net, 80, 0xA1150)) {
+      if (!faults.node_faulty_at(s) && !faults.node_faulty_at(t)) {
+        pairs.emplace_back(s, t);
+      }
     }
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& [s, t] : pairs) {
-      (void)direct.route(s, t, faults);
-      (void)cached.route(s, t, faults);
+    // Two passes: a miss, then a hit grows this thread's counter cells.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& [s, t] : pairs) (void)router.route(s, t, faults);
     }
-  }
 
-  std::size_t guaranteed = 0;
-  const std::size_t before = allocation_count();
-  for (const auto& [s, t] : pairs) {
-    for (const fault::AdaptiveRouter* router : {&direct, &cached}) {
-      const query::RouteResult r = router->route(s, t, faults);
+    std::size_t guaranteed = 0;
+    const std::size_t before = allocation_count();
+    for (const auto& [s, t] : pairs) {
+      const query::RouteResult r = router.route(s, t, faults);
       if (r.level == query::DegradationLevel::kGuaranteed) ++guaranteed;
     }
-  }
-  const std::size_t delta = allocation_count() - before;
+    const std::size_t delta = allocation_count() - before;
 
-  EXPECT_EQ(guaranteed, 2 * pairs.size());
-  EXPECT_EQ(delta, 2 * 2 * pairs.size())
-      << "scan-served routes allocated beyond their results";
+    EXPECT_EQ(guaranteed, pairs.size()) << "m=" << m;
+    EXPECT_EQ(delta, 2 * pairs.size())
+        << "m=" << m << ": scan-served routes allocated beyond their results";
+  }
 }
 
 TEST(AllocationFree, ReProjectionAllocatesOnlyThePath) {
@@ -708,16 +714,17 @@ TEST(AllocationFree, ReProjectionAllocatesOnlyThePath) {
   // routed both, a re-projecting detour allocates its path and the
   // result's paths vector, nothing else.
   const HhcTopology net{3};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s0 = net.encode(0, 0);
   const Node t0 = net.encode(177, 6);
   const Node s1 = net.encode(5, 2);
   const Node t1 = net.encode(200, 5);
   FaultModel faults;
-  for (const Path& path : node_disjoint_paths(net, s0, t0).paths) {
+  for (const Path& path : cache.materialize(s0, t0, {}).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
-  for (const Path& path : node_disjoint_paths(net, s1, t1).paths) {
+  for (const Path& path : cache.materialize(s1, t1, {}).paths) {
     faults.fail_node(path[path.size() / 2], 10, 20);
   }
   (void)router.route(s0, t0, faults, 0);
@@ -747,7 +754,8 @@ TEST(AllocationFree, ReResolveIntoGrownSnapshot) {
   // the model or the interval and so re-resolves; once the warm-up has
   // grown the snapshot to the larger model, none of them allocates.
   const HhcTopology net{3};
-  const fault::AdaptiveRouter router{net};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   const Node s = net.encode(3, 1);
   const Node t = net.encode(90, 4);
   FaultModel small;

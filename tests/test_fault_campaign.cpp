@@ -30,6 +30,23 @@ TEST(FaultCampaign, GuaranteeHoldsUpToMFaults) {
   }
 }
 
+TEST(FaultCampaign, FaultFreeRowHasNoInflation) {
+  // Inflation is measured against the shortest member of the container the
+  // router scans, so a fault-free trial, which the router serves with that
+  // member, reads exactly 1.
+  for (const unsigned m : {2U, 3U, 4U}) {
+    CampaignConfig config;
+    config.m = m;
+    config.trials = 30;
+    config.max_faults = 1;
+    config.seed = 11;
+    const auto report = CampaignRunner{config}.run();
+    ASSERT_EQ(report.rows.front().faults, 0u);
+    EXPECT_EQ(report.rows.front().guaranteed_rate(), 1.0) << "m=" << m;
+    EXPECT_EQ(report.rows.front().avg_inflation, 1.0) << "m=" << m;
+  }
+}
+
 TEST(FaultCampaign, EveryTrialIsAccountedFor) {
   const auto report = CampaignRunner{small_config()}.run();
   for (const auto& row : report.rows) {

@@ -61,7 +61,8 @@ TEST(Integration, FaultRoutingBeatsFixedSinglePathUnderFaults) {
   // router succeeds always; the fixed single-path router must fail at
   // least sometimes across the sample.
   const HhcTopology net{2};
-  const fault::AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
   util::Xoshiro256 rng{2024};
   std::size_t single_failures = 0;
   const auto pairs = core::sample_pairs(net, 300, 8);

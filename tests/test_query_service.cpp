@@ -91,7 +91,7 @@ TEST(PathService, FaultAwareAnswersMatchTheAdaptiveRouter) {
   // The service's router reads containers through the cache, so the
   // single-query reference does too.
   core::ContainerCache cache{net};
-  const fault::AdaptiveRouter router{net, &cache};
+  const fault::AdaptiveRouter router{cache};
   util::Xoshiro256 rng{404};
   for (const auto& [s, t] : core::sample_pairs(net, 120, 21)) {
     core::FaultModel::RandomSpec spec;

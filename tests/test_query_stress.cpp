@@ -73,7 +73,7 @@ TEST(QueryStress, ConcurrentMixedFaultAndPristineTraffic) {
   const HhcTopology net{2};
   PathService service{net, {.cache_shards = 2}};
   core::ContainerCache reference_cache{net};
-  const fault::AdaptiveRouter reference{net, &reference_cache};
+  const fault::AdaptiveRouter reference{reference_cache};
 
   const auto pairs = core::sample_pairs(net, 32, 7);
   // A fixed fault set shared by every thread (the FaultModel is read-only
@@ -122,7 +122,7 @@ TEST(QueryStress, ConcurrentSurvivorFallbackMatchesSerial) {
   const HhcTopology net{3};
   PathService service{net, {.cache_shards = 2}};
   core::ContainerCache reference_cache{net};
-  const fault::AdaptiveRouter reference{net, &reference_cache};
+  const fault::AdaptiveRouter reference{reference_cache};
 
   util::Xoshiro256 fault_rng{31};
   core::FaultModel faults;
@@ -182,7 +182,7 @@ TEST(QueryStress, ConcurrentRoutesAcrossFaultEpochsMatchSerial) {
   const HhcTopology net{3};
   PathService service{net, {.cache_shards = 2}};
   core::ContainerCache reference_cache{net};
-  const fault::AdaptiveRouter reference{net, &reference_cache};
+  const fault::AdaptiveRouter reference{reference_cache};
 
   util::Xoshiro256 fault_rng{41};
   std::vector<core::FaultModel> models(2);

@@ -4,21 +4,21 @@
 // scan probes every hop with FaultModel::edge_usable_at (3 probes), and the
 // survivor BFS walks HhcTopology::neighbors through a std::deque with a
 // std::unordered_map parent map (its deadline poll is left out: these
-// queries carry no deadline). With a cache at m <= 4 the production router
-// scans the pair's orbit record in place against per-thread usable-edge
-// bytes, one per node; at m = 5 or without a cache it scans a flattened
-// container through a per-thread fault snapshot. It searches the same
-// usable-edge bytes with epoch-stamped marks, by A* toward t under an HHC
-// distance bound beside a guard BFS from t. Every query here must
+// queries carry no deadline). The oracle scans the container the router's
+// ContainerCache serves: at m <= 4 the orbit image of the representative's
+// construction, at m = 5 the construction itself (orbit_reference.hpp). At
+// m <= 4 the production router scans the pair's orbit record in place
+// against per-thread usable-edge bytes, one per node; at m = 5 it scans the
+// lookup() handle in place through a per-thread fault snapshot. It searches
+// the same usable-edge bytes with epoch-stamped marks, by A* toward t under
+// an HHC distance bound beside a guard BFS from t. Every query here must
 // get the same level, outcome, blocked count and fallback flag from both,
-// with and without a shared ContainerCache, and the same path whenever the
-// container serves it. A detour may take different nodes: it must have
-// the oracle's hop count, run s -> t over topology edges usable at the
-// query's time, and repeat no node. With a cache the oracle scans the
-// container the cache serves: the orbit image of the representative's
-// construction (orbit_reference.hpp).
+// and the same path whenever the container serves it. A detour may take
+// different nodes: it must have the oracle's hop count, run s -> t over
+// topology edges usable at the query's time, and repeat no node. At m = 5,
+// where no sweep runs, a fully cut container must answer kShed.
 //
-// Cases are seeded: m = 2..4, node and link faults with permanent and
+// Cases are seeded: m = 2..5, node and link faults with permanent and
 // transient windows, random query times, containers blocked on purpose,
 // isolated endpoints (disconnected pairs) and faulty endpoints. Further
 // cases alternate models whose snapshots share an interval and a fact
@@ -39,6 +39,7 @@
 #include "core/container_cache.hpp"
 #include "core/disjoint.hpp"
 #include "core/fault_model.hpp"
+#include "core/orbit_table.hpp"
 #include "fault/adaptive_router.hpp"
 #include "orbit_reference.hpp"
 #include "util/rng.hpp"
@@ -85,11 +86,11 @@ Path reference_bfs(const HhcTopology& net, Node s, Node t,
   return {};
 }
 
-// `container` is the one the router under test scans: the construction
-// for a router without a cache, the orbit image for one with a cache.
+// Scans the container the router's cache serves; past m = 4, where the
+// router runs no sweep, a fully cut container is shed.
 query::RouteResult reference_route(const HhcTopology& net, Node s, Node t,
-                                   const FaultModel& faults, std::uint64_t time,
-                                   bool cached = false) {
+                                   const FaultModel& faults,
+                                   std::uint64_t time) {
   query::RouteResult result;
   if (faults.node_faulty_at(s, time) || faults.node_faulty_at(t, time)) {
     return result;
@@ -100,8 +101,7 @@ query::RouteResult reference_route(const HhcTopology& net, Node s, Node t,
     return result;
   }
   const core::DisjointPathSet container =
-      cached ? orbit_reference::expected_answer(net, s, t)
-             : core::node_disjoint_paths(net, s, t);
+      orbit_reference::expected_answer(net, s, t);
   const Path* best = nullptr;
   for (const Path& path : container.paths) {
     if (!reference_path_survives(path, faults, time)) {
@@ -113,6 +113,10 @@ query::RouteResult reference_route(const HhcTopology& net, Node s, Node t,
   if (best != nullptr) {
     result.paths.push_back(*best);
     result.level = query::DegradationLevel::kGuaranteed;
+    return result;
+  }
+  if (!core::OrbitTable::covers(net.m())) {
+    result.outcome = query::RouteOutcome::kShed;
     return result;
   }
   result.used_fallback = true;
@@ -180,7 +184,7 @@ Case make_case(const HhcTopology& net, Shape shape, util::Xoshiro256& rng) {
       // One interior node or one link per container path, so the scan
       // comes up empty whenever those faults are active at c.time.
       if (c.s != c.t) {
-        const auto container = core::node_disjoint_paths(net, c.s, c.t);
+        const auto container = orbit_reference::expected_answer(net, c.s, c.t);
         for (const Path& path : container.paths) {
           const std::size_t j = 1 + rng.below(path.size() - 1);
           if (j + 1 < path.size() && rng.chance(0.5)) {
@@ -214,6 +218,7 @@ struct Tally {
   std::size_t fallbacks = 0;
   std::size_t best_effort = 0;
   std::size_t disconnected_sweeps = 0;
+  std::size_t shed = 0;
 };
 
 // A best-effort detour: as long as the oracle's, from c.s to c.t over
@@ -254,6 +259,7 @@ void expect_equivalent(const HhcTopology& net, const AdaptiveRouter& router,
       << "s=" << c.s << " t=" << c.t;
   ASSERT_EQ(got.used_fallback, want.used_fallback)
       << "s=" << c.s << " t=" << c.t;
+  if (want.outcome == query::RouteOutcome::kShed) ++tally.shed;
   if (want.used_fallback) {
     ++tally.fallbacks;
     if (want.level == query::DegradationLevel::kBestEffort) {
@@ -264,27 +270,31 @@ void expect_equivalent(const HhcTopology& net, const AdaptiveRouter& router,
   }
 }
 
-void run_cases(unsigned m, std::size_t count, std::uint64_t seed,
-               const std::vector<Shape>& shapes) {
-  const HhcTopology net{m};
-  core::ContainerCache cache{net};
-  const AdaptiveRouter direct{net};
-  const AdaptiveRouter cached{net, &cache};
+// Routes `count` seeded cases twice each through one router (a miss that
+// fills, then a hit), holding each answer to the oracle's.
+Tally run_cases(core::ContainerCache& cache, std::size_t count,
+                std::uint64_t seed, const std::vector<Shape>& shapes) {
+  const HhcTopology& net = cache.net();
+  const AdaptiveRouter router{cache};
   util::Xoshiro256 rng{seed};
   Tally tally;
   for (std::size_t i = 0; i < count; ++i) {
     const Case c = make_case(net, shapes[i % shapes.size()], rng);
     const query::RouteResult want =
         reference_route(net, c.s, c.t, c.faults, c.time);
-    expect_equivalent(net, direct, c, want, tally);
-    if (::testing::Test::HasFatalFailure()) return;
-    // Twice through the cache: a miss that publishes, then a hit.
-    const query::RouteResult want_cached =
-        reference_route(net, c.s, c.t, c.faults, c.time, true);
-    expect_equivalent(net, cached, c, want_cached, tally);
-    expect_equivalent(net, cached, c, want_cached, tally);
-    if (::testing::Test::HasFatalFailure()) return;
+    expect_equivalent(net, router, c, want, tally);
+    expect_equivalent(net, router, c, want, tally);
+    if (::testing::Test::HasFatalFailure()) return tally;
   }
+  return tally;
+}
+
+void run_cases(unsigned m, std::size_t count, std::uint64_t seed,
+               const std::vector<Shape>& shapes) {
+  const HhcTopology net{m};
+  core::ContainerCache cache{net};
+  const Tally tally = run_cases(cache, count, seed, shapes);
+  if (::testing::Test::HasFatalFailure()) return;
   // The seeds exercise every branch, not just the container scan.
   EXPECT_GT(tally.best_effort, 0u) << "m=" << m;
   EXPECT_GT(tally.disconnected_sweeps, 0u) << "m=" << m;
@@ -313,15 +323,35 @@ TEST(RouterEquivalence, MatchesReferenceM4) {
              Shape::kBlocked, Shape::kRandom, Shape::kIsolateT});
 }
 
+TEST(RouterEquivalence, MatchesReferenceContainerScanM5) {
+  // At m = 5 the router scans the lookup() handle in place and runs no
+  // sweep. The cache holds 16 classes, so the first cases scan handles
+  // borrowed from its store and the rest scan owning copies.
+  const HhcTopology net{5};
+  core::ContainerCache cache{
+      net, core::ContainerCache::Config{.shards = 1,
+                                        .max_entries_per_shard = 16}};
+  const Tally tally =
+      run_cases(cache, 90, 0xB21,
+                {Shape::kRandom, Shape::kBlocked, Shape::kDeadEndpoint});
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(tally.fallbacks, 0u);
+  EXPECT_GT(tally.shed, 20u);
+  EXPECT_EQ(cache.size(), 16u);
+}
+
 TEST(RouterEquivalence, SweepsInterleavedAcrossTopologies) {
   // One thread's scratch serves every topology: alternating m must not
   // leak a previous sweep's marks into the next.
   const HhcTopology nets[] = {HhcTopology{2}, HhcTopology{3}, HhcTopology{1}};
+  core::ContainerCache caches[] = {core::ContainerCache{nets[0]},
+                                   core::ContainerCache{nets[1]},
+                                   core::ContainerCache{nets[2]}};
   util::Xoshiro256 rng{0xB1A};
   Tally tally;
   for (std::size_t i = 0; i < 600; ++i) {
     const HhcTopology& net = nets[i % 3];
-    const AdaptiveRouter router{net};
+    const AdaptiveRouter router{caches[i % 3]};
     const Shape shape = kAllShapes[rng.below(kAllShapes.size())];
     const Case c = make_case(net, shape, rng);
     expect_equivalent(net, router, c,
@@ -378,12 +408,14 @@ TEST(RouterEquivalence, SnapshotFollowsModelsTopologiesAndTimes) {
           epoch_schedule(nets.back(), kEpochs, node_frac, link_frac, rng));
     }
   }
+  std::deque<core::ContainerCache> caches;
+  for (const HhcTopology& net : nets) caches.emplace_back(net);
   Tally tally;
   for (std::size_t block = 0; block < 250; ++block) {
     const HhcTopology& net = nets[block % nets.size()];
     const FaultModel& faults =
         models[block % nets.size()][(block / nets.size()) % 2];
-    const AdaptiveRouter router{net};
+    const AdaptiveRouter router{caches[block % nets.size()]};
     const std::uint64_t first = rng.below(kEpochs);
     for (std::uint64_t k = 0; k < 8; ++k) {
       Case c;
@@ -404,7 +436,8 @@ TEST(RouterEquivalence, ModelRebuiltAtOneAddressIsReResolved) {
   // Two different models live at one address in turn; the second must not
   // be answered from the snapshot resolved for the first.
   const HhcTopology net{2};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(9, 3);
   std::optional<FaultModel> slot;
@@ -427,11 +460,12 @@ TEST(RouterEquivalence, ModelRebuiltAtOneAddressIsReResolved) {
   }
 }
 
-// Fails the middle node of every container path, so the scan comes up
-// empty and the route takes the survivor-search fallback.
+// Fails the middle node of every path of the container the cache serves,
+// so the scan comes up empty and the route takes the survivor-search
+// fallback.
 FaultModel block_container(const HhcTopology& net, Node s, Node t) {
   FaultModel faults;
-  for (const Path& path : core::node_disjoint_paths(net, s, t).paths) {
+  for (const Path& path : orbit_reference::expected_answer(net, s, t).paths) {
     faults.fail_node(path[path.size() / 2]);
   }
   return faults;
@@ -459,11 +493,13 @@ TEST(RouterEquivalence, SurvivesSweepStampWrap) {
       reference_route(ring, rs, rt, ring_faults, 0);
   ASSERT_TRUE(ring_want.used_fallback);
 
+  core::ContainerCache wide_cache{wide};
+  core::ContainerCache ring_cache{ring};
   std::vector<query::RouteResult> wide_got;
   std::size_t ring_mismatches = 0;
   std::thread sweeper([&] {
-    const AdaptiveRouter wide_router{wide};
-    const AdaptiveRouter ring_router{ring};
+    const AdaptiveRouter wide_router{wide_cache};
+    const AdaptiveRouter ring_router{ring_cache};
     wide_got.push_back(wide_router.route(s, t, wide_faults));
     for (std::size_t sweep = 2; sweep <= 65'535; ++sweep) {
       const query::RouteResult r = ring_router.route(rs, rt, ring_faults);
@@ -487,27 +523,21 @@ TEST(RouterEquivalence, SurvivesSweepStampWrap) {
   }
 }
 
-// Routes `count` random pairs against `models[i % models.size()]`, through
-// a router without a cache and one with, and holds each answer to the
-// oracle's.
+// Routes `count` random pairs against `models[i % models.size()]` and
+// holds each answer to the oracle's.
 Tally route_alternating(const HhcTopology& net,
                         const std::vector<FaultModel>& models,
                         std::size_t count, util::Xoshiro256& rng) {
   core::ContainerCache cache{net};
-  const AdaptiveRouter direct{net};
-  const AdaptiveRouter cached{net, &cache};
+  const AdaptiveRouter router{cache};
   Tally tally;
   for (std::size_t i = 0; i < count; ++i) {
     Case c;
     c.faults = models[i % models.size()];
     c.s = rng.below(net.node_count());
     c.t = rng.below(net.node_count());
-    expect_equivalent(net, direct, c,
+    expect_equivalent(net, router, c,
                       reference_route(net, c.s, c.t, c.faults, c.time), tally);
-    if (::testing::Test::HasFatalFailure()) return tally;
-    expect_equivalent(net, cached, c,
-                      reference_route(net, c.s, c.t, c.faults, c.time, true),
-                      tally);
     if (::testing::Test::HasFatalFailure()) return tally;
   }
   return tally;
@@ -575,7 +605,8 @@ TEST(RouterEquivalence, DetourIsTheSameOnEveryCallAndThread) {
   // second thread (with its own snapshot, usable-edge bytes and sweep
   // marks) is the same path each time.
   const HhcTopology net{3};
-  const AdaptiveRouter router{net};
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
   util::Xoshiro256 rng{0xB1D};
   std::vector<Case> cases;
   for (int attempt = 0; attempt < 400 && cases.size() < 24; ++attempt) {
@@ -623,7 +654,8 @@ TEST(RouterEquivalence, DenseFaultsKeepDetoursShortest) {
   // and kDisconnected exactly when t is unreachable.
   for (const unsigned m : {2U, 3U}) {
     const HhcTopology net{m};
-    const AdaptiveRouter router{net};
+    core::ContainerCache cache{net};
+    const AdaptiveRouter router{cache};
     const std::uint64_t n = net.node_count();
     util::Xoshiro256 rng{0xB20 + m};
     Tally tally;
