@@ -17,16 +17,18 @@
 // bench_query_throughput's output so both engine-level curves live in one
 // machine-readable file.
 //
-// Part 3 (closed-loop sweep + shed cost, PR 8): the acceptance curve for
-// the shed-fast path. A fixed set of streams (4x the in-flight bound)
-// issue-on-completion against a bounded gate, so offered load self-
-// regulates and every excess arrival exercises the striped rejection path;
-// goodput must PLATEAU as queries/epoch rises (the old sweep collapsed
-// 575k -> 296k qps because rejections paid per-query allocation + stats).
-// A micro-measurement of answer() against a fully-shedding gate reports
-// the rejection cost itself (shed_cost_p50/p99_us; the contract is < 1 µs
-// p99).
+// Part 3 (closed-loop sweep + shed cost): the acceptance curve for the
+// shed-fast path. Issue-on-completion streams run against a 4-slot gate,
+// 1x, 2x, 4x and 8x as many streams as slots, at m = 2 and at m = 4. Past
+// 1x, a caller that finds every slot held is shed, so the shed rate rises
+// with the stream count; goodput must PLATEAU instead of collapsing,
+// because a rejection costs nanoseconds and yields its CPU to a slot
+// holder. Each level runs kClosedRepeats times, interleaved with the other
+// levels, and reports its median-goodput run. A micro-measurement of
+// answer() on an arrival that is already expired reports the cost of the
+// refusal path itself (shed_cost_p50/p99_us; the contract is < 1 µs p99).
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -46,6 +48,8 @@
 namespace {
 
 struct OverloadRow {
+  unsigned m = 2;
+  std::size_t streams = 0;    // closed-loop streams, or open-loop workers
   std::size_t offered_per_epoch = 0;
   std::size_t offered = 0;
   std::size_t ok = 0;
@@ -56,28 +60,34 @@ struct OverloadRow {
   double shed_rate = 0.0;
 };
 
-// One level of the F6b sweeps: m = 2, 2 ms deadlines, fault rate 0.5 and
-// an 8-slot bounded gate. Open loop: 4 workers behind a 512-deep arrival
-// queue that sheds the excess at the door. Closed loop: 32 streams (4x the
-// bound) issuing on completion, so offered load self-regulates, door_shed
-// is 0 by construction, and the excess arrivals all take the gate's
-// rejection path.
-OverloadRow run_level(std::size_t offered_per_epoch, std::size_t epochs,
+// One level of the F6b sweeps: 2 ms deadlines and fault rate 0.5. Open
+// loop (m = 2): 4 workers behind a 512-deep arrival queue that sheds the
+// excess at the door, and an 8-slot gate. Closed loop: `streams` streams
+// issuing on completion against a kClosedBound-slot gate, so offered load
+// self-regulates, door_shed is 0 by construction, and an arrival that
+// finds every slot held takes the gate's rejection path.
+constexpr std::size_t kClosedBound = 4;
+constexpr int kClosedRepeats = 3;
+
+OverloadRow run_level(unsigned m, std::size_t streams,
+                      std::size_t offered_per_epoch, std::size_t epochs,
                       bool closed_loop) {
   hhc::sim::SoakConfig config;
-  config.m = 2;
+  config.m = m;
   config.epochs = epochs;
   config.queries_per_epoch = offered_per_epoch;
-  config.workers = closed_loop ? 32 : 4;
+  config.workers = streams;
   config.max_queued = 512;
   config.closed_loop = closed_loop;
   config.deadline_us = 2000.0;
   config.fault_rate = 0.5;
   config.seed = 99;
-  config.admission.max_in_flight = 8;
+  config.admission.max_in_flight = closed_loop ? kClosedBound : 8;
   const hhc::sim::SoakReport report = hhc::sim::run_soak(config);
 
   OverloadRow row;
+  row.m = m;
+  row.streams = streams;
   row.offered_per_epoch = offered_per_epoch;
   row.offered = report.offered;
   row.ok = report.ok;
@@ -94,16 +104,15 @@ OverloadRow run_level(std::size_t offered_per_epoch, std::size_t epochs,
   return row;
 }
 
-// Runs one sweep over `levels` and prints it as a table titled `title`.
-std::vector<OverloadRow> run_sweep(const std::vector<std::size_t>& levels,
-                                   std::size_t epochs, bool closed_loop,
-                                   const std::string& title) {
-  std::vector<OverloadRow> rows;
-  hhc::util::Table table{{"offered/epoch", "offered", "ok", "shed",
-                          "timed-out", "goodput q/s", "p99 us", "shed rate"}};
-  for (const std::size_t level : levels) {
-    const OverloadRow row = run_level(level, epochs, closed_loop);
+void print_rows(const std::vector<OverloadRow>& rows,
+                const std::string& title) {
+  hhc::util::Table table{{"m", "streams", "offered/epoch", "offered", "ok",
+                          "shed", "timed-out", "goodput q/s", "p99 us",
+                          "shed rate"}};
+  for (const OverloadRow& row : rows) {
     table.row()
+        .add(std::uint64_t{row.m})
+        .add(std::uint64_t{row.streams})
         .add(std::uint64_t{row.offered_per_epoch})
         .add(std::uint64_t{row.offered})
         .add(std::uint64_t{row.ok})
@@ -112,9 +121,55 @@ std::vector<OverloadRow> run_sweep(const std::vector<std::size_t>& levels,
         .add(row.goodput_qps, 0)
         .add(row.p99_us, 1)
         .add(row.shed_rate, 3);
-    rows.push_back(row);
   }
   table.print(std::cout, title);
+}
+
+// The open-loop sweep: offered load rises at a fixed 4 workers.
+std::vector<OverloadRow> run_open_sweep(const std::vector<std::size_t>& levels,
+                                        std::size_t epochs) {
+  std::vector<OverloadRow> rows;
+  for (const std::size_t level : levels) {
+    rows.push_back(run_level(2, 4, level, epochs, false));
+  }
+  return rows;
+}
+
+// The closed-loop sweep: at each m, streams rise from 1x to 8x the bound
+// at a fixed queries/epoch per m. The repeats run round-robin over the
+// levels, so drift in host load reaches every level alike, and each level
+// keeps its median-goodput run.
+std::vector<OverloadRow> run_closed_sweep(bool smoke) {
+  struct Level {
+    unsigned m;
+    std::size_t streams;
+    std::size_t queries_per_epoch;
+  };
+  std::vector<Level> levels;
+  for (const unsigned m : {2u, 4u}) {
+    // Legs of tens of ms at the 1x goodput (m = 2 answers are sub-µs; an
+    // m = 4 leg also fills orbit records on its fresh service).
+    std::size_t queries = m == 2 ? 131072 : 32768;
+    if (smoke) queries /= 4;
+    for (const std::size_t factor : {1u, 2u, 4u, 8u}) {
+      levels.push_back(Level{m, factor * kClosedBound, queries});
+    }
+  }
+  std::vector<std::vector<OverloadRow>> runs(levels.size());
+  for (int r = 0; r < kClosedRepeats; ++r) {
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      runs[i].push_back(run_level(levels[i].m, levels[i].streams,
+                                  levels[i].queries_per_epoch, 2, true));
+    }
+  }
+  std::vector<OverloadRow> rows;
+  for (std::vector<OverloadRow>& level_runs : runs) {
+    std::sort(level_runs.begin(), level_runs.end(),
+              [](const OverloadRow& a, const OverloadRow& b) {
+                return a.goodput_qps < b.goodput_qps;
+              });
+    rows.push_back(level_runs[level_runs.size() / 2]);
+  }
   return rows;
 }
 
@@ -123,26 +178,26 @@ struct ShedCost {
   double p99_us = 0.0;
 };
 
-// Times answer() against a gate shedding 100% of traffic (overloaded,
-// probing disabled): the per-call cost of the rejection fast path itself,
-// clock overhead included.
+// Times answer() on an arrival that is already expired: the gate refuses
+// it (kTimedOut) through the same serve() branch as a full gate's kShed,
+// without the one yield a full gate gives its caller. This is the per-call
+// cost of the refusal fast path itself, clock overhead included.
 ShedCost measure_shed_cost(std::size_t samples) {
   using namespace hhc;
   const core::HhcTopology net{2};
-  query::PathServiceConfig config;
-  config.admission.ewma_alpha = 1.0;
-  config.admission.overload_latency_us = 1e-3;  // any completion overloads
-  config.admission.probe_interval = 0;  // pure sheds for the measurement
-  query::PathService service{net, config};
-  (void)service.answer(query::PairQuery{.s = 0, .t = 60});  // seed the EWMA
-  if (!service.gate().overloaded()) return {};  // can't happen; belt&braces
+  query::PathService service{net};
+  query::PairQuery query{.s = 0, .t = 60};
+  query.deadline = util::Deadline::after_micros(0.0);
 
-  const query::PairQuery query{.s = 0, .t = 60};
   std::vector<double> micros(samples);
   for (double& sample : micros) {
     const util::Stopwatch watch;
     (void)service.answer(query);
     sample = watch.micros();
+  }
+  if (service.stats().timed_out != samples) {
+    std::cerr << "shed cost: an expired arrival was not refused\n";
+    std::exit(1);
   }
   std::sort(micros.begin(), micros.end());
   return ShedCost{micros[samples / 2], micros[samples * 99 / 100]};
@@ -152,6 +207,8 @@ void sweep_rows_json(hhc::core::JsonWriter& json,
                      const std::vector<OverloadRow>& rows) {
   for (const OverloadRow& row : rows) {
     json.begin_object();
+    json.key("m").value(std::uint64_t{row.m});
+    json.key("streams").value(std::uint64_t{row.streams});
     json.key("offered_per_epoch").value(std::uint64_t{row.offered_per_epoch});
     json.key("offered").value(std::uint64_t{row.offered});
     json.key("ok").value(std::uint64_t{row.ok});
@@ -258,28 +315,30 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> levels{256, 1024, 4096};
   if (!smoke) levels.push_back(16384);
 
-  const std::vector<OverloadRow> rows = run_sweep(
-      levels, epochs, false,
-      "F6b (m=2): query-engine overload sweep — admission-gated service, "
-      "2 ms deadlines");
+  const std::vector<OverloadRow> rows = run_open_sweep(levels, epochs);
+  print_rows(rows,
+             "F6b (m=2): query-engine overload sweep — admission-gated "
+             "service, 2 ms deadlines");
   std::cout << "\nExpected shape: goodput plateaus at service capacity while "
                "the shed rate rises\nwith offered load; p99 stays bounded by "
                "the deadline instead of blowing up.\n\n";
 
-  // Part 3: the closed-loop goodput plateau + the shed-path cost itself.
-  const std::vector<OverloadRow> closed_rows = run_sweep(
-      levels, epochs, true,
-      "F6b closed-loop (m=2): 32 issue-on-completion streams, bounded gate "
-      "(8 slots)");
+  // Part 3: the closed-loop goodput plateau + the refusal-path cost.
+  const std::vector<OverloadRow> closed_rows = run_closed_sweep(smoke);
+  print_rows(closed_rows,
+             "F6b closed-loop: issue-on-completion streams against a 4-slot "
+             "gate, median of 3 runs");
 
   const ShedCost cost = measure_shed_cost(smoke ? 20000 : 100000);
-  std::cout << "\nshed-path cost: p50 " << cost.p50_us << " us, p99 "
+  std::cout << "\nrefusal-path cost (answer() on an expired arrival): p50 "
+            << cost.p50_us << " us, p99 "
             << cost.p99_us
             << " us (contract: < 1 us p99 — rejection is effectively "
                "free)\n"
-            << "Expected shape: closed-loop goodput FLAT across offered "
-               "levels — excess arrivals\nburn nanoseconds on the striped "
-               "shed path instead of dragging capacity down.\n";
+            << "Expected shape: at each m, closed-loop goodput FLAT across "
+               "stream counts while\nthe shed rate rises — excess arrivals "
+               "burn nanoseconds on the striped refusal\npath instead of "
+               "dragging capacity down.\n";
 
   merge_into_bench_query(sweep_fragment(rows, closed_rows, cost));
   return 0;

@@ -107,10 +107,11 @@ class AdaptiveRouter {
     assert(&cache->net() == &net);
   }
 
-  /// Knobs the admission layer threads through: a degraded route skips the
-  /// survivor-subgraph search fallback entirely (the expensive stage under
-  /// hostile fault sets) and reports outcome kShed when the container scan
-  /// alone could not deliver — that kDisconnected is NOT authoritative.
+  /// The container-only verdict, for direct callers (the F2 and F7
+  /// benches, `hhc_tool faults`): skip_fallback never runs the survivor
+  /// search and reports outcome kShed when the container scan alone could
+  /// not deliver — that kDisconnected is NOT authoritative. PathService
+  /// always routes with the defaults.
   struct RouteLimits {
     bool skip_fallback = false;
   };

@@ -12,7 +12,7 @@ inline constexpr const char* kAnswer = "query.answer";
 inline constexpr const char* kAnswerView = "query.answer_view";
 
 // Per-outcome answer latency and the overload tallies (shed, timed out,
-// invalid, degraded admissions, breaker short-circuits and trips) are not
+// invalid, breaker short-circuits and trips) are not
 // registry metrics: PathService keeps them in its own per-thread stripes
 // and ServiceStats is their one source.
 

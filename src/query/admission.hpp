@@ -1,20 +1,14 @@
-// Admission control, overload detection, and circuit breaking for the
-// path-query engine.
+// Admission control and circuit breaking for the path-query engine.
 //
-// Three cooperating mechanisms keep PathService answering within bounded
-// time when offered load exceeds capacity, instead of queueing without
-// limit or parking workers in expensive fallbacks:
+// Two mechanisms keep PathService answering within bounded time when
+// offered load exceeds capacity, instead of queueing without limit or
+// parking workers in expensive fallbacks:
 //
 //   AdmissionGate    a bounded in-flight limit that sheds: a query arriving
-//                    at a full gate is refused at once (outcome kShed). It
-//                    is also the one place that classifies a query that is
-//                    already expired or cancelled on arrival (kTimedOut).
-//   EWMA detector    an exponentially weighted moving average of answer
-//                    latency, folded into the gate: when the smoothed
-//                    latency crosses the configured threshold the service
-//                    is "overloaded" and admissions shed regardless of
-//                    in-flight occupancy (admitting behind an already slow
-//                    service only makes the smoothed latency worse).
+//                    at a full gate is refused (outcome kShed) after one
+//                    yield. It is also the one place that classifies a
+//                    query that is already expired or cancelled on arrival
+//                    (kTimedOut).
 //   CircuitBreaker   a per-fault-epoch memory of repeatedly-disconnected
 //                    pairs: once a pair reports kDisconnected `threshold`
 //                    consecutive times within one fault epoch, further
@@ -29,25 +23,16 @@
 // read + exchange that only writes on successful admission; a caller
 // reclaims the slot it released last, so a steady caller's claim and
 // release stay in its own core's cache. A rejection at the bound yields
-// the caller's CPU once, to a slot holder that may be waiting for it.
-// Completion feedback lands in per-thread util::Striped cells and is
-// folded into the EWMA on decision epochs, not per sample; and a disabled
-// mechanism costs at most a relaxed load. This is what makes rejection
-// effectively free and lets goodput plateau under overload instead of
-// collapsing (the F6b closed-loop sweep in BENCH_query.json is the
-// acceptance curve).
+// the caller's CPU once, to a slot holder that may be waiting for it. An
+// unlimited gate reads nothing shared at all. This is what makes
+// rejection effectively free and lets goodput plateau under overload
+// instead of collapsing (the F6b closed-loop sweep in BENCH_query.json is
+// the acceptance curve).
 //
-// Recovery contract: the EWMA only learns from completed answers, so a
-// gate shedding 100% of traffic would otherwise never observe that load
-// dropped. Every probe_interval-th overload shed decision per thread is
-// admitted (degraded) as a half-open probe; probe completions feed the
-// detector and close the loop, so a recovered backend reopens the gate
-// within a handful of probes.
-//
-// All three are policy ONLY — they never alter the bits of an answer that
-// is delivered with RouteOutcome::kOk. With the default config (no limit,
-// no threshold, no breaker) every mechanism is inert and the service
-// behaves exactly as it did before this layer existed.
+// Both are policy ONLY — they never alter the bits of an answer that is
+// delivered with RouteOutcome::kOk. With the default config (no limit, no
+// breaker) both are inert and the service behaves exactly as it did
+// before this layer existed.
 #pragma once
 
 #include <atomic>
@@ -60,7 +45,6 @@
 
 #include "core/topology.hpp"
 #include "util/deadline.hpp"
-#include "util/striped.hpp"
 
 namespace hhc::query {
 
@@ -70,33 +54,22 @@ struct AdmissionConfig {
   /// the default config adds zero shared writes to the query hot path. A
   /// bounded gate keeps one cache line per slot.
   std::size_t max_in_flight = 0;
-  /// EWMA smoothing factor in (0, 1]; the weight of the newest sample.
-  double ewma_alpha = 0.2;
-  /// Smoothed-latency overload threshold in µs; 0 = detector disabled
-  /// (completion feedback then never touches shared state either).
-  double overload_latency_us = 0.0;
   /// Consecutive kDisconnected answers for one pair (within one fault
   /// epoch) that open its breaker; 0 = breaker disabled.
   std::size_t breaker_threshold = 0;
-  /// While the detector flags overload, every Nth consecutive shed
-  /// decision per thread is admitted (degraded) as a half-open probe so
-  /// the detector keeps seeing completions and can observe recovery. 0
-  /// disables probing (a fully-shedding gate then stays shut until
-  /// something else completes — only sensible in tests).
-  std::size_t probe_interval = 64;
 };
 
 /// Gate verdicts, in decreasing order of service delivered.
 enum class AdmissionVerdict {
   kAdmitted,          // run the full query
-  kAdmittedDegraded,  // overload probe: run, but skip the fault-aware fallback
-  kShed,              // rejected: bound hit, or overload
+  kAdmittedDegraded,  // never returned; kept only for callers that name it
+  kShed,              // rejected: every slot is held
   kTimedOut,          // expired or cancelled on arrival
 };
 
-/// The bounded in-flight gate + EWMA overload detector. Thread-safe; one
-/// admit() that returns kAdmitted/kAdmittedDegraded must be paired with
-/// exactly one release() (PathService uses an RAII guard).
+/// The bounded in-flight gate. Thread-safe; one admit() that returns
+/// kAdmitted must be paired with exactly one release() (PathService uses
+/// an RAII guard).
 class AdmissionGate {
  public:
   explicit AdmissionGate(AdmissionConfig config)
@@ -113,57 +86,20 @@ class AdmissionGate {
   [[nodiscard]] AdmissionVerdict admit(const util::Deadline& deadline,
                                        const util::CancellationToken* cancel);
 
-  /// Gives back one successful admit(): an overload probe first, else a
-  /// slot. No-op on an unlimited gate (no slot was ever claimed).
+  /// Gives back one successful admit()'s slot. No-op on an unlimited gate
+  /// (no slot was ever claimed).
   void release() noexcept;
 
-  /// Feeds one completed answer's latency into the detector: per-thread
-  /// striped cells, folded into the EWMA on decision epochs (every
-  /// kDecisionEpoch completions of a thread, and eagerly while the gate is
-  /// overloaded so probe completions reopen it promptly). Between folds
-  /// this touches thread-private cells only.
-  void record_latency(double micros) noexcept;
-
-  /// Smoothed latency estimate (µs); 0 until the first sample. Folds any
-  /// pending completion samples first, so reads are exact when writers are
-  /// quiescent (tests and stats() rely on that).
-  [[nodiscard]] double ewma_latency_us() const noexcept;
-
-  /// True when the detector is armed and the smoothed latency exceeds the
-  /// configured threshold. Folds pending samples like ewma_latency_us();
-  /// the hot admit() path reads the cached epoch-folded state instead.
-  [[nodiscard]] bool overloaded() const noexcept;
-
-  /// Instantaneous occupancy: claimed slots plus admissions past the
-  /// bound. Always 0 for an unlimited gate (which does no accounting — see
-  /// AdmissionConfig::max_in_flight).
+  /// Instantaneous occupancy: claimed slots. Always 0 for an unlimited
+  /// gate (which does no accounting — see AdmissionConfig::max_in_flight).
   [[nodiscard]] std::size_t in_flight() const noexcept;
-  [[nodiscard]] const AdmissionConfig& config() const noexcept {
-    return config_;
-  }
-
-  /// Completions per thread between EWMA folds when the detector is armed.
-  static constexpr std::uint64_t kDecisionEpoch = 32;
 
  private:
-  /// Folds completion samples recorded since the last fold into the EWMA
-  /// and refreshes the cached overload flag. Blocking variant used by the
-  /// exact read-side accessors; the completion path uses try-lock.
-  void fold_completions() const noexcept;
-  [[nodiscard]] bool try_fold_completions() const noexcept;
-  void apply_fold_locked() const noexcept;
-
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
-  /// This thread's state for this gate: its consecutive-shed streak and
-  /// the slot it claimed last.
-  struct Local {
-    std::size_t streak = 0;
-    std::size_t slot = kNoSlot;
-  };
-  [[nodiscard]] static std::vector<Local>& locals() noexcept;
-  [[nodiscard]] Local& local() const;
+  /// This thread's last claimed slot per gate, indexed by gate id.
+  [[nodiscard]] static std::vector<std::size_t>& own_slots() noexcept;
   /// Claims a free slot, trying this thread's last one first.
-  [[nodiscard]] bool try_claim(Local& local) noexcept;
+  [[nodiscard]] bool try_claim() noexcept;
 
   [[nodiscard]] static std::atomic<std::uint64_t>& next_id() noexcept {
     static std::atomic<std::uint64_t> id{0};
@@ -171,7 +107,7 @@ class AdmissionGate {
   }
 
   AdmissionConfig config_;
-  const std::uint64_t id_;  // process-unique; keys the per-thread Local
+  const std::uint64_t id_;  // process-unique; keys the per-thread slot
   // The bound as max_in_flight slots, one cache line each. A thread
   // reclaims the slot it released last, so a steady caller's claim and
   // release stay in its own core's cache instead of passing one shared
@@ -180,22 +116,6 @@ class AdmissionGate {
     std::atomic<bool> taken{false};
   };
   std::unique_ptr<Slot[]> slots_;
-  // Overload probes, admitted past the bound; released first.
-  std::atomic<std::size_t> overflow_{0};
-
-  // Completion feedback: one per-thread cell (count and summed ns) on the
-  // write side, folded into ewma_us_/overload_cached_ under fold_mutex_ on
-  // decision epochs.
-  struct Completions {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum_ns{0};
-  };
-  util::Striped<Completions> completion_cells_;
-  mutable std::mutex fold_mutex_;
-  mutable std::uint64_t folded_count_ = 0;  // under fold_mutex_
-  mutable std::uint64_t folded_sum_ns_ = 0;
-  mutable std::atomic<double> ewma_us_{0.0};
-  mutable std::atomic<bool> overload_cached_{false};
 };
 
 /// Per-fault-epoch short-circuit for repeatedly-disconnected pairs. The
@@ -229,7 +149,10 @@ class CircuitBreaker {
   [[nodiscard]] bool should_short_circuit(core::Node s, core::Node t);
 
   /// Records one authoritative answer for (s, t): a disconnect extends the
-  /// streak (opening the breaker at the threshold), anything else resets it.
+  /// streak (opening the breaker at the threshold), anything else resets
+  /// the pair's entry if it has one. Only a disconnect inserts an entry, so
+  /// the map holds pairs that were seen disconnected, not every pair
+  /// answered, and a success is read-only until the first disconnect.
   void record(core::Node s, core::Node t, bool disconnected);
 
   /// Breakers opened since construction (monotone; telemetry only).

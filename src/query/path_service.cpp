@@ -49,10 +49,6 @@ void PathService::account(const PairQuery& query, RouteOutcome outcome,
   tally.bump(received(query));
   switch (outcome) {
     case RouteOutcome::kOk:
-      // Completed answers (and only those) feed the overload detector: a
-      // shed query finishes in nanoseconds and would talk the EWMA out of
-      // the very overload it is evidence of.
-      gate_.record_latency(micros);
       switch (level) {
         case DegradationLevel::kGuaranteed: tally.bump(kGuaranteed); break;
         case DegradationLevel::kBestEffort: tally.bump(kBestEffort); break;
@@ -60,15 +56,12 @@ void PathService::account(const PairQuery& query, RouteOutcome outcome,
       }
       break;
     case RouteOutcome::kTimedOut:
-      // In-flight timeouts did real admitted work; their cost is signal the
-      // detector should see and the timed-out histogram keeps it visible.
-      gate_.record_latency(micros);
       tally.bump(kTimedOut);
       break;
     case RouteOutcome::kShed:
-      // Admitted work reported non-authoritative: breaker short-circuits
-      // and degraded skip-fallback answers. Gate sheds never get here —
-      // they take the shed-fast return in serve().
+      // Admitted work reported non-authoritative: breaker short-circuits,
+      // and m = 5 containers cut with no search to fall back on. Gate
+      // sheds never get here — they take the shed-fast return in serve().
       tally.bump(kShed);
       break;
     case RouteOutcome::kInvalid:
@@ -85,13 +78,12 @@ Result PathService::serve(const PairQuery& query, const char* stage,
   }
   // Shed-fast contract: the gate decides BEFORE any per-query work. It
   // answers kTimedOut, exactly once, for a query that arrives expired or
-  // cancelled, and kShed at a full or overloaded gate. Either refusal pays
-  // two thread-private striped bumps and returns a result carrying only
-  // its outcome — no span, no clock read, no histogram, no cache or
-  // registry traffic.
+  // cancelled, and kShed at a full gate. Either refusal pays two
+  // thread-private striped bumps and returns a result carrying only its
+  // outcome — no span, no clock read, no histogram, no cache or registry
+  // traffic.
   const AdmissionVerdict verdict = gate_.admit(query.deadline, query.cancel);
-  if (verdict == AdmissionVerdict::kShed ||
-      verdict == AdmissionVerdict::kTimedOut) {
+  if (verdict != AdmissionVerdict::kAdmitted) {
     const bool shed = verdict == AdmissionVerdict::kShed;
     count_rejected(query, shed ? kShed : kTimedOut);
     Result refused;
@@ -105,7 +97,7 @@ Result PathService::serve(const PairQuery& query, const char* stage,
   obs::TraceSpan span{stage, &stage_hist};
   util::Stopwatch watch;
   Tally& tally = tallies_.local();
-  Result result = body(verdict == AdmissionVerdict::kAdmittedDegraded, tally);
+  Result result = body(tally);
   result.micros = watch.micros();
   account(query, result.outcome, result.level, result.micros, tally);
   return result;
@@ -116,10 +108,7 @@ RouteResult PathService::answer(const PairQuery& query) {
       obs::stage_histogram(obs::stages::kAnswer);
   return serve<RouteResult>(
       query, obs::stages::kAnswer, answer_hist,
-      [&](bool degraded, Tally& tally) {
-        if (degraded) tally.bump(kDegradedAdmissions);
-        return answer_impl(query, degraded, tally);
-      });
+      [&](Tally& tally) { return answer_impl(query, tally); });
 }
 
 RouteView PathService::answer_view(const PairQuery& query) {
@@ -130,12 +119,11 @@ RouteView PathService::answer_view(const PairQuery& query) {
   }
   // The zero-copy path goes through the same gate as answer(): under a
   // bounded in-flight config a data plane hammering views is exactly the
-  // traffic the bound exists for. (A degraded probe admission is plain
-  // admission here — there is no fallback to skip.)
+  // traffic the bound exists for.
   static obs::Histogram& view_hist =
       obs::stage_histogram(obs::stages::kAnswerView);
   return serve<RouteView>(
-      query, obs::stages::kAnswerView, view_hist, [&](bool, Tally&) {
+      query, obs::stages::kAnswerView, view_hist, [&](Tally&) {
         RouteView view;
         view.level = DegradationLevel::kGuaranteed;
         if (query.s == query.t) {
@@ -152,8 +140,7 @@ RouteView PathService::answer_view(const PairQuery& query) {
       });
 }
 
-RouteResult PathService::answer_impl(const PairQuery& query, bool degraded,
-                                     Tally& tally) {
+RouteResult PathService::answer_impl(const PairQuery& query, Tally& tally) {
   RouteResult result;
   if (query.faults != nullptr) {
     if (breaker_.should_short_circuit(query.s, query.t)) {
@@ -164,7 +151,7 @@ RouteResult PathService::answer_impl(const PairQuery& query, bool degraded,
       tally.bump(kBreakerShortCircuits);
       return result;
     }
-    result = router_.route(query, {.skip_fallback = degraded});
+    result = router_.route(query);
     if (result.outcome == RouteOutcome::kOk && breaker_.enabled()) {
       breaker_.record(query.s, query.t,
                       result.level == DegradationLevel::kDisconnected);
@@ -229,11 +216,9 @@ ServiceStats PathService::stats() const {
   stats.shed = counts[kShed];
   stats.timed_out = counts[kTimedOut];
   stats.invalid = counts[kInvalid];
-  stats.degraded_admissions = counts[kDegradedAdmissions];
   stats.breaker_short_circuits = counts[kBreakerShortCircuits];
   stats.breaker_trips = breaker_.trips();
   stats.fault_epoch = breaker_.fault_epoch();
-  stats.ewma_latency_us = gate_.ewma_latency_us();
   stats.in_flight = gate_.in_flight();
   stats.cache = cache_.stats();
   stats.latency = stats.latency_ok;

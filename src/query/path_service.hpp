@@ -79,9 +79,9 @@ struct PathServiceConfig {
   /// Workers for the batch API: 0 = hardware concurrency, 1 = run batches
   /// inline on the caller's thread (no pool spawned at all).
   std::size_t threads = 1;
-  /// Overload robustness (in-flight bound, EWMA detector, breaker). The
-  /// default is fully inert: no limit, no threshold, no breaker — answers
-  /// are bit-identical to a service without the admission layer.
+  /// Overload robustness (in-flight bound, breaker). The default is fully
+  /// inert: no limit, no breaker — answers are bit-identical to a service
+  /// without the admission layer.
   AdmissionConfig admission{};
 };
 
@@ -142,9 +142,6 @@ class PathService {
     return breaker_.fault_epoch();
   }
 
-  /// The admission gate (read-only access for telemetry/tests).
-  [[nodiscard]] const AdmissionGate& gate() const noexcept { return gate_; }
-
   [[nodiscard]] core::ContainerCache& cache() noexcept { return cache_; }
   [[nodiscard]] const core::ContainerCache& cache() const noexcept {
     return cache_;
@@ -168,7 +165,6 @@ class PathService {
     kShed,
     kTimedOut,
     kInvalid,
-    kDegradedAdmissions,
     kBreakerShortCircuits,
     kCounts,
   };
@@ -183,18 +179,17 @@ class PathService {
     return query.faults == nullptr ? kPristine : kFaultAware;
   }
 
-  [[nodiscard]] RouteResult answer_impl(const PairQuery& query, bool degraded,
-                                        Tally& tally);
+  [[nodiscard]] RouteResult answer_impl(const PairQuery& query, Tally& tally);
   /// The one admitted-query path behind answer() and answer_view():
   /// validates the nodes, asks the gate, and returns a shed or an arrival
   /// expiry through count_rejected(). An admitted query holds its slot,
-  /// `stage` span and stopwatch around body(degraded, tally), then is
-  /// accounted once.
+  /// `stage` span and stopwatch around body(tally), then is accounted
+  /// once.
   template <class Result, class Body>
   Result serve(const PairQuery& query, const char* stage,
                obs::Histogram& stage_hist, Body&& body);
-  /// Accounting for an ADMITTED query: records the one latency sample,
-  /// feeds the EWMA, bumps the outcome and level counters.
+  /// Accounting for an ADMITTED query: records the one latency sample and
+  /// bumps the outcome and level counters, all in this thread's stripe.
   void account(const PairQuery& query, RouteOutcome outcome,
                DegradationLevel level, double micros, Tally& tally);
   /// A query that was never admitted: gate sheds and arrival expiries (the

@@ -39,12 +39,9 @@ std::vector<core::StatRow> ServiceStats::rows() const {
   scalar("shed", shed);
   scalar("timed_out", timed_out);
   scalar("invalid", invalid);
-  scalar("degraded_admissions", degraded_admissions);
   scalar("breaker_short_circuits", breaker_short_circuits);
   scalar("breaker_trips", breaker_trips);
   scalar("fault_epoch", fault_epoch);
-  rows.push_back(core::stat_scalar("service", "ewma_latency_us",
-                                   ewma_latency_us));
   scalar("in_flight", in_flight);
 
   rows.push_back(latency_row("answer_us", latency));

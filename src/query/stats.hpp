@@ -17,8 +17,8 @@
 // Latency semantics: the histograms measure POST-ADMISSION service time
 // in µs, one record per admitted answer. latency_ok holds answers that
 // completed (kOk, plus the admitted non-authoritative sheds: breaker
-// short-circuits and degraded skips); latency_timed_out holds in-flight
-// expiries; latency is their merge. Gate-shed queries and admission-time
+// short-circuits and cut m = 5 containers); latency_timed_out holds
+// in-flight expiries; latency is their merge. Gate-shed queries and admission-time
 // deadline expiries never touch them — the shed-fast path records nothing
 // but striped outcome tallies — so under overload the distribution
 // describes the work actually performed, not a blur of sub-microsecond
@@ -57,11 +57,9 @@ struct ServiceStats {
   std::uint64_t shed = 0;
   std::uint64_t timed_out = 0;
   std::uint64_t invalid = 0;               // malformed batch elements
-  std::uint64_t degraded_admissions = 0;   // admitted with fallback skipped
   std::uint64_t breaker_short_circuits = 0;
   std::uint64_t breaker_trips = 0;         // breakers opened (monotone)
   std::uint64_t fault_epoch = 0;           // the breaker's current epoch
-  double ewma_latency_us = 0.0;            // the overload detector's view
   std::uint64_t in_flight = 0;             // instantaneous occupancy
 
   core::CacheStats cache;

@@ -33,9 +33,9 @@
 //     (always zero unless the service deadlocks — the zero is the point).
 //
 // Determinism: pair sampling and the fault schedule are pure functions of
-// the seed. Latency-dependent fields (percentiles, overruns, EWMA-driven
-// sheds) are machine-dependent by nature; the soak test asserts invariants
-// about them, not exact values.
+// the seed. Latency-dependent fields (percentiles, overruns, gate sheds at
+// a full slot set) are machine-dependent by nature; the soak test asserts
+// invariants about them, not exact values.
 #pragma once
 
 #include <cstdint>

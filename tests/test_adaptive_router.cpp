@@ -163,6 +163,14 @@ TEST(AdaptiveRouter, FallsBackWhenAllContainerPathsBlocked) {
   EXPECT_EQ(r.container_paths_blocked, container.paths.size());
   EXPECT_TRUE(core::is_valid_path(net, r.primary(), s, t));
   EXPECT_TRUE(path_avoids_faults(r.primary(), faults));
+
+  // The container-only verdict for the same cut is not authoritative.
+  const auto alone =
+      router.route(query::PairQuery{.s = s, .t = t, .faults = &faults},
+                   {.skip_fallback = true});
+  EXPECT_EQ(alone.outcome, query::RouteOutcome::kShed);
+  EXPECT_FALSE(alone.used_fallback);
+  EXPECT_TRUE(alone.paths.empty());
 }
 
 TEST(AdaptiveRouter, LinkFaultsAloneCanForceFallback) {

@@ -29,7 +29,9 @@
 //     covers, and after an interval change that re-projects the usable-edge
 //     bytes;
 //   * re-resolving the router's per-thread fault snapshot (a new model or
-//     a new interval) once it has grown to the largest active set.
+//     a new interval) once it has grown to the largest active set;
+//   * CircuitBreaker::record of a success for a pair it has no entry for,
+//     before and after some other pair was seen disconnected.
 //
 // It also counts frees, to show that a store publication which loses its
 // race frees the loser's entry.
@@ -797,6 +799,29 @@ TEST(AllocationFree, ReResolveIntoGrownSnapshot) {
     EXPECT_FALSE(r.used_fallback);
     EXPECT_TRUE(r.paths.empty());
   }
+}
+
+TEST(AllocationFree, BreakerSuccessesForFreshPairsInsertNothing) {
+  // Only a disconnect inserts a breaker entry: successes for pairs the
+  // breaker has never seen disconnected leave the map as it is, so it does
+  // not grow by every fault-aware pair answered.
+  query::CircuitBreaker breaker{3};
+  constexpr Node kPairs = 1000;
+  const std::size_t before_any = allocation_count();
+  for (Node s = 0; s < kPairs; ++s) breaker.record(s, s + 1, false);
+  const std::size_t fresh = allocation_count() - before_any;
+
+  breaker.record(kPairs, kPairs + 1, true);  // the map now has an entry
+  const std::size_t before_more = allocation_count();
+  for (Node s = 0; s < kPairs; ++s) breaker.record(s, s + 2, false);
+  const std::size_t after_entry = allocation_count() - before_more;
+
+  EXPECT_EQ(fresh, 0u) << "successes on an empty breaker performed "
+                       << fresh << " heap allocations";
+  EXPECT_EQ(after_entry, 0u) << "successes beside one entry performed "
+                             << after_entry << " heap allocations";
+  EXPECT_FALSE(breaker.should_short_circuit(0, 1));
+  EXPECT_EQ(breaker.trips(), 0u);
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 // Overload-invariant property suite (PR 8).
 //
 // Three contracts, swept across every in-flight bound x breaker state x
-// overload detector x deadline combination with seeded traffic (>= 1000
-// cases):
+// deadline combination with seeded traffic (>= 1000 cases):
 //
 //   1. The outcome partition is EXACT:
 //        guaranteed + best_effort + disconnected + shed + timed_out +
 //        invalid == queries   and   pristine + fault_aware == queries
 //      — no overload mechanism may lose or double-count a query.
-//   2. A shed decision performs no per-query work: cache counters and the
-//      service-time histogram are bit-unchanged across any number of
-//      gate sheds (the shed-fast contract).
+//   2. A shed decision performs no per-query work: with callers racing
+//      for a full gate, cache lookups and service-time samples count the
+//      admitted answers exactly, and no shed (the shed-fast contract).
 //   3. Admission-time deadline expiry classifies kTimedOut EXACTLY once,
 //      in single and batch form (the PR 8 double-count fix).
 //
@@ -20,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/fault_model.hpp"
@@ -37,7 +38,6 @@ using core::HhcTopology;
 struct CaseConfig {
   std::size_t max_in_flight = 0;
   std::size_t breaker_threshold = 0;
-  bool detector = false;
   int deadline_kind = 0;  // 0 = none, 1 = generous, 2 = already expired
 };
 
@@ -51,11 +51,6 @@ void check_partition_case(const HhcTopology& net, const CaseConfig& cc,
   config.threads = 1;
   config.admission.max_in_flight = cc.max_in_flight;
   config.admission.breaker_threshold = cc.breaker_threshold;
-  // Armed low enough that cold constructions trip the detector and warm
-  // answers recover it — overload sheds and probes both get real traffic.
-  config.admission.ewma_alpha = 0.5;
-  config.admission.overload_latency_us = cc.detector ? 50.0 : 0.0;
-  config.admission.probe_interval = 4;
   PathService service{net, config};
 
   util::Xoshiro256 rng{seed};
@@ -98,7 +93,7 @@ void check_partition_case(const HhcTopology& net, const CaseConfig& cc,
                 stats.shed + stats.timed_out + stats.invalid,
             stats.queries)
       << "partition broken: bound=" << cc.max_in_flight
-      << " breaker=" << cc.breaker_threshold << " detector=" << cc.detector
+      << " breaker=" << cc.breaker_threshold
       << " deadline_kind=" << cc.deadline_kind << " seed=" << seed;
   EXPECT_EQ(stats.in_flight, 0u);
 }
@@ -108,14 +103,11 @@ TEST(OverloadInvariants, OutcomePartitionHoldsAcrossEveryGateCombination) {
   std::size_t cases = 0;
   for (const std::size_t bound : {std::size_t{0}, std::size_t{2}}) {
     for (const std::size_t breaker : {std::size_t{0}, std::size_t{2}}) {
-      for (const bool detector : {false, true}) {
-        for (const int deadline_kind : {0, 1, 2}) {
-          for (std::uint64_t seed = 1; seed <= 42; ++seed) {
-            check_partition_case(
-                net, CaseConfig{bound, breaker, detector, deadline_kind},
-                seed);
-            ++cases;
-          }
+      for (const int deadline_kind : {0, 1, 2}) {
+        for (std::uint64_t seed = 1; seed <= 84; ++seed) {
+          check_partition_case(net, CaseConfig{bound, breaker, deadline_kind},
+                               seed);
+          ++cases;
         }
       }
     }
@@ -123,46 +115,96 @@ TEST(OverloadInvariants, OutcomePartitionHoldsAcrossEveryGateCombination) {
   EXPECT_GE(cases, 1000u);  // the suite's advertised floor
 }
 
+// The shed-fast contract, counted exactly: every admitted answer makes one
+// cache lookup and one latency sample, and a refusal makes neither. The
+// stats are read once the callers have joined, so every count is exact.
+void expect_refusals_did_no_work(const ServiceStats& stats,
+                                 std::uint64_t admitted) {
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, admitted);
+  EXPECT_EQ(stats.latency.count, admitted);
+  EXPECT_EQ(stats.guaranteed, admitted);
+  EXPECT_EQ(stats.pristine, stats.queries);
+  EXPECT_EQ(stats.guaranteed + stats.best_effort + stats.disconnected +
+                stats.shed + stats.timed_out + stats.invalid,
+            stats.queries);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 TEST(OverloadInvariants, ShedDecisionsNeverTouchCacheOrHistograms) {
+  // The sheds come from a full gate: four callers race for one slot until
+  // kSheds refusals are counted, half through answer() and half through
+  // answer_view(). kMaxAdmitted only turns a gate that never fills into a
+  // failure instead of a hang.
   const HhcTopology net{2};
   PathServiceConfig config;
-  config.admission.ewma_alpha = 1.0;
-  config.admission.overload_latency_us = 1e-3;  // any completion overloads
-  config.admission.probe_interval = 0;  // pure sheds: no probes mid-assert
+  config.admission.max_in_flight = 1;
   PathService service{net, config};
 
-  // One completed answer warms the cache and trips the detector.
-  (void)service.answer(PairQuery{.s = 0, .t = 60});
-  ASSERT_TRUE(service.gate().overloaded());
-
-  const ServiceStats before = service.stats();
-  ASSERT_EQ(before.latency.count, 1u);
-
-  constexpr std::uint64_t kSheds = 1000;
-  for (std::uint64_t i = 0; i < kSheds; ++i) {
-    const RouteResult result = service.answer(PairQuery{.s = 0, .t = 60});
-    ASSERT_EQ(result.outcome, RouteOutcome::kShed);
-    ASSERT_TRUE(result.paths.empty());
+  constexpr std::size_t kCallers = 4;
+  constexpr std::uint64_t kSheds = 2000;
+  constexpr std::uint64_t kMaxAdmitted = 1'000'000;
+  std::atomic<std::uint64_t> sheds{0};
+  std::atomic<std::uint64_t> admitted{0};
+  std::atomic<std::uint64_t> malformed{0};  // results that break the contract
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      util::Xoshiro256 rng{c + 1};
+      while (sheds.load(std::memory_order_relaxed) < kSheds &&
+             admitted.load(std::memory_order_relaxed) < kMaxAdmitted) {
+        PairQuery query;
+        query.s = rng.below(net.node_count());
+        query.t = (query.s + 1 + rng.below(net.node_count() - 1)) %
+                  net.node_count();  // s != t: every answer looks up
+        RouteOutcome outcome = RouteOutcome::kOk;
+        bool delivered = false;
+        if (rng.chance(0.5)) {
+          const RouteResult result = service.answer(query);
+          outcome = result.outcome;
+          delivered = !result.paths.empty();
+        } else {
+          const RouteView view = service.answer_view(query);
+          outcome = view.outcome;
+          delivered = view.ok();
+        }
+        const bool shed = outcome == RouteOutcome::kShed;
+        (shed ? sheds : admitted).fetch_add(1, std::memory_order_relaxed);
+        if (delivered == shed || (!shed && outcome != RouteOutcome::kOk)) {
+          malformed.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
   }
-  for (std::uint64_t i = 0; i < kSheds; ++i) {
-    const RouteView view = service.answer_view(PairQuery{.s = 0, .t = 60});
-    ASSERT_EQ(view.outcome, RouteOutcome::kShed);
-    ASSERT_FALSE(view.ok());
-  }
+  for (auto& caller : callers) caller.join();
 
+  ASSERT_GE(sheds.load(), kSheds) << "the gate never filled: "
+                                  << admitted.load() << " answers admitted";
+  EXPECT_EQ(malformed.load(), 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed, sheds.load());
+  EXPECT_EQ(stats.timed_out, 0u);
+  EXPECT_EQ(stats.queries, sheds.load() + admitted.load());
+  expect_refusals_did_no_work(stats, admitted.load());
+
+  // Arrivals already expired are refused the same way, singly and in a
+  // batch: kTimedOut from the gate, no lookup, no sample.
+  constexpr std::size_t kExpired = 64;
+  PairQuery expired{.s = 0, .t = 60};
+  expired.deadline = util::Deadline::after_micros(0.0);
+  for (std::size_t i = 0; i < kExpired; ++i) {
+    EXPECT_EQ(service.answer(expired).outcome, RouteOutcome::kTimedOut);
+    EXPECT_EQ(service.answer_view(expired).outcome, RouteOutcome::kTimedOut);
+  }
+  const std::vector<PairQuery> batch(kExpired, expired);
+  for (const RouteResult& result :
+       service.answer(std::span<const PairQuery>{batch})) {
+    EXPECT_EQ(result.outcome, RouteOutcome::kTimedOut);
+  }
   const ServiceStats after = service.stats();
-  // The shed-fast contract: no cache traffic, no histogram samples, no
-  // EWMA movement — only the striped shed/pristine tallies moved.
-  EXPECT_EQ(after.cache.hits, before.cache.hits);
-  EXPECT_EQ(after.cache.misses, before.cache.misses);
-  EXPECT_EQ(after.cache.entries, before.cache.entries);
-  EXPECT_EQ(after.latency.count, before.latency.count);
-  EXPECT_EQ(after.ewma_latency_us, before.ewma_latency_us);
-  EXPECT_EQ(after.shed, before.shed + 2 * kSheds);
-  EXPECT_EQ(after.queries, before.queries + 2 * kSheds);
-  EXPECT_EQ(after.guaranteed + after.best_effort + after.disconnected +
-                after.shed + after.timed_out + after.invalid,
-            after.queries);
+  EXPECT_EQ(after.timed_out, 3 * kExpired);
+  EXPECT_EQ(after.shed, stats.shed);
+  EXPECT_EQ(after.queries, stats.queries + 3 * kExpired);
+  expect_refusals_did_no_work(after, admitted.load());
 }
 
 TEST(OverloadInvariants, AdmissionExpiryClassifiesTimedOutExactlyOnce) {

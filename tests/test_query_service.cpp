@@ -488,50 +488,6 @@ TEST(PathService, AnswerViewHonorsDeadlines) {
   EXPECT_EQ(service.stats().timed_out, 1u);
 }
 
-TEST(PathService, OverloadDegradesFaultAwareAnswersToShed) {
-  // EWMA overload + blocked container: the overload probe's survivor
-  // search is skipped, and the non-authoritative "couldn't check" is
-  // reported as kShed — never as an authoritative kOk/kDisconnected.
-  const HhcTopology net{2};
-  PathServiceConfig config;
-  config.admission.ewma_alpha = 1.0;
-  config.admission.overload_latency_us = 1e-3;  // any sample overloads
-  config.admission.probe_interval = 1;  // every overload decision probes
-  PathService service{net, config};
-
-  // A completed answer seeds the EWMA past the threshold.
-  (void)service.answer(PairQuery{.s = 0, .t = 60});
-  ASSERT_TRUE(service.gate().overloaded());
-
-  // Block every container path via its SECOND edge (link faults, so every
-  // node stays alive and s keeps its full neighborhood); without overload
-  // this pair would get a BFS fallback around the three dead links.
-  const auto container = orbit_reference::expected_answer(net, 0, 60);
-  core::FaultModel faults;
-  for (const auto& path : container.paths) {
-    ASSERT_GE(path.size(), 3u);
-    faults.fail_link(path[1], path[2]);
-  }
-
-  const auto degraded =
-      service.answer(PairQuery{.s = 0, .t = 60, .faults = &faults});
-  EXPECT_EQ(degraded.outcome, RouteOutcome::kShed);
-  EXPECT_TRUE(degraded.paths.empty());
-
-  const auto stats = service.stats();
-  EXPECT_GE(stats.degraded_admissions, 1u);
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_GT(stats.ewma_latency_us, 0.0);
-
-  // The same query on a non-overloaded service proves the fallback was
-  // what got skipped.
-  PathService relaxed{net};
-  const auto full =
-      relaxed.answer(PairQuery{.s = 0, .t = 60, .faults = &faults});
-  EXPECT_EQ(full.outcome, RouteOutcome::kOk);
-  EXPECT_EQ(full.level, DegradationLevel::kBestEffort);
-}
-
 TEST(PathService, BreakerShortCircuitsRepeatedDisconnectsUntilEpochAdvance) {
   const HhcTopology net{2};
   PathServiceConfig config;

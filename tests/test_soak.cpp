@@ -1,9 +1,9 @@
 // Short deterministic soak runs (< 60 s even under sanitizers) asserting
 // the overload contract end to end: no stuck queries, bounded deadline
 // overrun, deterministic breaker sheds on the hostile pair, and recovery
-// after scheduled repairs. Timing-derived fields (percentiles, EWMA) are
-// machine-dependent, so every assertion here is an invariant, not an exact
-// latency value.
+// after scheduled repairs. Timing-derived fields (percentiles, gate sheds)
+// are machine-dependent, so every assertion here is an invariant, not an
+// exact latency value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
