@@ -104,6 +104,10 @@ struct BoundRow {
 };
 
 constexpr unsigned kPositions = 1U << core::OrbitTable::kMaxM;
+// The largest bound at m <= 4: |ΔX| <= 2^m, and H(Y_v, Y_t) plus twice the
+// max-part is at most 2m. Mark::h holds it in a byte.
+constexpr std::size_t kMaxBound = kPositions + 2 * core::OrbitTable::kMaxM;
+static_assert(kMaxBound <= 0xFF);
 using BoundTable = std::array<BoundRow, kPositions>;  // indexed by y
 
 constexpr auto kBoundTables = [] {
@@ -192,8 +196,8 @@ struct SearchScratch {
   }
 
   std::vector<Mark> marks;
-  // The open nodes at f and at f + 2 (which is which swaps), as node ids:
-  // the search runs only at m <= 4, whose ids fit 32 bits.
+  // The open nodes at f and at f + 2, as node ids: the search runs only at
+  // m <= 4, whose ids fit 32 bits.
   std::array<std::unique_ptr<std::uint32_t[]>, 2> stacks;
   std::unique_ptr<std::uint32_t[]> guard_fifo;
   std::uint64_t capacity = 0;  // nodes `marks` and each slot array hold
@@ -242,35 +246,51 @@ unsigned select_survivor(const core::ContainerHandle& container,
   return blocked;
 }
 
+// What one survivor search did.
+struct SearchWork {
+  std::size_t search_expansions = 0;  // A* expansions
+  std::size_t guard_expansions = 0;   // guard BFS expansions
+  bool timed_out = false;
+};
+
 // A* from s to t over the usable edges under the bound
 // detail::distance_bound; empty when t is unreachable. The bound changes by
 // exactly 1 across every edge (DESIGN.md §6), so f = g + h rises by 0 or 2
 // along an edge and two LIFO stacks, the open nodes at f and at f + 2,
 // replace a priority queue. A node is closed when expanded; the first time
 // t is generated, from a node at the current (least) f, closes a shortest
-// path. Expanding u takes its usable edges in ascending dimension, which is
-// HhcTopology::neighbors order, so a detour depends only on the snapshot
-// and (s, t). No fault fact is read here: `usable` folds each edge's link
-// and both endpoints into one bit.
+// path. Among the nodes at f the search pops one of least h (largest g)
+// first: when `open` empties, `later` is counting-sorted by h into it,
+// largest h at the bottom, and a node pushed at f while u is expanded has
+// h(u) - 1, at most every open h, so the top of the stack stays least.
+// Expanding u takes its usable edges in ascending dimension, which is
+// HhcTopology::neighbors order, and the sort keeps push order among equal
+// h, so a detour depends only on the snapshot and (s, t). No fault fact is
+// read here: `usable` folds each edge's link and both endpoints into one
+// bit.
 //
 // A* alone would sweep all of s's component when t sits in a smaller one.
 // A plain BFS from t (the guard) runs beside it: one expansion before the
-// first A* expansion, so an isolated t costs one, then one per
-// kGuardStride A* expansions. When the guard exhausts t's component
-// without reaching s, or A*'s stacks empty, t is unreachable; a
-// disconnected pair costs at most min(|C_s|, kGuardStride * |C_t|) A*
-// expansions.
+// first A* expansion, so an isolated t costs one, then, once A* has made
+// kGuardDelay expansions, one per kGuardStride more. When the guard
+// exhausts t's component without reaching s, or A*'s stacks empty, t is
+// unreachable; a disconnected pair costs at most
+// min(|C_s|, kGuardDelay + kGuardStride * |C_t|) A* expansions.
 //
 // Cooperatively cancellable: every util::kStopCheckStride A* expansions the
 // query's deadline/token are polled, and an expired search sets
-// `timed_out` and returns empty — a hostile fault set can make this search
-// visit a whole survivor component, which is exactly the stage a deadline
-// must be able to interrupt.
+// `work.timed_out` and returns empty — a hostile fault set can make this
+// search visit a whole survivor component, which is exactly the stage a
+// deadline must be able to interrupt. `work` also receives the A* and guard
+// expansions made.
 Path survivor_search(const core::HhcTopology& net, Node s, Node t,
                      const std::uint8_t* usable, SearchScratch& scratch,
-                     const query::PairQuery& query, bool& timed_out) {
+                     const query::PairQuery& query, SearchWork& work) {
   using Mark = SearchScratch::Mark;
   constexpr std::size_t kGuardStride = 4;
+  constexpr std::size_t kGuardDelay = 32;
+  std::array<std::uint32_t, kMaxBound + 1> at_h;  // the sort's counts by h
+  static_assert(at_h.size() > kPositions + 2 * core::OrbitTable::kMaxM);
   scratch.begin(net.node_count());
   const unsigned m = net.m();
   const std::uint16_t epoch = scratch.epoch;
@@ -298,14 +318,20 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
     }
     return !guard_live || guard_head < guard_tail;
   };
-  if (!guard_step()) return {};
+  std::size_t expansions = 0;
+  const auto finish = [&](Path path) {
+    work.search_expansions = expansions;
+    work.guard_expansions = guard_head;
+    return path;
+  };
+  if (!guard_step()) return finish({});
 
   const Node xt = t >> m;
   const BoundTable& rows = kBoundTables[m][t & bits::low_mask(m)];
   // `open` is the stack at the least f, `later` the one at f + 2; a node's
   // kBucket bit says which f it was last pushed at.
-  std::uint32_t* open = scratch.stacks[0].get();
-  std::uint32_t* later = scratch.stacks[1].get();
+  std::uint32_t* const open = scratch.stacks[0].get();
+  std::uint32_t* const later = scratch.stacks[1].get();
   std::size_t open_size = 1;
   std::size_t later_size = 0;
   std::uint8_t bucket = 0;
@@ -314,11 +340,22 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
   marks[s].stamp = epoch;
   marks[s].h = static_cast<std::uint8_t>(f);
   marks[s].bits = SearchScratch::kRoot;
-  std::size_t expansions = 0;
   for (;;) {
     if (open_size == 0) {
-      if (later_size == 0) return {};  // s's component is exhausted
-      std::swap(open, later);
+      if (later_size == 0) return finish({});  // s's component is exhausted
+      // f rises by 2: `later` moves to `open`, counting-sorted by h with
+      // the largest at the bottom and push order kept among equal h.
+      at_h.fill(0);
+      for (std::size_t i = 0; i < later_size; ++i) ++at_h[marks[later[i]].h];
+      std::uint32_t slot = 0;  // at_h[h] becomes h's first slot in `open`
+      for (std::size_t h = at_h.size(); h-- > 0;) {
+        const std::uint32_t count = at_h[h];
+        at_h[h] = slot;
+        slot += count;
+      }
+      for (std::size_t i = 0; i < later_size; ++i) {
+        open[at_h[marks[later[i]].h]++] = later[i];
+      }
       open_size = std::exchange(later_size, 0);
       bucket = static_cast<std::uint8_t>(bucket ^ SearchScratch::kBucket);
       f += 2;
@@ -329,11 +366,12 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
     from.bits |= SearchScratch::kClosed;
     if (++expansions % util::kStopCheckStride == 0 &&
         util::should_stop(query.deadline, query.cancel)) {
-      timed_out = true;
-      return {};
+      work.timed_out = true;
+      return finish({});
     }
-    if (guard_live && expansions % kGuardStride == 0 && !guard_step()) {
-      return {};  // t's component is exhausted without s
+    if (guard_live && expansions > kGuardDelay &&
+        expansions % kGuardStride == 0 && !guard_step()) {
+      return finish({});  // t's component is exhausted without s
     }
     const auto dx = static_cast<std::uint32_t>((u >> m) ^ xt);
     const auto y = static_cast<unsigned>(u & bits::low_mask(m));
@@ -345,7 +383,9 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
     for (unsigned dim = 0; dim <= m; ++dim) {
       if (((edges >> dim) & 1U) == 0) continue;
       const Node v = neighbor(u, dim, m);
-      if (v == t) return scratch.trace(m, u, t, f);  // h(u) = 1: g(u) = f - 1
+      if (v == t) {  // h(u) = 1: g(u) = f - 1
+        return finish(scratch.trace(m, u, t, f));
+      }
       unsigned hv = 0;
       if (dim < m) {
         const BoundRow& row = rows[y ^ (1U << dim)];
@@ -461,11 +501,13 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   static obs::Histogram& fallback_hist =
       obs::stage_histogram(obs::stages::kBfsFallback);
   obs::TraceSpan span{obs::stages::kBfsFallback, &fallback_hist};
-  bool timed_out = false;
+  SearchWork work;
   Path detour =
       survivor_search(net, s, t, scratch.usable.project(active, net),
-                      scratch.search, query, timed_out);
-  if (timed_out) {
+                      scratch.search, query, work);
+  result.search_expansions = work.search_expansions;
+  result.guard_expansions = work.guard_expansions;
+  if (work.timed_out) {
     result.outcome = query::RouteOutcome::kTimedOut;
     return result;
   }

@@ -23,11 +23,15 @@
 // distance bound (detail::distance_bound below). The bound changes by
 // exactly 1 across every edge, so it is consistent: two LIFO stacks, the
 // open nodes at the least f and at f + 2, serve as the priority queue, and
-// the first time t is generated closes a shortest detour. A plain BFS from
-// t (the guard) runs beside it, one expansion before A* starts and then
-// one per four A* expansions; when it exhausts t's component without
-// reaching s, the answer is kDisconnected. An isolated t therefore costs
-// one expansion, not a sweep of s's component.
+// the first time t is generated closes a shortest detour. When f rises,
+// the f + 2 stack is counting-sorted by bound into the other, so among
+// the nodes at f the search pops one of least bound (the deepest) first.
+// A plain BFS from t (the guard) runs beside it: one expansion before A*
+// starts, then, once A* has made 32 expansions, one per four more; when it
+// exhausts t's component without reaching s, the answer is kDisconnected.
+// An isolated t therefore costs one expansion, not a sweep of s's
+// component, and a disconnected pair at most 32 + 4 |C_t| A* expansions,
+// C_t being t's component. The result reports both expansion counts.
 //
 // route() reads the faults once, through FaultModel::snapshot: the
 // thread's core::ActiveFaults snapshot of the facts active at query.time
@@ -56,17 +60,18 @@
 // only the delivered path is copied out.
 //
 // The search expands u by walking the set bits of its byte in ascending
-// order, which is HhcTopology::neighbors order, so a query's detour is the
-// same on every call and every thread, and as short as the one a plain BFS
-// finds, though it may take different nodes. Its marks are an
-// epoch-stamped array of one 6-byte record per node (stamp, guard stamp,
-// bound, parent dimension and state), the two stacks and the guard's FIFO
-// a 32-bit slot per node each, never initialized. All of it is per-thread
-// scratch reused across calls: once grown, a route allocates only the path
-// it returns. At m = 4 a thread keeps the 1 MiB of usable bytes even if it
-// only scans; one that searches also keeps 6 MiB of marks and three 4 MiB
-// arrays of slots, of which a search that finds t early or ends at a small
-// component touches few pages.
+// order, which is HhcTopology::neighbors order, and pops least bound
+// first, then last pushed, so a query's detour is the same on every call
+// and every thread, and as short as the one a plain BFS finds, though it
+// may take different nodes. Its marks are an epoch-stamped array of one
+// 6-byte record per node (stamp, guard stamp, bound, parent dimension and
+// state), the two stacks and the guard's FIFO a 32-bit slot per node
+// each, never initialized. All of it is per-thread scratch reused across
+// calls: once grown, a route allocates only the path it returns. At m = 4
+// a thread keeps the 1 MiB of usable bytes even if it only scans; one that
+// searches also keeps 6 MiB of marks and three 4 MiB arrays of slots, of
+// which a search that finds t early or ends at a small component touches
+// few pages.
 //
 // Results use the query vocabulary (query::PairQuery -> query::RouteResult).
 #pragma once

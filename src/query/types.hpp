@@ -100,6 +100,10 @@ struct RouteResult {
   RouteOutcome outcome = RouteOutcome::kOk;  // see enum: WHETHER vs HOW
   std::size_t container_paths_blocked = 0;  // of the m+1 container paths
   bool used_fallback = false;               // BFS fallback engaged
+  // The survivor search's work: A* and guard-BFS expansions (0 when no
+  // search ran).
+  std::size_t search_expansions = 0;
+  std::size_t guard_expansions = 0;
   // Served without running the construction: a cached index entry or an
   // orbit record that was already filled.
   bool cache_hit = false;

@@ -60,7 +60,6 @@
 #include "obs/metrics.hpp"
 #include "query/path_service.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -444,8 +443,8 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
   const Node t = net.encode(200, 5);
   // Every external link that flips cluster-address bit 0 is down, which
   // cuts the network into two halves of 1024 nodes, with s (X = 5) and t
-  // (X = 200) on opposite sides. The scan finds every path blocked, and
-  // both frontiers sweep their whole half before reporting kDisconnected.
+  // (X = 200) on opposite sides. The scan finds every path blocked, and A*
+  // sweeps s's whole half before reporting kDisconnected.
   FaultModel faults;
   for (Node x = 0; x < 256; x += 2) {
     const Node u = net.encode(x, 0);
@@ -463,41 +462,8 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
                        << " heap allocations";
   EXPECT_EQ(r.level, query::DegradationLevel::kDisconnected);
   EXPECT_TRUE(r.used_fallback);
+  EXPECT_EQ(r.search_expansions, 1024u);
   EXPECT_EQ(r.container_paths_blocked, net.degree());
-}
-
-// Fastest of five runs of `route`, in microseconds.
-template <class Route>
-double min_of_five_micros(Route&& route) {
-  double best = 0.0;
-  for (int run = 0; run < 5; ++run) {
-    const util::Stopwatch watch;
-    (void)route();
-    const double micros = watch.micros();
-    if (run == 0 || micros < best) best = micros;
-  }
-  return best;
-}
-
-// Microseconds of one m = 4 half-cut disconnected sweep, timed warm after
-// an untimed one: every external link that flips cluster-address bit 0 is
-// down, so s and t lie in halves of 2^19 nodes and the search sweeps s's
-// half before it reports kDisconnected. An early stop takes a small
-// fraction of this; a search that sweeps s's component takes more.
-double half_cut_sweep_micros(const HhcTopology& net,
-                             const fault::AdaptiveRouter& router) {
-  FaultModel faults;
-  for (Node x = 0; x < net.cluster_count(); x += 2) {
-    const Node u = net.encode(x, 0);
-    faults.fail_link(u, net.external_neighbor(u));
-  }
-  const query::PairQuery q{.s = net.encode(5, 2),
-                           .t = net.encode(40'000, 5),
-                           .faults = &faults};
-  EXPECT_EQ(router.route(q).level, query::DegradationLevel::kDisconnected);
-  const util::Stopwatch watch;
-  (void)router.route(q);
-  return watch.micros();
 }
 
 TEST(AllocationFree, IsolatedEndpointStopsEarly) {
@@ -509,7 +475,8 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   // grown the scratch, the isolated-t query at time 10 needs no more room
   // and allocates nothing. The scratch is node-indexed, so a search that
   // swept s's component would allocate nothing either: the early stop is
-  // pinned by time instead, against a sweep of half the network.
+  // pinned by the route's work counts instead, one guard expansion and no
+  // A* expansion (a search without its guard makes 2^20 - 6).
   const HhcTopology net{4};
   ContainerCache cache{net};
   const fault::AdaptiveRouter router{cache};
@@ -524,37 +491,31 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   query::RouteResult detoured;
   query::RouteResult isolated;
   std::size_t delta = 0;
-  double early_us = 0.0;
-  double sweep_us = 0.0;
   std::thread caller{[&] {
     detoured = router.route(s, t, faults, 0);
     const std::size_t before = allocation_count();
     isolated = router.route(s, t, faults, 10);
     delta = allocation_count() - before;
-    early_us =
-        min_of_five_micros([&] { return router.route(s, t, faults, 10); });
-    sweep_us = half_cut_sweep_micros(net, router);
   }};
   caller.join();
 
   EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
   EXPECT_EQ(delta, 0u) << "an isolated-t query performed " << delta
                        << " heap allocations";
-  EXPECT_LT(early_us, sweep_us / 10)
-      << "an isolated-t query took " << early_us << " us; a half-cut sweep "
-      << "takes " << sweep_us << " us";
   EXPECT_EQ(isolated.level, query::DegradationLevel::kDisconnected);
   EXPECT_TRUE(isolated.used_fallback);
+  EXPECT_EQ(isolated.search_expansions, 0u);
+  EXPECT_EQ(isolated.guard_expansions, 1u);
   EXPECT_EQ(isolated.container_paths_blocked, net.degree());
 }
 
 TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   // As above, but t is not alone: during [10, 20) t and its m internal
   // neighbors keep the edges among themselves and lose every other one,
-  // so t's component has m + 1 nodes. The guard BFS from t exhausts it,
-  // and the route answers kDisconnected without allocating on a thread
-  // whose scratch the detour at time 0 grew, in a small fraction of a
-  // half-cut sweep's time.
+  // so t's component has m + 1 nodes. The guard BFS from t exhausts it in
+  // m + 1 expansions, and A* stops within 32 + 4 (m + 1) of its own, the
+  // bound for a disconnected pair; the route answers kDisconnected without
+  // allocating on a thread whose scratch the detour at time 0 grew.
   const HhcTopology net{4};
   ContainerCache cache{net};
   const fault::AdaptiveRouter router{cache};
@@ -583,28 +544,22 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   query::RouteResult detoured;
   query::RouteResult cut_off;
   std::size_t delta = 0;
-  double early_us = 0.0;
-  double sweep_us = 0.0;
   std::thread caller{[&] {
     detoured = router.route(s, t, faults, 0);
     const std::size_t before = allocation_count();
     cut_off = router.route(s, t, faults, 10);
     delta = allocation_count() - before;
-    early_us =
-        min_of_five_micros([&] { return router.route(s, t, faults, 10); });
-    sweep_us = half_cut_sweep_micros(net, router);
   }};
   caller.join();
 
   EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
   EXPECT_EQ(delta, 0u) << "a cut-off-component query performed " << delta
                        << " heap allocations";
-  EXPECT_LT(early_us, sweep_us / 10)
-      << "a cut-off-component query took " << early_us << " us; a half-cut "
-      << "sweep takes " << sweep_us << " us";
   EXPECT_EQ(cut_off.level, query::DegradationLevel::kDisconnected);
   EXPECT_EQ(cut_off.outcome, query::RouteOutcome::kOk);
   EXPECT_TRUE(cut_off.used_fallback);
+  EXPECT_EQ(cut_off.guard_expansions, net.m() + 1);
+  EXPECT_LE(cut_off.search_expansions, 32 + 4 * (net.m() + 1));
   EXPECT_EQ(cut_off.container_paths_blocked, net.degree());
 }
 

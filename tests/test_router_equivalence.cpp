@@ -647,35 +647,152 @@ FaultModel very_dense_faults(const HhcTopology& net, util::Xoshiro256& rng) {
 }
 
 TEST(RouterEquivalence, DenseFaultsKeepDetoursShortest) {
-  // Twenty fault sets per m at a density where the survivor search does
-  // most of the routing. At m = 2 every ordered pair is routed, at m = 3
-  // 2,000 sampled ones, and each answer is held to the oracle's: a detour
-  // as short as the BFS distance over the survivors, over usable edges,
-  // and kDisconnected exactly when t is unreachable.
-  for (const unsigned m : {2U, 3U}) {
+  // Fault sets at a density where the survivor search does most of the
+  // routing. At m = 2 and 3, twenty sets of about 5% of the nodes and 25%
+  // of the links: every ordered pair is routed at m = 2, 2,000 sampled ones
+  // at m = 3. At m = 4, one set of dense_spec's 3% and 12% and 8 sampled
+  // pairs, the first with the largest bound at m = 4, 2^m + 2m = 24 (s and
+  // t at position 0 and every cluster bit apart), so the search's
+  // counting sort meets its whole key range. Each answer is held to the
+  // oracle's: a detour as short as the BFS distance over the survivors,
+  // over usable edges, and kDisconnected exactly when t is unreachable.
+  for (const unsigned m : {2U, 3U, 4U}) {
     const HhcTopology net{m};
     core::ContainerCache cache{net};
     const AdaptiveRouter router{cache};
     const std::uint64_t n = net.node_count();
     util::Xoshiro256 rng{0xB20 + m};
     Tally tally;
-    for (int set = 0; set < 20; ++set) {
+    for (int set = 0; set < (m == 4 ? 1 : 20); ++set) {
       Case c;
-      c.faults = very_dense_faults(net, rng);
-      const std::uint64_t pairs = m == 2 ? n * n : 100;
+      c.faults = m == 4 ? FaultModel::random(net, dense_spec(net), 0, 1, rng)
+                        : very_dense_faults(net, rng);
+      const std::uint64_t pairs = m == 2 ? n * n : m == 3 ? 100 : 8;
       for (std::uint64_t k = 0; k < pairs; ++k) {
         c.s = m == 2 ? k / n : rng.below(n);
         c.t = m == 2 ? k % n : rng.below(n);
+        if (m == 4 && k == 0) {
+          c.s = net.encode(0, 0);
+          c.t = net.encode((Node{1} << (1U << m)) - 1, 0);
+        }
         expect_equivalent(net, router, c,
                           reference_route(net, c.s, c.t, c.faults, c.time),
                           tally);
         if (HasFatalFailure()) return;
       }
     }
-    // 31,487 and 12,332 at m = 2, 1,592 and 33 at m = 3.
-    EXPECT_GT(tally.best_effort, m == 2 ? 20'000U : 1'000U) << "m=" << m;
-    EXPECT_GT(tally.disconnected_sweeps, m == 2 ? 5'000U : 10U) << "m=" << m;
+    // 31,280 and 12,332 at m = 2, 1,577 and 33 at m = 3, 7 and 0 at m = 4.
+    EXPECT_GT(tally.best_effort, m == 2 ? 20'000U : m == 3 ? 1'000U : 4U)
+        << "m=" << m;
+    if (m < 4) {
+      EXPECT_GT(tally.disconnected_sweeps, m == 2 ? 5'000U : 10U)
+          << "m=" << m;
+    }
   }
+}
+
+// The survivor search's work on every query of a schedule shaped like
+// perfbench's fault_churn at m = 3: kChurnEpochs epochs, each with 40 node
+// and 400 link faults active for that epoch alone, and kChurnQueries random
+// pairs routed at each epoch's time.
+constexpr std::uint64_t kChurnEpochs = 8;
+constexpr std::uint64_t kChurnQueries = 1024;
+
+struct ChurnQuery {
+  Node s = 0;
+  Node t = 0;
+  std::uint64_t time = 0;
+};
+
+struct SearchWork {
+  query::DegradationLevel level = query::DegradationLevel::kDisconnected;
+  bool used_fallback = false;
+  std::size_t search_expansions = 0;
+  std::size_t guard_expansions = 0;
+  bool operator==(const SearchWork&) const = default;
+};
+
+// Routes every query through one router from `threads` callers, caller c
+// taking the queries whose index is c modulo `threads`.
+std::vector<SearchWork> churn_work(const AdaptiveRouter& router,
+                                   const FaultModel& faults,
+                                   const std::vector<ChurnQuery>& queries,
+                                   std::size_t threads) {
+  std::vector<SearchWork> work(queries.size());
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < threads; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t i = c; i < queries.size(); i += threads) {
+        const ChurnQuery& q = queries[i];
+        const query::RouteResult r = router.route(q.s, q.t, faults, q.time);
+        work[i] = {r.level, r.used_fallback, r.search_expansions,
+                   r.guard_expansions};
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  return work;
+}
+
+TEST(RouterEquivalence, SearchWorkIsPinnedOnAChurnSchedule) {
+  // The A* and guard expansions each route reports are a pure function of
+  // the snapshot and (s, t): the same from one caller and from four, and
+  // 0 wherever no search ran. Their totals and the p99 of expansions per
+  // fallback are pinned, so a change that keeps every answer but makes the
+  // search do more work fails here.
+  const HhcTopology net{3};
+  const std::uint64_t n = net.node_count();
+  util::Xoshiro256 rng{0xC4A};
+  FaultModel faults;
+  std::vector<ChurnQuery> queries;
+  for (std::uint64_t e = 0; e < kChurnEpochs; ++e) {
+    for (int k = 0; k < 40; ++k) faults.fail_node(rng.below(n), e, e + 1);
+    for (int k = 0; k < 400; ++k) {
+      const Node u = rng.below(n);
+      const auto dim = static_cast<unsigned>(rng.below(net.degree()));
+      faults.fail_link(u,
+                       dim < net.m() ? net.internal_neighbor(u, dim)
+                                     : net.external_neighbor(u),
+                       e, e + 1);
+    }
+    for (std::uint64_t k = 0; k < kChurnQueries; ++k) {
+      queries.push_back({rng.below(n), rng.below(n), e});
+    }
+  }
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
+  const std::vector<SearchWork> one = churn_work(router, faults, queries, 1);
+  const std::vector<SearchWork> four = churn_work(router, faults, queries, 4);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(one[i], four[i]) << "query " << i << ": s=" << queries[i].s
+                               << " t=" << queries[i].t;
+  }
+
+  std::size_t search = 0;
+  std::size_t guard = 0;
+  std::vector<std::size_t> per_fallback;
+  for (const SearchWork& w : one) {
+    if (!w.used_fallback) {
+      ASSERT_EQ(w.search_expansions + w.guard_expansions, 0U);
+      continue;
+    }
+    search += w.search_expansions;
+    guard += w.guard_expansions;
+    per_fallback.push_back(w.search_expansions + w.guard_expansions);
+  }
+  std::sort(per_fallback.begin(), per_fallback.end());
+  ASSERT_FALSE(per_fallback.empty());
+  // Nearest rank: the least count at or above 99% of the fallbacks.
+  const std::size_t p99 =
+      per_fallback[(per_fallback.size() * 99 + 99) / 100 - 1];
+  // 34.5 expansions per fallback. A search that popped the newest node at
+  // the least f and ran its guard from the start made 104,829 and 27,801
+  // (52.0 per fallback) with a p99 of 259.
+  EXPECT_EQ(per_fallback.size(), 2551U);
+  EXPECT_EQ(search, 79'900U);
+  EXPECT_EQ(guard, 8'050U);
+  EXPECT_EQ(p99, 171U);
 }
 
 // Fault-free hop counts from t to every node of `net` (m <= 3).
