@@ -153,11 +153,23 @@ inline std::uint32_t max_part(std::uint32_t dx, const BoundRow& row) noexcept {
 struct SearchScratch {
   // A generated node's bits: the low three name the dimension of the edge
   // from its parent (kRoot for s), kClosed is set once it is expanded, and
-  // kBucket is the parity of f / 2 when it was last pushed.
+  // kBucket is the parity of f / 2 when it was last pushed. kRoot names no
+  // dimension, so masking "the edge to the parent" out of s's usable byte
+  // removes nothing.
   static constexpr std::uint8_t kDimBits = 0x07;
   static constexpr std::uint8_t kRoot = 0x07;
   static constexpr std::uint8_t kClosed = 0x08;
   static constexpr std::uint8_t kBucket = 0x10;
+  static_assert(kRoot > core::OrbitTable::kMaxM);
+
+  // A guard FIFO slot: the node id in the low kIdBits bits, and above them
+  // the dimension of the edge it was reached by (kRoot for t). Every id at
+  // m <= 4 fits: HHC(m) has 2^(2^m + m) nodes.
+  static constexpr unsigned kIdBits = 20;
+  static constexpr std::uint32_t kIdMask = (1U << kIdBits) - 1;
+  static_assert((1U << core::OrbitTable::kMaxM) + core::OrbitTable::kMaxM <=
+                kIdBits);
+  static_assert(kIdBits + 3 <= 32);  // kRoot fits above every id
 
   struct Mark {
     std::uint16_t stamp = 0;
@@ -197,7 +209,7 @@ struct SearchScratch {
 
   std::vector<Mark> marks;
   // The open nodes at f and at f + 2, as node ids: the search runs only at
-  // m <= 4, whose ids fit 32 bits.
+  // m <= 4, whose ids fit 32 bits. The guard's FIFO holds slots.
   std::array<std::unique_ptr<std::uint32_t[]>, 2> stacks;
   std::unique_ptr<std::uint32_t[]> guard_fifo;
   std::uint64_t capacity = 0;  // nodes `marks` and each slot array hold
@@ -267,14 +279,17 @@ struct SearchWork {
 // HhcTopology::neighbors order, and the sort keeps push order among equal
 // h, so a detour depends only on the snapshot and (s, t). No fault fact is
 // read here: `usable` folds each edge's link and both endpoints into one
-// bit.
+// bit. The edge u was last pushed along is masked out first: it leads to
+// u's parent, which was closed when it pushed u, so skipping it changes
+// nothing but the work.
 //
 // A* alone would sweep all of s's component when t sits in a smaller one.
 // A plain BFS from t (the guard) runs beside it: one expansion before the
 // first A* expansion, so an isolated t costs one, then, once A* has made
-// kGuardDelay expansions, one per kGuardStride more. When the guard
-// exhausts t's component without reaching s, or A*'s stacks empty, t is
-// unreachable; a disconnected pair costs at most
+// kGuardDelay expansions, one per kGuardStride more. It skips the edge
+// each node was reached by in the same way, carried in the FIFO slot.
+// When the guard exhausts t's component without reaching s, or A*'s
+// stacks empty, t is unreachable; a disconnected pair costs at most
 // min(|C_s|, kGuardDelay + kGuardStride * |C_t|) A* expansions.
 //
 // Cooperatively cancellable: every util::kStopCheckStride A* expansions the
@@ -298,23 +313,26 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
 
   // The guard's state: t's component so far is guard_fifo[0, guard_tail),
   // expanded up to guard_head. It stops once it has reached s.
+  constexpr unsigned kIdBits = SearchScratch::kIdBits;
   std::uint32_t* const guard_fifo = scratch.guard_fifo.get();
   std::size_t guard_head = 0;
   std::size_t guard_tail = 1;
   bool guard_live = true;
-  guard_fifo[0] = static_cast<std::uint32_t>(t);
+  guard_fifo[0] = static_cast<std::uint32_t>(t) |
+                  std::uint32_t{SearchScratch::kRoot} << kIdBits;
   marks[t].guard = epoch;
   // One guard expansion; false once t's component is exhausted without s.
   const auto guard_step = [&] {
-    const Node u = guard_fifo[guard_head++];
-    const unsigned edges = usable[u];
-    for (unsigned dim = 0; dim <= m; ++dim) {
-      if (((edges >> dim) & 1U) == 0) continue;
+    const std::uint32_t slot = guard_fifo[guard_head++];
+    const Node u = slot & SearchScratch::kIdMask;
+    const unsigned edges = usable[u] & ~(1U << (slot >> kIdBits));
+    for (unsigned rest = edges; rest != 0; rest &= rest - 1) {
+      const auto dim = static_cast<unsigned>(std::countr_zero(rest));
       const Node v = neighbor(u, dim, m);
       if (marks[v].guard == epoch) continue;
       if (v == s) guard_live = false;  // connected: A* will find t
       marks[v].guard = epoch;
-      guard_fifo[guard_tail++] = static_cast<std::uint32_t>(v);
+      guard_fifo[guard_tail++] = static_cast<std::uint32_t>(v) | dim << kIdBits;
     }
     return !guard_live || guard_head < guard_tail;
   };
@@ -379,9 +397,11 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
     // |ΔX|, which only an external hop changes.
     const unsigned crossings =
         h - rows[y].base - 2 * max_part(dx, rows[y]);
-    const unsigned edges = usable[u];
-    for (unsigned dim = 0; dim <= m; ++dim) {
-      if (((edges >> dim) & 1U) == 0) continue;
+    // The edge u was reached by leads back to its parent, which is closed.
+    const unsigned edges =
+        usable[u] & ~(1U << (from.bits & SearchScratch::kDimBits));
+    for (unsigned rest = edges; rest != 0; rest &= rest - 1) {
+      const auto dim = static_cast<unsigned>(std::countr_zero(rest));
       const Node v = neighbor(u, dim, m);
       if (v == t) {  // h(u) = 1: g(u) = f - 1
         return finish(scratch.trace(m, u, t, f));

@@ -63,7 +63,13 @@
 // order, which is HhcTopology::neighbors order, and pops least bound
 // first, then last pushed, so a query's detour is the same on every call
 // and every thread, and as short as the one a plain BFS finds, though it
-// may take different nodes. Its marks are an epoch-stamped array of one
+// may take different nodes. Before the walk it masks out the edge u was
+// reached by, which leads back to a closed node; the guard does the same
+// with the dimension its FIFO slot carries above the node id. A new
+// neighbor's bound is computed from a table, and the f + 2 stack is sorted
+// by the bounds in the marks: reading a seen neighbor's bound from its
+// mark, or carrying bounds in the stack slots, measured no faster
+// (EXPERIMENTS.md A5b). Its marks are an epoch-stamped array of one
 // 6-byte record per node (stamp, guard stamp, bound, parent dimension and
 // state), the two stacks and the guard's FIFO a 32-bit slot per node
 // each, never initialized. All of it is per-thread scratch reused across

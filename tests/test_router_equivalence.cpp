@@ -24,8 +24,10 @@
 // cases alternate models whose snapshots share an interval and a fact
 // count, feed facts that name no node or edge of the topology, check that
 // a detour is the same on every call and every thread, route every pair
-// at m = 2 (and 2,000 at m = 3) under dense faults, and check the search's
-// distance bound exhaustively at m <= 3.
+// at m = 2 (and 2,000 at m = 3) under dense faults, pin the search's work
+// and a digest of every route on a fault_churn-shaped schedule at m = 3,
+// hold a churn-shaped schedule at m = 4 to the oracle, and check the
+// search's distance bound exhaustively at m <= 3.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -691,24 +693,49 @@ TEST(RouterEquivalence, DenseFaultsKeepDetoursShortest) {
   }
 }
 
-// The survivor search's work on every query of a schedule shaped like
-// perfbench's fault_churn at m = 3: kChurnEpochs epochs, each with 40 node
-// and 400 link faults active for that epoch alone, and kChurnQueries random
-// pairs routed at each epoch's time.
-constexpr std::uint64_t kChurnEpochs = 8;
-constexpr std::uint64_t kChurnQueries = 1024;
-
+// A schedule shaped like perfbench's fault_churn: `epochs` epochs, each
+// with 40 node and 400 link faults per 2,048 nodes active for that epoch
+// alone, and `queries` random pairs routed at each epoch's time.
 struct ChurnQuery {
   Node s = 0;
   Node t = 0;
   std::uint64_t time = 0;
 };
 
+struct ChurnSchedule {
+  FaultModel faults;
+  std::vector<ChurnQuery> queries;
+};
+
+ChurnSchedule churn_schedule(const HhcTopology& net, std::uint64_t epochs,
+                             std::uint64_t queries, util::Xoshiro256& rng) {
+  const std::uint64_t n = net.node_count();
+  ChurnSchedule schedule;
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    for (std::uint64_t k = 0; k < n * 40 / 2048; ++k) {
+      schedule.faults.fail_node(rng.below(n), e, e + 1);
+    }
+    for (std::uint64_t k = 0; k < n * 400 / 2048; ++k) {
+      const Node u = rng.below(n);
+      const auto dim = static_cast<unsigned>(rng.below(net.degree()));
+      schedule.faults.fail_link(u,
+                                dim < net.m() ? net.internal_neighbor(u, dim)
+                                              : net.external_neighbor(u),
+                                e, e + 1);
+    }
+    for (std::uint64_t k = 0; k < queries; ++k) {
+      schedule.queries.push_back({rng.below(n), rng.below(n), e});
+    }
+  }
+  return schedule;
+}
+
 struct SearchWork {
   query::DegradationLevel level = query::DegradationLevel::kDisconnected;
   bool used_fallback = false;
   std::size_t search_expansions = 0;
   std::size_t guard_expansions = 0;
+  std::vector<Path> paths;
   bool operator==(const SearchWork&) const = default;
 };
 
@@ -724,9 +751,9 @@ std::vector<SearchWork> churn_work(const AdaptiveRouter& router,
     callers.emplace_back([&, c] {
       for (std::size_t i = c; i < queries.size(); i += threads) {
         const ChurnQuery& q = queries[i];
-        const query::RouteResult r = router.route(q.s, q.t, faults, q.time);
+        query::RouteResult r = router.route(q.s, q.t, faults, q.time);
         work[i] = {r.level, r.used_fallback, r.search_expansions,
-                   r.guard_expansions};
+                   r.guard_expansions, std::move(r.paths)};
       }
     });
   }
@@ -734,39 +761,47 @@ std::vector<SearchWork> churn_work(const AdaptiveRouter& router,
   return work;
 }
 
+// FNV-1a, 64-bit, over each route's level and, per path, its node count
+// and nodes, in query order, each value taken as 8 little-endian bytes.
+std::uint64_t route_digest(const std::vector<SearchWork>& work) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](std::uint64_t value) {
+    for (unsigned byte = 0; byte < 8; ++byte) {
+      digest = (digest ^ ((value >> (8 * byte)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  for (const SearchWork& w : work) {
+    mix(static_cast<std::uint64_t>(w.level));
+    for (const Path& path : w.paths) {
+      mix(path.size());
+      for (const Node v : path) mix(v);
+    }
+  }
+  return digest;
+}
+
 TEST(RouterEquivalence, SearchWorkIsPinnedOnAChurnSchedule) {
   // The A* and guard expansions each route reports are a pure function of
   // the snapshot and (s, t): the same from one caller and from four, and
   // 0 wherever no search ran. Their totals and the p99 of expansions per
   // fallback are pinned, so a change that keeps every answer but makes the
-  // search do more work fails here.
+  // search do more work fails here. So is a digest of every route's level
+  // and nodes, so a change that keeps every detour's length but takes
+  // other nodes (a changed tie-break) fails here too.
   const HhcTopology net{3};
-  const std::uint64_t n = net.node_count();
   util::Xoshiro256 rng{0xC4A};
-  FaultModel faults;
-  std::vector<ChurnQuery> queries;
-  for (std::uint64_t e = 0; e < kChurnEpochs; ++e) {
-    for (int k = 0; k < 40; ++k) faults.fail_node(rng.below(n), e, e + 1);
-    for (int k = 0; k < 400; ++k) {
-      const Node u = rng.below(n);
-      const auto dim = static_cast<unsigned>(rng.below(net.degree()));
-      faults.fail_link(u,
-                       dim < net.m() ? net.internal_neighbor(u, dim)
-                                     : net.external_neighbor(u),
-                       e, e + 1);
-    }
-    for (std::uint64_t k = 0; k < kChurnQueries; ++k) {
-      queries.push_back({rng.below(n), rng.below(n), e});
-    }
-  }
+  const ChurnSchedule schedule = churn_schedule(net, 8, 1024, rng);
   core::ContainerCache cache{net};
   const AdaptiveRouter router{cache};
-  const std::vector<SearchWork> one = churn_work(router, faults, queries, 1);
-  const std::vector<SearchWork> four = churn_work(router, faults, queries, 4);
+  const std::vector<SearchWork> one =
+      churn_work(router, schedule.faults, schedule.queries, 1);
+  const std::vector<SearchWork> four =
+      churn_work(router, schedule.faults, schedule.queries, 4);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
-    ASSERT_EQ(one[i], four[i]) << "query " << i << ": s=" << queries[i].s
-                               << " t=" << queries[i].t;
+    ASSERT_EQ(one[i], four[i]) << "query " << i
+                               << ": s=" << schedule.queries[i].s
+                               << " t=" << schedule.queries[i].t;
   }
 
   std::size_t search = 0;
@@ -793,6 +828,42 @@ TEST(RouterEquivalence, SearchWorkIsPinnedOnAChurnSchedule) {
   EXPECT_EQ(search, 79'900U);
   EXPECT_EQ(guard, 8'050U);
   EXPECT_EQ(p99, 171U);
+  // Measured before the expansion skipped its arrival edge, which changed
+  // no answer.
+  EXPECT_EQ(route_digest(one), 11163755293888097584ULL);
+}
+
+TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
+  // The churn schedule's density at m = 4, the largest m searched, with
+  // each t twelve random hops from its s, so that the oracle's BFS stays
+  // small: every answer is held to the oracle's, a detour as short as the
+  // BFS distance over usable edges. The search meets the external edge's
+  // dimension 4 and node ids up to 2^20 - 1.
+  const HhcTopology net{4};
+  util::Xoshiro256 rng{0xC4B};
+  ChurnSchedule schedule = churn_schedule(net, 2, 768, rng);
+  for (ChurnQuery& q : schedule.queries) {
+    q.t = q.s;
+    for (int hop = 0; hop < 12; ++hop) {
+      const auto nbrs = net.neighbors(q.t);
+      q.t = nbrs[rng.below(nbrs.size())];
+    }
+  }
+  core::ContainerCache cache{net};
+  const AdaptiveRouter router{cache};
+  Tally tally;
+  Case c;
+  c.faults = std::move(schedule.faults);
+  for (const ChurnQuery& q : schedule.queries) {
+    c.s = q.s;
+    c.t = q.t;
+    c.time = q.time;
+    expect_equivalent(net, router, c,
+                      reference_route(net, c.s, c.t, c.faults, c.time), tally);
+    if (HasFatalFailure()) return;
+  }
+  // 89 fallbacks, all delivered.
+  EXPECT_GE(tally.fallbacks, 64U);
 }
 
 // Fault-free hop counts from t to every node of `net` (m <= 3).
