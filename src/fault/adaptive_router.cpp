@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -91,51 +93,98 @@ class UsableEdges {
   unsigned m_ = 0;  // no topology has m = 0
 };
 
-// The distance bound's tables for one (m, Y_t): per position y, `base` is
-// H(y, Y_t), and bit j of reach[k - 1] is set when
-// |(j ^ y) & ~(y ^ Y_t)| >= k (k = 1..m; unused k stay empty). For a node
-// at position y whose cluster differs from t's in ΔX, the max-part of the
-// bound is then the number of k with ΔX & reach[k - 1] != 0, since the
-// sets shrink as k grows. Built at compile time for every m <= 4, so the
-// search runs no popcount.
-struct BoundRow {
-  std::array<std::uint32_t, core::OrbitTable::kMaxM> reach{};
-  std::uint32_t base = 0;
-};
+// The fault-free distance in HHC(m), m <= 4. An external hop at position j
+// flips X-bit j, so a shortest walk from v to t takes one external hop per
+// set bit of ΔX = X_v ^ X_t and, between them, a shortest Q_m walk from Y_v
+// through every position in ΔX to Y_t: a travelling-salesman path over at
+// most 2^m points. Translating every position by Y_t keeps Hamming
+// distances, so the key is S (ΔX with bit j moved to j ^ Y_t) and
+// y = Y_v ^ Y_t, and the walk ends at 0. `cells[(S << m) | y]` is the
+// distance, one byte each: 8 B, 64 B, 2 KiB and 1 MiB at m = 1..4. The
+// Held–Karp DP over S picks the position j visited first:
+//   d(∅, y) = |y|,   d(S, y) = min_{j in S} H(y, j) + 1 + d(S \ {j}, j),
+// with y the innermost loop, so a (S, j) step is one vector min.
+template <unsigned M>
+struct DistanceTable {
+  static constexpr unsigned kPositions = 1U << M;
+  static constexpr std::size_t kSets = std::size_t{1} << kPositions;
 
-constexpr unsigned kPositions = 1U << core::OrbitTable::kMaxM;
-// The largest bound at m <= 4: |ΔX| <= 2^m, and H(Y_v, Y_t) plus twice the
-// max-part is at most 2m. Mark::h holds it in a byte.
-constexpr std::size_t kMaxBound = kPositions + 2 * core::OrbitTable::kMaxM;
-static_assert(kMaxBound <= 0xFF);
-using BoundTable = std::array<BoundRow, kPositions>;  // indexed by y
-
-constexpr auto kBoundTables = [] {
-  std::array<std::array<BoundTable, kPositions>, core::OrbitTable::kMaxM + 1>
-      tables{};
-  for (unsigned m = 1; m <= core::OrbitTable::kMaxM; ++m) {
-    const unsigned positions = 1U << m;
-    for (unsigned yt = 0; yt < positions; ++yt) {
-      for (unsigned y = 0; y < positions; ++y) {
-        BoundRow& row = tables[m][yt][y];
-        row.base = static_cast<std::uint32_t>(std::popcount(y ^ yt));
-        const unsigned agree = ~(y ^ yt) & (positions - 1);
-        for (unsigned j = 0; j < positions; ++j) {
-          const auto c = static_cast<unsigned>(std::popcount((j ^ y) & agree));
-          for (unsigned k = 1; k <= c; ++k) row.reach[k - 1] |= 1U << j;
+  DistanceTable() {
+    std::array<std::array<std::uint8_t, kPositions>, kPositions> hop{};
+    for (unsigned j = 0; j < kPositions; ++j) {
+      for (unsigned y = 0; y < kPositions; ++y) {
+        hop[j][y] = static_cast<std::uint8_t>(std::popcount(j ^ y) + 1);
+      }
+    }
+    for (unsigned y = 0; y < kPositions; ++y) {
+      cells[y] = static_cast<std::uint8_t>(std::popcount(y));
+    }
+    for (std::size_t set = 1; set < kSets; ++set) {
+      std::uint8_t* const row = cells.data() + set * kPositions;
+      std::fill(row, row + kPositions, std::uint8_t{0xFF});
+      for (std::size_t rest = set; rest != 0; rest &= rest - 1) {
+        const auto j = static_cast<unsigned>(std::countr_zero(rest));
+        const std::uint8_t via =
+            cells[(set ^ (std::size_t{1} << j)) * kPositions + j];
+        const std::uint8_t* const from_j = hop[j].data();
+        // Left rolled: gcc -O3 unrolls a 16-trip loop fully before it
+        // vectorizes, into 16 scalar mins, and the m = 4 build takes 6x as
+        // long.
+#pragma GCC unroll 1
+        for (unsigned y = 0; y < kPositions; ++y) {
+          const auto via_j = static_cast<std::uint8_t>(from_j[y] + via);
+          row[y] = via_j < row[y] ? via_j : row[y];
         }
       }
     }
   }
-  return tables;
-}();
 
-// The max-part of the bound at a node whose row is `row`: the largest k
-// with ΔX & reach[k - 1] != 0, counted branch-free.
-inline std::uint32_t max_part(std::uint32_t dx, const BoundRow& row) noexcept {
-  std::uint32_t k = 0;
-  for (const std::uint32_t reach : row.reach) k += (dx & reach) != 0 ? 1 : 0;
-  return k;
+  std::array<std::uint8_t, kSets * kPositions> cells;
+};
+
+// The diameter of HHC(kMaxM), 2^(kMaxM + 1): the largest distance any table
+// holds, which Mark::h and the search's counting sort must fit.
+constexpr unsigned kMaxDistance = 2U << core::OrbitTable::kMaxM;
+
+// m's table, built by its first caller; a function-local static, so threads
+// that search at once for the first time build it once.
+template <unsigned M>
+const std::uint8_t* distance_cells() {
+  static const DistanceTable<M> table;
+  return table.cells.data();
+}
+
+const std::uint8_t* distance_table(unsigned m) {
+  static_assert(core::OrbitTable::kMaxM == 4);
+  assert(m >= 1 && m <= core::OrbitTable::kMaxM);
+  switch (m) {
+    case 1: return distance_cells<1>();
+    case 2: return distance_cells<2>();
+    case 3: return distance_cells<3>();
+    default: return distance_cells<4>();
+  }
+}
+
+// The 2^m-bit set x with bit j moved to bit j ^ c (c < 2^m <= 16): one
+// swap of blocks of 2^k bits per set bit k of c.
+std::uint32_t translate(std::uint32_t x, unsigned c) noexcept {
+  constexpr std::array<std::uint32_t, 4> kLow = {0x5555, 0x3333, 0x0F0F,
+                                                 0x00FF};
+  for (unsigned k = 0; k < kLow.size(); ++k) {
+    if (((c >> k) & 1U) != 0) {
+      const unsigned width = 1U << k;
+      x = ((x & kLow[k]) << width) | ((x >> width) & kLow[k]);
+    }
+  }
+  return x;
+}
+
+// v's cell in the distance table of t's topology.
+std::size_t distance_index(unsigned m, Node v, Node t) noexcept {
+  const Node diff = v ^ t;
+  const auto set = translate(static_cast<std::uint32_t>(diff >> m),
+                             static_cast<unsigned>(t & bits::low_mask(m)));
+  return (std::size_t{set} << m) | (diff & bits::low_mask(m));
 }
 
 // Per-thread survivor-search state, reused across searches so that once it
@@ -174,7 +223,7 @@ struct SearchScratch {
   struct Mark {
     std::uint16_t stamp = 0;
     std::uint16_t guard = 0;
-    std::uint8_t h = 0;  // the distance bound to t
+    std::uint8_t h = 0;  // the fault-free distance to t
     std::uint8_t bits = 0;
   };
 
@@ -265,9 +314,9 @@ struct SearchWork {
   bool timed_out = false;
 };
 
-// A* from s to t over the usable edges under the bound
-// detail::distance_bound; empty when t is unreachable. The bound changes by
-// exactly 1 across every edge (DESIGN.md §6), so f = g + h rises by 0 or 2
+// A* from s to t over the usable edges, h being the fault-free distance to t
+// (DistanceTable); empty when t is unreachable. HHC is bipartite, so the
+// distance changes by exactly 1 across every edge and f = g + h rises by 0 or 2
 // along an edge and two LIFO stacks, the open nodes at f and at f + 2,
 // replace a priority queue. A node is closed when expanded; the first time
 // t is generated, from a node at the current (least) f, closes a shortest
@@ -304,8 +353,10 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
   using Mark = SearchScratch::Mark;
   constexpr std::size_t kGuardStride = 4;
   constexpr std::size_t kGuardDelay = 32;
-  std::array<std::uint32_t, kMaxBound + 1> at_h;  // the sort's counts by h
-  static_assert(at_h.size() > kPositions + 2 * core::OrbitTable::kMaxM);
+  std::array<std::uint32_t, kMaxDistance + 1> at_h;  // the sort's counts by h
+  static_assert(at_h.size() > kMaxDistance);
+  static_assert(kMaxDistance <=
+                std::numeric_limits<decltype(SearchScratch::Mark::h)>::max());
   scratch.begin(net.node_count());
   const unsigned m = net.m();
   const std::uint16_t epoch = scratch.epoch;
@@ -345,7 +396,8 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
   if (!guard_step()) return finish({});
 
   const Node xt = t >> m;
-  const BoundTable& rows = kBoundTables[m][t & bits::low_mask(m)];
+  const auto yt = static_cast<unsigned>(t & bits::low_mask(m));
+  const std::uint8_t* const dist = distance_table(m);
   // `open` is the stack at the least f, `later` the one at f + 2; a node's
   // kBucket bit says which f it was last pushed at.
   std::uint32_t* const open = scratch.stacks[0].get();
@@ -353,7 +405,7 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
   std::size_t open_size = 1;
   std::size_t later_size = 0;
   std::uint8_t bucket = 0;
-  std::size_t f = detail::distance_bound(m, s, t);
+  std::size_t f = dist[distance_index(m, s, t)];
   open[0] = static_cast<std::uint32_t>(s);
   marks[s].stamp = epoch;
   marks[s].h = static_cast<std::uint8_t>(f);
@@ -391,12 +443,13 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
         expansions % kGuardStride == 0 && !guard_step()) {
       return finish({});  // t's component is exhausted without s
     }
-    const auto dx = static_cast<std::uint32_t>((u >> m) ^ xt);
-    const auto y = static_cast<unsigned>(u & bits::low_mask(m));
+    // u's key (S, y): an internal hop flips a bit of y, an external one
+    // bit y of S.
+    const std::size_t set =
+        translate(static_cast<std::uint32_t>((u >> m) ^ xt), yt);
+    const auto y = static_cast<unsigned>(u & bits::low_mask(m)) ^ yt;
+    const std::uint8_t* const row = dist + (set << m);
     const unsigned h = from.h;
-    // |ΔX|, which only an external hop changes.
-    const unsigned crossings =
-        h - rows[y].base - 2 * max_part(dx, rows[y]);
     // The edge u was reached by leads back to its parent, which is closed.
     const unsigned edges =
         usable[u] & ~(1U << (from.bits & SearchScratch::kDimBits));
@@ -406,14 +459,10 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
       if (v == t) {  // h(u) = 1: g(u) = f - 1
         return finish(scratch.trace(m, u, t, f));
       }
-      unsigned hv = 0;
-      if (dim < m) {
-        const BoundRow& row = rows[y ^ (1U << dim)];
-        hv = crossings + row.base + 2 * max_part(dx, row);
-      } else {  // drops the term for X-bit y exactly when ΔX has it
-        hv = ((dx >> y) & 1U) != 0 ? h - 1 : h + 1;
-      }
-      // Via u, v lies at f when the bound falls, else at f + 2.
+      const unsigned hv =
+          dim < m ? row[y ^ (1U << dim)]
+                  : dist[((set ^ (std::size_t{1} << y)) << m) | y];
+      // Via u, v lies at f when the distance falls, else at f + 2.
       const bool here = hv < h;
       Mark& mark = marks[v];
       if (mark.stamp != epoch) {
@@ -439,18 +488,8 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
 
 namespace detail {
 
-unsigned distance_bound(unsigned m, Node v, Node t) {
-  const Node dx = (v ^ t) >> m;
-  const Node yv = v & bits::low_mask(m);
-  const Node agree = ~(yv ^ t) & bits::low_mask(m);
-  int most = 0;
-  for (Node rest = dx; rest != 0; rest &= rest - 1) {
-    const Node j = bits::lowest_set(rest);
-    most = std::max(most, bits::popcount((j ^ yv) & agree));
-  }
-  return static_cast<unsigned>(bits::popcount(dx) +
-                               bits::hamming(yv, t & bits::low_mask(m)) +
-                               2 * most);
+unsigned distance(unsigned m, Node v, Node t) {
+  return distance_table(m)[distance_index(m, v, t)];
 }
 
 }  // namespace detail

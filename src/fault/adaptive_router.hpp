@@ -19,13 +19,15 @@
 // build) and runs only at m <= 4 (core::OrbitTable::kMaxM): its state is
 // indexed by node, and m = 5 has 2^37 nodes. Above that, a fully cut
 // container answers as under skip_fallback: outcome kShed, level
-// kDisconnected, no search. The search is A* toward t under an HHC
-// distance bound (detail::distance_bound below). The bound changes by
-// exactly 1 across every edge, so it is consistent: two LIFO stacks, the
-// open nodes at the least f and at f + 2, serve as the priority queue, and
-// the first time t is generated closes a shortest detour. When f rises,
-// the f + 2 stack is counting-sorted by bound into the other, so among
-// the nodes at f the search pops one of least bound (the deepest) first.
+// kDisconnected, no search. The search is A* toward t, its h the exact
+// fault-free HHC distance (detail::distance below), read from a table of
+// one byte per (translated cluster difference, position) that each m
+// builds on its first search. HHC is bipartite, so h changes by exactly 1
+// across every edge: two LIFO stacks, the open nodes at the least f and at
+// f + 2, serve as the priority queue, and the first time t is generated
+// closes a shortest detour. When f rises, the f + 2 stack is
+// counting-sorted by h into the other, so among the nodes at f the search
+// pops one of least h (the deepest) first.
 // A plain BFS from t (the guard) runs beside it: one expansion before A*
 // starts, then, once A* has made 32 expansions, one per four more; when it
 // exhausts t's component without reaching s, the answer is kDisconnected.
@@ -60,24 +62,23 @@
 // only the delivered path is copied out.
 //
 // The search expands u by walking the set bits of its byte in ascending
-// order, which is HhcTopology::neighbors order, and pops least bound
+// order, which is HhcTopology::neighbors order, and pops least h
 // first, then last pushed, so a query's detour is the same on every call
 // and every thread, and as short as the one a plain BFS finds, though it
 // may take different nodes. Before the walk it masks out the edge u was
 // reached by, which leads back to a closed node; the guard does the same
-// with the dimension its FIFO slot carries above the node id. A new
-// neighbor's bound is computed from a table, and the f + 2 stack is sorted
-// by the bounds in the marks: reading a seen neighbor's bound from its
-// mark, or carrying bounds in the stack slots, measured no faster
-// (EXPERIMENTS.md A5b). Its marks are an epoch-stamped array of one
-// 6-byte record per node (stamp, guard stamp, bound, parent dimension and
+// with the dimension its FIFO slot carries above the node id. A neighbor's
+// h is one load from the distance table, and the f + 2 stack is sorted by
+// the h in the marks. Its marks are an epoch-stamped array of one
+// 6-byte record per node (stamp, guard stamp, h, parent dimension and
 // state), the two stacks and the guard's FIFO a 32-bit slot per node
 // each, never initialized. All of it is per-thread scratch reused across
 // calls: once grown, a route allocates only the path it returns. At m = 4
 // a thread keeps the 1 MiB of usable bytes even if it only scans; one that
 // searches also keeps 6 MiB of marks and three 4 MiB arrays of slots, of
 // which a search that finds t early or ends at a small component touches
-// few pages.
+// few pages. The distance tables are shared by every thread and never
+// freed: 2 KiB at m = 3, 1 MiB at m = 4, built once per process.
 //
 // Results use the query vocabulary (query::PairQuery -> query::RouteResult).
 #pragma once
@@ -94,14 +95,11 @@ namespace hhc::fault {
 
 namespace detail {
 
-/// A lower bound on the number of hops from v to t in HHC(m), faults or
-/// not: with ΔX = X_v ^ X_t, a walk takes one external hop per set bit j of
-/// ΔX, standing at position j to take it, so it needs at least
-/// H(Y_v, j) + H(j, Y_t) internal hops for each such j. Hence
-///   |ΔX| + H(Y_v, Y_t) + 2 max_{j in ΔX} |(j ^ Y_v) & ~(Y_v ^ Y_t)|,
-/// the max over an empty ΔX being 0. It is 0 only at t and changes by
-/// exactly 1 across every edge, which makes it a consistent A* bound.
-[[nodiscard]] unsigned distance_bound(unsigned m, core::Node v, core::Node t);
+/// The number of hops from v to t in fault-free HHC(m), m <= 4: |ΔX| for
+/// the external hops, ΔX = X_v ^ X_t, plus the shortest Q_m walk from Y_v
+/// through every position in ΔX to Y_t. The survivor search's h, read from
+/// the same table; the table is built on the first call at m.
+[[nodiscard]] unsigned distance(unsigned m, core::Node v, core::Node t);
 
 }  // namespace detail
 

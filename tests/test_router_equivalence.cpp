@@ -11,8 +11,8 @@
 // against per-thread usable-edge bytes, one per node; at m = 5 it scans the
 // lookup() handle in place through a per-thread fault snapshot. It searches
 // the same usable-edge bytes with epoch-stamped marks, by A* toward t under
-// an HHC distance bound beside a guard BFS from t. Every query here must
-// get the same level, outcome, blocked count and fallback flag from both,
+// the fault-free HHC distance beside a guard BFS from t. Every query here
+// must get the same level, outcome, blocked count and fallback flag from both,
 // and the same path whenever the container serves it. A detour may take
 // different nodes: it must have the oracle's hop count, run s -> t over
 // topology edges usable at the query's time, and repeat no node. At m = 5,
@@ -27,7 +27,7 @@
 // at m = 2 (and 2,000 at m = 3) under dense faults, pin the search's work
 // and a digest of every route on a fault_churn-shaped schedule at m = 3,
 // hold a churn-shaped schedule at m = 4 to the oracle, and check the
-// search's distance bound exhaustively at m <= 3.
+// search's distance table against BFS distances (exhaustively at m <= 3).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +41,7 @@
 #include "core/container_cache.hpp"
 #include "core/disjoint.hpp"
 #include "core/fault_model.hpp"
+#include "core/metrics.hpp"
 #include "core/orbit_table.hpp"
 #include "fault/adaptive_router.hpp"
 #include "orbit_reference.hpp"
@@ -653,10 +654,10 @@ TEST(RouterEquivalence, DenseFaultsKeepDetoursShortest) {
   // routing. At m = 2 and 3, twenty sets of about 5% of the nodes and 25%
   // of the links: every ordered pair is routed at m = 2, 2,000 sampled ones
   // at m = 3. At m = 4, one set of dense_spec's 3% and 12% and 8 sampled
-  // pairs, the first with the largest bound at m = 4, 2^m + 2m = 24 (s and
-  // t at position 0 and every cluster bit apart), so the search's
-  // counting sort meets its whole key range. Each answer is held to the
-  // oracle's: a detour as short as the BFS distance over the survivors,
+  // pairs, the first with the largest h at m = 4, the diameter 2^(m + 1) =
+  // 32 (s and t at position 0 and every cluster bit apart), so the
+  // search's counting sort meets its whole key range. Each answer is held
+  // to the oracle's: a detour as short as the BFS distance over the survivors,
   // over usable edges, and kDisconnected exactly when t is unreachable.
   for (const unsigned m : {2U, 3U, 4U}) {
     const HhcTopology net{m};
@@ -821,16 +822,19 @@ TEST(RouterEquivalence, SearchWorkIsPinnedOnAChurnSchedule) {
   // Nearest rank: the least count at or above 99% of the fallbacks.
   const std::size_t p99 =
       per_fallback[(per_fallback.size() * 99 + 99) / 100 - 1];
-  // 34.5 expansions per fallback. A search that popped the newest node at
-  // the least f and ran its guard from the start made 104,829 and 27,801
-  // (52.0 per fallback) with a p99 of 259.
+  // 19.5 expansions per fallback, h being the exact fault-free distance.
+  // Under the max-over-one-position lower bound the search made 79,900
+  // and 8,050 (34.5 per fallback) with a p99 of 171; popping the newest
+  // node at the least f and running its guard from the start, 104,829 and
+  // 27,801 (52.0 per fallback) with a p99 of 259.
   EXPECT_EQ(per_fallback.size(), 2551U);
-  EXPECT_EQ(search, 79'900U);
-  EXPECT_EQ(guard, 8'050U);
-  EXPECT_EQ(p99, 171U);
-  // Measured before the expansion skipped its arrival edge, which changed
-  // no answer.
-  EXPECT_EQ(route_digest(one), 11163755293888097584ULL);
+  EXPECT_EQ(search, 46'165U);
+  EXPECT_EQ(guard, 3'581U);
+  EXPECT_EQ(p99, 86U);
+  // The exact distance breaks ties among equally short detours otherwise:
+  // 11163755293888097584 under the lower bound (and before the expansion
+  // skipped its arrival edge, which changed no answer).
+  EXPECT_EQ(route_digest(one), 15178932977930048897ULL);
 }
 
 TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
@@ -866,46 +870,46 @@ TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
   EXPECT_GE(tally.fallbacks, 64U);
 }
 
-// Fault-free hop counts from t to every node of `net` (m <= 3).
-std::vector<unsigned> distances_to(const HhcTopology& net, Node t) {
-  std::vector<unsigned> dist(net.node_count(), ~0U);
-  std::deque<Node> frontier{t};
-  dist[t] = 0;
-  while (!frontier.empty()) {
-    const Node u = frontier.front();
-    frontier.pop_front();
-    for (const Node v : net.neighbors(u)) {
-      if (dist[v] != ~0U) continue;
-      dist[v] = dist[u] + 1;
-      frontier.push_back(v);
-    }
-  }
-  return dist;
-}
-
-TEST(RouterEquivalence, DistanceBoundIsConsistent) {
-  // Exhaustively at m <= 3: the survivor search's bound is 0 at t, never
-  // exceeds the fault-free distance to t (so, faults only removing edges,
-  // any survivor distance), and changes by exactly 1 across every edge,
-  // which is what lets two stacks stand in for A*'s priority queue.
-  for (unsigned m = 1; m <= 3; ++m) {
+TEST(RouterEquivalence, DistanceTableIsExact) {
+  // The survivor search's h is the fault-free distance to t, read from a
+  // table per m. It must equal core::bfs_distances for every (v, t) at
+  // m <= 3 and for every v of a seeded sample of targets at m = 4, change
+  // by exactly 1 across every edge at m <= 3 (what lets two stacks stand in
+  // for A*'s priority queue), and reach the diameter 2^(m + 1). Every t
+  // reads every cell of its m's table (v -> (S, y) is one to one), so the
+  // largest h over one t is the table's maximum.
+  for (unsigned m = 1; m <= 4; ++m) {
     const HhcTopology net{m};
-    std::size_t checked = 0;
-    for (Node t = 0; t < net.node_count(); ++t) {
-      const std::vector<unsigned> dist = distances_to(net, t);
-      ASSERT_EQ(detail::distance_bound(m, t, t), 0U);
-      for (Node u = 0; u < net.node_count(); ++u) {
-        const unsigned h = detail::distance_bound(m, u, t);
-        ASSERT_LE(h, dist[u]) << "m=" << m << " u=" << u << " t=" << t;
-        for (const Node v : net.neighbors(u)) {
-          const unsigned hv = detail::distance_bound(m, v, t);
-          ASSERT_EQ(h > hv ? h - hv : hv - h, 1U)
-              << "m=" << m << " edge " << u << "-" << v << " t=" << t;
-          ++checked;
+    const std::uint64_t n = net.node_count();
+    std::vector<Node> targets;
+    if (m < 4) {
+      for (Node t = 0; t < n; ++t) targets.push_back(t);
+    } else {
+      util::Xoshiro256 rng{0xC4C};
+      targets = {net.encode(0, 0), net.encode(0, 15)};
+      while (targets.size() < 6) targets.push_back(rng.below(n));
+    }
+    std::size_t edges = 0;
+    for (const Node t : targets) {
+      const std::vector<std::uint32_t> dist = core::bfs_distances(net, t);
+      unsigned most = 0;
+      for (Node v = 0; v < n; ++v) {
+        const unsigned h = detail::distance(m, v, t);
+        ASSERT_EQ(h, dist[v]) << "m=" << m << " v=" << v << " t=" << t;
+        most = std::max(most, h);
+        if (m == 4) continue;
+        for (const Node w : net.neighbors(v)) {
+          const unsigned hw = detail::distance(m, w, t);
+          ASSERT_EQ(h > hw ? h - hw : hw - h, 1U)
+              << "m=" << m << " edge " << v << "-" << w << " t=" << t;
+          ++edges;
         }
       }
+      ASSERT_EQ(most, 2U << m) << "m=" << m << " t=" << t;
     }
-    EXPECT_EQ(checked, net.node_count() * net.node_count() * net.degree());
+    if (m < 4) {
+      EXPECT_EQ(edges, n * n * net.degree()) << "m=" << m;
+    }
   }
 }
 
