@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -100,14 +101,36 @@ class UsableEdges {
 // most 2^m points. Translating every position by Y_t keeps Hamming
 // distances, so the key is S (ΔX with bit j moved to j ^ Y_t) and
 // y = Y_v ^ Y_t, and the walk ends at 0. `cells[(S << m) | y]` is the
-// distance, one byte each: 8 B, 64 B, 2 KiB and 1 MiB at m = 1..4. The
-// Held–Karp DP over S picks the position j visited first:
+// distance, one byte each: 8 B, 64 B, 2 KiB and 1 MiB at m = 1..4, and as
+// much again for the masks below. The Held–Karp DP over S picks the
+// position j visited first:
 //   d(∅, y) = |y|,   d(S, y) = min_{j in S} H(y, j) + 1 + d(S \ {j}, j),
 // with y the innermost loop, so a (S, j) step is one vector min.
+//
+// `falling[(S << m) | y]`, a byte beside each cell, has bit d set when the
+// dimension-d neighbor (d = m the external one) is one hop nearer to t, so
+// a search reads one byte per expansion instead of a cell per neighbor. An
+// internal hop across d flips bit d of y, the cell's index bit d; an
+// external hop flips bit y of S. The DP already loads the external
+// neighbor's cell d(S \ {j}, j) of every (S, j in S) and parks it in
+// `falling[(S << m) | j]`; with j not in S the external neighbor
+// (S + {j}, j) is always one hop farther, since deleting one hop at j from
+// a walk out of it leaves a walk out of (S, j), and the parked byte is
+// kFarther. Once a batch of rows is final, derive() turns the batch's
+// parked bytes into masks, eight cells to a 64-bit word.
 template <unsigned M>
 struct DistanceTable {
   static constexpr unsigned kPositions = 1U << M;
   static constexpr std::size_t kSets = std::size_t{1} << kPositions;
+  static constexpr std::size_t kCells = kSets * kPositions;
+  // Whole rows, and whole words: at m = 4 a word's dimension-3 neighbor is
+  // the other word of its row.
+  static constexpr std::size_t kBatch = std::min<std::size_t>(kCells, 512);
+  static_assert(kCells % kBatch == 0 && kBatch % kPositions == 0 &&
+                kBatch % 8 == 0);
+  // Parked where no external neighbor is nearer: above every distance,
+  // and 0x7F + 1 does not carry out of its byte.
+  static constexpr std::uint8_t kFarther = 0x7F;
 
   DistanceTable() {
     std::array<std::array<std::uint8_t, kPositions>, kPositions> hop{};
@@ -118,14 +141,18 @@ struct DistanceTable {
     }
     for (unsigned y = 0; y < kPositions; ++y) {
       cells[y] = static_cast<std::uint8_t>(std::popcount(y));
+      falling[y] = kFarther;
     }
     for (std::size_t set = 1; set < kSets; ++set) {
       std::uint8_t* const row = cells.data() + set * kPositions;
+      std::uint8_t* const parked = falling.data() + set * kPositions;
       std::fill(row, row + kPositions, std::uint8_t{0xFF});
+      std::fill(parked, parked + kPositions, kFarther);
       for (std::size_t rest = set; rest != 0; rest &= rest - 1) {
         const auto j = static_cast<unsigned>(std::countr_zero(rest));
         const std::uint8_t via =
             cells[(set ^ (std::size_t{1} << j)) * kPositions + j];
+        parked[j] = via;
         const std::uint8_t* const from_j = hop[j].data();
         // Left rolled: gcc -O3 unrolls a 16-trip loop fully before it
         // vectorizes, into 16 scalar mins, and the m = 4 build takes 6x as
@@ -136,25 +163,72 @@ struct DistanceTable {
           row[y] = via_j < row[y] ? via_j : row[y];
         }
       }
+      const std::size_t done = (set + 1) * kPositions;
+      if (done % kBatch == 0) derive(done - kBatch);
     }
   }
 
-  std::array<std::uint8_t, kSets * kPositions> cells;
+  // The masks of cells [first, first + kBatch), whose distances are final
+  // and whose bytes in `falling` hold the parked external distances. Cell
+  // i's dimension-d neighbor is cell i ^ 2^d: in the same word for d < 3,
+  // its bytes swapped in blocks of 2^d, and in the other word of the row
+  // for d = 3. Every byte is below 0x80, so (a | 0x80) - (b + 1) keeps bit
+  // 7 of a byte exactly when a > b, with no borrow between bytes. The
+  // batch is copied out and back so that gcc vectorizes the loop.
+  void derive(std::size_t first) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = kOnes << 7;
+    constexpr std::size_t kWords = kBatch / 8;
+    constexpr std::array<std::uint64_t, 2> kLow = {0x00FF00FF00FF00FFULL,
+                                                   0x0000FFFF0000FFFFULL};
+    std::array<std::uint64_t, kWords> dist;
+    std::array<std::uint64_t, kWords> down;
+    std::memcpy(dist.data(), cells.data() + first, kBatch);
+    std::memcpy(down.data(), falling.data() + first, kBatch);
+    for (std::size_t w = 0; w < kWords; ++w) {
+      const std::uint64_t high = dist[w] | kHigh;
+      // Each byte + 1: swapped, the b + 1 of an internal neighbor.
+      const std::uint64_t plus = dist[w] + kOnes;
+      // Bit d of each byte: is the neighbor's distance b below the cell's?
+      const auto nearer = [high](std::uint64_t b_plus_1, unsigned d) {
+        return ((high - b_plus_1) & kHigh) >> (7 - d);
+      };
+      std::uint64_t mask = nearer(down[w] + kOnes, M);
+      for (unsigned d = 0; d < std::min(M, 2U); ++d) {
+        const unsigned width = 8U << d;
+        mask |= nearer(((plus & kLow[d]) << width) | ((plus >> width) & kLow[d]),
+                       d);
+      }
+      if constexpr (M > 2) mask |= nearer(std::rotl(plus, 32), 2);
+      if constexpr (M > 3) mask |= nearer(dist[w ^ 1] + kOnes, 3);
+      down[w] = mask;
+    }
+    std::memcpy(falling.data() + first, down.data(), kBatch);
+  }
+
+  std::array<std::uint8_t, kCells> cells;
+  std::array<std::uint8_t, kCells> falling;
 };
 
 // The diameter of HHC(kMaxM), 2^(kMaxM + 1): the largest distance any table
 // holds, which Mark::h and the search's counting sort must fit.
 constexpr unsigned kMaxDistance = 2U << core::OrbitTable::kMaxM;
 
+// One m's table: distances and falling-dimension masks, by cell.
+struct DistanceCells {
+  const std::uint8_t* distance;
+  const std::uint8_t* falling;
+};
+
 // m's table, built by its first caller; a function-local static, so threads
 // that search at once for the first time build it once.
 template <unsigned M>
-const std::uint8_t* distance_cells() {
+DistanceCells distance_cells() {
   static const DistanceTable<M> table;
-  return table.cells.data();
+  return {table.cells.data(), table.falling.data()};
 }
 
-const std::uint8_t* distance_table(unsigned m) {
+DistanceCells distance_table(unsigned m) {
   static_assert(core::OrbitTable::kMaxM == 4);
   assert(m >= 1 && m <= core::OrbitTable::kMaxM);
   switch (m) {
@@ -225,7 +299,9 @@ struct SearchScratch {
     std::uint16_t guard = 0;
     std::uint8_t h = 0;  // the fault-free distance to t
     std::uint8_t bits = 0;
+    std::uint16_t row = 0;  // S, the row of its distance cell
   };
+  static_assert((1U << core::OrbitTable::kMaxM) <= 16);  // S fits `row`
 
   /// Forgets the previous search and makes room for `node_count` nodes.
   void begin(std::uint64_t node_count) {
@@ -330,7 +406,9 @@ struct SearchWork {
 // read here: `usable` folds each edge's link and both endpoints into one
 // bit. The edge u was last pushed along is masked out first: it leads to
 // u's parent, which was closed when it pushed u, so skipping it changes
-// nothing but the work.
+// nothing but the work. Only s's h is read from the table: an expansion
+// reads u's falling-dimension mask, at the cell its mark's row names, and
+// gives each neighbor h(u) - 1 or h(u) + 1 by its bit.
 //
 // A* alone would sweep all of s's component when t sits in a smaller one.
 // A plain BFS from t (the guard) runs beside it: one expansion before the
@@ -395,9 +473,8 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
   };
   if (!guard_step()) return finish({});
 
-  const Node xt = t >> m;
-  const auto yt = static_cast<unsigned>(t & bits::low_mask(m));
-  const std::uint8_t* const dist = distance_table(m);
+  const DistanceCells table = distance_table(m);
+  const std::size_t s_cell = distance_index(m, s, t);
   // `open` is the stack at the least f, `later` the one at f + 2; a node's
   // kBucket bit says which f it was last pushed at.
   std::uint32_t* const open = scratch.stacks[0].get();
@@ -405,11 +482,12 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
   std::size_t open_size = 1;
   std::size_t later_size = 0;
   std::uint8_t bucket = 0;
-  std::size_t f = dist[distance_index(m, s, t)];
+  std::size_t f = table.distance[s_cell];
   open[0] = static_cast<std::uint32_t>(s);
   marks[s].stamp = epoch;
   marks[s].h = static_cast<std::uint8_t>(f);
   marks[s].bits = SearchScratch::kRoot;
+  marks[s].row = static_cast<std::uint16_t>(s_cell >> m);
   for (;;) {
     if (open_size == 0) {
       if (later_size == 0) return finish({});  // s's component is exhausted
@@ -443,12 +521,11 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
         expansions % kGuardStride == 0 && !guard_step()) {
       return finish({});  // t's component is exhausted without s
     }
-    // u's key (S, y): an internal hop flips a bit of y, an external one
-    // bit y of S.
-    const std::size_t set =
-        translate(static_cast<std::uint32_t>((u >> m) ^ xt), yt);
-    const auto y = static_cast<unsigned>(u & bits::low_mask(m)) ^ yt;
-    const std::uint8_t* const row = dist + (set << m);
+    // u's cell (S, y), S carried in its mark: an internal hop flips a bit
+    // of y, an external one bit y of S.
+    const unsigned row = from.row;
+    const auto y = static_cast<unsigned>((u ^ t) & bits::low_mask(m));
+    const unsigned falling = table.falling[(std::size_t{row} << m) | y];
     const unsigned h = from.h;
     // The edge u was reached by leads back to its parent, which is closed.
     const unsigned edges =
@@ -459,15 +536,13 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
       if (v == t) {  // h(u) = 1: g(u) = f - 1
         return finish(scratch.trace(m, u, t, f));
       }
-      const unsigned hv =
-          dim < m ? row[y ^ (1U << dim)]
-                  : dist[((set ^ (std::size_t{1} << y)) << m) | y];
       // Via u, v lies at f when the distance falls, else at f + 2.
-      const bool here = hv < h;
+      const bool here = ((falling >> dim) & 1U) != 0;
       Mark& mark = marks[v];
       if (mark.stamp != epoch) {
         mark.stamp = epoch;
-        mark.h = static_cast<std::uint8_t>(hv);
+        mark.h = static_cast<std::uint8_t>(here ? h - 1 : h + 1);
+        mark.row = static_cast<std::uint16_t>(dim < m ? row : row ^ (1U << y));
       } else if ((mark.bits & SearchScratch::kClosed) != 0 || !here ||
                  (mark.bits & SearchScratch::kBucket) == bucket) {
         continue;  // closed, already open at f, or no nearer via u
@@ -489,7 +564,11 @@ Path survivor_search(const core::HhcTopology& net, Node s, Node t,
 namespace detail {
 
 unsigned distance(unsigned m, Node v, Node t) {
-  return distance_table(m)[distance_index(m, v, t)];
+  return distance_table(m).distance[distance_index(m, v, t)];
+}
+
+unsigned falling_dimensions(unsigned m, Node v, Node t) {
+  return distance_table(m).falling[distance_index(m, v, t)];
 }
 
 }  // namespace detail

@@ -22,12 +22,13 @@
 // kDisconnected, no search. The search is A* toward t, its h the exact
 // fault-free HHC distance (detail::distance below), read from a table of
 // one byte per (translated cluster difference, position) that each m
-// builds on its first search. HHC is bipartite, so h changes by exactly 1
-// across every edge: two LIFO stacks, the open nodes at the least f and at
-// f + 2, serve as the priority queue, and the first time t is generated
-// closes a shortest detour. When f rises, the f + 2 stack is
-// counting-sorted by h into the other, so among the nodes at f the search
-// pops one of least h (the deepest) first.
+// builds on its first search. Beside each cell the table keeps a mask of
+// the dimensions that fall toward t (detail::falling_dimensions). HHC is
+// bipartite, so h changes by exactly 1 across every edge: two LIFO stacks,
+// the open nodes at the least f and at f + 2, serve as the priority queue,
+// and the first time t is generated closes a shortest detour. When f
+// rises, the f + 2 stack is counting-sorted by h into the other, so among
+// the nodes at f the search pops one of least h (the deepest) first.
 // A plain BFS from t (the guard) runs beside it: one expansion before A*
 // starts, then, once A* has made 32 expansions, one per four more; when it
 // exhausts t's component without reaching s, the answer is kDisconnected.
@@ -67,18 +68,22 @@
 // and every thread, and as short as the one a plain BFS finds, though it
 // may take different nodes. Before the walk it masks out the edge u was
 // reached by, which leads back to a closed node; the guard does the same
-// with the dimension its FIFO slot carries above the node id. A neighbor's
-// h is one load from the distance table, and the f + 2 stack is sorted by
-// the h in the marks. Its marks are an epoch-stamped array of one
-// 6-byte record per node (stamp, guard stamp, h, parent dimension and
-// state), the two stacks and the guard's FIFO a 32-bit slot per node
+// with the dimension its FIFO slot carries above the node id. An expansion
+// reads one table byte, u's falling-dimension mask: a neighbor's h is
+// h(u) - 1 where its bit is set and h(u) + 1 where not, so no neighbor's
+// cell is loaded. The mask's cell is found without translating ΔX again:
+// u's mark carries its row (translated ΔX), written when u is first
+// generated, and an external hop flips one bit of it. The f + 2 stack is
+// sorted by the h in the marks. Its marks are an epoch-stamped array of
+// one 8-byte record per node (stamp, guard stamp, h, parent dimension and
+// state, row), the two stacks and the guard's FIFO a 32-bit slot per node
 // each, never initialized. All of it is per-thread scratch reused across
 // calls: once grown, a route allocates only the path it returns. At m = 4
 // a thread keeps the 1 MiB of usable bytes even if it only scans; one that
-// searches also keeps 6 MiB of marks and three 4 MiB arrays of slots, of
+// searches also keeps 8 MiB of marks and three 4 MiB arrays of slots, of
 // which a search that finds t early or ends at a small component touches
-// few pages. The distance tables are shared by every thread and never
-// freed: 2 KiB at m = 3, 1 MiB at m = 4, built once per process.
+// few pages. The tables are shared by every thread and never freed: 4 KiB
+// at m = 3, 2 MiB at m = 4 (distances and masks), built once per process.
 //
 // Results use the query vocabulary (query::PairQuery -> query::RouteResult).
 #pragma once
@@ -100,6 +105,13 @@ namespace detail {
 /// through every position in ΔX to Y_t. The survivor search's h, read from
 /// the same table; the table is built on the first call at m.
 [[nodiscard]] unsigned distance(unsigned m, core::Node v, core::Node t);
+
+/// The dimensions along which v's neighbor is one hop nearer to t in
+/// fault-free HHC(m), m <= 4: bit d for the dimension-d neighbor, bit m for
+/// the external one. The survivor search reads it once per expansion, from
+/// the table distance() reads.
+[[nodiscard]] unsigned falling_dimensions(unsigned m, core::Node v,
+                                          core::Node t);
 
 }  // namespace detail
 

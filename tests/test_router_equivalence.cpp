@@ -26,8 +26,9 @@
 // a detour is the same on every call and every thread, route every pair
 // at m = 2 (and 2,000 at m = 3) under dense faults, pin the search's work
 // and a digest of every route on a fault_churn-shaped schedule at m = 3,
-// hold a churn-shaped schedule at m = 4 to the oracle, and check the
-// search's distance table against BFS distances (exhaustively at m <= 3).
+// hold a churn-shaped schedule at m = 4 to the oracle and pin its work and
+// routes too, and check the search's distance table and its masks of
+// falling dimensions against BFS distances (exhaustively at m <= 3).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -868,6 +869,24 @@ TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
   }
   // 89 fallbacks, all delivered.
   EXPECT_GE(tally.fallbacks, 64U);
+
+  // The work and the routes are pinned as at m = 3, so the search's
+  // 16-bit rows and its external dimension 4 cannot change a tie-break or
+  // a count unseen.
+  const std::vector<SearchWork> work =
+      churn_work(router, c.faults, schedule.queries, 1);
+  std::size_t fallbacks = 0;
+  std::size_t search = 0;
+  std::size_t guard = 0;
+  for (const SearchWork& w : work) {
+    fallbacks += w.used_fallback ? 1 : 0;
+    search += w.search_expansions;
+    guard += w.guard_expansions;
+  }
+  EXPECT_EQ(fallbacks, 89U);
+  EXPECT_EQ(search, 1'321U);
+  EXPECT_EQ(guard, 117U);
+  EXPECT_EQ(route_digest(work), 12737760616672195058ULL);
 }
 
 TEST(RouterEquivalence, DistanceTableIsExact) {
@@ -877,7 +896,10 @@ TEST(RouterEquivalence, DistanceTableIsExact) {
   // by exactly 1 across every edge at m <= 3 (what lets two stacks stand in
   // for A*'s priority queue), and reach the diameter 2^(m + 1). Every t
   // reads every cell of its m's table (v -> (S, y) is one to one), so the
-  // largest h over one t is the table's maximum.
+  // largest h over one t is the table's maximum. The search steps by the
+  // falling-dimension mask beside each cell: its bit d (d = m the external
+  // edge) must say whether the dimension-d neighbor is nearer to t by BFS,
+  // on the same (v, t), and no bit above m may be set.
   for (unsigned m = 1; m <= 4; ++m) {
     const HhcTopology net{m};
     const std::uint64_t n = net.node_count();
@@ -897,6 +919,14 @@ TEST(RouterEquivalence, DistanceTableIsExact) {
         const unsigned h = detail::distance(m, v, t);
         ASSERT_EQ(h, dist[v]) << "m=" << m << " v=" << v << " t=" << t;
         most = std::max(most, h);
+        const unsigned falling = detail::falling_dimensions(m, v, t);
+        ASSERT_EQ(falling >> (m + 1), 0U) << "m=" << m << " v=" << v;
+        for (unsigned d = 0; d <= m; ++d) {
+          const Node w =
+              d < m ? net.internal_neighbor(v, d) : net.external_neighbor(v);
+          ASSERT_EQ(((falling >> d) & 1U) != 0, dist[w] < dist[v])
+              << "m=" << m << " v=" << v << " t=" << t << " dim=" << d;
+        }
         if (m == 4) continue;
         for (const Node w : net.neighbors(v)) {
           const unsigned hw = detail::distance(m, w, t);

@@ -1,12 +1,14 @@
 // The survivor search's first use in a process, from several threads at
-// once. Its h is read from one distance table per m, built by the first
-// search at that m in the process and then shared by every thread. Here
-// four threads wait at a latch and then make their first fallbacks at
-// m = 4 and at m = 3 together, so each table's build is raced: under
-// ThreadSanitizer (CI's tsan job runs the `stress` label) the build must
-// show no data race, and every thread's detours must be the same shortest
-// paths. ctest runs each test in its own process, so no earlier test has
-// built a table.
+// once. It reads one table per m, built by the first search at that m in
+// the process and then shared by every thread: s's distance, and at every
+// expansion the mask of dimensions that fall toward t, derived from the
+// distances in the same build. Here four threads wait at a latch and then
+// make their first fallbacks at m = 4 and at m = 3 together, so each
+// table's build is raced, and every search expands nodes, so the masks are
+// read: under ThreadSanitizer (CI's tsan job runs the `stress` label) the
+// build must show no data race, and every thread's detours must be the
+// same shortest paths. ctest runs each test in its own process, so no
+// earlier test has built a table.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -110,6 +112,7 @@ TEST(RouterEquivalence, FirstFallbacksRaceToBuildTheDistanceTables) {
     const Query& q = queries[i];
     const query::RouteResult& first = got[0][i];
     ASSERT_TRUE(first.used_fallback) << "query " << i;
+    ASSERT_GT(first.search_expansions, 0U) << "query " << i;
     ASSERT_EQ(first.level, query::DegradationLevel::kBestEffort)
         << "query " << i;
     ASSERT_EQ(first.paths.size(), 1U);
