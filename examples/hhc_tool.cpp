@@ -128,13 +128,28 @@ int cmd_faults(util::Options& opts) {
       core::FaultModel::random(net, {.node_faults = count}, s, t, rng);
 
   core::ContainerCache cache{net};
-  const auto global = fault::AdaptiveRouter{cache}.route(
-      query::PairQuery{.s = s, .t = t, .faults = &faults},
-      {.skip_fallback = true});
+  const fault::AdaptiveRouter router{cache};
+  const query::PairQuery query{.s = s, .t = t, .faults = &faults};
+  const auto global = router.route(query, {.skip_fallback = true});
   std::printf("global container router: %s", global.ok() ? "ok" : "FAILED");
   if (global.ok()) std::printf(" (%zu hops)", global.primary().size() - 1);
   std::printf(", %zu/%u paths blocked\n", global.container_paths_blocked,
               net.degree());
+
+  // The same query with the survivor search allowed: what it did, if the
+  // container was cut.
+  const auto adaptive = router.route(query);
+  std::printf("adaptive router:         %s",
+              query::to_string(adaptive.level));
+  if (adaptive.ok()) std::printf(" (%zu hops)", adaptive.primary().size() - 1);
+  if (adaptive.used_fallback) {
+    std::printf(", search from %s: %zu A* + %zu guard expansions",
+                adaptive.search_from_t ? "t" : "s", adaptive.search_expansions,
+                adaptive.guard_expansions);
+  } else if (adaptive.outcome == query::RouteOutcome::kShed) {
+    std::printf(", no search (m > 4)");
+  }
+  std::printf("\n");
 
   const auto local = core::local_fault_route(net, s, t, faults);
   std::printf("local DFS router:        %s", local.ok() ? "ok" : "FAILED");

@@ -261,6 +261,27 @@ std::size_t distance_index(unsigned m, Node v, Node t) noexcept {
   return (std::size_t{set} << m) | (diff & bits::low_mask(m));
 }
 
+// The usable edges that fall toward `to` within two hops of `from`: those
+// at `from`, and those at each neighbor such an edge reaches. The fewer
+// there are, the more damaged `from`'s side of the pair. A neighbor's cell
+// is `from`'s with one index bit flipped: bit d for an internal hop across
+// d, bit m + y of the row for the external one.
+unsigned falling_reach(unsigned m, Node from, Node to,
+                       const std::uint8_t* usable) {
+  const std::uint8_t* const falling = distance_table(m).falling;
+  const std::size_t cell = distance_index(m, from, to);
+  const auto y = static_cast<unsigned>(cell & bits::low_mask(m));
+  const unsigned first = usable[from] & falling[cell];
+  auto reach = static_cast<unsigned>(std::popcount(first));
+  for (unsigned rest = first; rest != 0; rest &= rest - 1) {
+    const auto dim = static_cast<unsigned>(std::countr_zero(rest));
+    const std::size_t next = cell ^ (std::size_t{1} << (dim < m ? dim : m + y));
+    const unsigned onward = usable[neighbor(from, dim, m)] & falling[next];
+    reach += static_cast<unsigned>(std::popcount(onward));
+  }
+  return reach;
+}
+
 // Per-thread survivor-search state, reused across searches so that once it
 // has grown to a topology a search allocates nothing.
 //
@@ -391,7 +412,9 @@ struct SearchWork {
 };
 
 // A* from s to t over the usable edges, h being the fault-free distance to t
-// (DistanceTable); empty when t is unreachable. HHC is bipartite, so the
+// (DistanceTable); empty when t is unreachable. s is the search's start:
+// route() swaps the query's endpoints when t is the more damaged
+// (falling_reach). HHC is bipartite, so the
 // distance changes by exactly 1 across every edge and f = g + h rises by 0 or 2
 // along an edge and two LIFO stacks, the open nodes at f and at f + 2,
 // replace a priority queue. A node is closed when expanded; the first time
@@ -639,10 +662,16 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   static obs::Histogram& fallback_hist =
       obs::stage_histogram(obs::stages::kBfsFallback);
   obs::TraceSpan span{obs::stages::kBfsFallback, &fallback_hist};
+  // A shortest detour is as short searched from either end: start from
+  // the more damaged one, ties to s (the header says why).
+  const std::uint8_t* const usable = scratch.usable.project(active, net);
+  const bool from_t = falling_reach(net.m(), t, s, usable) <
+                      falling_reach(net.m(), s, t, usable);
   SearchWork work;
-  Path detour =
-      survivor_search(net, s, t, scratch.usable.project(active, net),
-                      scratch.search, query, work);
+  Path detour = survivor_search(net, from_t ? t : s, from_t ? s : t, usable,
+                                scratch.search, query, work);
+  if (from_t) std::reverse(detour.begin(), detour.end());
+  result.search_from_t = from_t;
   result.search_expansions = work.search_expansions;
   result.guard_expansions = work.guard_expansions;
   if (work.timed_out) {

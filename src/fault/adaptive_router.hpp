@@ -19,22 +19,35 @@
 // build) and runs only at m <= 4 (core::OrbitTable::kMaxM): its state is
 // indexed by node, and m = 5 has 2^37 nodes. Above that, a fully cut
 // container answers as under skip_fallback: outcome kShed, level
-// kDisconnected, no search. The search is A* toward t, its h the exact
-// fault-free HHC distance (detail::distance below), read from a table of
-// one byte per (translated cluster difference, position) that each m
-// builds on its first search. Beside each cell the table keeps a mask of
-// the dimensions that fall toward t (detail::falling_dimensions). HHC is
-// bipartite, so h changes by exactly 1 across every edge: two LIFO stacks,
-// the open nodes at the least f and at f + 2, serve as the priority queue,
-// and the first time t is generated closes a shortest detour. When f
-// rises, the f + 2 stack is counting-sorted by h into the other, so among
-// the nodes at f the search pops one of least h (the deepest) first.
-// A plain BFS from t (the guard) runs beside it: one expansion before A*
-// starts, then, once A* has made 32 expansions, one per four more; when it
-// exhausts t's component without reaching s, the answer is kDisconnected.
-// An isolated t therefore costs one expansion, not a sweep of s's
-// component, and a disconnected pair at most 32 + 4 |C_t| A* expansions,
-// C_t being t's component. The result reports both expansion counts.
+// kDisconnected, no search. The search is A* from one endpoint toward the
+// other, its h the exact fault-free HHC distance (detail::distance below),
+// read from a table of one byte per (translated cluster difference,
+// position) that each m builds on its first search. Beside each cell the
+// table keeps a mask of the dimensions that fall toward the goal
+// (detail::falling_dimensions).
+//
+// HHC is vertex-transitive, so a shortest detour is as short searched from
+// either end, and the search starts from the more damaged one: the
+// endpoint with fewer usable edges falling toward the other within two
+// hops, ties to s. When that is t the detour is reversed, and the result's
+// search_from_t says so. An obstacle near A*'s goal costs it the whole
+// f-contour before f rises; the same obstacle near its start is met at
+// once. On a fault_churn-shaped schedule the rule cuts the p99 of
+// expansions per fallback from 86 to 55 (EXPERIMENTS.md A5e).
+//
+// HHC is bipartite, so h changes by exactly 1 across every edge: two LIFO
+// stacks, the open nodes at the least f and at f + 2, serve as the
+// priority queue, and the first time the goal is generated closes a
+// shortest detour. When f rises, the f + 2 stack is counting-sorted by h
+// into the other, so among the nodes at f the search pops one of least h
+// (the deepest) first.
+// A plain BFS from the goal (the guard) runs beside it: one expansion
+// before A* starts, then, once A* has made 32 expansions, one per four
+// more; when it exhausts the goal's component without reaching the start,
+// the answer is kDisconnected. An isolated endpoint therefore costs at
+// most one expansion of each, not a sweep of the other's component, and a
+// disconnected pair at most 32 + 4 |C| A* expansions, C being the goal's
+// component. The result reports both expansion counts.
 //
 // route() reads the faults once, through FaultModel::snapshot: the
 // thread's core::ActiveFaults snapshot of the facts active at query.time

@@ -104,6 +104,9 @@ struct RouteResult {
   // search ran).
   std::size_t search_expansions = 0;
   std::size_t guard_expansions = 0;
+  // The search ran A* from t toward s, its guard from s (false when it ran
+  // from s, or when no search ran).
+  bool search_from_t = false;
   // Served without running the construction: a cached index entry or an
   // orbit record that was already filled.
   bool cache_hit = false;

@@ -23,6 +23,7 @@
 //   * AdaptiveRouter's survivor-search fallback once the thread's search
 //     scratch has grown: a disconnected search of two 1024-node halves
 //     allocates nothing, an isolated endpoint or a small component around t
+//     (searched from t, or from s and stopped by the guard BFS from t)
 //     ends the search before it needs more room than one detour grew, and
 //     a detour allocates only the returned path and the result's paths
 //     vector — also at a new time inside the fault interval the snapshot
@@ -475,8 +476,9 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   // grown the scratch, the isolated-t query at time 10 needs no more room
   // and allocates nothing. The scratch is node-indexed, so a search that
   // swept s's component would allocate nothing either: the early stop is
-  // pinned by the route's work counts instead, one guard expansion and no
-  // A* expansion (a search without its guard makes 2^20 - 6).
+  // pinned by the route's work counts instead. t has no usable edge, so
+  // the search starts from t: the guard's first step from s, then t's own
+  // A* expansion, which pushes nothing.
   const HhcTopology net{4};
   ContainerCache cache{net};
   const fault::AdaptiveRouter router{cache};
@@ -504,7 +506,8 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
                        << " heap allocations";
   EXPECT_EQ(isolated.level, query::DegradationLevel::kDisconnected);
   EXPECT_TRUE(isolated.used_fallback);
-  EXPECT_EQ(isolated.search_expansions, 0u);
+  EXPECT_TRUE(isolated.search_from_t);
+  EXPECT_EQ(isolated.search_expansions, 1u);
   EXPECT_EQ(isolated.guard_expansions, 1u);
   EXPECT_EQ(isolated.container_paths_blocked, net.degree());
 }
@@ -512,9 +515,10 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
 TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   // As above, but t is not alone: during [10, 20) t and its m internal
   // neighbors keep the edges among themselves and lose every other one,
-  // so t's component has m + 1 nodes. The guard BFS from t exhausts it in
-  // m + 1 expansions, and A* stops within 32 + 4 (m + 1) of its own, the
-  // bound for a disconnected pair; the route answers kDisconnected without
+  // so t's component has m + 1 nodes. t's side holds at most m usable
+  // falling edges within two hops against s's undamaged one, so the search
+  // starts from t: after the guard's first step from s, A* exhausts t's
+  // component in m + 1 expansions. The route answers kDisconnected without
   // allocating on a thread whose scratch the detour at time 0 grew.
   const HhcTopology net{4};
   ContainerCache cache{net};
@@ -558,8 +562,75 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   EXPECT_EQ(cut_off.level, query::DegradationLevel::kDisconnected);
   EXPECT_EQ(cut_off.outcome, query::RouteOutcome::kOk);
   EXPECT_TRUE(cut_off.used_fallback);
-  EXPECT_EQ(cut_off.guard_expansions, net.m() + 1);
-  EXPECT_LE(cut_off.search_expansions, 32 + 4 * (net.m() + 1));
+  EXPECT_TRUE(cut_off.search_from_t);
+  EXPECT_EQ(cut_off.guard_expansions, 1u);
+  EXPECT_EQ(cut_off.search_expansions, net.m() + 1);
+  EXPECT_EQ(cut_off.container_paths_blocked, net.degree());
+}
+
+TEST(AllocationFree, GuardStopsASearchStartedOnTheBigSide) {
+  // The start rule can pick the side whose component is large: during
+  // [10, 20) t's whole cluster keeps its internal edges and loses its 2^m
+  // external links, so t's component is those 2^m nodes, while s loses
+  // the links along every dimension that falls toward t. s's side then
+  // holds no usable falling edge within two hops, at most t's count, so
+  // the search starts from s and only the guard BFS, from t, can stop it:
+  // it takes one step first, then one per 4 A* expansions after the 32nd,
+  // and exhausts t's cluster at A* expansion 32 + 4 (2^m - 1) = 92. A
+  // search without its guard sweeps s's component, 2^20 - 16 nodes. As
+  // above, the route at time 10 allocates nothing once the detour at time
+  // 0 has grown the thread's scratch.
+  const HhcTopology net{4};
+  ContainerCache cache{net};
+  const fault::AdaptiveRouter router{cache};
+  const Node s = net.encode(0, 0);
+  const Node t = net.encode(40'000, 9);
+  FaultModel faults;
+  for (const Path& path : cache.materialize(s, t, {}).paths) {
+    faults.fail_node(path[path.size() / 2], 0, 10);
+  }
+  std::size_t cut = 0;
+  for (Node y = 0; y < (Node{1} << net.m()); ++y) {
+    const Node gate = net.encode(40'000, y);
+    faults.fail_link(gate, net.external_neighbor(gate), 10, 20);
+    ++cut;
+  }
+  const unsigned falling = fault::detail::falling_dimensions(net.m(), s, t);
+  ASSERT_NE(falling, 0u);
+  for (unsigned d = 0; d <= net.m(); ++d) {
+    if (((falling >> d) & 1U) == 0) continue;
+    faults.fail_link(
+        s, d < net.m() ? net.internal_neighbor(s, d) : net.external_neighbor(s),
+        10, 20);
+    ++cut;
+  }
+  // Gateway links of a far cluster bring time 0's snapshot to as many
+  // facts as time 10's, so the measured re-resolve reuses its room.
+  for (Node y = 0; y + (net.m() + 1) < cut; ++y) {
+    const Node far = net.encode(1000, y);
+    faults.fail_link(far, net.external_neighbor(far), 0, 10);
+  }
+
+  query::RouteResult detoured;
+  query::RouteResult cut_off;
+  std::size_t delta = 0;
+  std::thread caller{[&] {
+    detoured = router.route(s, t, faults, 0);
+    const std::size_t before = allocation_count();
+    cut_off = router.route(s, t, faults, 10);
+    delta = allocation_count() - before;
+  }};
+  caller.join();
+
+  EXPECT_EQ(detoured.level, query::DegradationLevel::kBestEffort);
+  EXPECT_EQ(delta, 0u) << "a search stopped by its guard performed " << delta
+                       << " heap allocations";
+  EXPECT_EQ(cut_off.level, query::DegradationLevel::kDisconnected);
+  EXPECT_EQ(cut_off.outcome, query::RouteOutcome::kOk);
+  EXPECT_TRUE(cut_off.used_fallback);
+  EXPECT_FALSE(cut_off.search_from_t);
+  EXPECT_EQ(cut_off.guard_expansions, std::size_t{1} << net.m());
+  EXPECT_EQ(cut_off.search_expansions, 32 + 4 * ((1u << net.m()) - 1));
   EXPECT_EQ(cut_off.container_paths_blocked, net.degree());
 }
 

@@ -10,8 +10,9 @@
 // m <= 4 the production router scans the pair's orbit record in place
 // against per-thread usable-edge bytes, one per node; at m = 5 it scans the
 // lookup() handle in place through a per-thread fault snapshot. It searches
-// the same usable-edge bytes with epoch-stamped marks, by A* toward t under
-// the fault-free HHC distance beside a guard BFS from t. Every query here
+// the same usable-edge bytes with epoch-stamped marks, by A* under the
+// fault-free HHC distance from the more damaged endpoint toward the other,
+// beside a guard BFS from the other. Every query here
 // must get the same level, outcome, blocked count and fallback flag from both,
 // and the same path whenever the container serves it. A detour may take
 // different nodes: it must have the oracle's hop count, run s -> t over
@@ -27,8 +28,9 @@
 // at m = 2 (and 2,000 at m = 3) under dense faults, pin the search's work
 // and a digest of every route on a fault_churn-shaped schedule at m = 3,
 // hold a churn-shaped schedule at m = 4 to the oracle and pin its work and
-// routes too, and check the search's distance table and its masks of
-// falling dimensions against BFS distances (exhaustively at m <= 3).
+// routes too, route both schedules' cut pairs in both directions, and
+// check the search's distance table and its masks of falling dimensions
+// against BFS distances (exhaustively at m <= 3).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -732,6 +734,27 @@ ChurnSchedule churn_schedule(const HhcTopology& net, std::uint64_t epochs,
   return schedule;
 }
 
+// The count pins' schedules. At m = 3, 8 epochs of 1,024 random pairs. At
+// m = 4, 2 epochs of 768 pairs, each t twelve random hops from its s, so
+// that the oracle's BFS stays small.
+ChurnSchedule churn_schedule_m3(const HhcTopology& net) {
+  util::Xoshiro256 rng{0xC4A};
+  return churn_schedule(net, 8, 1024, rng);
+}
+
+ChurnSchedule churn_schedule_m4(const HhcTopology& net) {
+  util::Xoshiro256 rng{0xC4B};
+  ChurnSchedule schedule = churn_schedule(net, 2, 768, rng);
+  for (ChurnQuery& q : schedule.queries) {
+    q.t = q.s;
+    for (int hop = 0; hop < 12; ++hop) {
+      const auto nbrs = net.neighbors(q.t);
+      q.t = nbrs[rng.below(nbrs.size())];
+    }
+  }
+  return schedule;
+}
+
 struct SearchWork {
   query::DegradationLevel level = query::DegradationLevel::kDisconnected;
   bool used_fallback = false;
@@ -791,8 +814,7 @@ TEST(RouterEquivalence, SearchWorkIsPinnedOnAChurnSchedule) {
   // and nodes, so a change that keeps every detour's length but takes
   // other nodes (a changed tie-break) fails here too.
   const HhcTopology net{3};
-  util::Xoshiro256 rng{0xC4A};
-  const ChurnSchedule schedule = churn_schedule(net, 8, 1024, rng);
+  const ChurnSchedule schedule = churn_schedule_m3(net);
   core::ContainerCache cache{net};
   const AdaptiveRouter router{cache};
   const std::vector<SearchWork> one =
@@ -823,19 +845,21 @@ TEST(RouterEquivalence, SearchWorkIsPinnedOnAChurnSchedule) {
   // Nearest rank: the least count at or above 99% of the fallbacks.
   const std::size_t p99 =
       per_fallback[(per_fallback.size() * 99 + 99) / 100 - 1];
-  // 19.5 expansions per fallback, h being the exact fault-free distance.
-  // Under the max-over-one-position lower bound the search made 79,900
-  // and 8,050 (34.5 per fallback) with a p99 of 171; popping the newest
-  // node at the least f and running its guard from the start, 104,829 and
-  // 27,801 (52.0 per fallback) with a p99 of 259.
+  // 16.7 expansions per fallback, searched from the more damaged
+  // endpoint. Always searching from s, the search made 46,165 and 3,581
+  // (19.5 per fallback) with a p99 of 86; under the max-over-one-position
+  // lower bound, 79,900 and 8,050 (34.5 per fallback) with a p99 of 171;
+  // popping the newest node at the least f and running its guard from the
+  // start, 104,829 and 27,801 (52.0 per fallback) with a p99 of 259.
   EXPECT_EQ(per_fallback.size(), 2551U);
-  EXPECT_EQ(search, 46'165U);
-  EXPECT_EQ(guard, 3'581U);
-  EXPECT_EQ(p99, 86U);
-  // The exact distance breaks ties among equally short detours otherwise:
-  // 11163755293888097584 under the lower bound (and before the expansion
-  // skipped its arrival edge, which changed no answer).
-  EXPECT_EQ(route_digest(one), 15178932977930048897ULL);
+  EXPECT_EQ(search, 39'820U);
+  EXPECT_EQ(guard, 2'886U);
+  EXPECT_EQ(p99, 55U);
+  // A search from t breaks ties among equally short detours otherwise:
+  // 15178932977930048897 always searching from s, 11163755293888097584
+  // under the lower bound (and before the expansion skipped its arrival
+  // edge, which changed no answer).
+  EXPECT_EQ(route_digest(one), 16398939847133262999ULL);
 }
 
 TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
@@ -845,15 +869,7 @@ TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
   // BFS distance over usable edges. The search meets the external edge's
   // dimension 4 and node ids up to 2^20 - 1.
   const HhcTopology net{4};
-  util::Xoshiro256 rng{0xC4B};
-  ChurnSchedule schedule = churn_schedule(net, 2, 768, rng);
-  for (ChurnQuery& q : schedule.queries) {
-    q.t = q.s;
-    for (int hop = 0; hop < 12; ++hop) {
-      const auto nbrs = net.neighbors(q.t);
-      q.t = nbrs[rng.below(nbrs.size())];
-    }
-  }
+  ChurnSchedule schedule = churn_schedule_m4(net);
   core::ContainerCache cache{net};
   const AdaptiveRouter router{cache};
   Tally tally;
@@ -883,10 +899,116 @@ TEST(RouterEquivalence, ChurnScheduleAtM4KeepsDetoursShortest) {
     search += w.search_expansions;
     guard += w.guard_expansions;
   }
+  // Always searching from s: 1,321 and 117, digest 12737760616672195058.
   EXPECT_EQ(fallbacks, 89U);
-  EXPECT_EQ(search, 1'321U);
-  EXPECT_EQ(guard, 117U);
-  EXPECT_EQ(route_digest(work), 12737760616672195058ULL);
+  EXPECT_EQ(search, 1'127U);
+  EXPECT_EQ(guard, 104U);
+  EXPECT_EQ(route_digest(work), 18361081920896536776ULL);
+}
+
+// The start rule's score, counted through the fault model instead of the
+// router's usable-edge bytes: the edges usable at `time` that fall toward
+// `to` within two hops of `from`, those at `from` and those at each
+// neighbor such an edge reaches.
+unsigned falling_reach(const HhcTopology& net, const FaultModel& faults,
+                       std::uint64_t time, Node from, Node to) {
+  const unsigned m = net.m();
+  const auto across = [&](Node v, unsigned d) {
+    return d < m ? net.internal_neighbor(v, d) : net.external_neighbor(v);
+  };
+  unsigned reach = 0;
+  const unsigned first = detail::falling_dimensions(m, from, to);
+  for (unsigned d = 0; d <= m; ++d) {
+    const Node v = across(from, d);
+    if (((first >> d) & 1U) == 0 || !faults.edge_usable_at(from, v, time)) {
+      continue;
+    }
+    ++reach;
+    const unsigned onward = detail::falling_dimensions(m, v, to);
+    for (unsigned e = 0; e <= m; ++e) {
+      if (((onward >> e) & 1U) != 0 &&
+          faults.edge_usable_at(v, across(v, e), time)) {
+        ++reach;
+      }
+    }
+  }
+  return reach;
+}
+
+TEST(RouterEquivalence, ReversedQueriesSearchTheSameDetour) {
+  // A fully cut container sends the survivor search to whichever endpoint
+  // has fewer usable edges falling toward the other within two hops, ties
+  // to s. On both count pins' schedules, every query whose container is
+  // cut both ways is routed t -> s too (the container served for (t, s) is
+  // another orbit image, not the reverse of (s, t)'s, and often survives:
+  // those are counted and skipped). The two routes must answer as the
+  // oracle does: the same level and, for a detour, the oracle's length.
+  // Where the two scores differ, both routes start from the same endpoint,
+  // so they run the same search: one detour is the exact reverse of the
+  // other, with the same A* and guard counts. Where they tie, each starts
+  // from its own s. Each route's search_from_t is held to the rule, scored
+  // through the fault model.
+  for (const unsigned m : {3U, 4U}) {
+    const HhcTopology net{m};
+    ChurnSchedule schedule =
+        m == 3 ? churn_schedule_m3(net) : churn_schedule_m4(net);
+    core::ContainerCache cache{net};
+    const AdaptiveRouter router{cache};
+    Case c;
+    c.faults = std::move(schedule.faults);
+    std::size_t same_search = 0;
+    std::size_t tied = 0;
+    std::size_t served_back = 0;
+    for (const ChurnQuery& q : schedule.queries) {
+      c.s = q.s;
+      c.t = q.t;
+      c.time = q.time;
+      const query::RouteResult there = router.route(q.s, q.t, c.faults, q.time);
+      if (!there.used_fallback) continue;
+      const query::RouteResult back = router.route(q.t, q.s, c.faults, q.time);
+      if (!back.used_fallback) {
+        ++served_back;
+        continue;
+      }
+      const query::RouteResult want =
+          reference_route(net, q.s, q.t, c.faults, q.time);
+      ASSERT_EQ(there.level, want.level) << "m=" << m << " s=" << q.s;
+      ASSERT_EQ(back.level, want.level) << "m=" << m << " s=" << q.s;
+      const unsigned at_s = falling_reach(net, c.faults, q.time, q.s, q.t);
+      const unsigned at_t = falling_reach(net, c.faults, q.time, q.t, q.s);
+      ASSERT_EQ(there.search_from_t, at_t < at_s) << "m=" << m << " s=" << q.s;
+      ASSERT_EQ(back.search_from_t, at_s < at_t) << "m=" << m << " s=" << q.s;
+      if (want.level == query::DegradationLevel::kBestEffort) {
+        ASSERT_EQ(there.paths.size(), 1U);
+        ASSERT_EQ(back.paths.size(), 1U);
+        expect_shortest_detour(net, c, there.paths[0], want.paths[0]);
+        Case backward = c;
+        std::swap(backward.s, backward.t);
+        Path want_back = want.paths[0];
+        std::reverse(want_back.begin(), want_back.end());
+        expect_shortest_detour(net, backward, back.paths[0], want_back);
+        if (HasFatalFailure()) return;
+      }
+      if (at_s == at_t) {
+        ++tied;
+        continue;
+      }
+      ++same_search;
+      std::vector<Path> reversed = back.paths;
+      for (Path& path : reversed) std::reverse(path.begin(), path.end());
+      ASSERT_EQ(there.paths, reversed)
+          << "m=" << m << " s=" << q.s << " t=" << q.t;
+      ASSERT_EQ(there.search_expansions, back.search_expansions)
+          << "m=" << m << " s=" << q.s << " t=" << q.t;
+      ASSERT_EQ(there.guard_expansions, back.guard_expansions)
+          << "m=" << m << " s=" << q.s << " t=" << q.t;
+    }
+    // 1,014 same searches, 287 ties and 1,250 served back at m = 3; 20, 2
+    // and 67 at m = 4.
+    EXPECT_GT(same_search, m == 3 ? 500U : 10U) << "m=" << m;
+    EXPECT_GT(tied, m == 3 ? 100U : 0U) << "m=" << m;
+    EXPECT_GT(served_back, 0U) << "m=" << m;
+  }
 }
 
 TEST(RouterEquivalence, DistanceTableIsExact) {
