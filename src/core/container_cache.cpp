@@ -18,7 +18,6 @@ std::vector<StatRow> CacheStats::rows() const {
           stat_scalar("cache", "hits", std::uint64_t{hits}),
           stat_scalar("cache", "misses", std::uint64_t{misses}),
           stat_scalar("cache", "hit_rate", hit_rate()),
-          stat_scalar("cache.orbit", "variants", std::uint64_t{orbit_variants}),
           stat_scalar("cache.orbit", "entries", std::uint64_t{orbit_entries}),
           stat_scalar("cache.orbit", "bytes", std::uint64_t{orbit_bytes})};
 }
@@ -75,53 +74,31 @@ const FlatContainer* ClassStore::publish(
   }
 }
 
-struct ContainerCache::Variant {
-  Variant(const HhcTopology& net, const ConstructionOptions& options,
-          std::size_t capacity)
-      : store{capacity},
-        orbit{OrbitTable::covers(net.m())
-                  ? std::make_unique<OrbitTable>(net, options)
-                  : nullptr} {}
+namespace {
 
-  ClassStore store;
-  std::unique_ptr<OrbitTable> orbit;  // null at m > OrbitTable::kMaxM
-};
+// The store's capacity: every class at m <= 3 (2^(2^m + 2m)); 2^16 of the
+// 2^24 at m = 4 and of the 2^42 at m = 5 when uncapped.
+std::size_t store_capacity(const HhcTopology& net,
+                           const ContainerCache::Config& config) {
+  const std::size_t classes = std::size_t{1}
+                              << (net.cluster_size() + 2 * net.m());
+  const std::size_t cap =
+      std::max<std::size_t>(config.shards, 1) * config.max_entries_per_shard;
+  return std::min(classes, cap > 0 ? cap : std::size_t{1} << 16);
+}
+
+}  // namespace
 
 ContainerCache::ContainerCache(const HhcTopology& net)
     : ContainerCache(net, Config{}) {}
 
 ContainerCache::ContainerCache(const HhcTopology& net, Config config)
-    : net_{net}, config_{config} {
-  // Every class at m <= 3 (2^(2^m + 2m)); 2^16 of the 2^24 at m = 4 and of
-  // the 2^42 at m = 5.
-  const std::size_t classes = std::size_t{1}
-                              << (net_.cluster_size() + 2 * net_.m());
-  const std::size_t cap =
-      std::max<std::size_t>(config_.shards, 1) * config_.max_entries_per_shard;
-  capacity_ = std::min(classes, cap > 0 ? cap : std::size_t{1} << 16);
-}
+    : net_{net},
+      store_{store_capacity(net, config)},
+      orbit_{OrbitTable::covers(net.m()) ? std::make_unique<OrbitTable>(net)
+                                         : nullptr} {}
 
-ContainerCache::~ContainerCache() {
-  for (auto& slot : variants_) delete slot.load(std::memory_order_relaxed);
-}
-
-ContainerCache::Variant& ContainerCache::variant(
-    const ConstructionOptions& options) {
-  std::atomic<Variant*>& slot =
-      variants_[static_cast<std::size_t>(options.ordering) * 2 +
-                static_cast<std::size_t>(options.selection)];
-  Variant* current = slot.load(std::memory_order_acquire);
-  if (current != nullptr) return *current;
-  // First use of this variant: racing threads may each allocate one; the
-  // first CAS publishes, the rest free theirs.
-  auto mine = std::make_unique<Variant>(net_, options, capacity_);
-  if (slot.compare_exchange_strong(current, mine.get(),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    return *mine.release();
-  }
-  return *current;
-}
+ContainerCache::~ContainerCache() = default;
 
 std::size_t ContainerHandle::max_length() const noexcept {
   std::size_t best = 0;
@@ -147,10 +124,6 @@ DisjointPathSet ContainerHandle::materialize() const {
   return set;
 }
 
-ContainerHandle ContainerCache::lookup(Node s, Node t) {
-  return lookup(s, t, config_.options);
-}
-
 void ContainerCache::check(Node s, Node t) const {
   if (!net_.contains(s) || !net_.contains(t)) {
     throw std::invalid_argument("ContainerCache: node out of range");
@@ -163,22 +136,20 @@ void ContainerCache::count(bool hit, bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = hit;
 }
 
-bool ContainerCache::fill(Variant& variant, std::uint64_t xdiff,
-                          std::uint64_t ys, std::uint64_t yt,
-                          const ConstructionOptions& options,
-                          FlatContainer& flat) {
+bool ContainerCache::fill(std::uint64_t xdiff, std::uint64_t ys,
+                          std::uint64_t yt, FlatContainer& flat) {
   const Node s = net_.encode(0, ys);
   const Node t = net_.encode(xdiff, yt);
-  if (variant.orbit != nullptr) {
+  if (orbit_ != nullptr) {
     bool hit = false;
-    variant.orbit->flatten(s, t, flat.nodes, flat.offsets, &hit);
+    orbit_->flatten(s, t, flat.nodes, flat.offsets, &hit);
     return hit;
   }
   static obs::Histogram& construct_hist =
       obs::stage_histogram(obs::stages::kConstruct);
   obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
   const DisjointPathSetRef set =
-      node_disjoint_paths(net_, s, t, options, tls_construction_scratch());
+      node_disjoint_paths(net_, s, t, {}, tls_construction_scratch());
   flat.nodes.clear();
   flat.offsets.assign(1, 0);
   for (const PathRef path : set.paths) {
@@ -188,9 +159,7 @@ bool ContainerCache::fill(Variant& variant, std::uint64_t xdiff,
   return false;
 }
 
-ContainerHandle ContainerCache::lookup(Node s, Node t,
-                                       const ConstructionOptions& options,
-                                       bool* cache_hit) {
+ContainerHandle ContainerCache::lookup(Node s, Node t, bool* cache_hit) {
   check(s, t);
   const unsigned m = net_.m();
   const std::uint64_t xs = net_.cluster_of(s);
@@ -201,60 +170,45 @@ ContainerHandle ContainerCache::lookup(Node s, Node t,
   // In the packed encoding, relabeling every node's cluster by xs is one
   // XOR with (xs << m) — the handle applies it lazily.
   const Node mask = xs << m;
-  Variant& v = variant(options);
 
   // No span on the hit path: the enclosing answer/answer_view span times
   // hits, which is what holds enabled-tracing overhead under 5%.
-  if (const FlatContainer* flat = v.store.find(key)) {
+  if (const FlatContainer* flat = store_.find(key)) {
     count(true, cache_hit);
     return ContainerHandle{flat, mask};
   }
-  if (!v.store.reserve()) {
+  if (!store_.reserve()) {
     auto owned = std::make_shared<FlatContainer>();
-    count(fill(v, xdiff, ys, yt, options, *owned), cache_hit);
+    count(fill(xdiff, ys, yt, *owned), cache_hit);
     return ContainerHandle{std::move(owned), mask};
   }
   auto mine = std::make_unique<ClassStore::Entry>();
   mine->key = key;
-  count(fill(v, xdiff, ys, yt, options, mine->flat), cache_hit);
+  count(fill(xdiff, ys, yt, mine->flat), cache_hit);
   static obs::Histogram& publish_hist =
       obs::stage_histogram(obs::stages::kCachePublish);
   obs::TraceSpan span{obs::stages::kCachePublish, &publish_hist};
-  return ContainerHandle{v.store.publish(std::move(mine)), mask};
+  return ContainerHandle{store_.publish(std::move(mine)), mask};
 }
 
 DisjointPathSet ContainerCache::materialize(Node s, Node t,
-                                            const ConstructionOptions& options,
                                             bool* cache_hit) {
   check(s, t);
-  OrbitTable* orbit = variant(options).orbit.get();
-  if (orbit == nullptr) return lookup(s, t, options, cache_hit).materialize();
+  if (orbit_ == nullptr) return lookup(s, t, cache_hit).materialize();
   bool hit = false;
-  DisjointPathSet set = orbit->materialize(s, t, &hit);
+  DisjointPathSet set = orbit_->materialize(s, t, &hit);
   count(hit, cache_hit);
   return set;
 }
 
-unsigned ContainerCache::scan(Node s, Node t, const ConstructionOptions& options,
-                              const std::uint8_t* usable,
+unsigned ContainerCache::scan(Node s, Node t, const std::uint8_t* usable,
                               std::vector<Path>& paths, bool* cache_hit) {
   check(s, t);
-  OrbitTable* orbit = variant(options).orbit.get();
-  if (orbit == nullptr) throw std::invalid_argument("ContainerCache: m > 4");
+  if (orbit_ == nullptr) throw std::invalid_argument("ContainerCache: m > 4");
   bool hit = false;
-  const unsigned blocked = orbit->scan(s, t, usable, paths, &hit);
+  const unsigned blocked = orbit_->scan(s, t, usable, paths, &hit);
   count(hit, cache_hit);
   return blocked;
-}
-
-std::size_t ContainerCache::size() const noexcept {
-  std::size_t total = 0;
-  for (const auto& slot : variants_) {
-    if (const Variant* v = slot.load(std::memory_order_acquire)) {
-      total += v->store.size();
-    }
-  }
-  return total;
 }
 
 CacheStats ContainerCache::stats() const {
@@ -262,12 +216,9 @@ CacheStats ContainerCache::stats() const {
   stats.entries = size();
   stats.hits = hits_.fold();
   stats.misses = misses_.fold();
-  for (const auto& slot : variants_) {
-    const Variant* v = slot.load(std::memory_order_acquire);
-    if (v == nullptr || v->orbit == nullptr) continue;
-    ++stats.orbit_variants;
-    stats.orbit_entries += v->orbit->entries();
-    stats.orbit_bytes += v->orbit->bytes();
+  if (orbit_ != nullptr) {
+    stats.orbit_entries = orbit_->entries();
+    stats.orbit_bytes = orbit_->bytes();
   }
   return stats;
 }

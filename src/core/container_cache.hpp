@@ -2,36 +2,36 @@
 // LOCK-FREE read path, backed at m <= 4 by one container per automorphism
 // orbit (core::OrbitTable).
 //
+// What is served. The cache serves one construction, the paper's (the
+// default options of core/disjoint.hpp): at m <= 4 the automorphism
+// image of the orbit representative's node_disjoint_paths(net, 0, rep), m+1
+// internally disjoint paths with the representative's lengths, equal to
+// node_disjoint_paths(net, s, t) bit for bit only when (s, t) is the
+// representative (orbit_table.hpp); at m = 5 node_disjoint_paths(net, s, t)
+// itself. The other orderings and selections exist for the ablations,
+// which call node_disjoint_paths directly.
+//
 // The construction commutes with cluster translation (tested metamorphically
 // in test_hhc_disjoint.cpp): the container for (Xs, Ys) -> (Xt, Yt) is the
 // container for (0, Ys) -> (Xs ^ Xt, Yt) with every cluster label XOR-ed by
-// Xs. A cache keyed on the canonical triple (Xs ^ Xt, Ys, Yt) — plus the
-// ConstructionOptions, since different option sets build different
-// containers — therefore serves ALL translated copies of a pair, turning
-// repeated-workload simulations (hotspot traffic, permutation re-runs,
-// retransmissions) into cache hits followed by an O(container size) relabel.
+// Xs. A cache keyed on the canonical triple (Xs ^ Xt, Ys, Yt) therefore
+// serves ALL translated copies of a pair, turning repeated-workload
+// simulations (hotspot traffic, permutation re-runs, retransmissions) into
+// cache hits followed by an O(container size) relabel. The orbit's σ
+// depends only on the triple, so the XOR relabel stays exact and lookup(),
+// materialize() and PathService::answer() agree on every pair.
 //
-// Where an entry comes from. At m <= 4 each ConstructionOptions variant has
-// an OrbitTable, and a miss decodes its triple's container from the orbit
-// record instead of constructing, so the served container is the
-// automorphism image of the orbit representative's construction: m+1
-// internally disjoint paths with the representative's lengths, equal to
-// node_disjoint_paths(net, s, t, options) bit for bit only when (s, t) is
-// the representative (orbit_table.hpp). The orbit's σ depends only on the
-// triple, so the XOR relabel stays exact and lookup(), materialize() and
-// PathService::answer() agree on every pair. At m = 5 a miss runs the
-// construction, and entries equal it bit for bit.
-//
-// One store (DESIGN.md §9). Each variant keeps one ClassStore, an
-// insert-only array of translation-class entries. lookup() probes it with
-// acquire loads, and a hit BORROWS the entry: no lock, no shared write, no
-// refcount, no allocation. A miss reserves a place under the capacity,
-// fills the entry (orbit decode at m <= 4, construction at m = 5) and
-// publishes it with one CAS; racing misses of one class publish one entry
-// and serve it to both. Entries are never evicted and live as long as the
-// cache. A capped cache holds shards x max_entries_per_shard classes per
-// variant, an uncapped one min(classes, 2^16); past that, lookup() fills an
-// owning copy and publishes nothing.
+// One store (DESIGN.md §9). The cache builds its ClassStore, an insert-only
+// array of translation-class entries, and at m <= 4 its OrbitTable in its
+// constructor. lookup() probes the store with acquire loads, and a hit
+// BORROWS the entry: no lock, no shared write, no refcount, no allocation.
+// A miss reserves a place under the capacity, fills the entry (orbit decode
+// at m <= 4, construction at m = 5) and publishes it with one CAS; racing
+// misses of one class publish one entry and serve it to both. Entries are
+// never evicted and live as long as the cache. A capped cache holds
+// shards x max_entries_per_shard classes, an uncapped one
+// min(classes, 2^16); past that, lookup() fills an owning copy and
+// publishes nothing.
 //
 // Hit/miss counters are per-thread striped cells (util::StripedCounter)
 // folded on stats()/hits()/misses(). A call counts as a hit when it ran no
@@ -47,7 +47,6 @@
 // handle in place.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -128,7 +127,7 @@ class ContainerHandle {
   Node mask_ = 0;
 };
 
-/// One option variant's container store: an insert-only open-addressing
+/// The cache's container store: an insert-only open-addressing
 /// array of atomic entry pointers, keyed by the packed translation class
 /// (ΔX << 2m) | (Ys << m) | Yt. A probe is acquire loads. A writer
 /// reserves a place under the capacity, builds its entry, and publishes it
@@ -174,12 +173,13 @@ class ClassStore {
   std::atomic<std::size_t> size_{0};
 };
 
-struct StatRow;  // core/io.hpp
+class OrbitTable;  // core/orbit_table.hpp
+struct StatRow;    // core/io.hpp
 
 /// Aggregate snapshot, as returned by ContainerCache::stats(). All counters
 /// are folded/read at one point in time (one clock).
 struct CacheStats {
-  /// Store entries across option variants.
+  /// Store entries.
   std::size_t entries = 0;
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -187,9 +187,8 @@ struct CacheStats {
   /// derives cache.evictions_per_query from it, so it stays while that
   /// metric does.
   std::size_t evictions = 0;
-  /// The orbit tables (m <= 4): option variants allocated so far, records
-  /// filled across them, and the bytes those tables occupy.
-  std::size_t orbit_variants = 0;
+  /// The orbit table (m <= 4): records filled, and the bytes the table
+  /// occupies (its slot array from construction on); both 0 at m = 5.
   std::size_t orbit_entries = 0;
   std::size_t orbit_bytes = 0;
 
@@ -200,21 +199,19 @@ struct CacheStats {
   }
 
   /// The snapshot as unified core::StatRow rows (section "cache" for the
-  /// aggregate, then "cache.orbit" with the variants, entries and bytes
-  /// rows) so cache telemetry renders with the same core::io schema as
-  /// service stats and the metrics registry.
+  /// aggregate, then "cache.orbit" with the entries and bytes rows) so
+  /// cache telemetry renders with the same core::io schema as service
+  /// stats and the metrics registry.
   [[nodiscard]] std::vector<StatRow> rows() const;
 };
 
 class ContainerCache {
  public:
   struct Config {
-    /// Default construction knobs; per-call overrides key separate entries.
-    ConstructionOptions options{};
     /// The two factors of the store's capacity: a capped cache
     /// (max_entries_per_shard > 0) holds shards x max_entries_per_shard
-    /// classes per option variant; an uncapped one holds every class up
-    /// to 2^16. A shard count of 0 counts as 1.
+    /// classes; an uncapped one holds every class up to 2^16. A shard
+    /// count of 0 counts as 1.
     std::size_t shards = 16;
     std::size_t max_entries_per_shard = 0;
   };
@@ -240,32 +237,27 @@ class ContainerCache {
   /// is what hits()/misses() count.
   /// Throws std::invalid_argument for out-of-range nodes or s == t.
   [[nodiscard]] ContainerHandle lookup(Node s, Node t,
-                                       const ConstructionOptions& options,
                                        bool* cache_hit = nullptr);
-  /// Same, under the cache's default options.
-  [[nodiscard]] ContainerHandle lookup(Node s, Node t);
 
-  /// The owning answer for s -> t: the container lookup(s, t, options)
-  /// would hand out, materialized. At m <= 4 it is decoded straight from
-  /// the orbit record into owning paths; at m = 5 it is
+  /// The owning answer for s -> t: the container lookup(s, t) would hand
+  /// out, materialized. At m <= 4 it is decoded straight from the orbit
+  /// record into owning paths; at m = 5 it is
   /// lookup(...).materialize(). Counts and sets `cache_hit` as lookup().
   /// A steady-state call allocates only its result.
   /// Throws std::invalid_argument for out-of-range nodes or s == t.
   [[nodiscard]] DisjointPathSet materialize(Node s, Node t,
-                                            const ConstructionOptions& options,
                                             bool* cache_hit = nullptr);
 
   /// OrbitTable::scan of the container materialize() would return; counts
   /// and sets `cache_hit` as lookup() does. Throws std::invalid_argument
   /// at m > 4 and where lookup() does.
-  unsigned scan(Node s, Node t, const ConstructionOptions& options,
-                const std::uint8_t* usable, std::vector<Path>& paths,
-                bool* cache_hit = nullptr);
+  unsigned scan(Node s, Node t, const std::uint8_t* usable,
+                std::vector<Path>& paths, bool* cache_hit = nullptr);
 
   [[nodiscard]] std::size_t hits() const { return hits_.fold(); }
   [[nodiscard]] std::size_t misses() const { return misses_.fold(); }
-  /// Store entries across option variants.
-  [[nodiscard]] std::size_t size() const noexcept;
+  /// Store entries.
+  [[nodiscard]] std::size_t size() const noexcept { return store_.size(); }
   /// Aggregate snapshot, folded at one point in time.
   [[nodiscard]] CacheStats stats() const;
 
@@ -274,20 +266,12 @@ class ContainerCache {
   /// concurrently.
   void clear();
 
-  [[nodiscard]] const ConstructionOptions& options() const noexcept {
-    return config_.options;
-  }
   [[nodiscard]] const HhcTopology& net() const noexcept { return net_; }
 
  private:
-  struct Variant;  // {ClassStore, OrbitTable at m <= 4}
-
-  /// The variant for `options`, allocated on first use.
-  [[nodiscard]] Variant& variant(const ConstructionOptions& options);
   /// Writes the container of class (ΔX, Ys, Yt) into `flat`; returns
   /// whether no construction ran.
-  bool fill(Variant& variant, std::uint64_t xdiff, std::uint64_t ys,
-            std::uint64_t yt, const ConstructionOptions& options,
+  bool fill(std::uint64_t xdiff, std::uint64_t ys, std::uint64_t yt,
             FlatContainer& flat);
   /// Validates s -> t (throws as lookup() does).
   void check(Node s, Node t) const;
@@ -295,14 +279,12 @@ class ContainerCache {
   void count(bool hit, bool* cache_hit);
 
   const HhcTopology& net_;
-  Config config_;
-  std::size_t capacity_;  // per variant
+  ClassStore store_;
+  std::unique_ptr<OrbitTable> orbit_;  // null at m > OrbitTable::kMaxM
   // Cache-global striped hit/miss cells: the lock-free read path's only
   // telemetry writes, folded on stats().
   util::StripedCounter hits_;
   util::StripedCounter misses_;
-  // One variant per (ordering, selection) pair, published by CAS.
-  std::array<std::atomic<Variant*>, 4> variants_{};
 };
 
 }  // namespace hhc::core

@@ -76,10 +76,10 @@ enum class RouteSelectionPolicy {
 };
 
 /// Knobs of the construction; the defaults are the published algorithm.
-/// This is THE options surface: node_disjoint_paths, ContainerCache,
-/// fault::AdaptiveRouter, and query::PathService all take this one struct
-/// (designated initializers cover the "override one knob" case the removed
-/// positional overloads used to serve).
+/// node_disjoint_paths and core::OrbitTable take this struct (designated
+/// initializers cover the "override one knob" case); the other variants
+/// serve the A1/A2 ablations. The served path (ContainerCache,
+/// fault::AdaptiveRouter, query::PathService) builds the defaults only.
 struct ConstructionOptions {
   DimensionOrdering ordering = DimensionOrdering::kGrayCycle;
   RouteSelectionPolicy selection = RouteSelectionPolicy::kCanonical;

@@ -67,8 +67,9 @@ class OrbitTable {
   static constexpr std::array<std::size_t, kMaxM + 1> kOrbitCounts{
       0, 7, 39, 479, 52767};
 
-  /// Requires covers(net.m()). The topology is held by reference.
-  OrbitTable(const HhcTopology& net, ConstructionOptions options);
+  /// Requires covers(net.m()). The topology is held by reference. The
+  /// records are built with `options`; ContainerCache serves the default.
+  explicit OrbitTable(const HhcTopology& net, ConstructionOptions options = {});
   ~OrbitTable();
 
   OrbitTable(const OrbitTable&) = delete;

@@ -631,12 +631,10 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
     obs::TraceSpan span{obs::stages::kContainerScan, &scan_hist};
     result.container_paths_blocked =
         core::OrbitTable::covers(net.m())
-            ? cache_.scan(s, t, query.options,
-                          scratch.usable.project(active, net), result.paths,
-                          &result.cache_hit)
-            : select_survivor(
-                  cache_.lookup(s, t, query.options, &result.cache_hit),
-                  active, result.paths);
+            ? cache_.scan(s, t, scratch.usable.project(active, net),
+                          result.paths, &result.cache_hit)
+            : select_survivor(cache_.lookup(s, t, &result.cache_hit), active,
+                              result.paths);
   }
   if (!result.paths.empty()) {
     result.level = query::DegradationLevel::kGuaranteed;

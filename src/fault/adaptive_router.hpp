@@ -171,7 +171,7 @@ class AdaptiveRouter {
                                          const core::FaultModel& faults,
                                          std::uint64_t time = 0) const {
     return route(query::PairQuery{
-        .s = s, .t = t, .options = {}, .faults = &faults, .time = time});
+        .s = s, .t = t, .faults = &faults, .time = time});
   }
 
  private:

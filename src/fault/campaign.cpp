@@ -61,7 +61,7 @@ TrialOutcome run_trial(core::ContainerCache& cache,
     // Reference: the shortest member of the container the router scans,
     // with zero faults — what this pair pays when the guarantee machinery
     // runs unimpeded.
-    const auto baseline = cache.materialize(s, t, {}).min_length();
+    const auto baseline = cache.materialize(s, t).min_length();
     outcome.inflation = baseline == 0
                             ? 1.0
                             : static_cast<double>(routed.primary().size() - 1) /

@@ -24,7 +24,6 @@ PathService::PathService(const core::HhcTopology& net, PathServiceConfig config)
     : net_{net},
       config_{config},
       cache_{net, core::ContainerCache::Config{
-                      .options = config.options,
                       .shards = config.cache_shards,
                       .max_entries_per_shard = config.max_entries_per_shard}},
       router_{cache_},
@@ -134,7 +133,7 @@ RouteView PathService::answer_view(const PairQuery& query) {
           view.cache_hit = true;
         } else {
           view.container =
-              cache_.lookup(query.s, query.t, query.options, &view.cache_hit);
+              cache_.lookup(query.s, query.t, &view.cache_hit);
         }
         return view;
       });
@@ -167,8 +166,7 @@ RouteResult PathService::answer_impl(const PairQuery& query, Tally& tally) {
   // At m <= 4 the cache decodes the pair's orbit record straight into the
   // owning paths: the cache's store is not touched on this path.
   result.paths =
-      cache_.materialize(query.s, query.t, query.options, &result.cache_hit)
-          .paths;
+      cache_.materialize(query.s, query.t, &result.cache_hit).paths;
   return result;
 }
 

@@ -5,12 +5,9 @@
 //
 //   * a translation-canonical ContainerCache (an insert-only store read
 //     with acquire loads, striped hit/miss counters) so concurrent queries
-//     take no lock on a hit. At m <= 4 the cache keeps one container per
-//     automorphism orbit, and answer() decodes the pair's orbit record
-//     straight into owning paths: the answer is the image of the orbit
-//     representative's node_disjoint_paths(net, 0, rep, options), m+1
-//     internally disjoint paths with the representative's lengths. At
-//     m = 5 it is node_disjoint_paths(net, s, t, options) bit for bit.
+//     take no lock on a hit. It serves one construction, the paper's
+//     (container_cache.hpp states which container). At m <= 4 answer()
+//     decodes the pair's orbit record straight into owning paths.
 //     answer(), answer_view() and fault-aware container scans agree on
 //     every pair;
 //   * a batch API answer(span<PairQuery>) that fans out over the in-repo
@@ -69,11 +66,10 @@ struct RouteView {
 };
 
 struct PathServiceConfig {
-  /// Default construction knobs; PairQuery.options overrides per query.
-  core::ConstructionOptions options{};
   /// The cache's capacity factors (core::ContainerCache::Config): with
   /// max_entries_per_shard > 0 it holds cache_shards x max_entries_per_shard
-  /// classes per option variant; with 0, every class up to 2^16.
+  /// classes; with 0, every class up to 2^16. The construction served is
+  /// not configurable: it is the one core::ContainerCache serves.
   std::size_t cache_shards = 16;
   std::size_t max_entries_per_shard = 0;
   /// Workers for the batch API: 0 = hardware concurrency, 1 = run batches

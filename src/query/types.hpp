@@ -4,11 +4,10 @@
 // its own entry point and its own result shape: the sim called
 // node_disjoint_paths directly, the fault layer had AdaptiveRouteResult,
 // examples hand-rolled both. PairQuery/RouteResult is the one vocabulary
-// they all speak now: a query names a pair, the construction options, and
-// optionally a fault view (FaultModel + evaluation instant); a result
-// carries the paths, HOW the answer was obtained (DegradationLevel +
-// fallback/blocked detail), and what it cost (cache hit, service-side
-// latency).
+// they all speak now: a query names a pair and optionally a fault view
+// (FaultModel + evaluation instant); a result carries the paths, HOW the
+// answer was obtained (DegradationLevel + fallback/blocked detail), and
+// what it cost (cache hit, service-side latency).
 //
 // This header is intentionally header-only and dependency-light so that
 // both layers below the service (fault::AdaptiveRouter reports its results
@@ -69,15 +68,13 @@ enum class RouteOutcome {
 }
 
 /// One path query. With `faults == nullptr` the query is pristine and the
-/// answer is the full m+1-path container: at m <= 4 the automorphism image
-/// of its orbit representative's node_disjoint_paths(net, 0, rep, options)
-/// (core/orbit_table.hpp), at m = 5 node_disjoint_paths(net, s, t, options)
-/// itself. With a fault view attached the answer degrades gracefully
-/// through the AdaptiveRouter ladder.
+/// answer is the full m+1-path container core::ContainerCache serves (the
+/// paper's construction; container_cache.hpp states which container). With
+/// a fault view attached the answer degrades gracefully through the
+/// AdaptiveRouter ladder.
 struct PairQuery {
   core::Node s = 0;
   core::Node t = 0;
-  core::ConstructionOptions options{};
   const core::FaultModel* faults = nullptr;  // not owned; null = pristine
   std::uint64_t time = 0;                    // fault-evaluation instant
   /// Optional per-query time budget. Default-constructed = none: the query

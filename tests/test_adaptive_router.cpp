@@ -107,7 +107,7 @@ TEST(AdaptiveRouter, ReportsBlockedCount) {
   const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(15, 3);
-  const auto container = cache.materialize(s, t, {});
+  const auto container = cache.materialize(s, t);
   FaultModel faults;
   faults.fail_node(container.paths[0][1]);  // break exactly one path
   const auto r = container_only(router, s, t, faults);
@@ -122,7 +122,7 @@ TEST(AdaptiveRouter, PicksShortestSurvivingPath) {
   const AdaptiveRouter router{cache};
   const Node s = net.encode(3, 1);
   const Node t = net.encode(12, 2);
-  const auto container = cache.materialize(s, t, {});
+  const auto container = cache.materialize(s, t);
   const auto r = container_only(router, s, t, FaultModel{});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.primary().size() - 1, container.min_length());
@@ -152,7 +152,7 @@ TEST(AdaptiveRouter, FallsBackWhenAllContainerPathsBlocked) {
   const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto container = cache.materialize(s, t, {});
+  const auto container = cache.materialize(s, t);
   FaultModel faults;
   for (const auto& path : container.paths) {
     faults.fail_node(path[path.size() / 2]);
@@ -182,7 +182,7 @@ TEST(AdaptiveRouter, LinkFaultsAloneCanForceFallback) {
   const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto container = cache.materialize(s, t, {});
+  const auto container = cache.materialize(s, t);
   FaultModel faults;
   for (const auto& path : container.paths) {
     const std::size_t cut = path.size() / 2;
@@ -239,7 +239,7 @@ TEST(AdaptiveRouter, TransientFaultOnlyBlocksDuringItsWindow) {
   const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 0);
   const Node t = net.encode(13, 2);
-  const auto container = cache.materialize(s, t, {});
+  const auto container = cache.materialize(s, t);
   FaultModel faults;
   faults.fail_node(container.paths[0][1], /*fail_time=*/5, /*repair_time=*/10);
   EXPECT_EQ(router.route(s, t, faults, 0).container_paths_blocked, 0u);
@@ -307,7 +307,7 @@ TEST(AdaptiveRouter, CutContainerAboveM4IsShedWithoutASweep) {
   const AdaptiveRouter router{cache};
   const Node s = net.encode(0, 3);
   const Node t = net.encode(0xDEADBEEF, 17);
-  const auto container = cache.materialize(s, t, {});
+  const auto container = cache.materialize(s, t);
   FaultModel cut;
   FaultModel one_left;
   for (std::size_t i = 0; i < container.paths.size(); ++i) {

@@ -235,14 +235,14 @@ TEST(AllocationFree, OrbitMaterializeAllocatesOnlyItsResult) {
   const HhcTopology net{4};
   ContainerCache cache{net};
   const auto pairs = sample_pairs(net, 64, 0xA1120);
-  for (const auto& [s, t] : pairs) (void)cache.materialize(s, t, {});
+  for (const auto& [s, t] : pairs) (void)cache.materialize(s, t);
   // The first hit registers this thread's striped hit-counter cell.
-  (void)cache.materialize(pairs[0].s, pairs[0].t, {});
+  (void)cache.materialize(pairs[0].s, pairs[0].t);
 
   const std::size_t before = allocation_count();
   std::size_t total_paths = 0;
   for (const auto& [s, t] : pairs) {
-    const DisjointPathSet set = cache.materialize(s, t, {});
+    const DisjointPathSet set = cache.materialize(s, t);
     total_paths += set.paths.size();
   }
   const std::size_t delta = allocation_count() - before;
@@ -316,7 +316,7 @@ TEST(AllocationFree, TierPastCapacityHandsOutOwningCopies) {
       cache.clear();
       for (std::size_t k = 0; k < handles.size(); ++k) {
         EXPECT_EQ(handles[k].borrowed(), k < 4) << "m=" << m << " k=" << k;
-        expected.push_back(cache.materialize(pairs[k].s, pairs[k].t, {}));
+        expected.push_back(cache.materialize(pairs[k].s, pairs[k].t));
         EXPECT_EQ(handles[k].materialize().paths, expected[k].paths);
       }
     }
@@ -430,7 +430,7 @@ TEST(AllocationFree, FreshThreadAfterOneWarmUpCall) {
 // fallback. Reading the container fills the pair's orbit record.
 FaultModel block_container(ContainerCache& cache, Node s, Node t) {
   FaultModel faults;
-  for (const Path& path : cache.materialize(s, t, {}).paths) {
+  for (const Path& path : cache.materialize(s, t).paths) {
     faults.fail_node(path[path.size() / 2]);
   }
   return faults;
@@ -453,7 +453,7 @@ TEST(AllocationFree, DisconnectedSurvivorSweep) {
   }
   const query::PairQuery q{.s = s, .t = t, .faults = &faults};
 
-  (void)cache.materialize(s, t, {});  // the routes below hit its record
+  (void)cache.materialize(s, t);  // the routes below hit its record
   (void)router.route(q);  // warm-up sweep grows this thread's scratch
   const std::size_t before = allocation_count();
   const query::RouteResult r = router.route(q);
@@ -485,7 +485,7 @@ TEST(AllocationFree, IsolatedEndpointStopsEarly) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(40'000, 9);
   FaultModel faults;
-  for (const Path& path : cache.materialize(s, t, {}).paths) {
+  for (const Path& path : cache.materialize(s, t).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
   for (const Node v : net.neighbors(t)) faults.fail_node(v, 10, 20);
@@ -526,7 +526,7 @@ TEST(AllocationFree, SmallComponentAroundTStopsEarly) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(40'000, 9);
   FaultModel faults;
-  for (const Path& path : cache.materialize(s, t, {}).paths) {
+  for (const Path& path : cache.materialize(s, t).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
   // The cut below is 17 link facts; 12 gateway links of a far cluster
@@ -586,7 +586,7 @@ TEST(AllocationFree, GuardStopsASearchStartedOnTheBigSide) {
   const Node s = net.encode(0, 0);
   const Node t = net.encode(40'000, 9);
   FaultModel faults;
-  for (const Path& path : cache.materialize(s, t, {}).paths) {
+  for (const Path& path : cache.materialize(s, t).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
   std::size_t cut = 0;
@@ -671,11 +671,11 @@ TEST(AllocationFree, SteadyStateInsideOneFaultInterval) {
   FaultModel blocked;
   const Node ds = net.encode(0, 0);
   const Node dt = net.encode(177, 6);
-  for (const Path& path : cache.materialize(ds, dt, {}).paths) {
+  for (const Path& path : cache.materialize(ds, dt).paths) {
     blocked.fail_node(path[path.size() / 2], 0, 100);
   }
 
-  (void)cache.materialize(s, t, {});  // the routes below hit its record
+  (void)cache.materialize(s, t);  // the routes below hit its record
   (void)router.route(s, t, isolated, 10);
   std::size_t before = allocation_count();
   const query::RouteResult swept = router.route(s, t, isolated, 57);
@@ -749,10 +749,10 @@ TEST(AllocationFree, ReProjectionAllocatesOnlyThePath) {
   const Node s1 = net.encode(5, 2);
   const Node t1 = net.encode(200, 5);
   FaultModel faults;
-  for (const Path& path : cache.materialize(s0, t0, {}).paths) {
+  for (const Path& path : cache.materialize(s0, t0).paths) {
     faults.fail_node(path[path.size() / 2], 0, 10);
   }
-  for (const Path& path : cache.materialize(s1, t1, {}).paths) {
+  for (const Path& path : cache.materialize(s1, t1).paths) {
     faults.fail_node(path[path.size() / 2], 10, 20);
   }
   (void)router.route(s0, t0, faults, 0);

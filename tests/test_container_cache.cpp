@@ -14,6 +14,7 @@ TEST(ContainerCache, MatchesDirectConstructionExactly) {
   // points answer node_disjoint_paths(s, t) bit for bit.
   const HhcTopology net{5};
   ContainerCache cache{net};
+  EXPECT_EQ(cache.stats().orbit_bytes, 0u);
   for (const auto& [s, t] : sample_pairs(net, 40, 77)) {
     const auto direct = node_disjoint_paths(net, s, t);
     const auto cached = cache.lookup(s, t).materialize();
@@ -21,16 +22,20 @@ TEST(ContainerCache, MatchesDirectConstructionExactly) {
     for (std::size_t i = 0; i < direct.paths.size(); ++i) {
       EXPECT_EQ(cached.paths[i], direct.paths[i]) << "s=" << s << " t=" << t;
     }
-    EXPECT_EQ(cache.materialize(s, t, {}).paths, direct.paths);
+    EXPECT_EQ(cache.materialize(s, t).paths, direct.paths);
   }
-  EXPECT_EQ(cache.stats().orbit_variants, 0u);
+  EXPECT_EQ(cache.stats().orbit_bytes, 0u);
 }
 
 TEST(ContainerCache, MatchesTheOrbitImageExactly) {
   // At m <= 4 an entry is the automorphism image of its orbit
-  // representative's construction (core/orbit_table.hpp).
+  // representative's construction (core/orbit_table.hpp). The cache builds
+  // its orbit table in its constructor: a fresh cache holds the slot array
+  // and no record.
   const HhcTopology net{3};
   ContainerCache cache{net};
+  EXPECT_GT(cache.stats().orbit_bytes, 0u);
+  EXPECT_EQ(cache.stats().orbit_entries, 0u);
   for (const auto& [s, t] : sample_pairs(net, 300, 77)) {
     const auto expected = orbit_reference::expected_answer(net, s, t);
     const auto cached = cache.lookup(s, t).materialize();
@@ -38,7 +43,7 @@ TEST(ContainerCache, MatchesTheOrbitImageExactly) {
     for (std::size_t i = 0; i < expected.paths.size(); ++i) {
       EXPECT_EQ(cached.paths[i], expected.paths[i]) << "s=" << s << " t=" << t;
     }
-    EXPECT_EQ(cache.materialize(s, t, {}).paths, expected.paths);
+    EXPECT_EQ(cache.materialize(s, t).paths, expected.paths);
   }
 }
 
@@ -102,7 +107,7 @@ TEST(ContainerCache, ClearResetsStorageAndCounters) {
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_EQ(cache.size(), 1u);
   bool hit = false;
-  const ContainerHandle again = cache.lookup(0, 63, {}, &hit);
+  const ContainerHandle again = cache.lookup(0, 63, &hit);
   EXPECT_TRUE(hit);
   EXPECT_TRUE(again.borrowed());
   EXPECT_EQ(cache.size(), 1u);
@@ -118,29 +123,13 @@ TEST(ContainerCache, TopologyHeldByReference) {
   EXPECT_EQ(&cache.net(), &net);
 }
 
-TEST(ContainerCache, OptionsArePartOfTheKey) {
-  // kCanonical and kBalanced build different containers for some pairs;
-  // serving one policy's container for the other would answer the wrong
-  // image.
-  const HhcTopology net{3};
-  ContainerCache cache{net};
-  const ConstructionOptions balanced{.selection = RouteSelectionPolicy::kBalanced};
-  for (const auto& [s, t] : sample_pairs(net, 120, 5)) {
-    EXPECT_EQ(cache.lookup(s, t).materialize().paths,
-              orbit_reference::expected_answer(net, s, t).paths);
-    EXPECT_EQ(cache.lookup(s, t, balanced).materialize().paths,
-              orbit_reference::expected_answer(net, s, t, balanced).paths);
-  }
-  EXPECT_EQ(cache.hits() + cache.misses(), 240u);
-}
-
 TEST(ContainerCache, ReportsPerCallHitState) {
   const HhcTopology net{2};
   ContainerCache cache{net};
   bool hit = true;
-  (void)cache.lookup(0, 63, {}, &hit);
+  (void)cache.lookup(0, 63, &hit);
   EXPECT_FALSE(hit);
-  (void)cache.lookup(0, 63, {}, &hit);
+  (void)cache.lookup(0, 63, &hit);
   EXPECT_TRUE(hit);
 }
 
@@ -176,7 +165,7 @@ TEST(ContainerCache, EvictionCountsAreExact) {
   std::size_t borrowed_hits = 0;
   for (const auto& [s, t] : sample_pairs(net, 300, 17)) {
     bool hit = false;
-    const ContainerHandle handle = cache.lookup(s, t, {}, &hit);
+    const ContainerHandle handle = cache.lookup(s, t, &hit);
     if (!handle.borrowed()) {
       ASSERT_FALSE(hit);
       ++owning;
@@ -208,7 +197,7 @@ TEST(ContainerCache, StatsSnapshotAddsUp) {
   // The unified rows render carries the same numbers (aggregate section
   // first, then the orbit tables).
   const auto rows = stats.rows();
-  ASSERT_EQ(rows.size(), 7u);
+  ASSERT_EQ(rows.size(), 6u);
   EXPECT_EQ(rows[0].section, "cache");
   EXPECT_EQ(rows[0].name, "entries");
   EXPECT_EQ(static_cast<std::size_t>(rows[0].value), stats.entries);
@@ -219,15 +208,13 @@ TEST(ContainerCache, StatsSnapshotAddsUp) {
   EXPECT_EQ(rows[3].name, "hit_rate");
   constexpr std::size_t orbit = 4;
   EXPECT_EQ(rows[orbit].section, "cache.orbit");
-  EXPECT_EQ(rows[orbit].name, "variants");
-  EXPECT_EQ(static_cast<std::size_t>(rows[orbit].value), 1u);
-  EXPECT_EQ(rows[orbit + 1].name, "entries");
-  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 1].value),
-            stats.orbit_entries);
+  EXPECT_EQ(rows[orbit].name, "entries");
+  EXPECT_EQ(static_cast<std::size_t>(rows[orbit].value), stats.orbit_entries);
   EXPECT_GT(stats.orbit_entries, 0u);
   EXPECT_LE(stats.orbit_entries, stats.misses);
-  EXPECT_EQ(rows[orbit + 2].name, "bytes");
-  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 2].value), stats.orbit_bytes);
+  EXPECT_EQ(rows[orbit + 1].section, "cache.orbit");
+  EXPECT_EQ(rows[orbit + 1].name, "bytes");
+  EXPECT_EQ(static_cast<std::size_t>(rows[orbit + 1].value), stats.orbit_bytes);
 }
 
 TEST(ContainerCache, RejectsBadInput) {
@@ -257,7 +244,7 @@ TEST(ContainerCache, TierServesEveryClass) {
         const auto expected = orbit_reference::expected_answer(net, s, t);
         ASSERT_EQ(handle.materialize().paths, expected.paths)
             << "s=" << s << " t=" << t;
-        ASSERT_EQ(cache.materialize(s, t, {}).paths, expected.paths);
+        ASSERT_EQ(cache.materialize(s, t).paths, expected.paths);
       }
     }
   }
@@ -268,7 +255,7 @@ TEST(ContainerCache, TierServesEveryClass) {
 
   cache.clear();
   bool hit = false;
-  EXPECT_TRUE(cache.lookup(1, 2000, {}, &hit).borrowed());
+  EXPECT_TRUE(cache.lookup(1, 2000, &hit).borrowed());
   EXPECT_TRUE(hit);
   EXPECT_EQ(cache.size(), classes);
   EXPECT_EQ(cache.hits(), 1u);
@@ -330,7 +317,7 @@ TEST(ContainerCache, TranslatedPairsShareOneFlatContainer) {
 
   (void)cache.lookup(s1, t1);
   bool hit = false;
-  const ContainerHandle other = cache.lookup(s2, t2, cache.options(), &hit);
+  const ContainerHandle other = cache.lookup(s2, t2, &hit);
   EXPECT_TRUE(hit);  // same canonical key: no second construction
   EXPECT_EQ(other.source(), s2);
   EXPECT_EQ(other.target(), t2);

@@ -53,20 +53,6 @@ TEST(PathService, PristineAnswersAreOrbitImagesOfTheConstruction) {
   }
 }
 
-TEST(PathService, OptionsThreadThroughToTheConstruction) {
-  const HhcTopology net{3};
-  PathService service{net};
-  const core::ConstructionOptions balanced{
-      .selection = core::RouteSelectionPolicy::kBalanced};
-  for (const auto& [s, t] : core::sample_pairs(net, 100, 5)) {
-    const auto expected =
-        orbit_reference::expected_answer(net, s, t, balanced);
-    const auto answer =
-        service.answer(PairQuery{.s = s, .t = t, .options = balanced});
-    EXPECT_EQ(answer.paths, expected.paths);
-  }
-}
-
 TEST(PathService, SelfQueryIsTrivialNotAnError) {
   const HhcTopology net{2};
   PathService service{net};

@@ -289,7 +289,7 @@ TEST(QueryStress, ConcurrentOrbitFillsAreDeterministic) {
   core::ContainerCache serial{net};
   std::vector<std::vector<core::Path>> expected;
   for (const auto& [s, t] : pairs) {
-    expected.push_back(serial.materialize(s, t, {}).paths);
+    expected.push_back(serial.materialize(s, t).paths);
   }
   const std::size_t orbits = serial.stats().orbit_entries;
 
