@@ -40,7 +40,6 @@
 #include "core/fault_model.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/path_service.hpp"
 #include "util/rng.hpp"
@@ -174,29 +173,22 @@ void sweep(const core::HhcTopology& net,
   std::cout << '\n';
 }
 
-struct StageRow {
-  std::string stage;
-  std::uint64_t count = 0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double max_us = 0.0;
-};
-
 struct TracingOverhead {
   double disabled_qps = 0.0;
   double enabled_qps = 0.0;
 };
 
 // Per-stage latency breakdown: one traced single-thread pass of the hot
-// workload (cache lookup / construct / answer_view stages) plus a
-// fault-aware pass (container scan / BFS fallback), read back from the
-// registry's stage histograms. Also measures the cost of leaving the
-// instrumentation resident: the same hammer pass with tracing disabled vs
-// enabled (disabled is the production configuration the < 2% overhead
-// acceptance is about).
-void stage_breakdown(const core::HhcTopology& net,
+// workload (answer_view, plus construct / publish for classes it is first
+// to see) and a fault-aware pass (container scan / BFS fallback), folded
+// from the drained trace events by obs::stage_rows. Also times the cost of
+// leaving the instrumentation resident: the same hammer pass with tracing
+// disabled (the production configuration) and enabled. Returns false when
+// the rings dropped events (the table would undercount) or kept none.
+bool stage_breakdown(const core::HhcTopology& net,
                      const std::vector<core::PairSample>& pairs, bool smoke,
-                     std::vector<StageRow>& stages, TracingOverhead& tracing) {
+                     std::vector<core::StatRow>& stages,
+                     TracingOverhead& tracing) {
   query::PathService service{net,
                              {.cache_shards = 16, .max_entries_per_shard = 64}};
   (void)hammer(service, pairs, 0.99, 1);  // warm-up, discarded
@@ -205,13 +197,16 @@ void stage_breakdown(const core::HhcTopology& net,
   tracing.disabled_qps =
       static_cast<double>(off.stats.queries) / off.seconds;
 
-  obs::MetricRegistry::global().reset();
-  obs::Tracer::enable(/*events_per_thread=*/1 << 10);
+  // The hot pass runs on one worker thread and the fault-aware pass on
+  // this one, each with its own ring. A hot query records one span, plus
+  // up to three for a class the warm-ups did not see; a fault-aware query
+  // records at most six.
+  const std::size_t fault_queries = smoke ? 500 : 4000;
+  obs::Tracer::enable(g_queries_total + 8 * fault_queries);
   const auto on = hammer(service, pairs, 0.99, 1);
   tracing.enabled_qps = static_cast<double>(on.stats.queries) / on.seconds;
 
   // Fault-aware pass while still tracing: lights up the router stages.
-  const std::size_t fault_queries = smoke ? 500 : 4000;
   util::Xoshiro256 rng{0xF11D};
   for (std::size_t i = 0; i < fault_queries; ++i) {
     const auto& p = pairs[i % pairs.size()];
@@ -223,21 +218,14 @@ void stage_breakdown(const core::HhcTopology& net,
   obs::Tracer::disable();
 
   util::Table table{{"stage", "count", "p50 us", "p99 us", "max us"}};
-  for (const auto& [name, hist] :
-       obs::MetricRegistry::global().snapshot().histograms) {
-    if (hist.count == 0) continue;
-    const StageRow row{.stage = name,
-                       .count = hist.count,
-                       .p50_us = hist.percentile(0.50),
-                       .p99_us = hist.percentile(0.99),
-                       .max_us = hist.max_value};
-    stages.push_back(row);
+  stages = obs::stage_rows(obs::Tracer::drain());
+  for (const core::StatRow& row : stages) {
     table.row()
-        .add(row.stage)
+        .add(row.name)
         .add(row.count)
-        .add(row.p50_us, 1)
-        .add(row.p99_us, 1)
-        .add(row.max_us, 1);
+        .add(row.p50, 1)
+        .add(row.p99, 1)
+        .add(row.max, 1);
   }
   table.print(std::cout, "per-stage latency breakdown (traced passes)");
   std::cout << "tracing overhead: " << static_cast<std::uint64_t>(
@@ -245,10 +233,17 @@ void stage_breakdown(const core::HhcTopology& net,
             << " qps disabled vs "
             << static_cast<std::uint64_t>(tracing.enabled_qps)
             << " qps enabled (disabled is the production default)\n\n";
+  const std::uint64_t dropped = obs::Tracer::dropped();
+  if (dropped != 0 || stages.empty()) {
+    std::cerr << "stage breakdown: " << stages.size() << " stages, "
+              << dropped << " trace events dropped\n";
+    return false;
+  }
+  return true;
 }
 
 void emit_json(const std::vector<SweepRow>& rows,
-               const std::vector<StageRow>& stages,
+               const std::vector<core::StatRow>& stages,
                const TracingOverhead& tracing, bool smoke) {
   core::JsonWriter json;
   json.begin_object()
@@ -278,13 +273,13 @@ void emit_json(const std::vector<SweepRow>& rows,
   }
   json.end_array();
   json.key("stages").begin_array();
-  for (const StageRow& row : stages) {
+  for (const core::StatRow& row : stages) {
     json.begin_object()
-        .key("stage").value(row.stage)
+        .key("stage").value(row.name)
         .key("count").value(row.count)
-        .key("p50_us").value(row.p50_us)
-        .key("p99_us").value(row.p99_us)
-        .key("max_us").value(row.max_us)
+        .key("p50_us").value(row.p50)
+        .key("p99_us").value(row.p99)
+        .key("max_us").value(row.max)
         .end_object();
   }
   json.end_array();
@@ -325,9 +320,9 @@ int main(int argc, char** argv) {
   sweep(net, pairs, 0.99, "hot workload (Zipf skew 0.99)", max_threads, rows);
   sweep(net, pairs, 0.0, "cold workload (uniform, skew 0)", max_threads, rows);
 
-  std::vector<StageRow> stages;
+  std::vector<core::StatRow> stages;
   TracingOverhead tracing;
-  stage_breakdown(net, pairs, smoke, stages, tracing);
+  if (!stage_breakdown(net, pairs, smoke, stages, tracing)) return 1;
 
   std::cout
       << "Expected shape: the Zipf head sits in the cache's 1024-class\n"

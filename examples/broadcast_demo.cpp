@@ -23,8 +23,7 @@ int main(int argc, char** argv) try {
   const auto m = static_cast<unsigned>(opts.get_int("m", 2));
   const core::HhcTopology net{m};
   const auto root = static_cast<core::Node>(opts.get_int("root", 0));
-  const auto show =
-      static_cast<std::size_t>(opts.get_int("show-rounds", 6));
+  const std::size_t show = opts.get_count("show-rounds", 6);
 
   const auto schedule = core::broadcast_schedule(net, root);
   if (!core::verify_broadcast_schedule(net, schedule, root)) {

@@ -38,13 +38,12 @@ int main(int argc, char** argv) try {
 
   fault::CampaignConfig config;
   config.m = static_cast<unsigned>(opts.get_int("m", 3));
-  config.trials = static_cast<std::size_t>(opts.get_int("trials", 200));
-  config.max_faults =
-      static_cast<std::size_t>(opts.get_int("max-faults", 0));
+  config.trials = opts.get_count("trials", 200);
+  config.max_faults = opts.get_count("max-faults", 0);
   config.link_fault_fraction = opts.get_double("link-frac", 0.0);
   config.external_fraction = opts.get_double("ext-frac", 0.5);
   config.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  config.threads = static_cast<std::size_t>(opts.get_int("threads", 1));
+  config.threads = opts.get_count("threads", 1);
 
   const std::string format = opts.get("format", "table");
   if (format != "table" && format != "csv" && format != "json") {

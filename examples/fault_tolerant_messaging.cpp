@@ -38,9 +38,8 @@ int main(int argc, char** argv) try {
 
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
-  const auto faults_per_round =
-      static_cast<std::size_t>(opts.get_int("faults", m));
-  const auto rounds = static_cast<std::size_t>(opts.get_int("rounds", 20));
+  const std::size_t faults_per_round = opts.get_count("faults", m);
+  const std::size_t rounds = opts.get_count("rounds", 20);
   util::Xoshiro256 rng{static_cast<std::uint64_t>(opts.get_int("seed", 1))};
 
   const core::Node s = net.encode(0, 0);

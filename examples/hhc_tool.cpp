@@ -13,6 +13,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/broadcast.hpp"
@@ -22,7 +23,6 @@
 #include "core/local_routing.hpp"
 #include "core/metrics.hpp"
 #include "fault/adaptive_router.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/path_service.hpp"
 #include "sim/soak.hpp"
@@ -122,7 +122,7 @@ int cmd_faults(util::Options& opts) {
   const auto s = static_cast<core::Node>(opts.get_int("s", 0));
   const auto t = static_cast<core::Node>(
       opts.get_int("t", static_cast<std::int64_t>(net.node_count() - 1)));
-  const auto count = static_cast<std::size_t>(opts.get_int("count", m));
+  const std::size_t count = opts.get_count("count", m);
   util::Xoshiro256 rng{static_cast<std::uint64_t>(opts.get_int("seed", 1))};
   const auto faults =
       core::FaultModel::random(net, {.node_faults = count}, s, t, rng);
@@ -187,8 +187,9 @@ int cmd_dot(util::Options& opts) {
 // Runs a seeded query batch (pristine + fault-aware, so both the cache and
 // the adaptive-router stages light up) with tracing enabled and writes the
 // spans as Chrome trace_event JSON — load into chrome://tracing or
-// https://ui.perfetto.dev. Also prints the per-stage latency histograms
-// accumulated in the metric registry.
+// https://ui.perfetto.dev. Also prints per-stage latencies folded from the
+// same drained events (obs::stage_rows), so the table covers exactly the
+// spans the rings kept: a drop note means raise --ring.
 int cmd_trace(util::Options& opts) {
   opts.describe("m", "cluster dimension (default 3)")
       .describe("queries", "pristine queries (default 200)")
@@ -197,22 +198,21 @@ int cmd_trace(util::Options& opts) {
       .describe("seed", "query and fault seed (default 1)")
       .describe("out", "Chrome trace file (default trace.json)")
       .describe("csv", "also write the spans as CSV to this file")
-      .describe("ring", "trace events kept per thread (default 8192)");
+      .describe("ring", "trace events kept per thread, >= 1 (default 8192)");
   if (help_only(opts, "trace: Chrome trace of a query batch")) return 0;
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
-  const auto queries = static_cast<std::size_t>(opts.get_int("queries", 200));
-  const auto fault_queries =
-      static_cast<std::size_t>(opts.get_int("fault-queries", 50));
-  const auto fault_count = static_cast<std::size_t>(opts.get_int("count", m));
+  const std::size_t queries = opts.get_count("queries", 200);
+  const std::size_t fault_queries = opts.get_count("fault-queries", 50);
+  const std::size_t fault_count = opts.get_count("count", m);
+  const std::size_t ring = opts.get_count("ring", std::size_t{1} << 13);
+  if (ring == 0) throw std::invalid_argument("--ring must be at least 1");
   const std::string out_path = opts.get("out", "trace.json");
   const std::string csv_path = opts.get("csv", "");
   util::Xoshiro256 rng{static_cast<std::uint64_t>(opts.get_int("seed", 1))};
 
   query::PathService service{net};
-  obs::MetricRegistry::global().reset();
-  obs::Tracer::enable(
-      static_cast<std::size_t>(opts.get_int("ring", std::int64_t{1} << 13)));
+  obs::Tracer::enable(ring);
 
   // Pristine queries, alternating answer() (orbit decode, constructing on
   // a cold record) and answer_view() (the cache's store, publishing on a
@@ -265,13 +265,7 @@ int cmd_trace(util::Options& opts) {
   std::printf("\n\n");
 
   util::Table table{{"stage", "count", "p50 us", "p99 us", "max us"}};
-  // One snapshot via the unified stats surface: the per-stage histograms
-  // arrive as distribution rows of ServiceStats::rows().
-  for (const core::StatRow& row : service.stats().rows()) {
-    if (row.kind != core::StatRow::Kind::kDist || row.section != "histogram" ||
-        row.count == 0) {
-      continue;
-    }
+  for (const core::StatRow& row : obs::stage_rows(events)) {
     table.row()
         .add(row.name)
         .add(row.count)
@@ -313,25 +307,19 @@ int cmd_soak(util::Options& opts) {
 
   sim::SoakConfig config;
   config.m = static_cast<unsigned>(opts.get_int("m", 2));
-  config.epochs = static_cast<std::size_t>(opts.get_int("epochs", 8));
-  config.queries_per_epoch =
-      static_cast<std::size_t>(opts.get_int("load", 256));
-  config.hostile_per_epoch =
-      static_cast<std::size_t>(opts.get_int("hostile", 4));
-  config.workers = static_cast<std::size_t>(opts.get_int("workers", 4));
-  config.max_queued = static_cast<std::size_t>(opts.get_int("max-queued", 64));
+  config.epochs = opts.get_count("epochs", 8);
+  config.queries_per_epoch = opts.get_count("load", 256);
+  config.hostile_per_epoch = opts.get_count("hostile", 4);
+  config.workers = opts.get_count("workers", 4);
+  config.max_queued = opts.get_count("max-queued", 64);
   config.closed_loop = opts.get_bool("closed-loop", false);
   config.deadline_us = opts.get_double("deadline-us", 2000.0);
   config.fault_rate = opts.get_double("fault-rate", 0.5);
-  config.faults_per_burst =
-      static_cast<std::size_t>(opts.get_int("burst", 2));
-  config.repair_after =
-      static_cast<std::uint64_t>(opts.get_int("repair-after", 1));
+  config.faults_per_burst = opts.get_count("burst", 2);
+  config.repair_after = opts.get_count("repair-after", 1);
   config.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  config.admission.max_in_flight =
-      static_cast<std::size_t>(opts.get_int("max-in-flight", 8));
-  config.admission.breaker_threshold =
-      static_cast<std::size_t>(opts.get_int("breaker", 3));
+  config.admission.max_in_flight = opts.get_count("max-in-flight", 8);
+  config.admission.breaker_threshold = opts.get_count("breaker", 3);
 
   const sim::SoakReport report = sim::run_soak(config);
   const std::string format = opts.get("format", "table");

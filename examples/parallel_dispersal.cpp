@@ -26,7 +26,7 @@ int main(int argc, char** argv) try {
 
   const auto m = static_cast<unsigned>(opts.get_int("m", 3));
   const core::HhcTopology net{m};
-  const auto bytes = static_cast<std::size_t>(opts.get_int("bytes", 4096));
+  const std::size_t bytes = opts.get_count("bytes", 4096);
   const auto cut = opts.get_int("cut-path", -1);
 
   const core::Node s = net.encode(1, 1 % net.cluster_size());

@@ -243,9 +243,7 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
   const unsigned b = net.gateway_dimension(t);
 
   // m internally disjoint paths inside the cluster.
-  static obs::Histogram& fan_hist =
-      obs::stage_histogram(obs::stages::kFanSolve);
-  obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
+  obs::TraceSpan fan_span{obs::stages::kFanSolve};
   const auto inner =
       scratch.exit_fan.max_disjoint_paths(scratch.cluster_graph(m), Ys, Yt, m);
   if (inner.size() != m) {
@@ -310,9 +308,7 @@ void different_cluster_paths(const HhcTopology& net, Node s, Node t,
   std::span<const graph::VertexPath> exit_fans;
   std::span<const graph::VertexPath> entry_fans;
   {
-    static obs::Histogram& fan_hist =
-        obs::stage_histogram(obs::stages::kFanSolve);
-    obs::TraceSpan fan_span{obs::stages::kFanSolve, &fan_hist};
+    obs::TraceSpan fan_span{obs::stages::kFanSolve};
     exit_fans = scratch.exit_fans(net.m(), Ys, scratch.exit_targets);
     entry_fans = scratch.entry_fans(net.m(), scratch.entry_sources, Yt);
   }

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "core/scratch.hpp"
-#include "obs/metrics.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
 
@@ -142,9 +141,7 @@ std::size_t OrbitTable::bytes() const noexcept {
 
 std::unique_ptr<std::uint8_t[]> OrbitTable::build(std::uint32_t key,
                                                   std::size_t& size) const {
-  static obs::Histogram& construct_hist =
-      obs::stage_histogram(obs::stages::kConstruct);
-  obs::TraceSpan span{obs::stages::kConstruct, &construct_hist};
+  obs::TraceSpan span{obs::stages::kConstruct};
   const DisjointPathSetRef set = node_disjoint_paths(
       net_, Node{0}, Node{key}, options_, tls_construction_scratch());
   std::size_t hops = 0;
@@ -204,9 +201,6 @@ const std::uint8_t* OrbitTable::record(std::uint32_t key, bool* hit) {
     if (slots_[i].compare_exchange_strong(expected, mine.get(),
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
-      static obs::Counter& fills =
-          obs::MetricRegistry::global().counter("construct.orbit_fills");
-      fills.inc();
       entries_.fetch_add(1, std::memory_order_relaxed);
       record_bytes_.fetch_add(size, std::memory_order_relaxed);
       return mine.release();

@@ -626,9 +626,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   }
 
   {
-    static obs::Histogram& scan_hist =
-        obs::stage_histogram(obs::stages::kContainerScan);
-    obs::TraceSpan span{obs::stages::kContainerScan, &scan_hist};
+    obs::TraceSpan span{obs::stages::kContainerScan};
     result.container_paths_blocked =
         core::OrbitTable::covers(net.m())
             ? cache_.scan(s, t, scratch.usable.project(active, net),
@@ -657,9 +655,7 @@ query::RouteResult AdaptiveRouter::route(const query::PairQuery& query,
   }
 
   result.used_fallback = true;
-  static obs::Histogram& fallback_hist =
-      obs::stage_histogram(obs::stages::kBfsFallback);
-  obs::TraceSpan span{obs::stages::kBfsFallback, &fallback_hist};
+  obs::TraceSpan span{obs::stages::kBfsFallback};
   // A shortest detour is as short searched from either end: start from
   // the more damaged one, ties to s (the header says why).
   const std::uint8_t* const usable = scratch.usable.project(active, net);

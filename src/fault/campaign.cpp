@@ -43,9 +43,7 @@ TrialOutcome run_trial(core::ContainerCache& cache,
                        const AdaptiveRouter& router,
                        const core::FaultModel::RandomSpec& spec,
                        std::uint64_t seed) {
-  static obs::Histogram& trial_hist =
-      obs::stage_histogram(obs::stages::kCampaignTrial);
-  obs::TraceSpan span{obs::stages::kCampaignTrial, &trial_hist};
+  obs::TraceSpan span{obs::stages::kCampaignTrial};
   const core::HhcTopology& net = cache.net();
   util::Xoshiro256 rng{seed};
   core::Node s = rng.below(net.node_count());

@@ -6,22 +6,9 @@ namespace hhc::obs {
 
 std::vector<core::StatRow> MetricsSnapshot::rows() const {
   std::vector<core::StatRow> rows;
-  rows.reserve(counters.size() + gauges.size() + histograms.size());
+  rows.reserve(counters.size());
   for (const auto& [name, value] : counters) {
     rows.push_back(core::stat_scalar("counter", name, value));
-  }
-  for (const auto& [name, value] : gauges) {
-    core::StatRow row = core::stat_scalar("gauge", name, std::uint64_t{0});
-    row.value = static_cast<double>(value);  // gauges may be negative
-    rows.push_back(std::move(row));
-  }
-  for (const auto& [name, snap] : histograms) {
-    const bool empty = snap.count == 0;
-    rows.push_back(core::stat_dist(
-        "histogram", name, snap.count,
-        empty ? 0.0 : snap.percentile(0.50),
-        empty ? 0.0 : snap.percentile(0.90),
-        empty ? 0.0 : snap.percentile(0.99), snap.max_value));
   }
   return rows;
 }

@@ -1,5 +1,5 @@
-// Process-wide metric registry: named lock-free counters, gauges, and
-// striped log-linear histograms.
+// Process-wide metric registry of named lock-free counters, and the
+// striped log-linear histogram.
 //
 // The hot-path types are deliberately header-inline so that ANY layer —
 // including hhc_core, which hhc_obs's exporters link against — can record
@@ -7,7 +7,7 @@
 // from hhc_obs, only the exporters (to_csv/to_json, Chrome traces) live in
 // the compiled library.
 //
-// Usage pattern on a hot path: resolve the metric ONCE (registration takes
+// Usage pattern on a hot path: resolve the counter ONCE (registration takes
 // a mutex; a function-local static amortizes it to one lookup per site),
 // then update through the reference — a single relaxed atomic op:
 //
@@ -15,9 +15,9 @@
 //       obs::MetricRegistry::global().counter("construct.arena_refills");
 //   refills.inc();
 //
-// Histogram is the one latency distribution of the codebase: the trace
-// stage histograms, the registry's histograms and PathService's
-// per-outcome answer latency all use its layout. Each recording thread
+// Histogram is the one latency distribution of the codebase: PathService's
+// per-outcome answer latency records into it, and obs::stage_rows() folds
+// drained trace events into its Snapshot layout. Each recording thread
 // writes its own cache-line-aligned stripe (util::Striped), so a record
 // never touches a line another thread writes; snapshot() folds the stripes.
 // Buckets are log-linear, 8 per power of two (<= 12.5% relative error).
@@ -63,24 +63,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-writer-wins instantaneous value (signed; add() for deltas).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t get() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
 };
 
 /// Log-linear histogram recorded into per-thread stripes.
@@ -215,19 +197,15 @@ class Histogram {
   util::Striped<Stripe> stripes_;
 };
 
-/// Name-sorted point-in-time view of every registered metric; histogram
-/// entries carry full bucket snapshots. Render with to_csv()/to_json()
-/// (compiled in hhc_obs — they share core::io's unified StatRow schema, so
-/// registry exports, cache stats, and service stats all land in one table
-/// shape).
+/// Name-sorted point-in-time view of every registered counter. Render
+/// with to_csv()/to_json() (compiled in hhc_obs — they share core::io's
+/// unified StatRow schema, so registry exports, cache stats, and service
+/// stats all land in one table shape).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
 
-  /// The snapshot as unified stat rows: counters/gauges as scalars under
-  /// sections "counter"/"gauge", histograms as distributions under
-  /// "histogram" (percentiles omitted while empty).
+  /// The snapshot as unified stat rows: one scalar per counter, under
+  /// section "counter".
   [[nodiscard]] std::vector<core::StatRow> rows() const;
 
   /// core::stat_rows_csv / core::stat_rows_json over rows().
@@ -235,11 +213,10 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// The process-wide registry. Registration (name -> metric) takes a mutex
-/// and allocates once per name; the returned references are stable for the
-/// registry's lifetime, so hot paths cache them (see header comment) and
-/// never touch the lock again. Each kind has its own namespace: a counter
-/// and a histogram may share a name.
+/// The process-wide counter registry. Registration (name -> counter) takes
+/// a mutex and allocates once per name; the returned references are stable
+/// for the registry's lifetime, so hot paths cache them (see header
+/// comment) and never touch the lock again.
 class MetricRegistry {
  public:
   /// The process-wide instance (function-local static: header-inline so
@@ -254,13 +231,10 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   [[nodiscard]] Counter& counter(const std::string& name) {
-    return slot(counters_, name);
-  }
-  [[nodiscard]] Gauge& gauge(const std::string& name) {
-    return slot(gauges_, name);
-  }
-  [[nodiscard]] Histogram& histogram(const std::string& name) {
-    return slot(histograms_, name);
+    std::lock_guard lock{mutex_};
+    auto& entry = counters_[name];
+    if (entry == nullptr) entry = std::make_unique<Counter>();
+    return *entry;
   }
 
   [[nodiscard]] MetricsSnapshot snapshot() const {
@@ -268,47 +242,21 @@ class MetricRegistry {
     std::lock_guard lock{mutex_};
     snap.counters.reserve(counters_.size());
     for (const auto& [name, c] : counters_) snap.counters.emplace_back(name, c->get());
-    snap.gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) snap.gauges.emplace_back(name, g->get());
-    snap.histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      snap.histograms.emplace_back(name, h->snapshot());
-    }
     return snap;
   }
 
-  /// Zeroes every metric, KEEPING registrations (cached references stay
+  /// Zeroes every counter, KEEPING registrations (cached references stay
   /// valid). Used between benchmark passes and in tests.
   void reset() {
     std::lock_guard lock{mutex_};
     for (const auto& [name, c] : counters_) c->reset();
-    for (const auto& [name, g] : gauges_) g->reset();
-    for (const auto& [name, h] : histograms_) h->reset();
   }
 
  private:
-  template <typename T>
-  [[nodiscard]] T& slot(std::map<std::string, std::unique_ptr<T>>& metrics,
-                        const std::string& name) {
-    std::lock_guard lock{mutex_};
-    auto& entry = metrics[name];
-    if (entry == nullptr) entry = std::make_unique<T>();
-    return *entry;
-  }
-
-  // std::map keeps snapshot output name-sorted; unique_ptr keeps metric
+  // std::map keeps snapshot output name-sorted; unique_ptr keeps counter
   // addresses stable across rebalancing.
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// The per-stage latency histogram (µs) for a trace stage name — what
-/// TraceSpan feeds when tracing is enabled, and what the bench breakdown
-/// reads back. One registry entry per stage, named after the stage itself.
-[[nodiscard]] inline Histogram& stage_histogram(const char* stage) {
-  return MetricRegistry::global().histogram(stage);
-}
 
 }  // namespace hhc::obs

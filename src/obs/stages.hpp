@@ -1,6 +1,6 @@
 // Canonical trace-stage names, shared by the instrumentation sites, the
-// per-stage registry histograms (obs::stage_histogram), the benchmark
-// breakdown, the hhc_tool trace subcommand, and the CI smoke check that
+// per-stage rows obs::stage_rows folds from drained events (the benchmark
+// breakdown and the hhc_tool trace table), and the CI smoke check that
 // greps the emitted Chrome trace for them. One constant per stage keeps
 // every consumer spelling them identically.
 #pragma once
@@ -12,13 +12,13 @@ inline constexpr const char* kAnswer = "query.answer";
 inline constexpr const char* kAnswerView = "query.answer_view";
 
 // Per-outcome answer latency and the overload tallies (shed, timed out,
-// invalid, breaker short-circuits and trips) are not
-// registry metrics: PathService keeps them in its own per-thread stripes
-// and ServiceStats is their one source.
+// invalid, breaker short-circuits and trips) are not registry counters:
+// PathService keeps them in its own per-thread stripes and ServiceStats is
+// their one source.
 
 // container cache (miss-path stages; the lock-free HIT path is deliberately
 // span-free — hits are timed by the enclosing query.answer/answer_view
-// span, which is what keeps enabled-tracing overhead < 5%)
+// span, so an enabled trace adds one event per hit, not two)
 inline constexpr const char* kConstruct = "query.construct";
 inline constexpr const char* kCachePublish = "query.cache_publish";
 

@@ -1,8 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "core/io.hpp"
+#include "obs/metrics.hpp"
 
 namespace hhc::obs {
 
@@ -69,6 +71,25 @@ std::string to_trace_csv(const std::vector<TraceEvent>& events) {
            "\n";
   }
   return out;
+}
+
+std::vector<core::StatRow> stage_rows(const std::vector<TraceEvent>& events) {
+  std::map<std::string, Histogram::Snapshot> stages;
+  for (const TraceEvent& event : events) {
+    Histogram::Snapshot& snap = stages[event.name];
+    const double micros = static_cast<double>(event.dur_nanos) / 1e3;
+    ++snap.buckets[Histogram::bucket_of(micros)];
+    ++snap.count;
+    snap.max_value = std::max(snap.max_value, micros);
+  }
+  std::vector<core::StatRow> rows;
+  rows.reserve(stages.size());
+  for (const auto& [name, snap] : stages) {
+    rows.push_back(core::stat_dist("stage", name, snap.count,
+                                   snap.percentile(0.50), snap.percentile(0.90),
+                                   snap.percentile(0.99), snap.max_value));
+  }
+  return rows;
 }
 
 }  // namespace hhc::obs

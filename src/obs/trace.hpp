@@ -4,20 +4,21 @@
 // fallback BFS, a campaign trial, ...). When tracing is DISABLED — the
 // default — constructing and destroying a span costs one relaxed atomic
 // load and a branch, so instrumentation stays resident on the hot query
-// path permanently (bench_query_throughput pins the overhead at < 2%).
+// path permanently. bench_query_throughput times the same pass with tracing
+// disabled and enabled and reports both rates in BENCH_query.json's
+// `tracing` object; no check bounds their ratio.
 //
 // When ENABLED, each completed span appends one fixed-size event to the
 // calling thread's ring buffer. The ring is SINGLE-WRITER LOCK-FREE: the
 // owning thread commits an event with a handful of release atomic stores
 // bracketed by a per-slot sequence counter (a seqlock), so an enabled span
-// never takes a mutex either — the enabled-tracing throughput cost on the
-// query hot path stays < 5% (pinned by the CI bench smoke check). Rings
-// are bounded, drop-oldest; drain() snapshots every thread's slots and
-// skips the (at most one per ring) event a concurrent wrap is mid-rewrite.
-// Spans may nest freely; events carry wall-clock start/duration so nesting
-// is reconstructed by containment — including across util::ThreadPool
-// tasks, where a task's spans simply land on the worker thread's ring
-// under that worker's tid (see DESIGN.md).
+// never takes a mutex either. Rings are bounded, drop-oldest, and count
+// every lost append (Tracer::dropped()); drain() snapshots every thread's
+// slots and skips the (at most one per ring) event a concurrent wrap is
+// mid-rewrite. Spans may nest freely; events carry wall-clock
+// start/duration so nesting is reconstructed by containment — including
+// across util::ThreadPool tasks, where a task's spans simply land on the
+// worker thread's ring under that worker's tid (see DESIGN.md).
 //
 // Resetting (enable()/clear()) never mutates a ring a writer might be
 // appending to: it bumps a global generation and starts a fresh ring set;
@@ -25,11 +26,12 @@
 // re-registers. Old rings stay alive (and inert) until their owner thread
 // moves on or exits.
 //
-// A span can also feed a per-stage obs::Histogram (in µs) so aggregate
-// stage latencies survive ring overflow; obs::stage_histogram(name) is the
-// conventional sink. Draining gathers every thread's events (sorted by
-// start time) for export as Chrome trace_event JSON (chrome://tracing,
-// https://ui.perfetto.dev) or CSV — exporters live in trace.cpp.
+// The drained events are the only record of a span. Draining gathers every
+// thread's events (sorted by start time) for export as Chrome trace_event
+// JSON (chrome://tracing, https://ui.perfetto.dev) or CSV, and stage_rows()
+// folds them into per-stage latency distributions; these live in trace.cpp.
+// A stage table therefore covers only the events the rings kept: size the
+// ring so that dropped() reads 0.
 //
 // Everything needed to RECORD is header-inline for the same layering
 // reason as metrics.hpp: hhc_core instruments itself without linking
@@ -45,7 +47,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
+namespace hhc::core {
+struct StatRow;
+}  // namespace hhc::core
 
 namespace hhc::obs {
 
@@ -90,18 +94,21 @@ struct TraceRing {
   /// release, so a reader that acquires a field value from this write also
   /// sees the odd seq stored before it; that is what lets snapshot() detect
   /// a torn slot without standalone fences (which ThreadSanitizer cannot
-  /// model, and gcc rejects under -fsanitize=thread -Werror).
+  /// model, and gcc rejects under -fsanitize=thread -Werror). A ring of
+  /// capacity 0 stores nothing but still counts the append, so dropped()
+  /// reports every event it lost.
   void append(const char* name, std::uint64_t start,
               std::uint64_t dur) noexcept {
-    if (capacity == 0) return;
     const std::uint64_t n = count.load(std::memory_order_relaxed);
-    Slot& slot = slots[n % capacity];
-    const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
-    slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: mid-write
-    slot.name.store(name, std::memory_order_release);
-    slot.start.store(start, std::memory_order_release);
-    slot.dur.store(dur, std::memory_order_release);
-    slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
+    if (capacity != 0) {
+      Slot& slot = slots[n % capacity];
+      const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
+      slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: mid-write
+      slot.name.store(name, std::memory_order_release);
+      slot.start.store(start, std::memory_order_release);
+      slot.dur.store(dur, std::memory_order_release);
+      slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
+    }
     count.store(n + 1, std::memory_order_release);
   }
 
@@ -218,22 +225,18 @@ class Tracer {
   /// Drops all buffered events and zeroes the drop counters.
   static void clear();
 
-  /// Events lost to ring overflow since the last enable()/clear().
+  /// Events lost since the last enable()/clear(): overwritten in a full
+  /// ring, or never stored by a ring of capacity 0.
   [[nodiscard]] static std::uint64_t dropped();
 };
 
 /// RAII span: times the enclosing scope and records it on destruction.
-/// `name` must have static storage duration. When `stage_hist` is non-null
-/// the duration (µs) is also recorded there — pass
-/// obs::stage_histogram(name), cached in a function-local static at the
-/// call site.
+/// `name` must have static storage duration.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name,
-                     Histogram* stage_hist = nullptr) noexcept {
+  explicit TraceSpan(const char* name) noexcept {
     if (!Tracer::enabled()) return;  // name_ stays null: disabled span
     name_ = name;
-    hist_ = stage_hist;
     start_ = detail::monotonic_nanos();
   }
 
@@ -249,12 +252,10 @@ class TraceSpan {
         state.epoch_nanos.load(std::memory_order_relaxed);
     detail::thread_ring().append(name_, start_ > epoch ? start_ - epoch : 0,
                                  dur);
-    if (hist_ != nullptr) hist_->record(static_cast<double>(dur) / 1e3);
   }
 
  private:
   const char* name_ = nullptr;
-  Histogram* hist_ = nullptr;
   std::uint64_t start_ = 0;
 };
 
@@ -266,5 +267,12 @@ class TraceSpan {
 
 /// name,tid,start_us,dur_us — one row per event, header included.
 [[nodiscard]] std::string to_trace_csv(const std::vector<TraceEvent>& events);
+
+/// One distribution row per stage name (section "stage", name-sorted): the
+/// count, p50/p90/p99 and max of its events' durations in µs. Each stage's
+/// durations fill one obs::Histogram::Snapshot, so the percentiles follow
+/// the rules ServiceStats' latency rows use.
+[[nodiscard]] std::vector<core::StatRow> stage_rows(
+    const std::vector<TraceEvent>& events);
 
 }  // namespace hhc::obs

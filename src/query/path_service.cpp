@@ -71,7 +71,7 @@ void PathService::account(const PairQuery& query, RouteOutcome outcome,
 
 template <class Result, class Body>
 Result PathService::serve(const PairQuery& query, const char* stage,
-                          obs::Histogram& stage_hist, Body&& body) {
+                          Body&& body) {
   if (!net_.contains(query.s) || !net_.contains(query.t)) {
     throw std::invalid_argument("PathService: node out of range");
   }
@@ -93,7 +93,7 @@ Result PathService::serve(const PairQuery& query, const char* stage,
   SlotGuard guard{gate_};
   // Telemetry starts only once the query is admitted: the latency
   // histograms measure post-admission service time.
-  obs::TraceSpan span{stage, &stage_hist};
+  obs::TraceSpan span{stage};
   util::Stopwatch watch;
   Tally& tally = tallies_.local();
   Result result = body(tally);
@@ -103,11 +103,9 @@ Result PathService::serve(const PairQuery& query, const char* stage,
 }
 
 RouteResult PathService::answer(const PairQuery& query) {
-  static obs::Histogram& answer_hist =
-      obs::stage_histogram(obs::stages::kAnswer);
-  return serve<RouteResult>(
-      query, obs::stages::kAnswer, answer_hist,
-      [&](Tally& tally) { return answer_impl(query, tally); });
+  return serve<RouteResult>(query, obs::stages::kAnswer, [&](Tally& tally) {
+    return answer_impl(query, tally);
+  });
 }
 
 RouteView PathService::answer_view(const PairQuery& query) {
@@ -119,10 +117,8 @@ RouteView PathService::answer_view(const PairQuery& query) {
   // The zero-copy path goes through the same gate as answer(): under a
   // bounded in-flight config a data plane hammering views is exactly the
   // traffic the bound exists for.
-  static obs::Histogram& view_hist =
-      obs::stage_histogram(obs::stages::kAnswerView);
   return serve<RouteView>(
-      query, obs::stages::kAnswerView, view_hist, [&](Tally&) {
+      query, obs::stages::kAnswerView, [&](Tally&) {
         RouteView view;
         view.level = DegradationLevel::kGuaranteed;
         if (query.s == query.t) {

@@ -182,8 +182,7 @@ class PathService {
   /// `stage` span and stopwatch around body(tally), then is accounted
   /// once.
   template <class Result, class Body>
-  Result serve(const PairQuery& query, const char* stage,
-               obs::Histogram& stage_hist, Body&& body);
+  Result serve(const PairQuery& query, const char* stage, Body&& body);
   /// Accounting for an ADMITTED query: records the one latency sample and
   /// bumps the outcome and level counters, all in this thread's stripe.
   void account(const PairQuery& query, RouteOutcome outcome,

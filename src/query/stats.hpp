@@ -68,8 +68,8 @@ struct ServiceStats {
   obs::Histogram::Snapshot latency_ok;         // completed answers
   obs::Histogram::Snapshot latency_timed_out;  // in-flight expiries
 
-  /// The process-wide obs::MetricRegistry, captured at the same stats()
-  /// read so one snapshot carries every telemetry surface.
+  /// The process-wide obs::MetricRegistry's counters, captured at the same
+  /// stats() read.
   obs::MetricsSnapshot metrics;
 
   [[nodiscard]] double hit_rate() const noexcept { return cache.hit_rate(); }
@@ -77,8 +77,9 @@ struct ServiceStats {
   /// Everything as unified core::StatRow rows: the query-level counters
   /// (section "service"), the answer-latency distributions (section
   /// "latency": answer_us, answer_ok_us, answer_timed_out_us), the cache
-  /// snapshot (sections "cache"/"cache.orbit"),
-  /// then the registry metrics (sections "counter"/"gauge"/"histogram").
+  /// snapshot (sections "cache"/"cache.orbit"), then the registry's
+  /// counters (section "counter"). Trace stages are not here: fold a
+  /// drain with obs::stage_rows.
   [[nodiscard]] std::vector<core::StatRow> rows() const;
 
   /// core::stat_rows_csv / core::stat_rows_json over rows() — the same

@@ -48,8 +48,7 @@ std::uint64_t NetworkSimulator::inject(core::Path route, std::uint64_t time) {
 }
 
 SimReport NetworkSimulator::run(std::uint64_t max_cycles) {
-  static obs::Histogram& run_hist = obs::stage_histogram(obs::stages::kSimRun);
-  obs::TraceSpan trace_span{obs::stages::kSimRun, &run_hist};
+  obs::TraceSpan trace_span{obs::stages::kSimRun};
   // Directed link key encoded as (from, output port): port = internal
   // dimension for cluster edges, m for the external edge. Exact and
   // collision-free for every m (from * (m+1) + port < 2^37 * 6 < 2^40).

@@ -61,6 +61,17 @@ std::int64_t Options::get_int(const std::string& key,
   }
 }
 
+std::size_t Options::get_count(const std::string& key,
+                               std::size_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::int64_t value = get_int(key, 0);
+  if (value < 0) {
+    throw std::invalid_argument("option --" + key +
+                                " expects a count >= 0, got: " + get(key, ""));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

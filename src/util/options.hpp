@@ -4,6 +4,7 @@
 // options are an error so that typos in experiment scripts fail loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -26,6 +27,10 @@ class Options {
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// A count or size: get_int() that throws std::invalid_argument on a
+  /// negative value instead of letting a cast wrap it to a huge one.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;

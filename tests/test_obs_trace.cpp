@@ -1,6 +1,7 @@
 // The scoped-tracing machinery: disabled spans record nothing, enabled
-// spans land on per-thread rings (bounded, drop-oldest), drains merge and
-// sort across threads, and the Chrome exporter emits the structure
+// spans land on per-thread rings (bounded, drop-oldest, every loss
+// counted), drains merge and sort across threads, stage_rows() summarizes
+// a drain by stage, and the Chrome exporter emits the structure
 // chrome://tracing expects. The multi-thread tests run under
 // ThreadSanitizer in CI. All tests share the process-global Tracer, so
 // each one starts with enable() (which drops prior events) and ends
@@ -8,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -94,6 +97,19 @@ TEST_F(ObsTrace, RingDropsOldestWhenFull) {
   EXPECT_STREQ(events[1].name, "new");
 }
 
+TEST_F(ObsTrace, ZeroCapacityRingCountsEveryDrop) {
+  // A ring that keeps nothing still counts what it lost, so an empty drain
+  // never passes for a quiet run.
+  Tracer::enable(/*events_per_thread=*/0);
+  for (int i = 0; i < 5; ++i) {
+    TraceSpan span{"lost"};
+  }
+  std::thread{[] { TraceSpan span{"lost"}; }}.join();
+  Tracer::disable();
+  EXPECT_TRUE(Tracer::drain().empty());
+  EXPECT_EQ(Tracer::dropped(), 6u);
+}
+
 TEST_F(ObsTrace, EnableResetsBufferedEventsAndEpoch) {
   Tracer::enable();
   { TraceSpan span{"before"}; }
@@ -135,22 +151,6 @@ TEST_F(ObsTrace, ThreadsGetDistinctTids) {
   EXPECT_TRUE(sorted);
 }
 
-TEST_F(ObsTrace, SpanFeedsStageHistogram) {
-  Histogram hist;
-  Tracer::enable();
-  {
-    TraceSpan span{"timed", &hist};
-  }
-  Tracer::disable();
-  EXPECT_EQ(hist.snapshot().count, 1u);
-
-  // Disabled spans must not touch the histogram either.
-  {
-    TraceSpan span{"timed", &hist};
-  }
-  EXPECT_EQ(hist.snapshot().count, 1u);
-}
-
 TEST_F(ObsTrace, ChromeExportShapesEvents) {
   Tracer::enable();
   { TraceSpan span{"alpha"}; }
@@ -167,6 +167,49 @@ TEST_F(ObsTrace, ChromeExportShapesEvents) {
   const std::string csv = to_trace_csv(events);
   EXPECT_NE(csv.find("name,tid,start_us,dur_us"), std::string::npos);
   EXPECT_NE(csv.find("alpha"), std::string::npos);
+}
+
+TEST_F(ObsTrace, StageRowsMatchDrainedEvents) {
+  Tracer::enable();
+  for (int i = 0; i < 40; ++i) {
+    TraceSpan outer{"stage.outer"};
+    volatile std::uint64_t sink = 0;
+    for (int k = 0; k < 50 * i; ++k) sink = sink + static_cast<std::uint64_t>(k);
+    { TraceSpan inner{"stage.inner"}; }
+  }
+  Tracer::disable();
+  std::vector<TraceEvent> events = Tracer::drain();
+  ASSERT_EQ(events.size(), 80u);
+  // Synthetic durations from 0 to ~1 s reach buckets the spans above do not.
+  static constexpr const char* kWide = "stage.wide";
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    events.push_back(TraceEvent{kWide, k, k * k * k * 37, 7});
+  }
+
+  const std::vector<core::StatRow> rows = stage_rows(events);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].name, "stage.inner");  // name-sorted
+  EXPECT_EQ(rows[1].name, "stage.outer");
+  EXPECT_EQ(rows[2].name, "stage.wide");
+  for (const core::StatRow& row : rows) {
+    Histogram reference;
+    for (const TraceEvent& event : events) {
+      if (row.name == event.name) {
+        reference.record(static_cast<double>(event.dur_nanos) / 1e3);
+      }
+    }
+    const Histogram::Snapshot want = reference.snapshot();
+    EXPECT_EQ(row.section, "stage");
+    EXPECT_EQ(row.kind, core::StatRow::Kind::kDist);
+    EXPECT_EQ(row.count, want.count) << row.name;
+    EXPECT_EQ(row.p50, want.percentile(0.50)) << row.name;
+    EXPECT_EQ(row.p90, want.percentile(0.90)) << row.name;
+    EXPECT_EQ(row.p99, want.percentile(0.99)) << row.name;
+    EXPECT_EQ(row.max, want.max_value) << row.name;
+  }
+  EXPECT_EQ(rows[0].count, 40u);
+  EXPECT_EQ(rows[2].count, 300u);
+  EXPECT_TRUE(stage_rows({}).empty());
 }
 
 TEST_F(ObsTrace, ConcurrentSpansWhileDraining) {

@@ -49,6 +49,20 @@ TEST(Options, RejectsMalformedNumbers) {
   EXPECT_THROW((void)o.get_int("m", 0), std::invalid_argument);
 }
 
+TEST(Options, CountsRejectNegativeValues) {
+  const auto o = parse({"--workers", "-1", "--queries=-100", "--ring", "0",
+                        "--trials", "250", "--bad", "x"});
+  EXPECT_THROW((void)o.get_count("workers", 4), std::invalid_argument);
+  EXPECT_THROW((void)o.get_count("queries", 200), std::invalid_argument);
+  EXPECT_THROW((void)o.get_count("bad", 1), std::invalid_argument);
+  EXPECT_EQ(o.get_count("ring", 8192), 0u);
+  EXPECT_EQ(o.get_count("trials", 200), 250u);
+  EXPECT_EQ(o.get_count("absent", 7), 7u);
+  // get_int still reads the negative value: seeds and "-1 = none" options
+  // keep using it.
+  EXPECT_EQ(o.get_int("workers", 4), -1);
+}
+
 TEST(Options, ParsesDoubles) {
   const auto o = parse({"--rate", "0.125"});
   EXPECT_DOUBLE_EQ(o.get_double("rate", 0), 0.125);
