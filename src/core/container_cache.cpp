@@ -142,18 +142,13 @@ bool ContainerCache::fill(std::uint64_t xdiff, std::uint64_t ys,
   const Node t = net_.encode(xdiff, yt);
   if (orbit_ != nullptr) {
     bool hit = false;
-    orbit_->flatten(s, t, flat.nodes, flat.offsets, &hit);
+    orbit_->flatten(s, t, flat, &hit);
     return hit;
   }
   obs::TraceSpan span{obs::stages::kConstruct};
-  const DisjointPathSetRef set =
-      node_disjoint_paths(net_, s, t, {}, tls_construction_scratch());
-  flat.nodes.clear();
-  flat.offsets.assign(1, 0);
-  for (const PathRef path : set.paths) {
-    flat.nodes.insert(flat.nodes.end(), path.begin(), path.end());
-    flat.offsets.push_back(static_cast<std::uint32_t>(flat.nodes.size()));
-  }
+  ConstructionScratch& scratch = tls_construction_scratch();
+  (void)node_disjoint_paths(net_, s, t, {}, scratch);
+  flat = scratch.flat;
   return false;
 }
 

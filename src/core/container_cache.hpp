@@ -59,14 +59,6 @@
 
 namespace hhc::core {
 
-/// A disjoint-path container flattened into two arrays: `nodes` holds every
-/// path back to back, `offsets` (path_count + 1 entries) delimits them.
-/// Immutable once published.
-struct FlatContainer {
-  std::vector<Node> nodes;
-  std::vector<std::uint32_t> offsets;  // paths[i] = nodes[offsets[i], offsets[i+1])
-};
-
 /// A zero-copy view of a cached container, relabeled lazily.
 ///
 /// The construction commutes with cluster translation, and in the packed

@@ -183,51 +183,56 @@ void select_routes_different_clusters(const HhcTopology& net,
 }
 
 // ---------------------------------------------------------------------------
-// Realization (into the scratch arena)
+// Realization (into scratch.flat)
+//
+// Each path's nodes are appended to scratch.flat.nodes and end_path() pushes
+// the offset that closes it. The PathRef spans are built only after the last
+// path, since appending may reallocate the node buffer.
 // ---------------------------------------------------------------------------
+
+void end_path(FlatContainer& flat) {
+  flat.offsets.push_back(static_cast<std::uint32_t>(flat.nodes.size()));
+}
 
 // Appends the intra-cluster walk from `from` to `to` (positions), skipping
 // `from` itself, in ascending-dimension order — the same correction order
 // as cube::Hypercube::shortest_path.
 void build_walk(const HhcTopology& net, std::uint64_t cluster,
-                std::uint64_t from, std::uint64_t to,
-                util::PathArena::Builder& builder) {
+                std::uint64_t from, std::uint64_t to, std::vector<Node>& out) {
   std::uint64_t diff = from ^ to;
   std::uint64_t cur = from;
   while (diff != 0) {
     const unsigned i = bits::lowest_set(diff);
     cur = bits::flip(cur, i);
     diff = bits::clear(diff, i);
-    builder.push(net.encode(cluster, cur));
+    out.push_back(net.encode(cluster, cur));
   }
 }
 
-// realize_cluster_route, arena-backed: emits the exit walk (positions),
-// one crossing + private gateway walk per X-dimension, then the entry walk.
+// Appends one cluster route's path: the exit walk (positions), one
+// crossing + private gateway walk per X-dimension, then the entry walk.
 // The walks come in as graph::Vertex spans straight from the fan solver.
-PathRef realize_route(const HhcTopology& net, std::uint64_t start_cluster,
-                      std::span<const graph::Vertex> exit_walk,
-                      std::span<const unsigned> xdims,
-                      std::span<const graph::Vertex> entry_walk,
-                      util::PathArena& arena) {
-  auto builder = arena.builder();
+void realize_route(const HhcTopology& net, std::uint64_t start_cluster,
+                   std::span<const graph::Vertex> exit_walk,
+                   std::span<const unsigned> xdims,
+                   std::span<const graph::Vertex> entry_walk,
+                   std::vector<Node>& out) {
   std::uint64_t cluster = start_cluster;
   for (const graph::Vertex pos : exit_walk) {
-    builder.push(net.encode(cluster, pos));
+    out.push_back(net.encode(cluster, pos));
   }
   for (std::size_t i = 0; i < xdims.size(); ++i) {
     const unsigned d = xdims[i];
     // Cross the external edge at gateway position d.
     cluster ^= bits::pow2(d);
-    builder.push(net.encode(cluster, d));
+    out.push_back(net.encode(cluster, d));
     if (i + 1 < xdims.size()) {
-      build_walk(net, cluster, d, xdims[i + 1], builder);
+      build_walk(net, cluster, d, xdims[i + 1], out);
     }
   }
   for (std::size_t i = 1; i < entry_walk.size(); ++i) {
-    builder.push(net.encode(cluster, entry_walk[i]));
+    out.push_back(net.encode(cluster, entry_walk[i]));
   }
-  return builder.finish();
 }
 
 // Same-cluster case: m disjoint paths inside the cluster (exact max flow on
@@ -249,10 +254,10 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
   if (inner.size() != m) {
     throw std::logic_error("cluster connectivity below m");
   }
+  std::vector<Node>& out = scratch.flat.nodes;
   for (const auto& vp : inner) {
-    auto builder = scratch.arena.builder();
-    for (const graph::Vertex p : vp) builder.push(net.encode(X, p));
-    scratch.refs.push_back(builder.finish());
+    for (const graph::Vertex p : vp) out.push_back(net.encode(X, p));
+    end_path(scratch.flat);
   }
 
   // External detour: cross a, walk, cross b, walk, cross a, walk, cross b.
@@ -260,20 +265,19 @@ void same_cluster_paths(const HhcTopology& net, Node s, Node t,
   // crossing happens at the matching gateway position.
   const std::uint64_t Ea = bits::pow2(a);
   const std::uint64_t Eb = bits::pow2(b);
-  auto builder = scratch.arena.builder();
-  builder.push(s);
+  out.push_back(s);
   std::uint64_t cluster = X ^ Ea;
-  builder.push(net.encode(cluster, Ys));
-  build_walk(net, cluster, Ys, Yt, builder);
+  out.push_back(net.encode(cluster, Ys));
+  build_walk(net, cluster, Ys, Yt, out);
   cluster ^= Eb;
-  builder.push(net.encode(cluster, Yt));
-  build_walk(net, cluster, Yt, Ys, builder);
+  out.push_back(net.encode(cluster, Yt));
+  build_walk(net, cluster, Yt, Ys, out);
   cluster ^= Ea;
-  builder.push(net.encode(cluster, Ys));
-  build_walk(net, cluster, Ys, Yt, builder);
+  out.push_back(net.encode(cluster, Ys));
+  build_walk(net, cluster, Ys, Yt, out);
   cluster ^= Eb;
-  builder.push(net.encode(cluster, Yt));  // == t
-  scratch.refs.push_back(builder.finish());
+  out.push_back(net.encode(cluster, Yt));  // == t
+  end_path(scratch.flat);
 }
 
 void different_cluster_paths(const HhcTopology& net, Node s, Node t,
@@ -327,8 +331,8 @@ void different_cluster_paths(const HhcTopology& net, Node s, Node t,
         route.back() == b ? std::span<const graph::Vertex>{trivial_entry}
                           : std::span<const graph::Vertex>{
                                 entry_fans[entry_index++]};
-    scratch.refs.push_back(
-        realize_route(net, Xs, exit_walk, route, entry_walk, scratch.arena));
+    realize_route(net, Xs, exit_walk, route, entry_walk, scratch.flat.nodes);
+    end_path(scratch.flat);
   }
 }
 
@@ -410,21 +414,20 @@ DisjointPathSetRef node_disjoint_paths(const HhcTopology& net, Node s, Node t,
   if (s == t) throw std::invalid_argument("node_disjoint_paths: s == t");
   static obs::Counter& constructions =
       obs::MetricRegistry::global().counter("construct.calls");
-  static obs::Counter& refills =
-      obs::MetricRegistry::global().counter("construct.arena_refills");
-  const std::size_t heap_before = scratch.arena.heap_allocations();
-  scratch.arena.reset();
-  scratch.refs.clear();
+  FlatContainer& flat = scratch.flat;
+  flat.nodes.clear();
+  flat.offsets.assign(1, 0);
   if (net.cluster_of(s) == net.cluster_of(t)) {
     same_cluster_paths(net, s, t, scratch);
   } else {
     different_cluster_paths(net, s, t, options, scratch);
   }
-  constructions.inc();
-  if (const std::size_t grown = scratch.arena.heap_allocations() - heap_before;
-      grown != 0) {
-    refills.inc(grown);
+  scratch.refs.clear();
+  for (std::size_t i = 0; i + 1 < flat.offsets.size(); ++i) {
+    scratch.refs.emplace_back(flat.nodes.data() + flat.offsets[i],
+                              flat.nodes.data() + flat.offsets[i + 1]);
   }
+  constructions.inc();
   return DisjointPathSetRef{scratch.refs};
 }
 

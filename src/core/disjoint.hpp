@@ -96,9 +96,10 @@ struct ConstructionOptions {
     const HhcTopology& net, Node s, Node t, ConstructionOptions options = {});
 
 /// Allocation-free variant: builds the identical m+1 paths (bit-for-bit —
-/// asserted by the differential suite) into `scratch`, returning borrowed
-/// spans. Resets the scratch arena, so at most one live result per scratch;
-/// with a warm scratch the steady state performs zero heap allocations.
+/// asserted by the differential suite) into `scratch.flat`, returning
+/// borrowed spans into it. Each call overwrites the buffer, so at most one
+/// live result per scratch; with a warm scratch the steady state performs
+/// zero heap allocations.
 /// The copying overload above is exactly this on the thread-local scratch
 /// followed by materialize().
 [[nodiscard]] DisjointPathSetRef node_disjoint_paths(

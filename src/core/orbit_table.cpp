@@ -260,9 +260,9 @@ DisjointPathSet OrbitTable::materialize(Node s, Node t, bool* hit) {
   return set;
 }
 
-void OrbitTable::flatten(Node s, Node t, std::vector<Node>& nodes,
-                         std::vector<std::uint32_t>& offsets, bool* hit) {
+void OrbitTable::flatten(Node s, Node t, FlatContainer& flat, bool* hit) {
   const Served served = serve(s, t, hit);
+  auto& [nodes, offsets] = flat;
   offsets.resize(m_ + 2);
   offsets[0] = 0;
   for (unsigned p = 0; p <= m_; ++p) {

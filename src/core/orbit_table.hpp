@@ -90,10 +90,9 @@ class OrbitTable {
   /// record was already filled, i.e. whether no construction ran.
   [[nodiscard]] DisjointPathSet materialize(Node s, Node t,
                                             bool* hit = nullptr);
-  /// The same container flattened: `nodes` holds every path back to back
-  /// and `offsets` (m + 2 entries) delimits them. Both are overwritten.
-  void flatten(Node s, Node t, std::vector<Node>& nodes,
-               std::vector<std::uint32_t>& offsets, bool* hit = nullptr);
+  /// The same container flattened into `flat` (m + 2 offsets), which is
+  /// overwritten.
+  void flatten(Node s, Node t, FlatContainer& flat, bool* hit = nullptr);
   /// Checks the same container in place against `usable`: bit d of a
   /// node's byte is set when the dimension-d edge (d = m external) may be
   /// taken from it. A path is blocked at its first hop whose bit is clear

@@ -3,9 +3,9 @@
 // A single node_disjoint_paths query needs: the differing-dimension scan,
 // the selected cluster routes, two endpoint fans (max flow on the cluster
 // graph), and m+1 realized paths. ConstructionScratch owns warm storage for
-// every one of those pieces; a query resets the arena, overwrites the
-// buffers in place, and — once the scratch has seen one query of each shape
-// — touches the heap exactly zero times (tests/test_allocation.cpp).
+// every one of those pieces; a query clears the buffers, overwrites them in
+// place, and — once the scratch has seen one query of each shape — touches
+// the heap exactly zero times (tests/test_allocation.cpp).
 //
 // The endpoint fans are memoized. A fan is a pure function of (m, apex,
 // endpoint set), and for m <= 4 that key space is small (2^m * C(2^m-1, m)
@@ -16,8 +16,10 @@
 // key space is 5.4M and there is no table: every fan is solved. DESIGN.md §2
 // gives the argument that the memoized fans are bit-identical.
 //
-// Results are spans into the scratch (PathRef); they stay valid until the
-// next query on the same scratch. Copy (materialize) before reusing it.
+// The m+1 paths are written back to back into one FlatContainer, the same
+// nodes + offsets layout ContainerCache publishes. Results are spans into
+// it (PathRef); they stay valid until the next query on the same scratch.
+// Copy (materialize) before reusing it.
 // Not thread-safe; batch drivers use tls_construction_scratch(), which
 // hands each thread its own instance.
 #pragma once
@@ -33,12 +35,20 @@
 #include "core/topology.hpp"
 #include "graph/adjacency_list.hpp"
 #include "graph/vertex_disjoint.hpp"
-#include "util/arena.hpp"
 
 namespace hhc::core {
 
-/// A borrowed path: a span of nodes into arena- or cache-owned storage.
+/// A borrowed path: a span of nodes into scratch- or cache-owned storage.
 using PathRef = std::span<const Node>;
+
+/// A disjoint-path container flattened into two arrays: `nodes` holds every
+/// path back to back, `offsets` (path_count + 1 entries) delimits them.
+/// The scratch rewrites its own each query; one published into
+/// ContainerCache's store is immutable.
+struct FlatContainer {
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> offsets;  // paths[i] = nodes[offsets[i], offsets[i+1])
+};
 
 class ConstructionScratch {
  public:
@@ -46,8 +56,9 @@ class ConstructionScratch {
   ConstructionScratch(const ConstructionScratch&) = delete;
   ConstructionScratch& operator=(const ConstructionScratch&) = delete;
 
-  /// Node storage for the realized paths of the current query.
-  util::PathArena arena;
+  /// The realized paths of the current query. Cleared by each query; its
+  /// vectors keep their capacity, so a warm scratch never reallocates them.
+  FlatContainer flat;
 
   /// Endpoint-fan solvers (exit fan / same-cluster paths, entry fan). They
   /// fill the fan table and serve every fan at m > kMaxTabledFanM.
@@ -82,7 +93,7 @@ class ConstructionScratch {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> route_spans;
   std::vector<graph::Vertex> exit_targets;
   std::vector<graph::Vertex> entry_sources;
-  std::vector<PathRef> refs;              // the m+1 result spans
+  std::vector<PathRef> refs;              // the m+1 spans into `flat`
 
   struct RouteCandidate {
     std::size_t estimate;

@@ -71,58 +71,4 @@ std::vector<CubePath> disjoint_paths(const Hypercube& q, CubeNode s, CubeNode t,
   return paths;
 }
 
-std::span<const std::span<const CubeNode>> disjoint_paths(
-    const Hypercube& q, CubeNode s, CubeNode t, std::size_t count,
-    CubeDisjointScratch& scratch) {
-  if (!q.contains(s) || !q.contains(t)) {
-    throw std::invalid_argument("disjoint_route_sequences: node out of range");
-  }
-  if (s == t) throw std::invalid_argument("disjoint_route_sequences: s == t");
-  if (count > q.dimension()) {
-    throw std::invalid_argument(
-        "disjoint_route_sequences: at most n disjoint paths exist");
-  }
-
-  scratch.arena.reset();
-  scratch.refs.clear();
-  scratch.differing.clear();
-  for (unsigned i = 0; i < q.dimension(); ++i) {
-    if (bits::test(s ^ t, i)) scratch.differing.push_back(i);
-  }
-  const std::vector<unsigned>& differing = scratch.differing;
-  const std::size_t k = differing.size();
-
-  // Rotations realized directly: flip the differing dimensions starting at
-  // cyclic offset r, appending each visited node.
-  for (std::size_t r = 0; r < k && scratch.refs.size() < count; ++r) {
-    auto builder = scratch.arena.builder();
-    CubeNode cur = s;
-    builder.push(cur);
-    for (std::size_t j = 0; j < k; ++j) {
-      cur = bits::flip(cur, differing[(r + j) % k]);
-      builder.push(cur);
-    }
-    scratch.refs.push_back(builder.finish());
-  }
-
-  // Detours: step out across an agreeing dimension e, flip all differing
-  // dimensions, and step back across e.
-  for (unsigned e = 0; e < q.dimension() && scratch.refs.size() < count; ++e) {
-    if (bits::test(s ^ t, e)) continue;
-    auto builder = scratch.arena.builder();
-    CubeNode cur = s;
-    builder.push(cur);
-    cur = bits::flip(cur, e);
-    builder.push(cur);
-    for (std::size_t j = 0; j < k; ++j) {
-      cur = bits::flip(cur, differing[j]);
-      builder.push(cur);
-    }
-    cur = bits::flip(cur, e);
-    builder.push(cur);
-    scratch.refs.push_back(builder.finish());
-  }
-  return {scratch.refs.data(), scratch.refs.size()};
-}
-
 }  // namespace hhc::cube

@@ -11,25 +11,14 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "cube/hypercube.hpp"
-#include "util/arena.hpp"
 
 namespace hhc::cube {
 
 /// A route written as the sequence of dimensions to flip.
 using DimensionSequence = std::vector<unsigned>;
-
-/// Reusable storage for the allocation-free disjoint_paths overload: the
-/// arena holds the node sequences, `refs` the per-path spans. Results stay
-/// valid until the next call on the same scratch.
-struct CubeDisjointScratch {
-  util::PathArena arena;
-  std::vector<std::span<const CubeNode>> refs;
-  std::vector<unsigned> differing;
-};
 
 /// The rotation/detour dimension sequences for s -> t (s != t), in a fixed
 /// deterministic order: all k rotations (by cyclic offset), then detours by
@@ -46,12 +35,5 @@ struct CubeDisjointScratch {
 /// Materializes a dimension sequence into the node path it traces from `s`.
 [[nodiscard]] CubePath realize_route(const Hypercube& q, CubeNode s,
                                      const DimensionSequence& route);
-
-/// Allocation-free variant of disjoint_paths: realizes the identical paths
-/// (same routes, same order) straight into `scratch` without materializing
-/// the dimension sequences. With a warm scratch, zero heap allocations.
-[[nodiscard]] std::span<const std::span<const CubeNode>> disjoint_paths(
-    const Hypercube& q, CubeNode s, CubeNode t, std::size_t count,
-    CubeDisjointScratch& scratch);
 
 }  // namespace hhc::cube

@@ -11,9 +11,9 @@
 // a mutex; a function-local static amortizes it to one lookup per site),
 // then update through the reference — a single relaxed atomic op:
 //
-//   static obs::Counter& refills =
-//       obs::MetricRegistry::global().counter("construct.arena_refills");
-//   refills.inc();
+//   static obs::Counter& constructions =
+//       obs::MetricRegistry::global().counter("construct.calls");
+//   constructions.inc();
 //
 // Histogram is the one latency distribution of the codebase: PathService's
 // per-outcome answer latency records into it, and obs::stage_rows() folds

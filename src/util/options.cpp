@@ -12,6 +12,21 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+// Parses all of `text` with `parse` (std::stoll or std::stod); anything it
+// leaves unconsumed, or cannot parse, is an error naming the option.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& text,
+                 const char* expected, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("option --" + key + " expects " + expected +
+                              ", got: " + text);
+}
+
 }  // namespace
 
 Options::Options(int argc, const char* const* argv) {
@@ -53,12 +68,10 @@ std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects an integer, got: " + it->second);
-  }
+  return parse_whole(key, it->second, "an integer",
+                     [](const std::string& text, std::size_t* used) {
+                       return std::stoll(text, used);
+                     });
 }
 
 std::size_t Options::get_count(const std::string& key,
@@ -75,18 +88,20 @@ std::size_t Options::get_count(const std::string& key,
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects a number, got: " + it->second);
-  }
+  return parse_whole(key, it->second, "a number",
+                     [](const std::string& text, std::size_t* used) {
+                       return std::stod(text, used);
+                     });
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw std::invalid_argument("option --" + key +
+                              " expects true/false, 1/0 or yes/no, got: " + v);
 }
 
 bool Options::help_requested(const std::string& program_summary) const {

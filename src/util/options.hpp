@@ -25,6 +25,8 @@ class Options {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
+  /// get_int, get_count and get_double throw std::invalid_argument unless
+  /// the whole value parses ("2abc" and, for an integer, "1.5" fail).
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   /// A count or size: get_int() that throws std::invalid_argument on a
@@ -33,6 +35,8 @@ class Options {
                                       std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
+  /// true/1/yes or false/0/no (a bare `--flag` reads true); anything else
+  /// throws std::invalid_argument.
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// True if --help was passed; prints usage to stdout when called.

@@ -2,13 +2,14 @@
 //
 // This binary overrides the global allocation functions with counting
 // wrappers (malloc-backed, so behavior is unchanged) and asserts a ZERO
-// delta across the steady-state regions the arena rework promises are
+// delta across the steady-state regions that are meant to be
 // allocation-free:
 //
 //   * node_disjoint_paths(net, s, t, options, scratch) once the scratch's
-//     arena/workspaces/buffers have grown to the working set — including a
-//     construction that fills fan-table entries it has never seen (the
-//     table is sized once per m, on the first construction at that m);
+//     path buffer, workspaces and route buffers have grown to the working
+//     set — including a construction that fills fan-table entries it has
+//     never seen (the table is sized once per m, on the first construction
+//     at that m);
 //   * ContainerCache::lookup on a hit: a borrowed handle from the store, at
 //     every m;
 //   * ContainerCache::materialize at m <= 4 once the orbit records are
@@ -124,7 +125,7 @@ TEST(AllocationFree, ScratchConstructionSteadyState) {
   const auto pairs = sample_pairs(net, 200, 0xA110C);
   auto& scratch = tls_construction_scratch();
 
-  // Warm-up: grows the arena chunks, fan workspaces, flow network, and
+  // Warm-up: grows the path buffer, fan workspaces, flow network, and
   // route buffers to this working set's high-water mark.
   for (int round = 0; round < 2; ++round) {
     for (const auto& [s, t] : pairs) {
@@ -211,21 +212,23 @@ TEST(AllocationFree, FanTableFillIsAllocationFree) {
 }
 
 TEST(AllocationFree, ArenaHeapAllocationsStabilize) {
+  // The scratch's node buffer, offsets and spans grow during the first
+  // pass over a working set and never again.
   const HhcTopology net{4};
   const auto pairs = sample_pairs(net, 100, 0xA110E);
   auto& scratch = tls_construction_scratch();
   for (const auto& [s, t] : pairs) {
     (void)node_disjoint_paths(net, s, t, {}, scratch);
   }
-  // The arena's own bookkeeping agrees with the global counter: after the
-  // first full pass no further chunk is ever requested.
-  const std::size_t chunks = scratch.arena.heap_allocations();
+  const std::size_t before = allocation_count();
   for (int round = 0; round < 3; ++round) {
     for (const auto& [s, t] : pairs) {
       (void)node_disjoint_paths(net, s, t, {}, scratch);
     }
   }
-  EXPECT_EQ(scratch.arena.heap_allocations(), chunks);
+  const std::size_t delta = allocation_count() - before;
+  EXPECT_EQ(delta, 0u) << "passes after the first performed " << delta
+                       << " heap allocations";
 }
 
 TEST(AllocationFree, OrbitMaterializeAllocatesOnlyItsResult) {

@@ -105,35 +105,6 @@ TEST(CubeDisjoint, RejectsEqualEndpoints) {
   EXPECT_THROW((void)disjoint_paths(q, 2, 2, 1), std::invalid_argument);
 }
 
-TEST(CubeDisjoint, ScratchOverloadMatchesLegacy) {
-  // The arena-backed overload must reproduce the copying API node for node
-  // (and reject the same inputs) — it is the same route realization, just
-  // written into reusable storage.
-  CubeDisjointScratch scratch;
-  util::Xoshiro256 rng{0xC0BE};
-  for (unsigned n = 2; n <= 7; ++n) {
-    const Hypercube q{n};
-    for (int trial = 0; trial < 40; ++trial) {
-      const CubeNode s = rng.below(q.node_count());
-      CubeNode t = rng.below(q.node_count());
-      if (s == t) t ^= 1;
-      const std::size_t count = 1 + rng.below(n);
-      const auto legacy = disjoint_paths(q, s, t, count);
-      const auto refs = disjoint_paths(q, s, t, count, scratch);
-      ASSERT_EQ(refs.size(), legacy.size()) << "n=" << n;
-      for (std::size_t i = 0; i < refs.size(); ++i) {
-        ASSERT_TRUE(std::equal(refs[i].begin(), refs[i].end(),
-                               legacy[i].begin(), legacy[i].end()))
-            << "n=" << n << " s=" << s << " t=" << t << " path " << i;
-      }
-    }
-  }
-  EXPECT_THROW((void)disjoint_paths(Hypercube{3}, 0, 1, 4, scratch),
-               std::invalid_argument);
-  EXPECT_THROW((void)disjoint_paths(Hypercube{3}, 2, 2, 1, scratch),
-               std::invalid_argument);
-}
-
 // Parameterized dimension sweep: each n gets its own test cell so a
 // regression localizes immediately.
 class CubeContainerSweep : public ::testing::TestWithParam<unsigned> {};

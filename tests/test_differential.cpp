@@ -1,7 +1,8 @@
-// Differential regression suite: the arena-backed construction against
+// Differential regression suite: the scratch-backed construction against
 // recorded pre-rework snapshots and against the max-flow baseline.
 //
-// The allocation-free hot path (ConstructionScratch + PathArena) was
+// The allocation-free hot path (ConstructionScratch writing into one reused
+// nodes + offsets buffer) was
 // required to be *bit-identical* to the construction that preceded it, not
 // merely "also correct". The snapshot hashes below were recorded from the
 // pre-rework implementation (FNV-1a over every container: path count, then
@@ -11,12 +12,14 @@
 // up as a one-line hash mismatch. Coverage: every ordered pair at m = 1 and
 // m = 2 under all three option sets, plus 2000 sampled pairs at m = 3 and
 // m = 4 (seed 0xD1FF + m, the seed the snapshots were recorded with —
-// changing it invalidates the constants).
+// changing it invalidates the constants). The same pins are also checked on
+// one scratch whose first query built an m = 5 container, so every smaller
+// container is written into a buffer with room to spare.
 //
 // A hash can only say "something changed"; the deep-equality sweep pins the
 // two live entry points (copying API vs scratch + materialize) node-for-node
 // so a mismatch points at the diverging pair. The max-flow cross-check then
-// ties the arena path's cardinality to an independent algorithm entirely.
+// ties the scratch path's cardinality to an independent algorithm entirely.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,10 +62,10 @@ void hash_pair(const HhcTopology& net, Node s, Node t,
   }
 }
 
-void check_exhaustive_snapshot(unsigned m, const Snapshot& snap) {
+void check_exhaustive_snapshot(unsigned m, const Snapshot& snap,
+                               ConstructionScratch& scratch) {
   const HhcTopology net{m};
   const ConstructionOptions options{snap.ordering, snap.selection};
-  auto& scratch = tls_construction_scratch();
   Fnv1a fnv;
   for (Node s = 0; s < net.node_count(); ++s) {
     for (Node t = 0; t < net.node_count(); ++t) {
@@ -70,19 +73,19 @@ void check_exhaustive_snapshot(unsigned m, const Snapshot& snap) {
     }
   }
   EXPECT_EQ(fnv.h, snap.expected)
-      << "m=" << m << ": arena construction drifted from pre-rework snapshot";
+      << "m=" << m << ": construction drifted from pre-rework snapshot";
 }
 
-void check_sampled_snapshot(unsigned m, const Snapshot& snap) {
+void check_sampled_snapshot(unsigned m, const Snapshot& snap,
+                            ConstructionScratch& scratch) {
   const HhcTopology net{m};
   const ConstructionOptions options{snap.ordering, snap.selection};
-  auto& scratch = tls_construction_scratch();
   Fnv1a fnv;
   for (const auto& [s, t] : sample_pairs(net, 2000, 0xD1FF + m)) {
     hash_pair(net, s, t, options, scratch, fnv);
   }
   EXPECT_EQ(fnv.h, snap.expected)
-      << "m=" << m << ": arena construction drifted from pre-rework snapshot";
+      << "m=" << m << ": construction drifted from pre-rework snapshot";
 }
 
 // Recorded from the pre-rework implementation; do not regenerate casually —
@@ -122,19 +125,47 @@ constexpr Snapshot kM4[] = {
 };
 
 TEST(Differential, SnapshotExhaustiveM1) {
-  for (const Snapshot& snap : kM1) check_exhaustive_snapshot(1, snap);
+  for (const Snapshot& snap : kM1) {
+    check_exhaustive_snapshot(1, snap, tls_construction_scratch());
+  }
 }
 
 TEST(Differential, SnapshotExhaustiveM2) {
-  for (const Snapshot& snap : kM2) check_exhaustive_snapshot(2, snap);
+  for (const Snapshot& snap : kM2) {
+    check_exhaustive_snapshot(2, snap, tls_construction_scratch());
+  }
 }
 
 TEST(Differential, SnapshotSampledM3) {
-  for (const Snapshot& snap : kM3) check_sampled_snapshot(3, snap);
+  for (const Snapshot& snap : kM3) {
+    check_sampled_snapshot(3, snap, tls_construction_scratch());
+  }
 }
 
 TEST(Differential, SnapshotSampledM4) {
-  for (const Snapshot& snap : kM4) check_sampled_snapshot(4, snap);
+  for (const Snapshot& snap : kM4) {
+    check_sampled_snapshot(4, snap, tls_construction_scratch());
+  }
+}
+
+// Every pin above, on one fresh scratch whose first query was an m = 5
+// container: the node buffer then holds more room than any smaller
+// container needs, and each construction must still write exactly its own
+// paths and span exactly them.
+TEST(Differential, SnapshotsHoldOnAScratchFirstGrownAtM5) {
+  ConstructionScratch scratch;
+  const HhcTopology big{5};
+  const DisjointPathSetRef grown =
+      node_disjoint_paths(big, 0, big.node_count() - 1, {}, scratch);
+  ASSERT_EQ(grown.paths.size(), big.degree());
+  const std::size_t capacity = scratch.flat.nodes.capacity();
+
+  for (const Snapshot& snap : kM1) check_exhaustive_snapshot(1, snap, scratch);
+  for (const Snapshot& snap : kM2) check_exhaustive_snapshot(2, snap, scratch);
+  for (const Snapshot& snap : kM3) check_sampled_snapshot(3, snap, scratch);
+  for (const Snapshot& snap : kM4) check_sampled_snapshot(4, snap, scratch);
+  // The premise: no smaller container outgrew the m = 5 one's buffer.
+  EXPECT_EQ(scratch.flat.nodes.capacity(), capacity);
 }
 
 // The copying API and the scratch overload must agree node for node: the
@@ -158,7 +189,7 @@ TEST(Differential, LegacyEqualsScratchExhaustiveM2) {
   }
 }
 
-// Arena-path cardinality against an independent algorithm: max flow on the
+// Scratch-path cardinality against an independent algorithm: max flow on the
 // explicit split network. Exhaustive at m=2, sampled at m=3.
 TEST(Differential, ArenaCountMatchesMaxflowM2Exhaustive) {
   const HhcTopology net{2};

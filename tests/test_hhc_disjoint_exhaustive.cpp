@@ -27,7 +27,7 @@ void check_pair(const HhcTopology& net, Node s, Node t,
   ASSERT_TRUE(verify_disjoint_path_set(net, set, s, t, &why))
       << "m=" << net.m() << " s=" << s << " t=" << t << ": " << why;
 
-  // Differential: the arena-backed scratch overload must agree node for
+  // Differential: the scratch overload must agree node for
   // node with the copying entry point on every pair this suite touches.
   const DisjointPathSetRef ref =
       node_disjoint_paths(net, s, t, options, tls_construction_scratch());

@@ -49,6 +49,34 @@ TEST(Options, RejectsMalformedNumbers) {
   EXPECT_THROW((void)o.get_int("m", 0), std::invalid_argument);
 }
 
+TEST(Options, NumbersRejectTrailingCharacters) {
+  const auto o = parse({"--m", "2abc", "--trials", "1.5", "--rate", "0.5x",
+                        "--seed", "7 ", "--ok", "12", "--frac", "1e-3"});
+  EXPECT_THROW((void)o.get_int("m", 0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_count("trials", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("trials", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_double("rate", 0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("seed", 0), std::invalid_argument);
+  EXPECT_EQ(o.get_int("ok", 0), 12);
+  EXPECT_EQ(o.get_count("ok", 0), 12u);
+  EXPECT_DOUBLE_EQ(o.get_double("ok", 0), 12.0);
+  EXPECT_DOUBLE_EQ(o.get_double("frac", 0), 1e-3);
+}
+
+TEST(Options, BooleansRejectUnknownSpellings) {
+  const auto o = parse({"--a", "true", "--b", "1", "--c", "yes", "--d",
+                        "false", "--e", "0", "--f", "no", "--typo", "ture",
+                        "--empty="});
+  EXPECT_TRUE(o.get_bool("a", false));
+  EXPECT_TRUE(o.get_bool("b", false));
+  EXPECT_TRUE(o.get_bool("c", false));
+  EXPECT_FALSE(o.get_bool("d", true));
+  EXPECT_FALSE(o.get_bool("e", true));
+  EXPECT_FALSE(o.get_bool("f", true));
+  EXPECT_THROW((void)o.get_bool("typo", false), std::invalid_argument);
+  EXPECT_THROW((void)o.get_bool("empty", false), std::invalid_argument);
+}
+
 TEST(Options, CountsRejectNegativeValues) {
   const auto o = parse({"--workers", "-1", "--queries=-100", "--ring", "0",
                         "--trials", "250", "--bad", "x"});

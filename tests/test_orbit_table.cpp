@@ -202,9 +202,10 @@ std::vector<std::uint8_t> usable_map(const HhcTopology& net, Cut cut,
 void expect_scan_matches_flatten(const HhcTopology& net, OrbitTable& table,
                                  const std::vector<std::uint8_t>& usable,
                                  Node s, Node t, std::size_t& mixed) {
-  std::vector<Node> nodes;
-  std::vector<std::uint32_t> offsets;
-  table.flatten(s, t, nodes, offsets);
+  FlatContainer flat;
+  table.flatten(s, t, flat);
+  const std::vector<Node>& nodes = flat.nodes;
+  const std::vector<std::uint32_t>& offsets = flat.offsets;
   unsigned blocked = 0;
   Path expected;
   for (std::size_t p = 0; p + 1 < offsets.size(); ++p) {

@@ -24,7 +24,7 @@
 // cases assert P1-P4 only.
 //
 // Both entry points are exercised: cases alternate between the legacy
-// copying API and the arena-backed scratch overload (materialized), so the
+// copying API and the scratch overload (materialized), so the
 // harness would catch a property violation introduced in either path.
 #include <gtest/gtest.h>
 
@@ -115,7 +115,7 @@ void run_cases(unsigned m, std::size_t cases, DimensionOrdering ordering) {
     SCOPED_TRACE(trace.str());
 
     // Alternate entry points: even cases copy, odd cases go through the
-    // arena scratch and materialize the borrowed views.
+    // scratch overload and materialize the borrowed views.
     if (c % 2 == 0) {
       check_properties(net, s, t, node_disjoint_paths(net, s, t, options),
                        bound);
